@@ -24,7 +24,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import BudgetError, ParseError, ValidationError
-from .formulas import Formula, format_formula, free_vars, parse_formula
+from .formulas import _VAR_RE, Formula, format_formula, free_vars, parse_formula
+from .lexer import Lexer
 from .randomization import Event, RandomElement, Randomization, event_of, mu
 from .structures import Signature
 
@@ -177,44 +178,16 @@ def _event_kvars(e: EventTerm) -> frozenset[str]:
 
 # --- Parser ---------------------------------------------------------------------
 
-_CTOK = re.compile(
+_TOKENS = re.compile(
     r"\s*(?:(?P<dbrack_open>\[\[)|(?P<dbrack_close>\]\])"
-    r"|(?P<rat>\d+\s*/\s*\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<trunc>-\.)|(?P<punct>[()\[\],~!&|^]))"
+    r"|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<trunc>-\.)|(?P<punct>[()\[\],~!&|^/]))"
 )
-
-
-class _CTok:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        m = _CTOK.match(self.text, self.pos)
-        if m is None:
-            rest = self.text[self.pos :].strip()
-            if rest:
-                raise ParseError(f"unexpected character {rest[0]!r}", self.pos)
-            return None
-        kind = m.lastgroup
-        return kind, m.group(kind), m.end()
-
-    def advance(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.pos)
-        self.pos = tok[2]
-        return tok[0], tok[1]
-
-    def expect(self, value: str):
-        kind, text = self.advance()
-        if text != value:
-            raise ParseError(f"expected {value!r}, got {text!r}", self.pos)
 
 
 class _CParser:
     def __init__(self, text: str, sig: Signature):
-        self.tk = _CTok(text)
+        self.tk = Lexer(_TOKENS, text)
         self.sig = sig
 
     def parse(self) -> CFormula:
@@ -225,173 +198,125 @@ class _CParser:
 
     def value(self) -> CFormula:
         left = self.unary()
-        while True:
-            tok = self.tk.peek()
-            if tok is None or tok[0] != "trunc":
-                return left
-            self.tk.advance()
+        while self.tk.accept("-."):
             left = CTruncSub(left, self.unary())
+        return left
 
     def unary(self) -> CFormula:
-        tok = self.tk.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.tk.pos)
-        if tok[1] == "~":
-            self.tk.advance()
+        if self.tk.accept("~"):
             return CNeg(self.unary())
         return self.primary()
 
     def _formula_in_brackets(self, closer: str) -> Formula:
         # scan to the matching closer, then defer to the first-order parser
         depth = 0
-        start = self.tk.pos
         text = self.tk.text
-        i = start
-        while i < len(text):
-            if closer == "]]" and text.startswith("]]", i) and depth == 0:
-                phi = parse_formula(text[start:i], self.sig)
-                self.tk.pos = i + 2
-                return phi
-            if closer == "]" and text[i] == "]" and depth == 0:
-                phi = parse_formula(text[start:i], self.sig)
-                self.tk.pos = i + 1
-                return phi
+        start = self.tk.pos
+        for i in range(start, len(text)):
+            if depth == 0 and text.startswith(closer, i):
+                self.tk.pos = i + len(closer)
+                return parse_formula(text[start:i], self.sig)
             if text[i] == "[":
                 depth += 1
             elif text[i] == "]":
                 depth -= 1
-            i += 1
         raise ParseError(f"missing {closer!r}", self.tk.pos)
+
+    def _args(self, read, count: int) -> list:
+        args = self.tk.items("(", ")", read)
+        if len(args) != count:
+            raise ParseError(f"expected {count} arguments, got {len(args)}", self.tk.pos)
+        return args
 
     def primary(self) -> CFormula:
         tok = self.tk.peek()
         if tok is None:
             raise ParseError("unexpected end of input", self.tk.pos)
-        kind, text, _ = tok
-        if kind == "rat":
-            self.tk.advance()
-            value = Fraction(text.replace(" ", ""))
+        kind, text = tok
+        if kind == "int":
+            value = self.tk.rational()
             if not 0 <= value <= 1:
                 raise ParseError(f"constant {value} outside [0, 1]", self.tk.pos)
             return CConst(value)
-        if text == "(":
-            self.tk.advance()
+        if self.tk.accept("("):
             out = self.value()
             self.tk.expect(")")
             return out
-        if kind == "name":
-            if text == "mu":
-                self.tk.advance()
-                nxt = self.tk.peek()
-                if nxt is not None and nxt[0] == "dbrack_open":
-                    self.tk.advance()
-                    phi = self._formula_in_brackets("]]")
-                    return CMu(EvFormula(phi))
-                self.tk.expect("[")
-                ev = self.event()
-                self.tk.expect("]")
-                return CMu(ev)
-            if text == "P":
-                self.tk.advance()
-                self.tk.expect("[")
-                phi = self._formula_in_brackets("]")
-                return CMu(EvFormula(phi))
-            if text == "dK":
-                self.tk.advance()
-                self.tk.expect("(")
-                a = self._kvar()
-                self.tk.expect(",")
-                b = self._kvar()
-                self.tk.expect(")")
-                return CDK(a, b)
-            if text == "dB":
-                self.tk.advance()
-                self.tk.expect("(")
-                e1 = self.event()
-                self.tk.expect(",")
-                e2 = self.event()
-                self.tk.expect(")")
-                return CDB(e1, e2)
-            if text == "half":
-                self.tk.advance()
-                self.tk.expect("(")
-                u = self.value()
-                self.tk.expect(")")
-                return CHalf(u)
-            if text in ("min", "max"):
-                self.tk.advance()
-                self.tk.expect("(")
-                u = self.value()
-                self.tk.expect(",")
-                v = self.value()
-                self.tk.expect(")")
-                return (CMin if text == "min" else CMax)(u, v)
-            if text in ("sup", "inf"):
-                self.tk.advance()
-                var = self._kvar()
-                self.tk.expect("(")
-                body = self.value()
-                self.tk.expect(")")
-                return (CSup if text == "sup" else CInf)(var, body)
+        if kind != "name":
+            raise ParseError(f"unexpected token {text!r}", self.tk.pos)
+        self.tk.next()
+        if text == "mu":
+            if self.tk.accept("[["):
+                return CMu(EvFormula(self._formula_in_brackets("]]")))
+            self.tk.expect("[")
+            ev = self.event()
+            self.tk.expect("]")
+            return CMu(ev)
+        if text == "P":
+            self.tk.expect("[")
+            return CMu(EvFormula(self._formula_in_brackets("]")))
+        if text == "dK":
+            return CDK(*self._args(self._kvar, 2))
+        if text == "dB":
+            return CDB(*self._args(self.event, 2))
+        if text == "half":
+            return CHalf(*self._args(self.value, 1))
+        if text in ("min", "max"):
+            return (CMin if text == "min" else CMax)(*self._args(self.value, 2))
+        if text in ("sup", "inf"):
+            var = self._kvar()
+            self.tk.expect("(")
+            body = self.value()
+            self.tk.expect(")")
+            return (CSup if text == "sup" else CInf)(var, body)
         raise ParseError(f"unexpected token {text!r}", self.tk.pos)
 
     def _kvar(self) -> str:
-        kind, text = self.tk.advance()
-        if kind != "name" or not re.match(r"[a-z][a-z0-9]*\Z", text):
+        kind, text = self.tk.next()
+        if kind != "name" or not _VAR_RE.match(text):
             raise ParseError(f"expected a random-element variable, got {text!r}", self.tk.pos)
         return text
 
     def event(self) -> EventTerm:
-        return self._ev_join()
-
-    def _ev_join(self) -> EventTerm:
         out = self._ev_meet()
         while True:
-            tok = self.tk.peek()
-            if tok is None or tok[1] not in ("|", "^"):
+            if self.tk.accept("|"):
+                out = EvJoin(out, self._ev_meet())
+            elif self.tk.accept("^"):
+                out = EvSymDiff(out, self._ev_meet())
+            else:
                 return out
-            op = self.tk.advance()[1]
-            rhs = self._ev_meet()
-            out = EvJoin(out, rhs) if op == "|" else EvSymDiff(out, rhs)
 
     def _ev_meet(self) -> EventTerm:
         out = self._ev_unary()
-        while True:
-            tok = self.tk.peek()
-            if tok is None or tok[1] != "&":
-                return out
-            self.tk.advance()
+        while self.tk.accept("&"):
             out = EvMeet(out, self._ev_unary())
+        return out
 
     def _ev_unary(self) -> EventTerm:
-        tok = self.tk.peek()
-        if tok is None:
-            raise ParseError("unexpected end of event term", self.tk.pos)
-        if tok[1] == "!":
-            self.tk.advance()
+        if self.tk.accept("!"):
             return EvNot(self._ev_unary())
-        if tok[1] == "(":
-            self.tk.advance()
+        if self.tk.accept("("):
             out = self.event()
             self.tk.expect(")")
             return out
-        if tok[0] == "dbrack_open":
-            self.tk.advance()
+        if self.tk.accept("[["):
             return EvFormula(self._formula_in_brackets("]]"))
-        if tok[1] == "top":
-            self.tk.advance()
+        kind, text = self.tk.next()
+        if text == "top":
             return EvTop()
-        if tok[1] == "bot":
-            self.tk.advance()
+        if text == "bot":
             return EvBot()
-        if tok[0] == "name":
-            self.tk.advance()
-            return EvName(tok[1])
-        raise ParseError(f"unexpected token {tok[1]!r} in event term", self.tk.pos)
+        if kind == "name":
+            return EvName(text)
+        raise ParseError(f"unexpected token {text!r} in event term", self.tk.pos)
 
 
 def parse_cformula(text: str, sig: Signature) -> CFormula:
-    return _CParser(text, sig).parse()
+    try:
+        return _CParser(text, sig).parse()
+    except RecursionError:
+        raise ParseError("continuous formula nested too deeply") from None
 
 
 # --- Printer --------------------------------------------------------------------

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import ParseError
+from .lexer import Lexer
 from .structures import Signature
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -200,49 +201,18 @@ def substitute(phi: Formula, repl: dict[str, Term]) -> Formula:
 
 # --- Parser -----------------------------------------------------------------
 
-_FTOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<elem>#\d+)"
-    r"|(?P<arrow>->)|(?P<punct>[()=,!&|]))"
+_TOKENS = re.compile(
+    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)"
+    r"|(?P<arrow>->)|(?P<punct>[()=,!&|]|#(?=\d)))"
 )
 
 _KEYWORDS = {"exists", "forall"}
 _VAR_RE = re.compile(r"[a-z][a-z0-9]*\Z")
 
 
-class _FTok:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str] | None:
-        m = _FTOKEN_RE.match(self.text, self.pos)
-        if m is None:
-            rest = self.text[self.pos :].strip()
-            if rest:
-                raise ParseError(f"unexpected character {rest[0]!r}", self.pos)
-            return None
-        kind = m.lastgroup
-        assert kind is not None
-        return kind, m.group(kind)
-
-    def advance(self) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of formula", self.pos)
-        m = _FTOKEN_RE.match(self.text, self.pos)
-        assert m is not None
-        self.pos = m.end()
-        return tok
-
-    def expect(self, value: str) -> None:
-        tok = self.advance()
-        if tok[1] != value:
-            raise ParseError(f"expected {value!r}, got {tok[1]!r}", self.pos)
-
-
 class _FormulaParser:
     def __init__(self, text: str, sig: Signature):
-        self.tk = _FTok(text)
+        self.tk = Lexer(_TOKENS, text)
         self.sig = sig
 
     def parse(self) -> Formula:
@@ -253,60 +223,40 @@ class _FormulaParser:
 
     def implies(self) -> Formula:
         left = self.disjunct()
-        tok = self.tk.peek()
-        if tok is not None and tok[0] == "arrow":
-            self.tk.advance()
+        if self.tk.accept("->"):
             return Implies(left, self.implies())
         return left
 
     def disjunct(self) -> Formula:
         out = self.conjunct()
-        while True:
-            tok = self.tk.peek()
-            if tok is None or tok[1] != "|":
-                return out
-            self.tk.advance()
+        while self.tk.accept("|"):
             out = Or(out, self.conjunct())
+        return out
 
     def conjunct(self) -> Formula:
         out = self.unary()
-        while True:
-            tok = self.tk.peek()
-            if tok is None or tok[1] != "&":
-                return out
-            self.tk.advance()
+        while self.tk.accept("&"):
             out = And(out, self.unary())
+        return out
 
     def unary(self) -> Formula:
-        tok = self.tk.peek()
-        if tok is None:
-            raise ParseError("unexpected end of formula", self.tk.pos)
-        if tok[1] == "!":
-            self.tk.advance()
+        if self.tk.accept("!"):
             return Not(self.unary())
-        if tok[1] in _KEYWORDS:
-            self.tk.advance()
-            var_tok = self.tk.advance()
-            if var_tok[0] != "name" or not _VAR_RE.match(var_tok[1]):
-                raise ParseError(f"bad quantified variable {var_tok[1]!r}", self.tk.pos)
-            if self.sig.kind_of(var_tok[1]) is not None:
-                raise ParseError(
-                    f"quantified variable {var_tok[1]!r} clashes with a symbol",
-                    self.tk.pos,
-                )
-            body = self.unary()
-            return (Exists if tok[1] == "exists" else Forall)(var_tok[1], body)
-        return self.primary()
-
-    def primary(self) -> Formula:
-        tok = self.tk.peek()
-        if tok is None:
-            raise ParseError("unexpected end of formula", self.tk.pos)
-        if tok[1] == "(":
-            self.tk.advance()
+        if self.tk.accept("("):
             phi = self.implies()
             self.tk.expect(")")
             return phi
+        tok = self.tk.peek()
+        if tok is not None and tok[1] in _KEYWORDS:
+            self.tk.next()
+            kind, var = self.tk.next()
+            if kind != "name" or not _VAR_RE.match(var):
+                raise ParseError(f"bad quantified variable {var!r}", self.tk.pos)
+            if self.sig.kind_of(var) is not None:
+                raise ParseError(
+                    f"quantified variable {var!r} clashes with a symbol", self.tk.pos
+                )
+            return (Exists if tok[1] == "exists" else Forall)(var, self.unary())
         return self.atom()
 
     def atom(self) -> Formula:
@@ -314,52 +264,33 @@ class _FormulaParser:
         if tok is None:
             raise ParseError("expected an atom", self.tk.pos)
         if tok[0] == "name" and self.sig.kind_of(tok[1]) == "relation":
-            name = self.tk.advance()[1]
-            args = self.term_list()
-            want = self.sig.relations[name]
-            if len(args) != want:
-                raise ParseError(
-                    f"relation {name} expects {want} arguments, got {len(args)}",
-                    self.tk.pos,
-                )
-            return Rel(name, args)
+            self.tk.next()
+            return Rel(tok[1], self.args("relation", tok[1], self.sig.relations))
         left = self.term()
         self.tk.expect("=")
-        right = self.term()
-        return Eq(left, right)
+        return Eq(left, self.term())
 
-    def term_list(self) -> tuple[Term, ...]:
-        self.tk.expect("(")
-        args: list[Term] = []
-        while True:
-            tok = self.tk.peek()
-            if tok is not None and tok[1] == ")":
-                self.tk.advance()
-                return tuple(args)
-            if args:
-                self.tk.expect(",")
-            args.append(self.term())
+    def args(self, kind: str, name: str, arities: dict[str, int]) -> tuple[Term, ...]:
+        args = tuple(self.tk.items("(", ")", self.term))
+        if len(args) != arities[name]:
+            raise ParseError(
+                f"{kind} {name} expects {arities[name]} arguments, got {len(args)}",
+                self.tk.pos,
+            )
+        return args
 
     def term(self) -> Term:
-        tok = self.tk.advance()
-        if tok[0] == "elem":
-            return Elem(int(tok[1][1:]))
-        if tok[0] != "name":
-            raise ParseError(f"expected a term, got {tok[1]!r}", self.tk.pos)
-        name = tok[1]
-        kind = self.sig.kind_of(name)
-        if kind == "function":
-            args = self.term_list()
-            want = self.sig.functions[name]
-            if len(args) != want:
-                raise ParseError(
-                    f"function {name} expects {want} arguments, got {len(args)}",
-                    self.tk.pos,
-                )
-            return App(name, args)
-        if kind == "constant":
+        if self.tk.accept("#"):
+            return Elem(self.tk.integer())
+        kind, name = self.tk.next()
+        if kind != "name":
+            raise ParseError(f"expected a term, got {name!r}", self.tk.pos)
+        sym = self.sig.kind_of(name)
+        if sym == "function":
+            return App(name, self.args("function", name, self.sig.functions))
+        if sym == "constant":
             return Const(name)
-        if kind == "relation":
+        if sym == "relation":
             raise ParseError(f"relation {name} used as a term", self.tk.pos)
         if not _VAR_RE.match(name) or name in _KEYWORDS:
             raise ParseError(f"unknown symbol {name!r}", self.tk.pos)
@@ -368,7 +299,10 @@ class _FormulaParser:
 
 def parse_formula(text: str, sig: Signature) -> Formula:
     """Parse `text` against `sig`; raises ParseError with a position."""
-    return _FormulaParser(text, sig).parse()
+    try:
+        return _FormulaParser(text, sig).parse()
+    except RecursionError:
+        raise ParseError("formula nested too deeply") from None
 
 
 # --- Printer ----------------------------------------------------------------

@@ -39,6 +39,7 @@ class FinProbSpace:
             raise ValidationError(
                 f"weights sum to {sum(self.weight.values())}, not 1"
             )
+        self._key_cache = tuple((p, self.weight[p]) for p in self.points)
 
     @classmethod
     def uniform(cls, n: int) -> "FinProbSpace":
@@ -54,14 +55,11 @@ class FinProbSpace:
     def index(self, p: Point) -> int:
         return self.points.index(p)
 
-    def _key(self):
-        return tuple((p, self.weight[p]) for p in self.points)
-
     def __eq__(self, other):
-        return isinstance(other, FinProbSpace) and self._key() == other._key()
+        return isinstance(other, FinProbSpace) and self._key_cache == other._key_cache
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key_cache)
 
     def same_distribution(self, other: "FinProbSpace") -> bool:
         """Equality as measures: same weight function, point order ignored."""

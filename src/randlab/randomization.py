@@ -28,8 +28,6 @@ class RandomElement:
     def __init__(self, base: FinProbSpace, values: Mapping[Point, int]):
         self.base = base
         self.values = {p: values[p] for p in base.points}
-        if len(self.values) != len(base.points):
-            raise ValidationError("random element not total on the base")
 
     def __call__(self, w: Point) -> int:
         return self.values[w]
@@ -39,7 +37,7 @@ class RandomElement:
         return cls(base, {w: a for w in base.points})
 
     def _key(self):
-        return (self.base._key(), tuple(self.values[p] for p in self.base.points))
+        return (self.base._key_cache, tuple(self.values[p] for p in self.base.points))
 
     def __eq__(self, other):
         return isinstance(other, RandomElement) and self._key() == other._key()
@@ -71,9 +69,8 @@ class Randomization:
 
     @property
     def is_constant(self) -> bool:
-        return len({id(m) for m in self.family.values()}) == 1 or len(
-            set(self.family.values())
-        ) == 1
+        first = self.family[self.base.points[0]]
+        return all(m == first for m in self.family.values())
 
     @property
     def structure(self) -> FinStructure:
@@ -99,6 +96,17 @@ class Randomization:
             yield RandomElement(self.base, dict(zip(self.base.points, combo)))
 
     def element(self, values: Sequence[int]) -> RandomElement:
+        """The random element taking the i-th value at the i-th sample point."""
+        if len(values) != len(self.base.points):
+            raise ValidationError(
+                f"{len(values)} values for {len(self.base.points)} sample points"
+            )
+        for w, a in zip(self.base.points, values):
+            if not 0 <= a < self.family[w].size:
+                raise ValidationError(
+                    f"value {a} at point {w!r} outside the universe of size "
+                    f"{self.family[w].size}"
+                )
         return RandomElement(self.base, dict(zip(self.base.points, values)))
 
     def check_event(self, e: Event) -> Event:
@@ -124,9 +132,13 @@ class Randomization:
 
 
 def _check_binding(
-    rand: Randomization, phi: Formula, binding
+    rand: Randomization, fv: list[str], binding
 ) -> dict[str, RandomElement]:
-    fv = sorted(free_vars(phi))
+    """The elements bound to the variables `fv`, checked to live on rand's base.
+
+    `binding` is a dict from variable names to random elements, or a
+    sequence matched against `fv` in order.
+    """
     if isinstance(binding, Mapping):
         bound = dict(binding)
     else:
@@ -141,7 +153,7 @@ def _check_binding(
             raise ValidationError(f"free variable {v!r} not bound")
         if bound[v].base != rand.base:
             raise ValidationError(f"element bound to {v!r} lives on a different base")
-    return bound
+    return {v: bound[v] for v in fv}
 
 
 def event_of(rand: Randomization, phi: Formula, binding) -> Event:
@@ -150,7 +162,7 @@ def event_of(rand: Randomization, phi: Formula, binding) -> Event:
     `binding` is either a dict from variable names to random elements, or
     a tuple matched against the sorted free variables of phi.
     """
-    bound = _check_binding(rand, phi, binding)
+    bound = _check_binding(rand, sorted(free_vars(phi)), binding)
     out = set()
     for w in rand.base.points:
         val = {v: f(w) for v, f in bound.items()}
@@ -195,29 +207,14 @@ def fullness_witness(
     """An exact witness f with [[phi(f, g..)]] equal to [[exists var phi]].
 
     Built pointwise: at each sample point pick the least witness when one
-    exists, otherwise the least element.
+    exists, otherwise the least element.  `binding` covers the free
+    variables of phi other than `var`, as for `event_of`.
     """
-    rest = sorted(free_vars(phi) - {var})
-    if isinstance(binding, Mapping):
-        missing = [v for v in rest if v not in binding]
-        if missing:
-            raise ValidationError(f"free variables {missing} not bound")
-        bound = {v: binding[v] for v in rest}
-    else:
-        elems = list(binding)
-        if len(elems) != len(rest):
-            raise ValidationError(
-                f"formula has free variables {rest} besides {var!r}, "
-                f"got {len(elems)} elements"
-            )
-        bound = dict(zip(rest, elems))
-    for v, el in bound.items():
-        if el.base != rand.base:
-            raise ValidationError(f"element bound to {v!r} lives on a different base")
+    bound = _check_binding(rand, sorted(free_vars(phi) - {var}), binding)
     values = {}
     for w in rand.base.points:
         m = rand.family[w]
-        val = {v: f(w) for v, f in bound.items() if v != var}
+        val = {v: f(w) for v, f in bound.items()}
         pick = 0
         for a in m.elements:
             if eval_formula(m, phi, {**val, var: a}):

@@ -11,6 +11,7 @@ import re
 from typing import Iterable, Mapping
 
 from .errors import ParseError, ValidationError
+from .lexer import Lexer
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -162,122 +163,49 @@ class FinStructure:
 #   }
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
+STRUCTURE_TOKENS = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<arrow>->)"
-    r"|(?P<punct>[{}()=,;/:\[\]]))"
+    r"|(?P<punct>[{}()=,;/:\[\]-]))"
 )
 
 
-class _Tok:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str] | None:
-        m = _TOKEN_RE.match(self.text, self.pos)
-        if m is None:
-            rest = self.text[self.pos :].strip()
-            if rest:
-                raise ParseError(f"unexpected character {rest[0]!r}", self.pos)
-            return None
-        kind = m.lastgroup
-        assert kind is not None
-        return kind, m.group(kind)
-
-    def next(self) -> tuple[str, str] | None:
-        tok = self.peek()
-        if tok is not None:
-            m = _TOKEN_RE.match(self.text, self.pos)
-            assert m is not None
-            self.pos = m.end()
-        return tok
-
-    def expect(self, value: str) -> str:
-        tok = self.next()
-        if tok is None or tok[1] != value:
-            got = "end of input" if tok is None else repr(tok[1])
-            raise ParseError(f"expected {value!r}, got {got}", self.pos)
-        return tok[1]
-
-    def expect_kind(self, kind: str) -> str:
-        tok = self.next()
-        if tok is None or tok[0] != kind:
-            got = "end of input" if tok is None else repr(tok[1])
-            raise ParseError(f"expected {kind}, got {got}", self.pos)
-        return tok[1]
+def _int_tuple(tk: Lexer) -> tuple[int, ...]:
+    return tuple(tk.items("(", ")", tk.integer))
 
 
-def _parse_int_tuple(tk: _Tok) -> tuple[int, ...]:
-    tk.expect("(")
-    items: list[int] = []
-    while True:
-        tok = tk.peek()
-        if tok is not None and tok[1] == ")":
-            tk.next()
-            return tuple(items)
-        if items:
-            tk.expect(",")
-        items.append(int(tk.expect_kind("int")))
+def _function_entry(tk: Lexer) -> tuple[tuple[int, ...], int]:
+    args = _int_tuple(tk)
+    tk.expect("->")
+    return args, tk.integer()
 
 
-def parse_structure_body(tk: _Tok, name: str) -> FinStructure:
-    tk.expect("{")
+def parse_structure_body(tk: Lexer, name: str) -> FinStructure:
     size: int | None = None
     relations: dict[str, set[tuple[int, ...]]] = {}
     functions: dict[str, dict[tuple[int, ...], int]] = {}
     constants: dict[str, int] = {}
     rel_arity: dict[str, int] = {}
     fn_arity: dict[str, int] = {}
-    while True:
-        tok = tk.next()
-        if tok is None:
-            raise ParseError("unterminated structure block", tk.pos)
-        if tok[1] == "}":
-            break
-        if tok[1] == ";":
-            continue
-        key = tok[1]
+    for key in tk.block():
         if key == "universe":
             tk.expect("=")
-            size = int(tk.expect_kind("int"))
+            size = tk.integer()
         elif key == "relation":
             sym = tk.expect_kind("name")
             tk.expect("/")
-            rel_arity[sym] = int(tk.expect_kind("int"))
+            rel_arity[sym] = tk.integer()
             tk.expect("=")
-            tk.expect("{")
-            table: set[tuple[int, ...]] = set()
-            while True:
-                tok2 = tk.peek()
-                if tok2 is not None and tok2[1] == "}":
-                    tk.next()
-                    break
-                if table:
-                    tk.expect(",")
-                table.add(_parse_int_tuple(tk))
-            relations[sym] = table
+            relations[sym] = set(tk.items("{", "}", lambda: _int_tuple(tk)))
         elif key == "function":
             sym = tk.expect_kind("name")
             tk.expect("/")
-            fn_arity[sym] = int(tk.expect_kind("int"))
+            fn_arity[sym] = tk.integer()
             tk.expect("=")
-            tk.expect("{")
-            ftable: dict[tuple[int, ...], int] = {}
-            while True:
-                tok2 = tk.peek()
-                if tok2 is not None and tok2[1] == "}":
-                    tk.next()
-                    break
-                if ftable:
-                    tk.expect(",")
-                args = _parse_int_tuple(tk)
-                tk.expect_kind("arrow")
-                ftable[args] = int(tk.expect_kind("int"))
-            functions[sym] = ftable
+            functions[sym] = dict(tk.items("{", "}", lambda: _function_entry(tk)))
         elif key == "constant":
             sym = tk.expect_kind("name")
             tk.expect("=")
-            constants[sym] = int(tk.expect_kind("int"))
+            constants[sym] = tk.integer()
         else:
             raise ParseError(f"unknown declaration {key!r}", tk.pos)
     if size is None:
@@ -288,7 +216,7 @@ def parse_structure_body(tk: _Tok, name: str) -> FinStructure:
 
 def parse_structure(text: str) -> FinStructure:
     """Parse a single `structure <name> { ... }` declaration."""
-    tk = _Tok(text)
+    tk = Lexer(STRUCTURE_TOKENS, text)
     tk.expect("structure")
     name = tk.expect_kind("name")
     st = parse_structure_body(tk, name)

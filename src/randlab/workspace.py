@@ -21,11 +21,17 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError, ResolutionError, ValidationError
+from .lexer import Lexer
 from .measure import FinProbSpace
 from .randomization import Event, RandomElement, Randomization
 from .rtypes import RMeasure
 from .semantics import type_space
-from .structures import FinStructure, _Tok, format_structure, parse_structure_body
+from .structures import (
+    STRUCTURE_TOKENS,
+    FinStructure,
+    format_structure,
+    parse_structure_body,
+)
 
 
 class Workspace:
@@ -77,218 +83,137 @@ class Workspace:
                 raise ValidationError(f"name {name!r} already in use")
 
 
-_FRACTION = re.compile(r"-?\d+(\s*/\s*\d+)?")
+def _structure(ws: Workspace, tk: Lexer, name: str) -> None:
+    ws.structures[name] = parse_structure_body(tk, name)
 
 
-def _read_fraction(tk: _Tok) -> Fraction:
-    m = _FRACTION.match(tk.text[tk.pos :].lstrip())
-    if not m:
-        raise ParseError("expected a rational", tk.pos)
-    skip = len(tk.text[tk.pos :]) - len(tk.text[tk.pos :].lstrip())
-    tk.pos += skip + m.end()
-    return Fraction(m.group(0).replace(" ", ""))
+def _space(ws: Workspace, tk: Lexer, name: str) -> None:
+    tk.expect("{")
+    tk.expect("weights")
+    tk.expect("=")
+    weights = tk.items("[", "]", tk.rational)
+    tk.accept(";")
+    tk.expect("}")
+    ws.spaces[name] = FinProbSpace(list(enumerate(weights)))
+
+
+def _randomization(ws: Workspace, tk: Lexer, name: str) -> None:
+    structure_names: list[str] = []
+    space_name = None
+    for key in tk.block():
+        if key not in ("structure", "structures", "space"):
+            raise ParseError(f"unknown key {key!r}", tk.pos)
+        tk.expect("=")
+        if key == "structure":
+            structure_names = [tk.expect_kind("name")]
+        elif key == "structures":
+            structure_names = tk.items("[", "]", lambda: tk.expect_kind("name"))
+        else:
+            space_name = tk.expect_kind("name")
+    if space_name is None or not structure_names:
+        raise ParseError(f"randomization {name} needs structure(s) and space", tk.pos)
+    base = ws.space(space_name)
+    names = structure_names
+    if len(names) == 1:
+        names = names * len(base.points)
+    elif len(names) != len(base.points):
+        raise ValidationError(
+            f"randomization {name}: {len(names)} structures "
+            f"for {len(base.points)} points"
+        )
+    family = {w: ws.structure(s) for w, s in zip(base.points, names)}
+    ws.randomizations[name] = Randomization(base, family)
+    ws._space_names[name] = space_name
+    ws._structure_names[name] = structure_names
+
+
+def _element(ws: Workspace, tk: Lexer, name: str) -> None:
+    tk.expect("=")
+    rand_name = tk.expect_kind("name")
+    rand = ws.randomization(rand_name)
+    values = tk.items("[", "]", tk.integer)
+    tk.accept(";")
+    try:
+        ws.elements[name] = (rand_name, rand.element(values))
+    except ValidationError as exc:
+        raise ValidationError(f"element {name}: {exc}") from None
+
+
+def _event(ws: Workspace, tk: Lexer, name: str) -> None:
+    tk.expect("=")
+    rand_name = tk.expect_kind("name")
+    rand = ws.randomization(rand_name)
+    indices = tk.items("{", "}", tk.integer)
+    tk.accept(";")
+    pts = rand.base.points
+    for i in indices:
+        if not 0 <= i < len(pts):
+            raise ValidationError(f"event {name}: index {i} out of range")
+    ws.events[name] = (rand_name, frozenset(pts[i] for i in indices))
+
+
+def _rtype_entry(tk: Lexer) -> tuple[str, Fraction]:
+    qname = tk.expect_kind("name")
+    if not re.fullmatch(r"q\d+", qname):
+        raise ParseError(f"expected qN, got {qname!r}", tk.pos)
+    tk.expect(":")
+    return qname, tk.rational()
+
+
+def _rmeasure(ws: Workspace, tk: Lexer, name: str) -> None:
+    st_name = None
+    arity = None
+    params: tuple[int, ...] = ()
+    entries: list[tuple[str, Fraction]] = []
+    for key in tk.block():
+        if key == "rtype":
+            entries = tk.items("{", "}", lambda: _rtype_entry(tk))
+            continue
+        if key not in ("structure", "arity", "params"):
+            raise ParseError(f"unknown key {key!r}", tk.pos)
+        tk.expect("=")
+        if key == "structure":
+            st_name = tk.expect_kind("name")
+        elif key == "arity":
+            arity = tk.integer()
+        else:
+            params = tuple(tk.items("(", ")", tk.integer))
+    if st_name is None or arity is None:
+        raise ParseError(f"rmeasure {name} needs structure and arity", tk.pos)
+    space = type_space(ws.structure(st_name), arity, params)
+    weights = {}
+    for qname, w in entries:
+        i = int(qname[1:])
+        if i >= len(space.types):
+            raise ValidationError(
+                f"rmeasure {name}: entry {qname} names no type; "
+                f"the space has {len(space.types)}"
+            )
+        weights[space.types[i]] = w
+    ws.rmeasures[name] = RMeasure(space, weights)
+
+
+_DECLARATIONS = {
+    "structure": _structure,
+    "space": _space,
+    "randomization": _randomization,
+    "element": _element,
+    "event": _event,
+    "rmeasure": _rmeasure,
+}
 
 
 def load_workspace(text: str) -> Workspace:
     ws = Workspace()
-    tk = _Tok(text)
-    while True:
-        tok = tk.peek()
-        if tok is None:
-            return ws
+    tk = Lexer(STRUCTURE_TOKENS, text)
+    while tk.peek() is not None:
         kind = tk.expect_kind("name")
-        if kind == "structure":
-            name = tk.expect_kind("name")
-            ws._fresh(name)
-            ws.structures[name] = parse_structure_body(tk, name)
-        elif kind == "space":
-            name = tk.expect_kind("name")
-            ws._fresh(name)
-            tk.expect("{")
-            tk.expect("weights")
-            tk.expect("=")
-            tk.expect("[")
-            weights = []
-            while True:
-                nxt = tk.peek()
-                if nxt is not None and nxt[1] == "]":
-                    tk.next()
-                    break
-                if weights:
-                    tk.expect(",")
-                weights.append(_read_fraction(tk))
-            nxt = tk.peek()
-            if nxt is not None and nxt[1] == ";":
-                tk.next()
-            tk.expect("}")
-            ws.spaces[name] = FinProbSpace(list(enumerate(weights)))
-        elif kind == "randomization":
-            name = tk.expect_kind("name")
-            ws._fresh(name)
-            tk.expect("{")
-            structure_names: list[str] = []
-            space_name = None
-            while True:
-                tok2 = tk.next()
-                if tok2 is None:
-                    raise ParseError("unterminated randomization block", tk.pos)
-                if tok2[1] == "}":
-                    break
-                if tok2[1] == ";":
-                    continue
-                if tok2[1] == "structure":
-                    tk.expect("=")
-                    structure_names = [tk.expect_kind("name")]
-                elif tok2[1] == "structures":
-                    tk.expect("=")
-                    tk.expect("[")
-                    structure_names = []
-                    while True:
-                        nxt = tk.peek()
-                        if nxt is not None and nxt[1] == "]":
-                            tk.next()
-                            break
-                        if structure_names:
-                            tk.expect(",")
-                        structure_names.append(tk.expect_kind("name"))
-                elif tok2[1] == "space":
-                    tk.expect("=")
-                    space_name = tk.expect_kind("name")
-                else:
-                    raise ParseError(f"unknown key {tok2[1]!r}", tk.pos)
-            if space_name is None or not structure_names:
-                raise ParseError(f"randomization {name} needs structure(s) and space", tk.pos)
-            base = ws.space(space_name)
-            if len(structure_names) == 1:
-                family = {
-                    w: ws.structure(structure_names[0]) for w in base.points
-                }
-            else:
-                if len(structure_names) != len(base.points):
-                    raise ValidationError(
-                        f"randomization {name}: {len(structure_names)} structures "
-                        f"for {len(base.points)} points"
-                    )
-                family = {
-                    w: ws.structure(s)
-                    for w, s in zip(base.points, structure_names)
-                }
-            ws.randomizations[name] = Randomization(base, family)
-            ws._space_names[name] = space_name
-            ws._structure_names[name] = structure_names
-        elif kind == "element":
-            name = tk.expect_kind("name")
-            ws._fresh(name)
-            tk.expect("=")
-            rand_name = tk.expect_kind("name")
-            rand = ws.randomization(rand_name)
-            tk.expect("[")
-            values = []
-            while True:
-                nxt = tk.peek()
-                if nxt is not None and nxt[1] == "]":
-                    tk.next()
-                    break
-                if values:
-                    tk.expect(",")
-                values.append(int(tk.expect_kind("int")))
-            nxt = tk.peek()
-            if nxt is not None and nxt[1] == ";":
-                tk.next()
-            if len(values) != len(rand.base.points):
-                raise ValidationError(
-                    f"element {name}: {len(values)} values for "
-                    f"{len(rand.base.points)} points"
-                )
-            ws.elements[name] = (rand_name, rand.element(values))
-        elif kind == "event":
-            name = tk.expect_kind("name")
-            ws._fresh(name)
-            tk.expect("=")
-            rand_name = tk.expect_kind("name")
-            rand = ws.randomization(rand_name)
-            tk.expect("{")
-            indices = []
-            while True:
-                nxt = tk.peek()
-                if nxt is not None and nxt[1] == "}":
-                    tk.next()
-                    break
-                if indices:
-                    tk.expect(",")
-                indices.append(int(tk.expect_kind("int")))
-            nxt = tk.peek()
-            if nxt is not None and nxt[1] == ";":
-                tk.next()
-            pts = rand.base.points
-            for i in indices:
-                if not 0 <= i < len(pts):
-                    raise ValidationError(f"event {name}: index {i} out of range")
-            ws.events[name] = (rand_name, frozenset(pts[i] for i in indices))
-        elif kind == "rmeasure":
-            name = tk.expect_kind("name")
-            ws._fresh(name)
-            tk.expect("{")
-            st_name = None
-            arity = None
-            params: tuple[int, ...] = ()
-            weights: dict[int, Fraction] = {}
-            while True:
-                tok2 = tk.next()
-                if tok2 is None:
-                    raise ParseError("unterminated rmeasure block", tk.pos)
-                if tok2[1] == "}":
-                    break
-                if tok2[1] == ";":
-                    continue
-                if tok2[1] == "structure":
-                    tk.expect("=")
-                    st_name = tk.expect_kind("name")
-                elif tok2[1] == "arity":
-                    tk.expect("=")
-                    arity = int(tk.expect_kind("int"))
-                elif tok2[1] == "params":
-                    tk.expect("=")
-                    tk.expect("(")
-                    plist = []
-                    while True:
-                        nxt = tk.peek()
-                        if nxt is not None and nxt[1] == ")":
-                            tk.next()
-                            break
-                        if plist:
-                            tk.expect(",")
-                        plist.append(int(tk.expect_kind("int")))
-                    params = tuple(plist)
-                elif tok2[1] == "rtype":
-                    tk.expect("{")
-                    while True:
-                        nxt = tk.peek()
-                        if nxt is not None and nxt[1] == "}":
-                            tk.next()
-                            break
-                        if weights:
-                            tk.expect(",")
-                        qname = tk.expect_kind("name")
-                        if not re.fullmatch(r"q\d+", qname):
-                            raise ParseError(f"expected qN, got {qname!r}", tk.pos)
-                        tk.expect(":")
-                        weights[int(qname[1:])] = _read_fraction(tk)
-                else:
-                    raise ParseError(f"unknown key {tok2[1]!r}", tk.pos)
-            if st_name is None or arity is None:
-                raise ParseError(f"rmeasure {name} needs structure and arity", tk.pos)
-            space = type_space(ws.structure(st_name), arity, params)
-            ws.rmeasures[name] = RMeasure(
-                space,
-                {
-                    space.types[i]: w
-                    for i, w in weights.items()
-                    if 0 <= i < len(space.types)
-                },
-            )
-        else:
+        if kind not in _DECLARATIONS:
             raise ParseError(f"unknown declaration {kind!r}", tk.pos)
+        name = tk.expect_kind("name")
+        ws._fresh(name)
+        _DECLARATIONS[kind](ws, tk, name)
+    return ws
 
 
 def save_workspace(ws: Workspace) -> str:

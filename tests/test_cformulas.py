@@ -96,3 +96,20 @@ def test_atomless_defect_via_checker(m2):
         m2, FinProbSpace([(0, F(1, 2)), (1, F(1, 3)), (2, F(1, 6))])
     )
     assert atomless_defect(skew) == F(1, 4)
+
+
+def test_zero_denominator_is_a_parse_error(m2):
+    with pytest.raises(ParseError):
+        parse_cformula("1/0", m2.signature)
+    with pytest.raises(ParseError):
+        parse_cformula("min(1/2, 3 / 0)", m2.signature)
+    assert parse_cformula("2 / 4", m2.signature) == parse_cformula("1/2", m2.signature)
+
+
+def test_deep_nesting_is_a_parse_error(m2):
+    with pytest.raises(ParseError):
+        parse_cformula("~" * 5000 + "1", m2.signature)
+    with pytest.raises(ParseError):
+        parse_cformula("half(" * 2000 + "1" + ")" * 2000, m2.signature)
+    with pytest.raises(ParseError):
+        parse_cformula("mu[[ " + "(" * 400 + "x = x" + ")" * 400 + " ]]", m2.signature)

@@ -215,3 +215,31 @@ def test_decimal_flag(ws_file):
         "--cformula", "mu[[ x = y ]]", "--bind", "x=f,y=g",
     )
     assert code == 0 and out.strip() == "1/2 (0.500)"
+
+
+def test_zero_denominator_exits_parse(ws_file, tmp_path):
+    code, out, err = run(
+        "--workspace", ws_file, "eval", "--rand", "r1", "--cformula", "1/0"
+    )
+    assert (code, out) == (3, "") and "zero denominator" in err
+    bad = tmp_path / "bad.rl"
+    bad.write_text("space s { weights = [1/0, 1/2]; }\n")
+    code, out, err = run(
+        "--workspace", str(bad), "eval", "--rand", "r1", "--cformula", "1"
+    )
+    assert (code, out) == (3, "") and "zero denominator" in err
+
+
+def test_element_outside_universe_exits_validation(tmp_path):
+    bad = tmp_path / "bad.rl"
+    bad.write_text(
+        "structure c2 { universe = 2; relation E/2 = {(0,1)}; }\n"
+        "space s { weights = [1/2, 1/2]; }\n"
+        "randomization r { structure = c2; space = s; }\n"
+        "element e = r [0, 5];\n"
+    )
+    code, out, err = run(
+        "--workspace", str(bad), "eval", "--rand", "r",
+        "--cformula", "mu[[ E(x, x) ]]", "--bind", "x=e",
+    )
+    assert (code, out) == (2, "") and "outside the universe" in err

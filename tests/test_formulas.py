@@ -102,3 +102,18 @@ def test_substitute_avoids_capture():
     assert isinstance(out, Exists)
     assert out.var != "z"
     assert free_vars(out) == {"z"}
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError):
+        parse_formula("(" * 400 + "x = y" + ")" * 400, SIG)
+    with pytest.raises(ParseError):
+        parse_formula("!" * 5000 + "x = y", SIG)
+
+
+def test_overlong_element_literal_is_a_parse_error():
+    with pytest.raises(ParseError):
+        parse_formula("x = #" + "9" * 5000, SIG)
+    assert parse_formula("x = #12", SIG) == Eq(Var("x"), Elem(12))
+    with pytest.raises(ParseError):
+        parse_formula("x = # 12", SIG)

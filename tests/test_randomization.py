@@ -287,3 +287,27 @@ def test_qe_consequence_same_type_measures_same_cformula_values(m2):
         v1 = eval_cformula(r, cf, {"x": f1, "y": g1})
         v2 = eval_cformula(r, cf, {"x": f2, "y": g2})
         assert v1 == v2, text
+
+
+def test_element_validates_length_and_range(coin_rand):
+    for values in ([0], [0, 1, 0], [0, 2], [-1, 0]):
+        with pytest.raises(ValidationError):
+            coin_rand.element(values)
+    assert coin_rand.element([1, 0]).values == {0: 1, 1: 0}
+
+
+def test_fullness_witness_binding_checked_like_event_of(m2, coin_rand):
+    phi = parse_formula("!(x = y)", m2.signature)
+    g = coin_rand.element([0, 1])
+    # a sequence binds the free variables other than x, in sorted order
+    assert fullness_witness(coin_rand, phi, "x", [g]) == fullness_witness(
+        coin_rand, phi, "x", {"y": g}
+    )
+    other_base = Randomization.constant(m2, FinProbSpace.uniform(4)).element([0] * 4)
+    for binding in ({}, [], [g, g], {"y": other_base}):
+        with pytest.raises(ValidationError):
+            fullness_witness(coin_rand, phi, "x", binding)
+    # the witness's own variable is not part of the binding
+    assert fullness_witness(coin_rand, phi, "x", {"y": g, "x": other_base}) == (
+        fullness_witness(coin_rand, phi, "x", {"y": g})
+    )

@@ -66,6 +66,42 @@ def test_value_count_validated():
         load_workspace(bad)
 
 
+def test_element_values_checked_against_the_universe():
+    head = (
+        "structure m2 { universe = 2; }\n"
+        "space s { weights = [1/2, 1/2]; }\n"
+        "randomization r { structure = m2; space = s; }\n"
+    )
+    for values in ("[0, 5]", "[0, 1, 0]", "[]"):
+        with pytest.raises(ValidationError, match="element f"):
+            load_workspace(head + f"element f = r {values};")
+    assert load_workspace(head + "element f = r [1, 0]").element("f")[1](0) == 1
+
+
+def test_rmeasure_entry_outside_the_type_space_rejected():
+    text = (
+        "structure m2 { universe = 2; }\n"
+        "rmeasure nu { structure = m2; arity = 2; params = (); rtype { q0: 1, q7: 1/2 }; }"
+    )
+    with pytest.raises(ValidationError, match="q7"):
+        load_workspace(text)
+
+
+def test_weights_are_rationals():
+    with pytest.raises(ParseError):
+        load_workspace("space s { weights = [1/0, 1/2]; }")
+    with pytest.raises(ParseError):
+        load_workspace(
+            "structure m2 { universe = 2; }\n"
+            "rmeasure nu { structure = m2; arity = 1; rtype { q0: 1/0 }; }"
+        )
+    # a sign is read, and a negative weight fails validation, not parsing
+    with pytest.raises(ValidationError):
+        load_workspace("space s { weights = [-1/2, 3/2]; }")
+    ws = load_workspace("space s { weights = [2 / 6, 4/6] }")
+    assert ws.space("s").weight == {0: F(1, 3), 1: F(2, 3)}
+
+
 def test_parse_error_on_garbage():
     with pytest.raises(ParseError):
         load_workspace("wibble wobble { }")
