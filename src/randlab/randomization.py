@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetError, ValidationError
@@ -67,10 +68,9 @@ class Randomization:
     def constant(cls, structure: FinStructure, base: FinProbSpace) -> "Randomization":
         return cls(base, {w: structure for w in base.points})
 
-    @property
+    @cached_property
     def is_constant(self) -> bool:
-        first = self.family[self.base.points[0]]
-        return all(m == first for m in self.family.values())
+        return len(set(self.family.values())) == 1
 
     @property
     def structure(self) -> FinStructure:
