@@ -60,10 +60,11 @@ class Lexer:
         return value
 
     def expect_kind(self, kind: str) -> str:
-        tok = self.peek()
-        if tok is None or tok[0] != kind:
+        m = self._match()
+        if m is None or m.lastgroup != kind:
             raise ParseError(f"expected {kind}, got {self._got()}", self.pos)
-        return self.next()[1]
+        self.pos = m.end()
+        return m[kind]
 
     def integer(self) -> int:
         digits = self.expect_kind("int")
