@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .axioms import check_axioms, default_formula_corpus, sample_elements
 from .cformulas import DEFAULT_BUDGET, eval_cformula, parse_cformula
-from .errors import BudgetError, ParseError, RandlabError, ResolutionError
+from .errors import BudgetError, ParseError, RandlabError, ResolutionError, ValidationError
 from .extension import (
     FeasibleCertificate,
     extend_measure_eq,
@@ -23,6 +23,7 @@ from .extension import (
     parse_problem,
 )
 from .formulas import format_formula, free_vars, parse_formula
+from .lexer import Lexer, parse_numbers
 from .measure import FinProbSpace, FiberSpace, MeasurableMap, fiber_product, image_measure
 from .randomization import (
     EventAlgebra,
@@ -113,7 +114,11 @@ def _elements_by_names(ws: Workspace, rand_name: str, spec: str):
 
 
 def _int_list(spec: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in spec.split(",") if s.strip())
+    return tuple(parse_numbers(spec, lambda tk: tk.separated(tk.integer)))
+
+
+def _rational(text: str) -> Fraction:
+    return parse_numbers(text, Lexer.rational)
 
 
 # --- Commands ---------------------------------------------------------------------
@@ -246,12 +251,17 @@ def cmd_rho(args, ws: Workspace) -> int:
             return EXIT_OK
         print(fmt_rat(rho_hat(ctx, p_meas, q_meas), args.decimal))
         return EXIT_OK
+    if args.p is None or args.b is None:
+        raise ParseError("rho needs --p and --b")
     params = _int_list(args.A) if args.A else ()
     w_values = _int_list(args.w_values) if args.w_values else ()
     ctx = PhiContext(st, phi, x_vars, y_vars, w_vars, w_values or None)
     space = type_space(st, len(x_vars), params)
     if args.p.startswith("q"):
-        p = space.types[int(args.p[1:])]
+        index = parse_numbers(args.p[1:], Lexer.integer)
+        if index >= len(space.types):
+            raise ValidationError(f"no type q{index} in a space of {len(space.types)} types")
+        p = space.types[index]
     else:
         p = space.type_of(_int_list(args.p))
     b = _int_list(args.b)
@@ -331,7 +341,7 @@ def cmd_convex(args, ws: Workspace) -> int:
     parts = []
     for chunk in args.parts.split(","):
         weight_text, _, name = chunk.strip().partition(":")
-        parts.append((Fraction(weight_text), ws.randomization(name.strip())))
+        parts.append((_rational(weight_text), ws.randomization(name.strip())))
     combined = convex_combination(parts)
     base = combined.base
     print(
@@ -353,7 +363,7 @@ def cmd_approx_simple(args, ws: Workspace) -> int:
                 raise ResolutionError(f"event {name!r} belongs to {owner!r}")
             gens.append(ev)
     algebra = EventAlgebra(rand, gens)
-    eps = Fraction(args.eps)
+    eps = _rational(args.eps)
     g = approximate_by_simple(rand, f, algebra, eps)
     print("g = [" + ", ".join(str(g(p)) for p in rand.base.points) + "]")
     print("dK " + fmt_rat(d_k(rand, f, g), args.decimal))

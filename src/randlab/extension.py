@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Sequence
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
+from .lexer import Lexer, parse_numbers
 from .measure import Point, RationalFn, frac
 
 
@@ -340,22 +341,25 @@ def extend_measure_eq(prob: LinFeasProblem) -> Certificate:
 
 # --- Text interchange -----------------------------------------------------------
 
+def _constraint_line(tk: Lexer) -> tuple[str, Fraction, list[Fraction]]:
+    rel = tk.next()[1]
+    if rel not in ("<=", "="):
+        raise ParseError(f"expected <= or =, got {rel!r}", 0)
+    bound = tk.rational()
+    tk.expect(":")
+    return rel, bound, tk.separated(tk.rational)
+
+
 def parse_problem(text: str, ground: Sequence[Point] | None = None) -> LinFeasProblem:
     """One constraint per line: `<=|= <rational> : v1,v2,...,vk`."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     rows = []
     width = None
     for ln in lines:
-        head, _, tail = ln.partition(":")
-        head = head.strip()
-        if head.startswith("<="):
-            rel, bound_text = "<=", head[2:]
-        elif head.startswith("="):
-            rel, bound_text = "=", head[1:]
-        else:
-            raise ValidationError(f"constraint line must start with <= or =: {ln!r}")
-        bound = Fraction(bound_text.strip())
-        values = [Fraction(v.strip()) for v in tail.split(",") if v.strip()]
+        try:
+            rel, bound, values = parse_numbers(ln, _constraint_line)
+        except ParseError as exc:
+            raise ParseError(f"constraint line {ln!r}: {exc}") from None
         if width is None:
             width = len(values)
         elif len(values) != width:

@@ -16,6 +16,9 @@ from .errors import ParseError
 
 T = TypeVar("T")
 
+NUMBER_TOKENS = re.compile(r"\s*(?:(?P<int>\d+)|(?P<punct><=|[-/,:=]))")
+"""Rationals, integer lists and the extension-problem lines."""
+
 
 class Lexer:
     def __init__(self, tokens: re.Pattern, text: str):
@@ -92,6 +95,15 @@ class Lexer:
             out.append(read())
         return out
 
+    def separated(self, read: Callable[[], T]) -> list[T]:
+        """`item, ..., item` up to the end of input, possibly empty."""
+        out: list[T] = []
+        while self.peek() is not None:
+            if out:
+                self.expect(",")
+            out.append(read())
+        return out
+
     def block(self) -> Iterator[str]:
         """The keys of a `{ key ...; key ...; }` block, `;` optional; the
         caller reads what follows each key before asking for the next."""
@@ -99,3 +111,13 @@ class Lexer:
         while not self.accept("}"):
             if not self.accept(";"):
                 yield self.next()[1]
+
+
+def parse_numbers(text: str, read: Callable[[Lexer], T]) -> T:
+    """`read` applied to a lexer over `text` in NUMBER_TOKENS, which must
+    consume all of it."""
+    tk = Lexer(NUMBER_TOKENS, text)
+    out = read(tk)
+    if tk.peek() is not None:
+        raise ParseError(f"trailing input {tk._got()} in {text!r}", tk.pos)
+    return out

@@ -122,14 +122,6 @@ class Randomization:
     def complement(self, e: Event) -> Event:
         return self.full_event() - self.check_event(e)
 
-    def all_events(self, budget: int = 1 << 20) -> Iterable[Event]:
-        n = len(self.base.points)
-        if 2**n > budget:
-            raise BudgetError("event enumeration over budget", 2**n)
-        pts = self.base.points
-        for mask in range(2**n):
-            yield frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
-
 
 def _check_binding(
     rand: Randomization, fv: list[str], binding

@@ -243,7 +243,12 @@ class TypeSpace:
             raise ValidationError(
                 f"tuple arity {len(tup)} does not match type space arity {self.arity}"
             )
-        return self._assign[tuple(tup)]
+        try:
+            return self._assign[tuple(tup)]
+        except KeyError:
+            raise ValidationError(
+                f"tuple {tuple(tup)} outside the universe of size {self.structure.size}"
+            ) from None
 
     def type_of(self, tup: tuple[int, ...]) -> TypeId:
         return self.types[self.index_of(tup)]

@@ -243,3 +243,35 @@ def test_element_outside_universe_exits_validation(tmp_path):
         "--cformula", "mu[[ E(x, x) ]]", "--bind", "x=e",
     )
     assert (code, out) == (2, "") and "outside the universe" in err
+
+
+def test_bad_numbers_in_arguments_exit_parse(ws_file, tmp_path):
+    prob = tmp_path / "bad.txt"
+    prob.write_text("= 1/2 : 1,0\n= 1/0 : 1\n")
+    rho = ["rho", "--structure", "c3", "--phi", "E(x, y)"]
+    cases = [
+        (["extend", "--problem", str(prob)], "zero denominator"),
+        (["convex", "--parts", "1/0:r1"], "zero denominator"),
+        (rho + ["--p", "q0", "--b", "a"], "unexpected character 'a'"),
+        (rho + ["--p", "q", "--b", "0"], "expected int"),
+        (rho + ["--p", "q-1", "--b", "0"], "expected int"),
+        (rho + ["--p", "0", "--b", "0", "--A", "1.5"], "unexpected character '.'"),
+        (rho + ["--b", "0"], "needs --p and --b"),
+        (["approx-simple", "--rand", "m2x8", "--f", "h", "--algebra", "e1", "--eps", "0.5"],
+         "unexpected character '.'"),
+        (["types", "--structure", "c3", "--params", "0,,1"], "expected int"),
+        (["fiber", "--mu", "dy1", "--nu", "sk", "--pix", "0,1", "--piy", "0,1,x"],
+         "unexpected character 'x'"),
+    ]
+    for argv, message in cases:
+        code, out, err = run("--workspace", ws_file, *argv)
+        assert (code, out) == (3, ""), argv
+        assert message in err, (argv, err)
+
+
+def test_rho_type_outside_the_space_exits_validation(ws_file):
+    rho = ["--workspace", ws_file, "rho", "--structure", "c3", "--phi", "E(x, y)"]
+    code, out, err = run(*rho, "--p", "q9", "--b", "0")
+    assert (code, out) == (2, "") and "no type q9 in a space of 1 types" in err
+    code, out, err = run(*rho, "--p", "7", "--b", "0")
+    assert (code, out) == (2, "") and "outside the universe" in err

@@ -9,6 +9,7 @@ from randlab import (
     InfeasibleEqCertificate,
     InfeasibleIneqCertificate,
     LinFeasProblem,
+    ParseError,
     RationalFn,
     ValidationError,
     extend_measure_eq,
@@ -195,3 +196,11 @@ def test_problem_text_round_trip():
     prob = parse_problem(text)
     assert format_problem(prob) == text
     assert prob.constraints[0].bound == F(1, 2)
+
+
+def test_problem_text_numbers():
+    prob = parse_problem("= -1/3 : 0 , -2\n= 4/3 : 1,3\n")
+    assert format_problem(prob) == "= -1/3 : 0,-2\n= 4/3 : 1,3\n"
+    for bad in ("= 1/0 : 1\n", "= 0.5 : 1\n", "<= 1 : 1,,0\n", "< 1 : 1\n", "= 1 1\n"):
+        with pytest.raises(ParseError):
+            parse_problem(bad)

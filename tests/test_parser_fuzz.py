@@ -1,7 +1,8 @@
-"""Fuzzing the four text grammars: bad input raises a RandlabError, nothing else.
+"""Fuzzing the text grammars: bad input raises a RandlabError, nothing else.
 
 Inputs are arbitrary text, soups of each grammar's own tokens (numbers of
-any size), deep nestings, and random edits of valid workspaces.  The runs
+any size), deep nestings, and random edits of valid workspaces and
+extension-problem lines.  The runs
 are derandomized so every run checks the same examples.
 """
 
@@ -17,6 +18,7 @@ from randlab import (
     parse_formula,
     parse_structure,
 )
+from randlab.extension import parse_problem
 
 FUZZ = settings(
     max_examples=200,
@@ -85,6 +87,14 @@ element f = r1 [0, 1];
 element g = mixed [2, 0, 1]
 event e1 = r1 {0, 1};
 """
+
+PROBLEM_WORDS = [
+    "<=", "=", ":", ",", "/", "-", "#", "<", "0", "1", "1/2", "3/0", "-1/3",
+    "0.5", "1e3", "x",
+]
+
+PROBLEM = "<= 1/2 : 1,0\n= 1 : 1,1\n# a comment\n"
+PROBLEM_LINE = "<= -1/3 : 0,-2"
 
 # Only the rmeasure is edited, over a fixed two-element structure: the type
 # space of an edited arity k has 2**k tuples and is enumerated with no budget.
@@ -185,3 +195,15 @@ def test_parse_formula_deep_nesting(depth, nest, core):
 def test_parse_cformula_deep_nesting(depth, nest, core):
     opener, closer = nest
     accepts_or_rejects(lambda t: parse_cformula(t, SIG), opener * depth + core + closer * depth)
+
+
+@FUZZ
+@given(st.one_of(
+    st.text(),
+    soup(PROBLEM_WORDS),
+    edits(PROBLEM_LINE, PROBLEM_WORDS + ["123456789012345678901234567890"]).map(
+        lambda line: PROBLEM + line
+    ),
+))
+def test_parse_problem_fuzz(text):
+    accepts_or_rejects(parse_problem, text)
