@@ -141,7 +141,20 @@ def _report_lines(lines: list[str]) -> int:
     return EXIT_CHECK if failed else EXIT_OK
 
 
+_CHECK_NEEDS = {
+    "axioms": ("rand",),
+    "types": ("structure",),
+    "categoricity": ("structure",),
+    "stability": ("structure",),
+    "independence": ("rand", "c", "b"),
+}
+
+
 def cmd_check(args, ws: Workspace) -> int:
+    needs = _CHECK_NEEDS[args.what]
+    missing = [f"--{name}" for name in needs if getattr(args, name) is None]
+    if missing:
+        raise ParseError(f"check {args.what} needs {', '.join(missing)}")
     if args.what == "axioms":
         rand = ws.randomization(args.rand)
         report = check_axioms(rand)
@@ -150,6 +163,8 @@ def cmd_check(args, ws: Workspace) -> int:
         st = ws.structure(args.structure)
         return _report_lines(_types_identity_lines(st, args.samples))
     if args.what == "categoricity":
+        if args.nmax < 1:
+            raise ParseError(f"--nmax must be at least 1, got {args.nmax}")
         st = ws.structure(args.structure)
         report = check_omega_categoricity(st, args.nmax)
         return _report_lines(report.lines())
@@ -171,7 +186,6 @@ def cmd_check(args, ws: Workspace) -> int:
             f"rhs {fmt_rat(verdict.rhs, args.decimal)}"
         )
         return EXIT_CHECK
-    raise ParseError(f"unknown check {args.what!r}")
 
 
 def _types_identity_lines(st: FinStructure, samples: int) -> list[str]:

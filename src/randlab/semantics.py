@@ -214,23 +214,21 @@ class TypeSpace:
         self.arity = arity
         self.params = params
         group = automorphisms(structure, frozenset(params))
-        assign: dict[tuple[int, ...], int] = {}
-        reps: list[tuple[int, ...]] = []
+        orbits: list[tuple[tuple[int, ...], ...]] = []
+        seen: set[tuple[int, ...]] = set()
         for tup in itertools.product(structure.elements, repeat=arity):
-            if tup in assign:
+            if tup in seen:
                 continue
-            orbit = {tuple(sigma[e] for e in tup) for sigma in group}
-            rep = min(orbit)
-            idx = len(reps)
-            reps.append(rep)
-            for member in orbit:
-                assign[member] = idx
-        order = sorted(range(len(reps)), key=lambda i: reps[i])
-        rank = {old: new for new, old in enumerate(order)}
+            orbit = tuple(sorted({tuple(sigma[e] for e in tup) for sigma in group}))
+            seen.update(orbit)
+            orbits.append(orbit)
+        # canonical order: by least member, which sorted() put first
+        orbits.sort()
         self.types: tuple[TypeId, ...] = tuple(
-            TypeId(reps[old], new) for new, old in enumerate(order)
+            TypeId(orbit[0], i) for i, orbit in enumerate(orbits)
         )
-        self._assign = {tup: rank[idx] for tup, idx in assign.items()}
+        self._orbits = tuple(orbits)
+        self._assign = {t: i for i, orbit in enumerate(orbits) for t in orbit}
 
     def __len__(self):
         return len(self.types)
@@ -254,7 +252,8 @@ class TypeSpace:
         return self.types[self.index_of(tup)]
 
     def orbit(self, q: TypeId) -> list[tuple[int, ...]]:
-        return sorted(t for t, i in self._assign.items() if i == q.index)
+        """The members of q's orbit, sorted."""
+        return list(self._orbits[q.index])
 
     def same_space(self, other: "TypeSpace") -> bool:
         return (
@@ -326,20 +325,25 @@ def _extension(m: FinStructure, phi: Formula, variables: tuple[str, ...]) -> fro
 
 
 def _minimize_conjunction(
-    m: FinStructure,
     parts: list[Formula],
-    variables: tuple[str, ...],
+    tables: list[frozenset[tuple[int, ...]]],
     target: frozenset[tuple[int, ...]],
 ) -> Formula:
-    kept = list(parts)
+    """Greedily drop conjuncts whose removal keeps the extension `target`.
+
+    `tables[i]` is the extension of `parts[i]`, and the extension of a
+    conjunction is the intersection of its conjuncts' extensions, so a
+    trial costs an intersection of tables, not a walk over M^n.
+    """
+    kept = list(range(len(parts)))
     i = 0
     while i < len(kept):
         trial = kept[:i] + kept[i + 1 :]
-        if trial and _extension(m, conj(trial), variables) == target:
+        if trial and frozenset.intersection(*(tables[j] for j in trial)) == target:
             kept = trial
         else:
             i += 1
-    return conj(kept)
+    return conj([parts[j] for j in kept])
 
 
 def isolating_formula(space: TypeSpace, q: TypeId) -> Formula:
@@ -359,14 +363,13 @@ def isolating_formula(space: TypeSpace, q: TypeId) -> Formula:
     rep = q.rep
 
     pool = _literal_pool(m, variables, space.params)
-    literals: list[Formula] = []
-    for atom in pool:
-        val = dict(zip(variables, rep))
-        literals.append(atom if eval_formula(m, atom, val) else Not(atom))
+    val = dict(zip(variables, rep))
+    literals = [atom if eval_formula(m, atom, val) else Not(atom) for atom in pool]
     if not literals:
         literals = [Eq(Var(variables[0]), Var(variables[0]))]
-    if _extension(m, conj(literals), variables) == target:
-        return _minimize_conjunction(m, literals, variables, target)
+    tables = [_extension(m, lit, variables) for lit in literals]
+    if frozenset.intersection(*tables) == target:
+        return _minimize_conjunction(literals, tables, target)
 
     # Back-and-forth levels: formulas are built for every orbit of extended
     # tuples and reused, so construction is polynomial in the orbit count.
@@ -380,9 +383,10 @@ def isolating_formula(space: TypeSpace, q: TypeId) -> Formula:
     max_rank = m.size
     for rank in range(1, max_rank + 1):
         formula = _hintikka(m, space.params, rep, variables, rank, qf_formula, {})
-        if _extension(m, formula, variables) == target:
-            parts = _flatten_and(formula)
-            return _minimize_conjunction(m, parts, variables, target)
+        parts = _flatten_and(formula)
+        tables = [_extension(m, part, variables) for part in parts]
+        if frozenset.intersection(*tables) == target:
+            return _minimize_conjunction(parts, tables, target)
     raise AssertionError("back-and-forth rank |M| must isolate every orbit")
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import BudgetError, ValidationError
@@ -27,7 +28,7 @@ from .extension import (
     LinFeasProblem,
     extend_measure_eq,
 )
-from .formulas import Elem, Formula, TypeIs, Var, conj, disj, free_vars, substitute
+from .formulas import Elem, Formula, TypeIs, Var, disj, free_vars, substitute
 from .measure import (
     FinProbSpace,
     MeasurableMap,
@@ -39,7 +40,7 @@ from .measure import (
 )
 from .randomization import Randomization, RandomElement
 from .rtypes import RMeasure, rtype_of
-from .semantics import TypeId, TypeSpace, eval_formula, type_space
+from .semantics import TypeId, TypeSpace, eval_formula, isolating_formula, type_space
 from .structures import FinStructure
 
 NEG_INF = float("-inf")
@@ -153,6 +154,11 @@ def phi_type_space(ctx: PhiContext) -> list[PhiType]:
     return [PhiType(t, a) for t, a in ordered]
 
 
+def _trace_count(ctx: PhiContext, solutions, w: tuple[int, ...]) -> int:
+    """The number of distinct traces among the given x tuples."""
+    return len({_trace(ctx, a, w) for a in solutions})
+
+
 def cb_rank_mult(ctx: PhiContext, pi: Formula) -> tuple[float | int, int]:
     """Rank and multiplicity of the trace classes consistent with pi.
 
@@ -167,16 +173,40 @@ def cb_rank_mult(ctx: PhiContext, pi: Formula) -> tuple[float | int, int]:
         raise ValidationError(
             f"partial type may only use the x variables, got {sorted(fv)}"
         )
-    traces = set()
-    for a in itertools.product(m.elements, repeat=len(ctx.x_vars)):
-        if eval_formula(m, pi, dict(zip(ctx.x_vars, a))):
-            traces.add(_trace(ctx, a, w))
-    if not traces:
+    solutions = [
+        a
+        for a in itertools.product(m.elements, repeat=len(ctx.x_vars))
+        if eval_formula(m, pi, dict(zip(ctx.x_vars, a)))
+    ]
+    mult = _trace_count(ctx, solutions, w)
+    if not mult:
         return (NEG_INF, 0)
-    return (0, len(traces))
+    return (0, mult)
 
 
 # --- rho ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _isolated_solutions(
+    p_space: TypeSpace, p: TypeId, x_vars: tuple[str, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """The solutions over M^|x| of p's isolating formula, renamed to x_vars.
+
+    Found by evaluating the formula, not read from the orbit, so that
+    route 2 of `rho` stays independent of route 1.  Only the tuples are
+    cached: formulas are large and each is needed once per type.
+    """
+    m = p_space.structure
+    iso = substitute(
+        isolating_formula(p_space, p),
+        {f"x{i}": Var(v) for i, v in enumerate(x_vars)},
+    )
+    return tuple(
+        a
+        for a in itertools.product(m.elements, repeat=len(x_vars))
+        if eval_formula(m, iso, dict(zip(x_vars, a)))
+    )
+
 
 def rho(
     ctx: PhiContext,
@@ -190,6 +220,8 @@ def rho(
     Computed two independent ways and asserted equal: the fraction of
     traces of p's orbit containing b, and the ratio of multiplicities of
     (isolating formula of p) & phi(x, b) over the isolating formula alone.
+    Route 2 builds one isolating formula per type and reuses its solutions
+    for every b; the instance phi(x, b) is evaluated afresh on each call.
     `b` is an element, a tuple, or a TypeId over the same parameters.
     """
     m = ctx.structure
@@ -218,10 +250,7 @@ def rho(
     value = Fraction(hits, len(traces))
 
     # route 2: multiplicity ratio through the isolating formula
-    from .semantics import isolating_formula
-
-    iso = isolating_formula(p_space, p)
-    iso = substitute(iso, {f"x{i}": Var(v) for i, v in enumerate(ctx.x_vars)})
+    solutions = _isolated_solutions(p_space, p, ctx.x_vars)
     inst = substitute(
         ctx.phi,
         {
@@ -229,8 +258,12 @@ def rho(
             **{v: Elem(e) for v, e in zip(ctx.w_vars, w)},
         },
     )
-    _, m_base = cb_rank_mult(ctx, iso)
-    _, m_inst = cb_rank_mult(ctx, conj([iso, inst]))
+    m_base = _trace_count(ctx, solutions, w)
+    m_inst = _trace_count(
+        ctx,
+        (a for a in solutions if eval_formula(m, inst, dict(zip(ctx.x_vars, a)))),
+        w,
+    )
     ratio = Fraction(m_inst, m_base)
     if ratio != value:
         raise AssertionError(

@@ -275,3 +275,27 @@ def test_rho_type_outside_the_space_exits_validation(ws_file):
     assert (code, out) == (2, "") and "no type q9 in a space of 1 types" in err
     code, out, err = run(*rho, "--p", "7", "--b", "0")
     assert (code, out) == (2, "") and "outside the universe" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "axioms"], "check axioms needs --rand"),
+        (["check", "independence", "--c", "f", "--b", "f"], "check independence needs --rand"),
+        (["check", "independence", "--rand", "r1", "--b", "f"], "check independence needs --c"),
+        (["check", "independence", "--rand", "r1", "--c", "f"], "check independence needs --b"),
+        (["check", "types"], "check types needs --structure"),
+        (["check", "categoricity"], "check categoricity needs --structure"),
+        (["check", "stability"], "check stability needs --structure"),
+        (["check", "categoricity", "--structure", "c3", "--nmax", "0"],
+         "--nmax must be at least 1, got 0"),
+    ],
+    ids=[
+        "axioms-rand", "independence-rand", "independence-c", "independence-b",
+        "types-structure", "categoricity-structure", "stability-structure",
+        "categoricity-nmax",
+    ],
+)
+def test_check_without_a_needed_option_exits_parse(ws_file, argv, message):
+    code, out, err = run("--workspace", ws_file, *argv)
+    assert (code, out) == (3, "") and message in err

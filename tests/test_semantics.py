@@ -1,18 +1,24 @@
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as hst
 
 from randlab import (
+    FinStructure,
+    Signature,
     ValidationError,
     automorphisms,
+    directed_cycle,
     eval_formula,
     isolating_formula,
+    linear_order,
     parse_formula,
+    pure_set,
     type_of_tuple,
     type_space,
 )
-from randlab.formulas import And, Eq, Exists, Forall, Not, Or, Rel, Var
-from randlab.semantics import _extension
+from randlab.formulas import And, Eq, Exists, Forall, Not, Or, Rel, Var, conj
+from randlab.semantics import _extension, _flatten_and, _hintikka, _literal_pool
 
 
 def test_eval_examples(c3, l3, m2):
@@ -187,3 +193,107 @@ def test_same_type_iff_same_formulas_bounded_depth(c3, m2):
             for b in profiles:
                 same_type = type_of_tuple(st, a) == type_of_tuple(st, b)
                 assert (profiles[a] == profiles[b]) == same_type
+
+
+# --- Oracle: isolating formulas by tree-walk ---------------------------------------
+#
+# The production code intersects one extension table per conjunct; the
+# oracle re-walks every candidate conjunction over M^n, as the code did
+# before the tables.  The greedy order is the same, so the formulas must
+# be identical, not merely equivalent.
+
+def _tree_walk_minimize(m, parts, variables, target):
+    kept = list(parts)
+    i = 0
+    while i < len(kept):
+        trial = kept[:i] + kept[i + 1 :]
+        if trial and _extension(m, conj(trial), variables) == target:
+            kept = trial
+        else:
+            i += 1
+    return conj(kept)
+
+
+def _tree_walk_isolating_formula(space, q):
+    m = space.structure
+    variables = tuple(f"x{i}" for i in range(space.arity))
+    target = frozenset(space.orbit(q))
+    val = dict(zip(variables, q.rep))
+    literals = [
+        atom if eval_formula(m, atom, val) else Not(atom)
+        for atom in _literal_pool(m, variables, space.params)
+    ]
+    if not literals:
+        literals = [Eq(Var(variables[0]), Var(variables[0]))]
+    if _extension(m, conj(literals), variables) == target:
+        return _tree_walk_minimize(m, literals, variables, target)
+
+    def qf_formula(tup, varnames):
+        val = dict(zip(varnames, tup))
+        return [
+            atom if eval_formula(m, atom, val) else Not(atom)
+            for atom in _literal_pool(m, varnames, space.params)
+        ]
+
+    for rank in range(1, m.size + 1):
+        formula = _hintikka(m, space.params, q.rep, variables, rank, qf_formula, {})
+        if _extension(m, formula, variables) == target:
+            return _tree_walk_minimize(m, _flatten_and(formula), variables, target)
+    raise AssertionError("back-and-forth rank |M| must isolate every orbit")
+
+
+BATTERY = [pure_set(2), pure_set(4)]
+BATTERY += [directed_cycle(n) for n in (3, 4, 5)]
+BATTERY += [linear_order(3), linear_order(4)]
+
+
+def _spaces(st):
+    for n in (1, 2):
+        for params in ((), (0,)):
+            yield type_space(st, n, params)
+
+
+@pytest.mark.parametrize("st", BATTERY, ids=lambda st: st.name)
+def test_isolating_formula_matches_tree_walk_oracle(st):
+    for space in _spaces(st):
+        for q in space.types:
+            got = isolating_formula(space, q)
+            assert repr(got) == repr(_tree_walk_isolating_formula(space, q)), (space, q)
+
+
+DIGRAPH = Signature(relations={"E": 2})
+
+
+@hst.composite
+def digraph_spaces(draw):
+    size = draw(hst.integers(2, 4))
+    pairs = [(a, b) for a in range(size) for b in range(size)]
+    edges = draw(hst.sets(hst.sampled_from(pairs)))
+    st = FinStructure(DIGRAPH, size, relations={"E": edges})
+    n = draw(hst.integers(1, 2))
+    params = draw(hst.sampled_from([(), (0,)]))
+    return type_space(st, n, params)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(digraph_spaces())
+def test_isolating_formula_matches_tree_walk_oracle_random(space):
+    for q in space.types:
+        got = isolating_formula(space, q)
+        assert repr(got) == repr(_tree_walk_isolating_formula(space, q))
+
+
+@pytest.mark.parametrize("st", BATTERY, ids=lambda st: st.name)
+def test_orbit_table_matches_scan(st):
+    # oracle: scan every tuple of M^n for the ones of q's type
+    for space in _spaces(st):
+        for q in space.types:
+            scan = sorted(
+                t
+                for t in itertools.product(st.elements, repeat=space.arity)
+                if space.index_of(t) == q.index
+            )
+            group = automorphisms(st, frozenset(space.params))
+            images = {tuple(sigma[e] for e in q.rep) for sigma in group}
+            assert space.orbit(q) == scan == sorted(images)

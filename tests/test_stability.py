@@ -1,3 +1,5 @@
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -21,9 +23,11 @@ from randlab import (
     rtype_of,
     type_space,
 )
-from randlab.formulas import Eq, Not, Var, format_formula
-from randlab.semantics import automorphisms
-from randlab.stability import NEG_INF, restriction_map
+import randlab.stability
+from randlab.cli import main
+from randlab.formulas import Eq, Not, Var, format_formula, substitute
+from randlab.semantics import _extension, automorphisms, isolating_formula
+from randlab.stability import NEG_INF, _isolated_solutions, restriction_map
 
 F = Fraction
 
@@ -109,6 +113,51 @@ def test_rho_two_routes_agree_everywhere(name, request):
                 for b in st.elements:
                     value = rho(ctx, space, p, b)
                     assert 0 <= value <= 1
+
+
+@pytest.mark.parametrize("name", ["m2", "m4", "c3", "c5", "l3"])
+def test_isolated_solutions_are_the_extension(name, request):
+    st = request.getfixturevalue(name)
+    for x_vars in (("x",), ("u",), ("x0",)):
+        for params in [(), (0,)]:
+            space = type_space(st, 1, params)
+            for p in space.types:
+                iso = substitute(isolating_formula(space, p), {"x0": Var(x_vars[0])})
+                want = _extension(st, iso, x_vars)
+                got = _isolated_solutions(space, p, x_vars)
+                assert frozenset(got) == want and len(got) == len(want)
+
+
+@pytest.fixture()
+def wrong_isolating_formula(monkeypatch):
+    """Route 2 of rho fed the isolating formula of the next type."""
+
+    def wrong(space, q):
+        return isolating_formula(space, space.types[(q.index + 1) % len(space)])
+
+    monkeypatch.setattr(randlab.stability, "isolating_formula", wrong)
+    _isolated_solutions.cache_clear()
+    yield
+    _isolated_solutions.cache_clear()
+
+
+def test_rho_route_check_is_live(l3, wrong_isolating_formula):
+    ctx = ctx_of(l3, "Lt(x, y)")
+    space = type_space(l3, 1, ())
+    with pytest.raises(AssertionError, match="disagree"):
+        rho(ctx, space, space.types[0], 1)
+
+
+def test_check_stability_reports_a_route_mismatch(tmp_path, wrong_isolating_formula):
+    ws = tmp_path / "ws.rl"
+    ws.write_text("structure l3 { universe = 3; relation Lt/2 = {(0,1), (0,2), (1,2)}; }\n")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main([
+            "--workspace", str(ws), "check", "stability", "--structure", "l3",
+            "--phi", "Lt(x, y)",
+        ])
+    assert (code, out.getvalue()) == (1, "FAIL rho-consistency Lt(x, y)\n")
 
 
 def test_rho_automorphism_invariance(c3, m4):
