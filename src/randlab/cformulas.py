@@ -4,8 +4,10 @@ Values live in [0, 1] and are generated by rational constants, 1-u,
 truncated subtraction, halving, min and max; atoms are measures of event
 terms, the distance predicates, and the single-sorted `P[phi]` shorthand
 for `mu[[ phi ]]`.  The only quantifiers are `sup x (...)` and
-`inf x (...)` over the random-element sort, evaluated by exhaustive
-enumeration under an explicit budget.
+`inf x (...)` over the random-element sort.  They are evaluated exactly by
+enumerating one random element per symmetry class of their body (equal
+point keys at each sample point, multisets over interchangeable points)
+instead of the whole sort; the budget still counts the whole sort.
 
 Grammar summary:
 
@@ -23,13 +25,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import BudgetError, ParseError, ValidationError
+from .errors import DEFAULT_BUDGET, BudgetError, ParseError, ValidationError
 from .formulas import _VAR_RE, Formula, format_formula, free_vars, parse_formula
 from .lexer import Lexer
-from .randomization import Event, RandomElement, Randomization, event_of, mu
-from .structures import Signature
-
-DEFAULT_BUDGET = 200_000
+from .randomization import (
+    Event,
+    RandomElement,
+    Randomization,
+    _check_binding,
+    d_b,
+    d_k,
+    event_of,
+    mu,
+)
+from .semantics import eval_formula
+from .structures import FinStructure, Signature
 
 
 # --- Event terms --------------------------------------------------------------
@@ -381,25 +391,46 @@ def _quantifier_depth(c: CFormula) -> int:
     raise TypeError(f"not a continuous formula: {c!r}")
 
 
+def _formula_binding(
+    phi: Formula, env: Mapping[str, RandomElement | Event]
+) -> dict[str, RandomElement]:
+    binding = {}
+    for v in free_vars(phi):
+        if v not in env or not isinstance(env[v], RandomElement):
+            raise ValidationError(f"variable {v!r} is not a bound random element")
+        binding[v] = env[v]
+    return binding
+
+
+def _bound_event(
+    rand: Randomization, name: str, env: Mapping[str, RandomElement | Event]
+) -> Event:
+    val = env.get(name)
+    if not isinstance(val, frozenset):
+        raise ValidationError(f"{name!r} is not a bound event")
+    return rand.check_event(val)
+
+
+def _dk_elements(
+    c: CDK, env: Mapping[str, RandomElement | Event]
+) -> tuple[RandomElement, RandomElement]:
+    f, g = env.get(c.left), env.get(c.right)
+    if not isinstance(f, RandomElement) or not isinstance(g, RandomElement):
+        raise ValidationError("dK arguments must be bound random elements")
+    return f, g
+
+
 def eval_event_term(
     rand: Randomization, e: EventTerm, env: Mapping[str, RandomElement | Event]
 ) -> Event:
     if isinstance(e, EvFormula):
-        binding = {}
-        for v in free_vars(e.phi):
-            if v not in env or not isinstance(env[v], RandomElement):
-                raise ValidationError(f"variable {v!r} is not a bound random element")
-            binding[v] = env[v]
-        return event_of(rand, e.phi, binding)
+        return event_of(rand, e.phi, _formula_binding(e.phi, env))
     if isinstance(e, EvTop):
         return rand.full_event()
     if isinstance(e, EvBot):
         return frozenset()
     if isinstance(e, EvName):
-        val = env.get(e.name)
-        if not isinstance(val, frozenset):
-            raise ValidationError(f"{e.name!r} is not a bound event")
-        return rand.check_event(val)
+        return _bound_event(rand, e.name, env)
     if isinstance(e, EvNot):
         return rand.complement(eval_event_term(rand, e.body, env))
     left = eval_event_term(rand, e.left, env)
@@ -419,9 +450,11 @@ def eval_cformula(
 ) -> Fraction:
     """Exact value of a continuous formula in [0, 1].
 
-    sup/inf enumerate the full random-element sort; the total number of
-    tuples that would be visited (carrier size to the power of the
-    quantifier nesting depth) must stay within `budget`.
+    sup/inf visit one random element per symmetry class of their body (see
+    `_quantifier_groups`), which gives the same value as the full
+    random-element sort.  The budget still counts the full sort: carrier
+    size to the power of the quantifier nesting depth must stay within
+    `budget`.
     """
     env = dict(env or {})
     depth = _quantifier_depth(c)
@@ -453,30 +486,129 @@ def _eval(rand: Randomization, c: CFormula, env: dict) -> Fraction:
     if isinstance(c, CMu):
         return mu(rand, eval_event_term(rand, c.event, env))
     if isinstance(c, CDK):
-        from .randomization import d_k
-
-        f, g = env.get(c.left), env.get(c.right)
-        if not isinstance(f, RandomElement) or not isinstance(g, RandomElement):
-            raise ValidationError("dK arguments must be bound random elements")
-        return d_k(rand, f, g)
+        return d_k(rand, *_dk_elements(c, env))
     if isinstance(c, CDB):
-        from .randomization import d_b
-
         return d_b(
             rand,
             eval_event_term(rand, c.left, env),
             eval_event_term(rand, c.right, env),
         )
     if isinstance(c, (CSup, CInf)):
-        best: Fraction | None = None
-        for h in rand.all_elements():
-            val = _eval(rand, c.body, {**env, c.var: h})
-            if best is None:
-                best = val
-            elif isinstance(c, CSup):
-                best = max(best, val)
-            else:
-                best = min(best, val)
-        assert best is not None
-        return best
+        values = (
+            _eval(rand, c.body, {**env, c.var: h})
+            for h in rand.all_elements(_quantifier_groups(rand, c, env))
+        )
+        return max(values) if isinstance(c, CSup) else min(values)
     raise TypeError(f"not a continuous formula: {c!r}")
+
+
+# --- Symmetry classes of a quantifier body ------------------------------------------
+
+def _key_atoms(
+    rand: Randomization, c: CFormula, env: Mapping[str, RandomElement | Event], names: set[str]
+) -> tuple:
+    """The atoms of c a point key reads, in the order `_eval` meets them.
+
+    env is checked as `_eval` checks it, so an invalid environment raises
+    the same error before any key is computed.  Each quantified variable
+    stands for a constant element on rand's base.  The bound event names c
+    reads are added to `names`.
+    """
+    if isinstance(c, CConst):
+        return ()
+    if isinstance(c, (CNeg, CHalf)):
+        return _key_atoms(rand, c.body, env, names)
+    if isinstance(c, (CTruncSub, CMin, CMax)):
+        return _key_atoms(rand, c.left, env, names) + _key_atoms(rand, c.right, env, names)
+    if isinstance(c, CMu):
+        return _event_key_atoms(rand, c.event, env, names)
+    if isinstance(c, CDK):
+        f, g = _dk_elements(c, env)
+        if f.base != rand.base or g.base != rand.base:
+            d_k(rand, f, g)  # raises d_k's error for a foreign base
+        return (c,)
+    if isinstance(c, CDB):
+        return _event_key_atoms(rand, c.left, env, names) + _event_key_atoms(
+            rand, c.right, env, names
+        )
+    if isinstance(c, (CSup, CInf)):
+        inner = {**env, c.var: RandomElement.constant(rand.base, 0)}
+        return ((c.var, _key_atoms(rand, c.body, inner, names)),)
+    raise TypeError(f"not a continuous formula: {c!r}")
+
+
+def _event_key_atoms(
+    rand: Randomization, e: EventTerm, env: Mapping[str, RandomElement | Event], names: set[str]
+) -> tuple:
+    if isinstance(e, EvFormula):
+        binding = _formula_binding(e.phi, env)
+        _check_binding(rand, sorted(binding), binding)
+        return (e.phi,)
+    if isinstance(e, (EvTop, EvBot)):
+        return ()
+    if isinstance(e, EvName):
+        _bound_event(rand, e.name, env)
+        names.add(e.name)
+        return ()
+    if isinstance(e, EvNot):
+        return _event_key_atoms(rand, e.body, env, names)
+    return _event_key_atoms(rand, e.left, env, names) + _event_key_atoms(
+        rand, e.right, env, names
+    )
+
+
+def _point_key(m: FinStructure, atoms: tuple, val: dict[str, int]) -> tuple:
+    """What the atoms say at one point under the values `val`: a formula's
+    truth in m, whether a dK pair agrees, and for a nested quantifier
+    (var, atoms) the multiset of its body's keys over the values of var."""
+    out = []
+    for atom in atoms:
+        if isinstance(atom, CDK):
+            out.append(val[atom.left] == val[atom.right])
+        elif isinstance(atom, tuple):
+            var, inner = atom
+            out.append(tuple(sorted(_point_key(m, inner, {**val, var: b}) for b in m.elements)))
+        else:
+            out.append(eval_formula(m, atom, val))
+    return tuple(out)
+
+
+def _quantifier_groups(
+    rand: Randomization, c: CSup | CInf, env: Mapping[str, RandomElement | Event]
+) -> list[tuple[list[int], list[int]]]:
+    """The (point indices, candidate values) groups that `sup`/`inf` enumerate.
+
+    Every atom is read point by point, so the body's value depends on the
+    quantified element h only through two symmetries:
+
+    - at a point w, values of h(w) with equal point keys are interchangeable
+      (a nested quantifier follows by a matching bijection of its own
+      values), so each class keeps its least value;
+    - points with the same weight, fibre, values of the body's bound
+      elements and membership in its bound events can be permuted, so such
+      a group takes every multiset of its candidates instead of every tuple.
+
+    Both are bijections of the random-element sort that preserve every
+    atom's mass, so the max/min over the groups is the exact sup/inf.
+    """
+    names: set[str] = set()
+    ((_, atoms),) = _key_atoms(rand, c, env, names)
+    elements = sorted(cformula_free_kvars(c.body) - {c.var})
+    events = [env[n] for n in sorted(names)]
+    groups: dict[tuple, list[int]] = {}
+    for i, w in enumerate(rand.base.points):
+        sig = (
+            rand.base.weight[w],
+            rand.family[w],
+            tuple(env[v](w) for v in elements),
+            tuple(w in e for e in events),
+        )
+        groups.setdefault(sig, []).append(i)
+    out = []
+    for (_, m, values, _), indices in groups.items():
+        val = dict(zip(elements, values))
+        classes: dict[tuple, int] = {}
+        for a in m.elements:
+            classes.setdefault(_point_key(m, atoms, {**val, c.var: a}), a)
+        out.append((indices, list(classes.values())))
+    return out

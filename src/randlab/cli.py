@@ -14,8 +14,15 @@ import sys
 from fractions import Fraction
 
 from .axioms import check_axioms, default_formula_corpus, sample_elements
-from .cformulas import DEFAULT_BUDGET, eval_cformula, parse_cformula
-from .errors import BudgetError, ParseError, RandlabError, ResolutionError, ValidationError
+from .cformulas import eval_cformula, parse_cformula
+from .errors import (
+    DEFAULT_BUDGET,
+    BudgetError,
+    ParseError,
+    RandlabError,
+    ResolutionError,
+    ValidationError,
+)
 from .extension import (
     FeasibleCertificate,
     extend_measure_eq,
@@ -387,7 +394,7 @@ def cmd_approx_simple(args, ws: Workspace) -> int:
 def cmd_types(args, ws: Workspace) -> int:
     st = ws.structure(args.structure)
     params = _int_list(args.params) if args.params else ()
-    space = type_space(st, args.arity, params)
+    space = type_space(st, args.arity, params, args.budget)
     for q in space.types:
         iso = isolating_formula(space, q)
         orbit = space.orbit(q)

@@ -23,12 +23,18 @@ class ResolutionError(RandlabError):
     """A named object (symbol, workspace entry, file) could not be resolved."""
 
 
+DEFAULT_BUDGET = 200_000  # largest enumeration run unless a caller allows more
+
+
 class BudgetError(RandlabError):
     """An exhaustive enumeration would exceed the configured budget."""
 
     def __init__(self, message: str, required: int):
         self.required = required
-        super().__init__(f"{message} (required count {required})")
+        # str() refuses ints of more than 4300 digits
+        bits = required.bit_length()
+        shown = required if bits <= 4096 else f"at least 2^{bits - 1}"
+        super().__init__(f"{message} (required count {shown})")
 
 
 class ValidationError(RandlabError):

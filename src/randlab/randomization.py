@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError
 from .formulas import Formula, free_vars
 from .measure import FinProbSpace, Point, frac
 from .semantics import eval_formula
@@ -85,15 +85,27 @@ class Randomization:
             out *= self.family[w].size
         return out
 
-    def all_elements(self, budget: int | None = None) -> Iterable[RandomElement]:
-        """Enumerate the whole random-element sort, deterministically."""
-        if budget is not None and self.carrier_size() > budget:
-            raise BudgetError(
-                "random-element enumeration over budget", self.carrier_size()
-            )
-        ranges = [range(self.family[w].size) for w in self.base.points]
-        for combo in itertools.product(*ranges):
-            yield RandomElement(self.base, dict(zip(self.base.points, combo)))
+    def all_elements(
+        self, groups: Sequence[tuple[Sequence[int], Sequence[int]]] | None = None
+    ) -> Iterable[RandomElement]:
+        """Enumerate random elements, deterministically.
+
+        `groups` splits the point indices into parts, each with its
+        candidate values; a part takes every multiset of its candidates,
+        laid out in candidate order along its indices.  The default, each
+        point alone with its whole universe, is the whole random-element
+        sort.
+        """
+        points = self.base.points
+        if groups is None:
+            groups = [((i,), range(self.family[w].size)) for i, w in enumerate(points)]
+        picks = [itertools.combinations_with_replacement(vals, len(idx)) for idx, vals in groups]
+        values = [0] * len(points)
+        for combo in itertools.product(*picks):
+            for (indices, _), chosen in zip(groups, combo):
+                for i, a in zip(indices, chosen):
+                    values[i] = a
+            yield RandomElement(self.base, dict(zip(points, values)))
 
     def element(self, values: Sequence[int]) -> RandomElement:
         """The random element taking the i-th value at the i-th sample point."""

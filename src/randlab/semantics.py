@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ValidationError
+from .errors import DEFAULT_BUDGET, BudgetError, ValidationError
 from .formulas import (
     And,
     App,
@@ -205,6 +205,8 @@ class TypeId:
 class TypeSpace:
     """The orbits of Aut(M/A) acting on M^n, in canonical order.
 
+    Build it with `type_space`, which caches it and checks the budget.
+
     Canonical order sorts orbits by their lexicographically least member,
     so output is deterministic across runs.
     """
@@ -280,12 +282,26 @@ def _type_space_cached(m: FinStructure, n: int, params: tuple[int, ...]) -> Type
     return TypeSpace(m, n, params)
 
 
-def type_space(m: FinStructure, n: int, params: tuple[int, ...] | list[int] = ()) -> TypeSpace:
-    """S_n over the parameter tuple `params` (types = Aut(M/A)-orbits)."""
+def type_space(
+    m: FinStructure,
+    n: int,
+    params: tuple[int, ...] | list[int] = (),
+    budget: int = DEFAULT_BUDGET,
+) -> TypeSpace:
+    """S_n over the parameter tuple `params` (types = Aut(M/A)-orbits).
+
+    Building the space enumerates all |M|**n tuples; more than `budget` of
+    them raise BudgetError before any work.
+    """
     ptup = tuple(params)
     for a in ptup:
         if a not in m.elements:
             raise ValidationError(f"parameter {a} not in universe")
+    if n < 0:
+        raise ValidationError(f"negative arity {n}")
+    required = m.size ** n
+    if required > budget:
+        raise BudgetError("type space enumeration over budget", required)
     return _type_space_cached(m, n, ptup)
 
 

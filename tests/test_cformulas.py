@@ -1,17 +1,36 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as hst
 
 from randlab import (
     BudgetError,
     FinProbSpace,
+    FinStructure,
     Randomization,
+    Signature,
+    directed_cycle,
     eval_cformula,
     format_cformula,
     parse_cformula,
 )
-from randlab.cformulas import CMu, CSup, EvFormula
+from randlab.cformulas import (
+    CConst,
+    CDB,
+    CDK,
+    CHalf,
+    CMax,
+    CMin,
+    CMu,
+    CNeg,
+    CSup,
+    CTruncSub,
+    EvFormula,
+    eval_event_term,
+)
 from randlab.errors import ParseError, ValidationError
+from randlab.randomization import d_b, d_k, mu
 
 F = Fraction
 
@@ -113,3 +132,281 @@ def test_deep_nesting_is_a_parse_error(m2):
         parse_cformula("half(" * 2000 + "1" + ")" * 2000, m2.signature)
     with pytest.raises(ParseError):
         parse_cformula("mu[[ " + "(" * 400 + "x = x" + ")" * 400 + " ]]", m2.signature)
+
+
+# --- sup/inf by symmetry classes against the full product --------------------------
+
+def full_product_eval(rand, c, env):
+    """Reference semantics: sup/inf range over every random element."""
+    if isinstance(c, CConst):
+        return c.value
+    if isinstance(c, CNeg):
+        return 1 - full_product_eval(rand, c.body, env)
+    if isinstance(c, CTruncSub):
+        left, right = full_product_eval(rand, c.left, env), full_product_eval(rand, c.right, env)
+        return max(F(0), left - right)
+    if isinstance(c, CHalf):
+        return full_product_eval(rand, c.body, env) / 2
+    if isinstance(c, (CMin, CMax)):
+        pick = min if isinstance(c, CMin) else max
+        return pick(full_product_eval(rand, c.left, env), full_product_eval(rand, c.right, env))
+    if isinstance(c, CMu):
+        return mu(rand, eval_event_term(rand, c.event, env))
+    if isinstance(c, CDK):
+        return d_k(rand, env[c.left], env[c.right])
+    if isinstance(c, CDB):
+        return d_b(rand, eval_event_term(rand, c.left, env), eval_event_term(rand, c.right, env))
+    ranges = [range(rand.family[w].size) for w in rand.base.points]
+    values = [
+        full_product_eval(rand, c.body, {**env, c.var: rand.element(combo)})
+        for combo in itertools.product(*ranges)
+    ]
+    return max(values) if isinstance(c, CSup) else min(values)
+
+
+ORACLE = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+DIGRAPH = Signature(relations={"E": 2})
+
+
+@hst.composite
+def families(draw):
+    """1-4 points with non-uniform rational weights, each carrying one of a
+    pool of up to three pairwise-distinct random digraphs on 2 or 3
+    elements; points may share a weight and a fibre, so interchangeable
+    points occur.  Also a random bound element g and a bound event e."""
+    rng = draw(hst.randoms(use_true_random=False))
+    pool: list[FinStructure] = []
+    for _ in range(rng.randint(1, 3)):
+        size = rng.randint(2, 3)
+        edges = {(a, b) for a in range(size) for b in range(size) if rng.random() < 0.5}
+        st = FinStructure(DIGRAPH, size, relations={"E": edges}, name=f"g{len(pool)}")
+        if st not in pool:
+            pool.append(st)
+    n = rng.randint(1, 4)
+    raw = [rng.randint(1, 3) for _ in range(n)]
+    base = FinProbSpace([(i, F(k, sum(raw))) for i, k in enumerate(raw)])
+    rand = Randomization(base, {i: rng.choice(pool) for i in range(n)})
+    g = rand.element([rng.randrange(rand.family[w].size) for w in base.points])
+    e = frozenset(w for w in base.points if rng.random() < 0.5)
+    return rand, {"g": g, "e": e}
+
+
+def _fo(draw, scope, size):
+    terms = sorted(scope) + ["#0", "#1"]  # every fibre has at least two elements
+    term = lambda: draw(hst.sampled_from(terms))  # noqa: E731
+    kind = draw(hst.integers(0, 4 if size else 1))
+    if kind == 0:
+        return f"{term()} = {term()}"
+    if kind == 1:
+        return f"E({term()}, {term()})"
+    if kind == 2:
+        return f"!({_fo(draw, scope, size - 1)})"
+    if kind == 3:
+        op = draw(hst.sampled_from(["&", "|"]))
+        return f"({_fo(draw, scope, size - 1)} {op} {_fo(draw, scope, size - 1)})"
+    return f"exists z (E({term()}, z) & !(z = {term()}))"
+
+
+def _event(draw, scope, size):
+    kind = draw(hst.integers(0, 4 if size else 2))
+    if kind == 0:
+        return f"[[ {_fo(draw, scope, 1)} ]]"
+    if kind == 1:
+        return "e"
+    if kind == 2:
+        return draw(hst.sampled_from(["top", "bot"]))
+    if kind == 3:
+        return f"!({_event(draw, scope, size - 1)})"
+    op = draw(hst.sampled_from(["&", "|", "^"]))
+    return f"({_event(draw, scope, size - 1)} {op} {_event(draw, scope, size - 1)})"
+
+
+def _value(draw, scope, depth, size):
+    kind = draw(hst.integers(0, 9 if size else 4))
+    var = lambda: draw(hst.sampled_from(sorted(scope)))  # noqa: E731
+    if kind == 0:
+        return f"mu[[ {_fo(draw, scope, 2)} ]]"
+    if kind == 1:
+        return f"mu[ {_event(draw, scope, 2)} ]"
+    if kind == 2:
+        return f"dK({var()}, {var()})"
+    if kind == 3:
+        return f"dB({_event(draw, scope, 1)}, {_event(draw, scope, 1)})"
+    if kind == 4:
+        return draw(hst.sampled_from(["0", "1/6", "1/3", "1/2", "2/3", "1"]))
+    if kind == 5:
+        return f"~{_value(draw, scope, depth, size - 1)}"
+    if kind == 6:
+        return f"half({_value(draw, scope, depth, size - 1)})"
+    if kind in (7, 8):
+        op = draw(hst.sampled_from(["min", "max", "-."]))
+        left, right = _value(draw, scope, depth, size - 1), _value(draw, scope, depth, size - 1)
+        return f"({left} -. {right})" if op == "-." else f"{op}({left}, {right})"
+    if depth == 2:
+        return _value(draw, scope, depth, size - 1)
+    q = draw(hst.sampled_from(["sup", "inf"]))
+    x = draw(hst.sampled_from(["x", "y", "g"]))
+    return f"{q} {x} ({_value(draw, scope | {x}, depth + 1, size - 1)})"
+
+
+@hst.composite
+def quantified(draw):
+    """A sup/inf sentence of nesting depth 1 or 2 over the bound element g
+    and the bound event e, with #k literals."""
+    q = draw(hst.sampled_from(["sup", "inf"]))
+    x = draw(hst.sampled_from(["x", "y"]))
+    scope = {"g", x}
+    if not draw(hst.booleans()):
+        return f"{q} {x} ({_value(draw, scope, 1, 3)})"
+    q2 = draw(hst.sampled_from(["sup", "inf"]))
+    y = draw(hst.sampled_from(["x", "y", "z", "g"]))
+    inner = f"{q2} {y} ({_value(draw, scope | {y}, 2, 3)})"
+    beside = _value(draw, scope, 2, 2)
+    op = draw(hst.sampled_from(["alone", "min", "max", "-."]))
+    if op == "alone":
+        return f"{q} {x} ({inner})"
+    if op == "-.":
+        return f"{q} {x} (({beside} -. {inner}))"
+    return f"{q} {x} ({op}({inner}, {beside}))"
+
+
+@ORACLE
+@given(families(), quantified())
+def test_sup_inf_match_full_product(family, text):
+    rand, env = family
+    c = parse_cformula(text, DIGRAPH)
+    assert eval_cformula(rand, c, env) == full_product_eval(rand, c, env), text
+
+
+@hst.composite
+def separating_cases(draw):
+    """Points sharing one fibre but not their weight or their membership in
+    e, and a sup/inf whose extremum needs the quantified element to take
+    different values at such points: a mass held at one subset's weight,
+    or two masses restricted to e and to its complement."""
+    rng = draw(hst.randoms(use_true_random=False))
+    raw = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+    base = FinProbSpace([(i, F(k, sum(raw))) for i, k in enumerate(raw)])
+    fibre = FinStructure(DIGRAPH, rng.randint(2, 3), relations={"E": {(0, 1)}})
+    rand = Randomization.constant(fibre, base)
+    e = frozenset(w for w in base.points if rng.random() < 0.5)
+    if rng.random() < 0.5:
+        target = sum((base.weight[w] for w in base.points if rng.random() < 0.5), F(0))
+        text = f"inf x (max(mu[[x = #0]] -. {target}, {target} -. mu[[x = #0]]))"
+    else:
+        q, op = rng.choice([("sup", "min"), ("inf", "max")])
+        inside, outside = rng.choice([("e", "!e"), ("!e", "e")])
+        text = f"{q} x ({op}(mu[ {inside} & [[x = #0]] ], mu[ {outside} & [[x = #1]] ]))"
+    return rand, {"e": e}, text
+
+
+@ORACLE
+@given(separating_cases())
+def test_separated_points_match_full_product(case):
+    rand, env, text = case
+    c = parse_cformula(text, DIGRAPH)
+    assert eval_cformula(rand, c, env) == full_product_eval(rand, c, env), text
+
+
+QUANTIFIER_SHAPES = [
+    "sup x (min(mu[[x = #0]], mu[[x = #2]]))",
+    "sup x (mu[[E(x, y)]])",
+    "inf x (mu[ e | [[E(x, y)]] ])",
+    "sup x (dB(e, [[E(x, y)]]))",
+    "sup x (mu[[x = y]] -. mu[ e ])",
+    "sup x (half(dK(x, y)))",
+    "inf x (sup y (dK(x, y)))",
+    "sup x (inf y (mu[[E(x, y)]]))",
+    "inf x (sup y (min(mu[[E(x, y)]], mu[[E(y, x)]])))",
+    "inf x (sup y (mu[ e & [[E(x, y)]] ]))",
+    "sup x (inf z (max(dK(x, z), mu[ e ^ [[E(z, y)]] ])))",
+]
+
+
+@pytest.mark.parametrize("text", QUANTIFIER_SHAPES)
+def test_quantifier_shapes_match_full_product(text):
+    c3 = directed_cycle(3)
+    rand = Randomization.constant(c3, FinProbSpace.dyadic(2))
+    env = {"y": rand.element([2, 0, 1, 1]), "e": frozenset(rand.base.points[1:3])}
+    c = parse_cformula(text, c3.signature)
+    assert eval_cformula(rand, c, env) == full_product_eval(rand, c, env)
+
+
+def test_points_of_different_weight_are_not_interchangeable():
+    # mu[[x = #0]] = 1/3 needs x = 0 exactly at the lighter point
+    rand = Randomization.constant(directed_cycle(3), FinProbSpace([(0, F(2, 3)), (1, F(1, 3))]))
+    c = parse_cformula("inf x (max(mu[[x = #0]] -. 1/3, 1/3 -. mu[[x = #0]]))", rand.signature)
+    assert eval_cformula(rand, c, {}) == full_product_eval(rand, c, {}) == 0
+
+
+def _visited(monkeypatch, rand, text):
+    """Evaluate text and count the random elements sup/inf visit."""
+    count = [0]
+    enumerate_all = Randomization.all_elements
+
+    def counting(self, groups=None):
+        for h in enumerate_all(self, groups):
+            count[0] += 1
+            yield h
+
+    monkeypatch.setattr(Randomization, "all_elements", counting)
+    value = eval_cformula(rand, parse_cformula(text, rand.signature), {})
+    return value, count[0]
+
+
+def test_interchangeable_points_take_multisets(monkeypatch):
+    # one class per literal plus the rest, at 8 interchangeable points:
+    # multisets of size 8 from 3 values, C(10, 8), instead of 3**8 tuples
+    rand = Randomization.constant(directed_cycle(3), FinProbSpace.dyadic(3))
+    value, visited = _visited(monkeypatch, rand, "sup x (min(mu[[x = #0]], mu[[x = #1]]))")
+    assert value == F(1, 2)
+    assert visited == 45
+
+
+def test_nested_quantifier_visits_few_elements(monkeypatch):
+    rand = Randomization.constant(directed_cycle(3), FinProbSpace.dyadic(2))
+    value, visited = _visited(monkeypatch, rand, "inf x (sup y (dK(x, y)))")
+    assert value == 1
+    assert visited < 81 * 81 // 100
+
+
+def test_default_enumeration_is_the_full_product():
+    fibres = {0: FinStructure(DIGRAPH, 3), 1: FinStructure(DIGRAPH, 2)}
+    rand = Randomization(FinProbSpace([(0, F(1, 2)), (1, F(1, 2))]), fibres)
+    assert [h.values for h in rand.all_elements()] == [
+        {0: a, 1: b} for a in range(3) for b in range(2)
+    ]
+
+
+# --- invalid environments inside a quantifier body --------------------------------
+
+INVALID_ENVIRONMENTS = [
+    ("sup x (mu[[E(x, y)]])", "event", "variable 'y' is not a bound random element"),
+    ("sup x (dK(x, y))", "event", "dK arguments must be bound random elements"),
+    ("sup x (mu[[E(x, y)]])", "foreign", "element bound to 'y' lives on a different base"),
+    ("sup x (dK(x, y))", "foreign", "elements live on a different base"),
+    ("inf x (sup z (min(mu[[E(x, z)]], dK(z, y))))", "event", "dK arguments must be bound random elements"),
+]
+
+
+@pytest.mark.parametrize("text, binding, message", INVALID_ENVIRONMENTS)
+def test_invalid_environment_in_quantifier_body(monkeypatch, text, binding, message):
+    import randlab.cformulas as cf
+
+    c3 = directed_cycle(3)
+    rand = Randomization.constant(c3, FinProbSpace.dyadic(2))
+    other = Randomization.constant(c3, FinProbSpace.dyadic(1))
+    y = frozenset(rand.base.points[:2]) if binding == "event" else other.element([1, 2])
+
+    def no_keys(*_args):
+        raise AssertionError("a point key was computed before the environment was checked")
+
+    monkeypatch.setattr(cf, "_point_key", no_keys)
+    with pytest.raises(ValidationError) as err:
+        eval_cformula(rand, parse_cformula(text, c3.signature), {"y": y})
+    assert str(err.value) == message

@@ -77,6 +77,19 @@ def test_exit_code_budget(ws_file):
     assert code == 4 and "required count" in err
 
 
+def test_types_arity_is_budgeted(ws_file):
+    code, out, err = run("--workspace", ws_file, "types", "--structure", "l3", "--arity", "20")
+    assert code == 4 and out == "" and f"required count {3**20}" in err
+    code, _, err = run(
+        "--workspace", ws_file, "--budget", "8", "types", "--structure", "l3", "--arity", "2"
+    )
+    assert code == 4 and "required count 9" in err
+    code, out, _ = run(
+        "--workspace", ws_file, "--budget", "9", "types", "--structure", "l3", "--arity", "2"
+    )
+    assert code == 0 and out.startswith("q0 ")
+
+
 def test_check_axioms(ws_file):
     code, out, _ = run("--workspace", ws_file, "check", "axioms", "--rand", "m2x8")
     assert code == 0

@@ -97,7 +97,8 @@ PROBLEM = "<= 1/2 : 1,0\n= 1 : 1,1\n# a comment\n"
 PROBLEM_LINE = "<= -1/3 : 0,-2"
 
 # Only the rmeasure is edited, over a fixed two-element structure: the type
-# space of an edited arity k has 2**k tuples and is enumerated with no budget.
+# space of an edited arity k has 2**k tuples, enumerated up to the default
+# budget.
 M2 = "structure m2 { universe = 2; }\n"
 RMEASURE = "rmeasure nu { structure = m2; arity = 2; params = (0); rtype { q0: 1/2, q1: 1/2 }; }"
 

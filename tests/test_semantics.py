@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as hst
 
 from randlab import (
+    BudgetError,
     FinStructure,
     Signature,
     ValidationError,
@@ -90,6 +91,24 @@ def test_type_space_sizes(m2, c3, l3):
     assert len(type_space(m2, 1)) == 1
     assert len(type_space(l3, 1)) == 3
     assert len(type_space(c3, 2)) == 3
+
+
+def test_type_space_budget_counts_tuples_before_enumerating(l3):
+    # 3**20 tuples would take hours to enumerate; the check raises at once
+    with pytest.raises(BudgetError) as err:
+        type_space(l3, 20)
+    assert err.value.required == 3**20
+    assert len(type_space(l3, 2, budget=9)) == len(type_space(l3, 2))
+    with pytest.raises(BudgetError) as err:
+        type_space(l3, 2, budget=8)
+    assert err.value.required == 9
+    with pytest.raises(ValidationError):
+        type_space(l3, -1)
+    # a count too long to print in full is shown by its order of magnitude
+    with pytest.raises(BudgetError) as err:
+        type_space(l3, 10_000)
+    assert err.value.required == 3**10_000
+    assert f"at least 2^{(3**10_000).bit_length() - 1})" in str(err.value)
 
 
 def test_type_space_partitions(c3):

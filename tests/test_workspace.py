@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from randlab import ParseError, ValidationError, load_workspace, save_workspace
+from randlab import BudgetError, ParseError, ValidationError, load_workspace, save_workspace
 
 F = Fraction
 
@@ -31,6 +31,13 @@ def test_load_and_lookup():
     assert e1 == frozenset({0, 2})
     nu = ws.rmeasure("nu")
     assert nu.weights[nu.space.types[1]] == F(1, 3)
+
+
+def test_rmeasure_type_space_is_budgeted():
+    text = SAMPLE.replace("arity = 2; params = ()", "arity = 20; params = ()")
+    with pytest.raises(BudgetError) as err:
+        load_workspace(text)
+    assert err.value.required == 3**20
 
 
 def test_save_load_round_trip_is_exact():
