@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetError
@@ -49,6 +48,7 @@ from .randomization import (
     fullness_witness,
     mu,
 )
+from .record import Record
 from .structures import Signature
 
 EXACT_GROUPS = (
@@ -176,17 +176,15 @@ def sentence_corpus(sig: Signature, limit: int = 12) -> list[Formula]:
 
 # --- Report --------------------------------------------------------------------
 
-@dataclass
-class AxiomVerdict:
+class AxiomVerdict(Record):
     group: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
-class AxiomReport:
-    verdicts: list[AxiomVerdict] = field(default_factory=list)
-    atomless_defect: Fraction | None = None
+class AxiomReport(Record):
+    verdicts: list[AxiomVerdict]
+    atomless_defect: Fraction
 
     def by_group(self, group: str) -> AxiomVerdict:
         for v in self.verdicts:
@@ -268,7 +266,7 @@ def check_axioms(
     corpus = corpus if corpus is not None else default_formula_corpus(sig)
     rng = random.Random(seed)
     pool = sample_elements(rand, 6, seed=seed)
-    report = AxiomReport()
+    verdicts: list[AxiomVerdict] = []
     top = rand.full_event()
 
     # Validity: tautologies evaluate to the sure event under any binding.
@@ -278,7 +276,7 @@ def check_axioms(
             if event_of(rand, phi, binding) != top:
                 failures.append(format_formula(phi))
                 break
-    report.verdicts.append(
+    verdicts.append(
         AxiomVerdict(
             "validity",
             not failures,
@@ -320,7 +318,7 @@ def check_axioms(
                 ok = False
                 detail = "lattice law failed"
                 break
-    report.verdicts.append(AxiomVerdict("boolean", ok, detail))
+    verdicts.append(AxiomVerdict("boolean", ok, detail))
 
     # Distance: the two defining identities plus pseudo-metric laws.
     ok = True
@@ -347,7 +345,7 @@ def check_axioms(
         if d_k(rand, f, h) > d_k(rand, f, g) + d_k(rand, g, h):
             ok = False
             detail = "d_K triangle failed"
-    report.verdicts.append(AxiomVerdict("distance", ok, detail))
+    verdicts.append(AxiomVerdict("distance", ok, detail))
 
     # Fullness: exact witnesses for every corpus formula with x free.
     ok = True
@@ -368,7 +366,7 @@ def check_axioms(
                 break
         if not ok:
             break
-    report.verdicts.append(AxiomVerdict("fullness", ok, detail))
+    verdicts.append(AxiomVerdict("fullness", ok, detail))
 
     # Event: every event is an equality event, exactly.  event_witness
     # sets f(w), g(w) from whether w lies in the event alone, and
@@ -384,7 +382,7 @@ def check_axioms(
             w = next(p for p in rand.base.points if p in wrong)
             ok, detail = False, f"witness inexact at point {w!r} {where} the event"
             break
-    report.verdicts.append(
+    verdicts.append(
         AxiomVerdict(
             "event", ok, detail or f"{2 ** len(top)} events, exact witnesses"
         )
@@ -401,13 +399,12 @@ def check_axioms(
             ok = False
             detail = "modular law failed"
             break
-    report.verdicts.append(AxiomVerdict("measure", ok, detail))
+    verdicts.append(AxiomVerdict("measure", ok, detail))
 
     # Atomless: exact defect against the half-minimum-atom threshold.
     defect = atomless_defect(rand)
     min_atom = min(rand.base.weight.values())
-    report.atomless_defect = defect
-    report.verdicts.append(
+    verdicts.append(
         AxiomVerdict(
             "atomless",
             defect <= min_atom / 2,
@@ -431,6 +428,6 @@ def check_axioms(
             [w for w, t in zip(rand.base.points, truth) if t]
         ):
             ok, detail = False, "sentence event mismatch"
-    report.verdicts.append(AxiomVerdict("transfer", ok, detail))
+    verdicts.append(AxiomVerdict("transfer", ok, detail))
 
-    return report
+    return AxiomReport(verdicts, defect)

@@ -21,7 +21,6 @@ Grammar summary:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -38,51 +37,44 @@ from .randomization import (
     event_of,
     mu,
 )
+from .record import Record
 from .semantics import eval_formula
 from .structures import FinStructure, Signature
 
 
 # --- Event terms --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EvFormula:
+class EvFormula(Record):
     phi: Formula
 
 
-@dataclass(frozen=True)
-class EvTop:
+class EvTop(Record):
     pass
 
 
-@dataclass(frozen=True)
-class EvBot:
+class EvBot(Record):
     pass
 
 
-@dataclass(frozen=True)
-class EvName:
+class EvName(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class EvNot:
+class EvNot(Record):
     body: "EventTerm"
 
 
-@dataclass(frozen=True)
-class EvMeet:
+class EvMeet(Record):
     left: "EventTerm"
     right: "EventTerm"
 
 
-@dataclass(frozen=True)
-class EvJoin:
+class EvJoin(Record):
     left: "EventTerm"
     right: "EventTerm"
 
 
-@dataclass(frozen=True)
-class EvSymDiff:
+class EvSymDiff(Record):
     left: "EventTerm"
     right: "EventTerm"
 
@@ -92,64 +84,53 @@ EventTerm = EvFormula | EvTop | EvBot | EvName | EvNot | EvMeet | EvJoin | EvSym
 
 # --- Value terms ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CConst:
+class CConst(Record):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class CNeg:  # 1 - u
+class CNeg(Record):  # 1 - u
     body: "CFormula"
 
 
-@dataclass(frozen=True)
-class CTruncSub:  # u -. v = max(0, u - v)
+class CTruncSub(Record):  # u -. v = max(0, u - v)
     left: "CFormula"
     right: "CFormula"
 
 
-@dataclass(frozen=True)
-class CHalf:
+class CHalf(Record):
     body: "CFormula"
 
 
-@dataclass(frozen=True)
-class CMin:
+class CMin(Record):
     left: "CFormula"
     right: "CFormula"
 
 
-@dataclass(frozen=True)
-class CMax:
+class CMax(Record):
     left: "CFormula"
     right: "CFormula"
 
 
-@dataclass(frozen=True)
-class CMu:
+class CMu(Record):
     event: EventTerm
 
 
-@dataclass(frozen=True)
-class CDK:
+class CDK(Record):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
-class CDB:
+class CDB(Record):
     left: EventTerm
     right: EventTerm
 
 
-@dataclass(frozen=True)
-class CSup:
+class CSup(Record):
     var: str
     body: "CFormula"
 
 
-@dataclass(frozen=True)
-class CInf:
+class CInf(Record):
     var: str
     body: "CFormula"
 

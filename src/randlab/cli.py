@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 check failure, 2 unresolved name or file, or
 input that fails validation (weights that do not sum to 1, an element
-value outside its universe), 3 parse error, 4 budget exceeded.  All
-numeric output is exact `p/q`; `--decimal` adds a rounded rendering for
-humans without affecting exit codes.
+value outside its universe), 3 parse error, 4 budget exceeded, 5 internal
+error (a bug in randlab: one `internal error: <type>: <message>` line on
+stderr instead of a traceback).  All numeric output is exact `p/q`;
+`--decimal N` adds a rounded rendering with N >= 0 digits for humans
+without affecting exit codes (a negative N is a parse error).
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ EXIT_CHECK = 1
 EXIT_RESOLVE = 2
 EXIT_PARSE = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 
 def fmt_rat(x: Fraction, decimal: int | None) -> str:
@@ -499,6 +502,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.decimal is not None and args.decimal < 0:
+            raise ParseError(f"--decimal must be at least 0, got {args.decimal}")
         ws = _load_ws(args.workspace)
         return args.fn(args, ws)
     except BudgetError as exc:
@@ -510,6 +515,9 @@ def main(argv: list[str] | None = None) -> int:
     except RandlabError as exc:  # resolution and validation
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOLVE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -14,17 +14,16 @@ with Bland's rule, so runs are deterministic and never cycle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Sequence
 
 from .errors import ParseError, ValidationError
 from .lexer import Lexer, parse_numbers
 from .measure import Point, RationalFn, frac
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     fn: RationalFn
     bound: Fraction
     relation: Literal["<=", "="]
@@ -49,8 +48,7 @@ class LinFeasProblem:
         return {c.relation for c in self.constraints}
 
 
-@dataclass
-class FeasibleCertificate:
+class FeasibleCertificate(Record):
     """A sub-simplex point satisfying every constraint exactly."""
 
     weights: dict[Point, Fraction]
@@ -74,8 +72,7 @@ class FeasibleCertificate:
         return True
 
 
-@dataclass
-class InfeasibleIneqCertificate:
+class InfeasibleIneqCertificate(Record):
     """Multiplicities m_i >= 0 and an integer n with
     sum m_i * fn_i >= n pointwise while sum m_i * bound_i < n."""
 
@@ -101,8 +98,7 @@ class InfeasibleIneqCertificate:
         return bound_total < self.n
 
 
-@dataclass
-class InfeasibleEqCertificate:
+class InfeasibleEqCertificate(Record):
     """Signed integers m_i (plus a coefficient on the constant-one
     function) with  sum m_i * fn_i + constant >= 0  pointwise while
     sum m_i * bound_i + constant < 0."""

@@ -15,11 +15,11 @@ the grammar.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import ParseError
 from .lexer import Lexer
+from .record import Record
 from .structures import Signature
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -28,23 +28,19 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # --- Terms -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Elem:
+class Elem(Record):
     value: int
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class App:
+class App(Record):
     func: str
     args: tuple["Term", ...]
 
@@ -54,55 +50,46 @@ Term = Var | Elem | Const | App
 
 # --- Formulas ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Eq:
+class Eq(Record):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Rel:
+class Rel(Record):
     name: str
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(Record):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(Record):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
+class Forall(Record):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class TypeIs:
+class TypeIs(Record):
     """Semantic atom: the tuple of argument terms realizes type `type_id`."""
 
     space: "TypeSpace"

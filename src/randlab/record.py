@@ -1,0 +1,80 @@
+"""`Record`: immutable value classes with generated methods.
+
+A subclass lists its fields as class annotations, in order, and gives
+defaults as class attributes:
+
+    class Exists(Record):
+        var: str
+        body: Formula
+
+    class PhiContext(Record):
+        ...
+        w_vars: tuple[str, ...] = ()
+
+`__init_subclass__` generates `__init__`, `__eq__`, `__hash__` and
+`__repr__` once per class, in the form `@dataclass(frozen=True)` gives
+them: positional or keyword arguments with defaults, `==` only between
+instances of the same class, comparing and hashing the tuple of fields,
+and `Name(field=value, ...)` as the repr.  A `__post_init__` method runs
+at the end of `__init__`.  Assigning or deleting an attribute raises
+`AttributeError`.
+
+The methods are generated source, not loops over the fields, so they cost
+what the dataclass ones do, without importing `dataclasses` and `inspect`.
+"""
+
+from __future__ import annotations
+
+_set = object.__setattr__
+_makers: dict[tuple[tuple[str, ...], bool], object] = {}
+
+
+def _tuple(obj: str, names: tuple[str, ...]) -> str:
+    return "(" + "".join(f"{obj}.{n}," for n in names) + ")"
+
+
+def _maker(names: tuple[str, ...], post_init: bool):
+    """A function returning fresh `__init__`, `__eq__`, `__hash__` and
+    `__repr__` for these fields; compiled once per distinct field list."""
+    key = (names, post_init)
+    if key not in _makers:
+        sets = "".join(f"  _set(self, {n!r}, {n})\n" for n in names)
+        if post_init:
+            sets += "  self.__post_init__()\n"
+        shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+        mine, theirs = _tuple("self", names), _tuple("other", names)
+        src = (
+            "def make(_set):\n"
+            f" def __init__(self, {', '.join(names)}):\n{sets or '  pass'}\n"
+            " def __eq__(self, other):\n"
+            "  if other.__class__ is self.__class__:\n"
+            f"   return {mine} == {theirs}\n"
+            "  return NotImplemented\n"
+            " def __hash__(self):\n"
+            f"  return hash({mine})\n"
+            " def __repr__(self):\n"
+            f"  return self.__class__.__qualname__ + f'({shown})'\n"
+            " return __init__, __eq__, __hash__, __repr__\n"
+        )
+        namespace: dict = {}
+        exec(src, namespace)
+        _makers[key] = namespace["make"]
+    return _makers[key]
+
+
+class Record:
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        defaults = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
+        if any(n not in cls.__dict__ for n in names[len(names) - len(defaults):]):
+            raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+        init, eq, hash_, repr_ = _maker(names, hasattr(cls, "__post_init__"))(_set)
+        init.__defaults__ = defaults or None
+        cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = init, eq, hash_, repr_
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -12,7 +12,6 @@ construction used for saturation-style arguments.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -20,6 +19,7 @@ from .errors import ValidationError
 from .formulas import Formula
 from .measure import FinProbSpace, Point, frac
 from .randomization import Event, RandomElement, Randomization
+from .record import Record
 from .semantics import TypeId, TypeSpace, eval_formula, type_space
 
 
@@ -127,8 +127,7 @@ def rtype_of_over(
 
 # --- Base refinement ----------------------------------------------------------------
 
-@dataclass
-class Refinement:
+class Refinement(Record):
     """A refined randomization plus the projection onto the original base."""
 
     rand: Randomization
@@ -249,8 +248,7 @@ def d_metric(nu1: RMeasure, nu2: RMeasure) -> Fraction:
 
 # --- Conditional realization -----------------------------------------------------------
 
-@dataclass
-class CondRealizationSpec:
+class CondRealizationSpec(Record):
     """Per-cell type masses for a conditional realization.
 
     `params` is the conditioning tuple; its level sets are the cells, in
@@ -333,8 +331,7 @@ def simplex_measures(space: TypeSpace, max_denominator: int = 4) -> list[RMeasur
     return out
 
 
-@dataclass
-class CategoricityReport:
+class CategoricityReport(Record):
     sizes: dict[int, int]
     realized: dict[int, int]
     lines_: list[str]

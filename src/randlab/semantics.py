@@ -10,7 +10,6 @@ formulas are synthesised on demand and are not stored on the type.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DEFAULT_BUDGET, BudgetError, ValidationError
@@ -33,6 +32,7 @@ from .formulas import (
     conj,
     disj,
 )
+from .record import Record
 from .structures import FinStructure
 
 
@@ -191,8 +191,7 @@ def automorphisms(m: FinStructure, fix: frozenset[int] | set[int] = frozenset())
 
 # --- Type spaces --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TypeId:
+class TypeId(Record):
     """One orbit: canonical (lexicographically least) representative + index."""
 
     rep: tuple[int, ...]

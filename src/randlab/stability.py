@@ -17,7 +17,6 @@ construction, certified independently by linear feasibility.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -39,6 +38,7 @@ from .measure import (
     pair,
 )
 from .randomization import Randomization, RandomElement
+from .record import Record
 from .rtypes import RMeasure, rtype_of
 from .semantics import TypeId, TypeSpace, eval_formula, isolating_formula, type_space
 from .structures import FinStructure
@@ -46,8 +46,7 @@ from .structures import FinStructure
 NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class PhiContext:
+class PhiContext(Record):
     """A formula with designated variable groups x, y and parameters w.
 
     `w_values` instantiates the parameter variables for the operations
@@ -124,8 +123,7 @@ def ladder_length(ctx: PhiContext, bound: int) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class PhiType:
+class PhiType(Record):
     """A realized global phi-type, identified with its trace."""
 
     trace: frozenset[tuple[int, ...]]
@@ -473,8 +471,7 @@ def certify_nonforking(
 
 # --- Independence ------------------------------------------------------------------
 
-@dataclass
-class IndependenceVerdict:
+class IndependenceVerdict(Record):
     independent: bool
     witness: Formula | None = None
     lhs: Fraction | None = None

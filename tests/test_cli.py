@@ -312,3 +312,24 @@ def test_rho_type_outside_the_space_exits_validation(ws_file):
 def test_check_without_a_needed_option_exits_parse(ws_file, argv, message):
     code, out, err = run("--workspace", ws_file, *argv)
     assert (code, out) == (3, "") and message in err
+
+
+def test_negative_decimal_exits_parse(ws_file):
+    argv = ["--workspace", ws_file, "--decimal", "-1", "eval", "--rand", "r1",
+            "--cformula", "mu[[ x = x ]]", "--bind", "x=f"]
+    code, out, err = run(*argv)
+    assert (code, out) == (3, "") and "--decimal must be at least 0, got -1" in err
+    argv[3] = "0"
+    assert run(*argv)[:2] == (0, "1/1 (1)\n")
+
+
+def test_uncaught_error_exits_internal(ws_file, monkeypatch):
+    import randlab.cli
+
+    def broken(args, ws):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(randlab.cli, "cmd_types", broken)
+    code, out, err = run("--workspace", ws_file, "types", "--structure", "c3")
+    assert (code, out) == (5, "")
+    assert err == "internal error: KeyError: 'lost'\n"

@@ -1,0 +1,206 @@
+"""The `Record` contract, checked against `@dataclass(frozen=True)` twins.
+
+Every Record class in randlab gets a test-local twin that `dataclasses`
+builds from the same field list and defaults.  Random formula and
+cformula trees must print, compare and hash exactly as their twins do, so
+sets of nodes iterate in the same order as when the nodes were
+dataclasses.  The runs are derandomized.
+"""
+
+import dataclasses
+import os
+import subprocess
+import sys
+import typing
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import randlab
+from randlab import axioms, cformulas, extension, formulas, rtypes, semantics, stability
+from randlab.record import Record
+from randlab.structures import pure_set
+
+RECORDS = {
+    c
+    for m in (formulas, cformulas, semantics, stability, rtypes, extension, axioms)
+    for c in vars(m).values()
+    if isinstance(c, type) and issubclass(c, Record) and c is not Record
+}
+
+
+def _twin_class(cls):
+    fields = [
+        (n, object, dataclasses.field(default=vars(cls)[n])) if n in vars(cls) else (n, object)
+        for n in cls.__annotations__
+    ]
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+
+
+TWINS = {cls: _twin_class(cls) for cls in RECORDS}
+
+
+def twin(x):
+    if isinstance(x, Record):
+        return TWINS[type(x)](*(twin(getattr(x, n)) for n in type(x).__annotations__))
+    if isinstance(x, tuple):
+        return tuple(twin(v) for v in x)
+    return x
+
+
+def rebuild(x):
+    """A fresh copy of a tree, built with keyword arguments."""
+    if isinstance(x, Record):
+        return type(x)(**{n: rebuild(getattr(x, n)) for n in type(x).__annotations__})
+    if isinstance(x, tuple):
+        return tuple(rebuild(v) for v in x)
+    return x
+
+
+def nodes(x):
+    if isinstance(x, Record):
+        yield x
+        for n in type(x).__annotations__:
+            yield from nodes(getattr(x, n))
+    elif isinstance(x, tuple):
+        for v in x:
+            yield from nodes(v)
+
+
+# --- Random trees, drawn from the field annotations --------------------------------
+
+def _base(annotation: str) -> tuple[str, bool]:
+    """('Term', True) for `tuple["Term", ...]`, ('Formula', False) for `"Formula"`."""
+    name = annotation.replace('"', "").replace("'", "")
+    if name.startswith("tuple["):
+        return name[len("tuple["):].split(",")[0].strip(), True
+    return name, False
+
+
+def _field(annotation: str, kinds: dict):
+    name, many = _base(annotation)
+    return st.lists(kinds[name], max_size=3).map(tuple) if many else kinds[name]
+
+
+def _builds(classes, kinds: dict):
+    return st.one_of(
+        [st.builds(c, *(_field(a, kinds) for a in c.__annotations__.values())) for c in classes]
+    )
+
+
+def _kinds() -> dict:
+    kinds = {
+        "str": st.sampled_from(["x", "y", "E"]),
+        "int": st.integers(0, 2),
+        "Fraction": st.fractions(0, 1, max_denominator=3),
+        "TypeSpace": st.sampled_from([semantics.type_space(pure_set(2), n, ()) for n in (1, 2)]),
+    }
+    for name, union in (
+        ("TypeId", semantics.TypeId),
+        ("Term", formulas.Term),
+        ("Formula", formulas.Formula),
+        ("EventTerm", cformulas.EventTerm),
+        ("CFormula", cformulas.CFormula),
+    ):
+        classes = typing.get_args(union) or (union,)
+        leaves = [
+            c for c in classes
+            if all(_base(a)[0] != name for a in c.__annotations__.values())
+        ]
+        kinds[name] = st.recursive(
+            _builds(leaves, kinds),
+            lambda children, name=name, classes=classes: _builds(classes, {**kinds, name: children}),
+            max_leaves=6,
+        )
+    return kinds
+
+
+KINDS = _kinds()
+TREES = st.one_of(KINDS["Formula"], KINDS["CFormula"])
+ORACLE = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def test_every_record_class_has_a_twin():
+    assert len(RECORDS) == 45
+    assert formulas.And in RECORDS and axioms.AxiomReport in RECORDS
+
+
+@ORACLE
+@given(TREES, TREES)
+def test_trees_print_compare_and_hash_as_dataclasses(a, b):
+    ta, tb = twin(a), twin(b)
+    assert repr(a) == repr(ta)
+    assert hash(a) == hash(ta)
+    assert (a == b) == (ta == tb) and (a != b) == (ta != tb)
+    copy = rebuild(a)
+    assert copy is not a and copy == a and hash(copy) == hash(a)
+    both = [*nodes(a), *nodes(b)]
+    assert [repr(n) for n in set(both)] == [repr(t) for t in set(map(twin, both))]
+
+
+def test_keywords_and_defaults_as_dataclasses(m2):
+    phi = formulas.Eq(formulas.Var("x"), formulas.Var("y"))
+    cases = [
+        (stability.PhiContext, (m2, phi, ("x",), ("y",)), {}),
+        (stability.PhiContext, (m2, phi), {"y_vars": ("y",), "x_vars": ("x",), "w_values": None}),
+        (stability.IndependenceVerdict, (True,), {}),
+        (stability.IndependenceVerdict, (), {"independent": False, "checked": 3}),
+        (extension.InfeasibleEqCertificate, ([1, -1],), {}),
+        (extension.InfeasibleEqCertificate, (), {"constant": -1, "multipliers": [2]}),
+        (extension.InfeasibleIneqCertificate, ([2, 2], 2), {}),
+        (formulas.And, (), {"right": phi, "left": phi}),
+        (cformulas.EvTop, (), {}),
+    ]
+    for cls, args, kwargs in cases:
+        got, want = cls(*args, **kwargs), TWINS[cls](*args, **kwargs)
+        assert repr(got) == repr(want)
+        assert [getattr(got, n) for n in cls.__annotations__] == [
+            getattr(want, n) for n in cls.__annotations__
+        ]
+    assert repr(extension.InfeasibleIneqCertificate([2, 2], 2)) == (
+        "InfeasibleIneqCertificate(multipliers=[2, 2], n=2)"
+    )
+    assert stability.PhiContext(m2, phi, ("x",), ("y",)).w_vars == ()
+    for bad in (lambda: formulas.Var(), lambda: formulas.Var("x", "y"), lambda: formulas.Var(nom="x")):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_post_init_still_validates(m2):
+    with pytest.raises(randlab.ValidationError):
+        stability.PhiContext(m2, formulas.Eq(formulas.Var("x"), formulas.Var("x")), ("x",), ("x",))
+
+
+def test_equal_fields_of_different_classes_differ():
+    var, const, name = formulas.Var("x"), formulas.Const("x"), cformulas.EvName("x")
+    assert var != const and not var == const
+    assert var.__eq__(const) is NotImplemented
+    assert hash(var) == hash(const) == hash(name) == hash(("x",))
+    assert len({var, const, name, formulas.Var("x")}) == 3
+
+
+def test_fields_cannot_be_assigned_or_deleted():
+    var = formulas.Var("x")
+    report = axioms.AxiomReport([axioms.AxiomVerdict("event", True)], Fraction(0))
+    with pytest.raises(AttributeError):
+        var.name = "y"
+    with pytest.raises(AttributeError):
+        del var.name
+    with pytest.raises(AttributeError):
+        var.other = 1
+    with pytest.raises(AttributeError):
+        report.atomless_defect = Fraction(1)
+    assert var.name == "x" and report.atomless_defect == 0
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    src = str(Path(randlab.__file__).resolve().parents[1])
+    code = "import sys, randlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "[]\n"
