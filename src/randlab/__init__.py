@@ -84,6 +84,7 @@ from .stability import (
     nonforking_extension,
     phi_type_space,
     rho,
+    rho_by_multiplicity,
     rho_hat,
 )
 from .workspace import Workspace, load_workspace, save_workspace

@@ -51,6 +51,8 @@ from .randomization import (
 from .record import Record
 from .structures import Signature
 
+AXIOM_SEED = 2024  # seeds the element pool and the bindings of check_axioms
+ATOMLESS_HARD_LIMIT = 12  # largest non-uniform base whose 2^n events are searched
 EXACT_GROUPS = (
     "validity",
     "boolean",
@@ -232,7 +234,7 @@ def _bindings_for(
 
 # --- Atomless defect --------------------------------------------------------------
 
-def atomless_defect(rand: Randomization, hard_limit: int = 12) -> Fraction:
+def atomless_defect(rand: Randomization) -> Fraction:
     """max over events U of the distance from mu(U)/2 to the masses of
     subevents of U.  Closed form for uniform bases; exhaustive otherwise."""
     weights = [rand.base.weight[p] for p in rand.base.points]
@@ -241,7 +243,7 @@ def atomless_defect(rand: Randomization, hard_limit: int = 12) -> Fraction:
         # all subset masses are multiples of the atom; odd-sized events
         # (always present) miss their half by exactly half an atom
         return weights[0] / 2
-    if n > hard_limit:
+    if n > ATOMLESS_HARD_LIMIT:
         raise BudgetError("atomless defect on a large non-uniform base", 2**n)
     worst = Fraction(0)
     for mask in range(1, 2**n):
@@ -257,15 +259,11 @@ def atomless_defect(rand: Randomization, hard_limit: int = 12) -> Fraction:
 
 # --- The checker -------------------------------------------------------------------
 
-def check_axioms(
-    rand: Randomization,
-    corpus: list[Formula] | None = None,
-    seed: int = 2024,
-) -> AxiomReport:
+def check_axioms(rand: Randomization) -> AxiomReport:
     sig = rand.signature
-    corpus = corpus if corpus is not None else default_formula_corpus(sig)
-    rng = random.Random(seed)
-    pool = sample_elements(rand, 6, seed=seed)
+    corpus = default_formula_corpus(sig)
+    rng = random.Random(AXIOM_SEED)
+    pool = sample_elements(rand, 6, seed=AXIOM_SEED)
     verdicts: list[AxiomVerdict] = []
     top = rand.full_event()
 

@@ -10,7 +10,7 @@ witnesses (see `extension`), which are simplex points, not sample spaces.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 from .errors import ValidationError
 
@@ -61,10 +61,6 @@ class FinProbSpace:
     def __hash__(self):
         return hash(self._key_cache)
 
-    def same_distribution(self, other: "FinProbSpace") -> bool:
-        """Equality as measures: same weight function, point order ignored."""
-        return self.weight == other.weight
-
     def __repr__(self):
         inner = ", ".join(f"{p!r}: {w}" for p, w in self.weight.items())
         return f"FinProbSpace({{{inner}}})"
@@ -92,12 +88,6 @@ class MeasurableMap:
     def __call__(self, p: Point) -> Point:
         return self.mapping[p]
 
-    @classmethod
-    def from_function(
-        cls, domain: tuple[Point, ...], codomain: tuple[Point, ...], fn: Callable[[Point], Point]
-    ) -> "MeasurableMap":
-        return cls(domain, codomain, {p: fn(p) for p in domain})
-
 
 class RationalFn:
     """Total rational-valued function on a finite ground set."""
@@ -119,12 +109,6 @@ class RationalFn:
     @classmethod
     def constant(cls, domain: tuple[Point, ...], c) -> "RationalFn":
         return cls(domain, {p: frac(c) for p in domain})
-
-    def check_unit_range(self) -> "RationalFn":
-        for p, v in self.values.items():
-            if not 0 <= v <= 1:
-                raise ValidationError(f"value {v} at {p!r} outside [0, 1]")
-        return self
 
     def __eq__(self, other):
         return (
@@ -151,9 +135,6 @@ class FiberSpace:
             for y in pi_y.domain
             if pi_x(x) == pi_y(y)
         )
-
-    def base_of(self, pt: tuple[Point, Point]) -> Point:
-        return self.pi_x(pt[0])
 
     def proj_x(self) -> MeasurableMap:
         return MeasurableMap(self.points, self.pi_x.domain, {p: p[0] for p in self.points})

@@ -22,6 +22,9 @@ from .randomization import Event, RandomElement, Randomization
 from .record import Record
 from .semantics import TypeId, TypeSpace, eval_formula, type_space
 
+BATTERY_DENOMINATOR = 4  # realize-battery measures have denominators up to this
+BATTERY_SPACE_LIMIT = 4  # the battery runs on type spaces of at most this many types
+
 
 class RMeasure:
     """Rational probability weights on a classical type space (zeros allowed)."""
@@ -136,12 +139,6 @@ class Refinement(Record):
     def lift(self, f: RandomElement) -> RandomElement:
         return RandomElement(
             self.rand.base, {p: f(self.projection[p]) for p in self.rand.base.points}
-        )
-
-    def lift_event(self, e: Event) -> Event:
-        e = set(e)
-        return frozenset(
-            p for p in self.rand.base.points if self.projection[p] in e
         )
 
 
@@ -343,9 +340,7 @@ class CategoricityReport(Record):
         return all(line.startswith("PASS") for line in self.lines_)
 
 
-def check_omega_categoricity(
-    structure, n_max: int, max_denominator: int = 4, battery_space_limit: int = 4
-) -> CategoricityReport:
+def check_omega_categoricity(structure, n_max: int) -> CategoricityReport:
     """Report type-space sizes and run the realize-a-measure battery.
 
     Every type space of a finite structure is finite and every battery
@@ -362,10 +357,10 @@ def check_omega_categoricity(
         space = type_space(structure, n, ())
         sizes[n] = len(space)
         lines.append(f"PASS type-space-size n={n} |S_{n}|={len(space)} (finite)")
-        if len(space) > battery_space_limit:
+        if len(space) > BATTERY_SPACE_LIMIT:
             continue
         count = 0
-        for nu in simplex_measures(space, max_denominator):
+        for nu in simplex_measures(space, BATTERY_DENOMINATOR):
             refined, elements = realize(rand, nu)
             back = rtype_of_over(refined.rand, elements, space)
             if back != nu:

@@ -44,6 +44,7 @@ from .semantics import TypeId, TypeSpace, eval_formula, isolating_formula, type_
 from .structures import FinStructure
 
 NEG_INF = float("-inf")
+MAX_INVARIANT_FORMULAS = 4096  # cap on the orbit-union fragment of independence
 
 
 class PhiContext(Record):
@@ -191,7 +192,7 @@ def _isolated_solutions(
     """The solutions over M^|x| of p's isolating formula, renamed to x_vars.
 
     Found by evaluating the formula, not read from the orbit, so that
-    route 2 of `rho` stays independent of route 1.  Only the tuples are
+    `rho_by_multiplicity` stays independent of `rho`.  Only the tuples are
     cached: formulas are large and each is needed once per type.
     """
     m = p_space.structure
@@ -206,22 +207,11 @@ def _isolated_solutions(
     )
 
 
-def rho(
-    ctx: PhiContext,
-    p_space: TypeSpace,
-    p: TypeId,
-    b,
-) -> Fraction:
-    """Probability that a random nonforking extension of p satisfies the
-    phi-instance at b.
-
-    Computed two independent ways and asserted equal: the fraction of
-    traces of p's orbit containing b, and the ratio of multiplicities of
-    (isolating formula of p) & phi(x, b) over the isolating formula alone.
-    Route 2 builds one isolating formula per type and reuses its solutions
-    for every b; the instance phi(x, b) is evaluated afresh on each call.
-    `b` is an element, a tuple, or a TypeId over the same parameters.
-    """
+def _rho_inputs(
+    ctx: PhiContext, p_space: TypeSpace, b
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The instantiated parameters w and the tuple b of a rho instance,
+    validated against the context and the type space."""
     m = ctx.structure
     if p_space.structure != m:
         raise ValidationError("type space belongs to a different structure")
@@ -240,14 +230,42 @@ def rho(
         b_tuple = tuple(b)
     if len(b_tuple) != len(ctx.y_vars):
         raise ValidationError("b must match the y variable group")
+    return w, b_tuple
 
-    # route 1: traces over the orbit of p
-    orbit = p_space.orbit(p)
-    traces = {_trace(ctx, a, w) for a in orbit}
+
+def rho(
+    ctx: PhiContext,
+    p_space: TypeSpace,
+    p: TypeId,
+    b,
+) -> Fraction:
+    """Probability that a random nonforking extension of p satisfies the
+    phi-instance at b: the fraction of traces of p's orbit containing b.
+
+    `b` is an element, a tuple, or a TypeId over the same parameters.
+    `rho_by_multiplicity` computes the same value independently.
+    """
+    w, b_tuple = _rho_inputs(ctx, p_space, b)
+    traces = {_trace(ctx, a, w) for a in p_space.orbit(p)}
     hits = sum(1 for t in traces if b_tuple in t)
-    value = Fraction(hits, len(traces))
+    return Fraction(hits, len(traces))
 
-    # route 2: multiplicity ratio through the isolating formula
+
+def rho_by_multiplicity(
+    ctx: PhiContext,
+    p_space: TypeSpace,
+    p: TypeId,
+    b,
+) -> Fraction:
+    """rho as the ratio of multiplicities of (isolating formula of p) &
+    phi(x, b) over the isolating formula alone.
+
+    An independent check on `rho`, used by `randlab check stability`. It
+    builds one isolating formula per type and reuses its solutions for
+    every b; the instance phi(x, b) is evaluated afresh on each call.
+    """
+    w, b_tuple = _rho_inputs(ctx, p_space, b)
+    m = ctx.structure
     solutions = _isolated_solutions(p_space, p, ctx.x_vars)
     inst = substitute(
         ctx.phi,
@@ -262,12 +280,7 @@ def rho(
         (a for a in solutions if eval_formula(m, inst, dict(zip(ctx.x_vars, a)))),
         w,
     )
-    ratio = Fraction(m_inst, m_base)
-    if ratio != value:
-        raise AssertionError(
-            f"trace-fraction {value} and multiplicity ratio {ratio} disagree"
-        )
-    return value
+    return Fraction(m_inst, m_base)
 
 
 # --- Type-space plumbing for the measure level --------------------------------------
@@ -484,7 +497,6 @@ def invariant_subset_formulas(
     x_vars: tuple[str, ...],
     y_vars: tuple[str, ...],
     w_vars: tuple[str, ...],
-    max_formulas: int = 4096,
 ) -> list[tuple[Formula, frozenset[int]]]:
     """Every semantically distinct formula in the given variable groups.
 
@@ -496,7 +508,7 @@ def invariant_subset_formulas(
     k = len(x_vars) + len(y_vars) + len(w_vars)
     ambient = type_space(m, k, ())
     orbits = list(ambient.types)
-    if 2 ** len(orbits) > max_formulas:
+    if 2 ** len(orbits) > MAX_INVARIANT_FORMULAS:
         raise BudgetError("invariant-subset fragment too large", 2 ** len(orbits))
     arg_terms = tuple(Var(v) for v in tuple(x_vars) + tuple(y_vars) + tuple(w_vars))
     from .formulas import Eq, Not
@@ -519,7 +531,6 @@ def check_independence(
     c: Sequence[RandomElement],
     b: Sequence[RandomElement],
     params: Sequence[RandomElement],
-    max_formulas: int = 4096,
 ) -> IndependenceVerdict:
     """Decide whether c and b are independent over the parameters.
 
@@ -546,9 +557,7 @@ def check_independence(
     p_meas = rtype_of(rand, c, params)
     q_meas = rtype_of(rand, b, params)
     checked = 0
-    for phi, orbit_set in invariant_subset_formulas(
-        m, x_vars, y_vars, w_vars, max_formulas
-    ):
+    for phi, orbit_set in invariant_subset_formulas(m, x_vars, y_vars, w_vars):
         lhs = Fraction(0)
         for w in rand.base.points:
             tup = tuple(f(w) for f in c) + tuple(g(w) for g in b) + tuple(

@@ -41,6 +41,7 @@ from randlab import (
     parse_formula,
     pure_set,
     rho,
+    rho_by_multiplicity,
     rho_hat,
     rtype_of,
     rtype_of_over,
@@ -317,8 +318,8 @@ def test_criterion_07_rho_consistency():
                 space = type_space(st, 1, params)
                 for p in space.types:
                     for b in st.elements:
-                        # rho raises internally when the two routes disagree
                         value = rho(ctx, space, p, b)
+                        assert value == rho_by_multiplicity(ctx, space, p, b)
                         assert 0 <= value <= 1
             # automorphism invariance on conjugated configurations
             for sigma in automorphisms(st):

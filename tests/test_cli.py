@@ -333,3 +333,21 @@ def test_uncaught_error_exits_internal(ws_file, monkeypatch):
     code, out, err = run("--workspace", ws_file, "types", "--structure", "c3")
     assert (code, out) == (5, "")
     assert err == "internal error: KeyError: 'lost'\n"
+
+
+@pytest.mark.parametrize("bind", ["x=f,x=g", "x=g,x=f"])
+def test_variable_bound_twice_exits_parse(ws_file, bind):
+    code, out, err = run(
+        "--workspace", ws_file, "eval", "--rand", "r1",
+        "--cformula", "mu[[ x = #0 ]]", "--bind", bind,
+    )
+    assert (code, out) == (3, "") and "variable 'x' is bound twice" in err
+
+
+def test_check_samples_flag_is_rejected(ws_file):
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["--workspace", ws_file, "check", "types", "--structure", "c3",
+              "--samples", "24"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --samples 24" in err.getvalue()

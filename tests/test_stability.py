@@ -19,6 +19,7 @@ from randlab import (
     parse_formula,
     phi_type_space,
     rho,
+    rho_by_multiplicity,
     rho_hat,
     rtype_of,
     type_space,
@@ -102,8 +103,6 @@ def _phi_corpus(st):
 
 @pytest.mark.parametrize("name", ["m2", "m4", "c3", "c5", "l3"])
 def test_rho_two_routes_agree_everywhere(name, request):
-    # rho raises internally when the trace-fraction and multiplicity-ratio
-    # computations disagree, so running it over the battery is the assertion
     st = request.getfixturevalue(name)
     for phi in _phi_corpus(st):
         for params in [(), (0,)]:
@@ -112,6 +111,7 @@ def test_rho_two_routes_agree_everywhere(name, request):
             for p in space.types:
                 for b in st.elements:
                     value = rho(ctx, space, p, b)
+                    assert value == rho_by_multiplicity(ctx, space, p, b)
                     assert 0 <= value <= 1
 
 
@@ -130,7 +130,7 @@ def test_isolated_solutions_are_the_extension(name, request):
 
 @pytest.fixture()
 def wrong_isolating_formula(monkeypatch):
-    """Route 2 of rho fed the isolating formula of the next type."""
+    """rho_by_multiplicity fed the isolating formula of the next type."""
 
     def wrong(space, q):
         return isolating_formula(space, space.types[(q.index + 1) % len(space)])
@@ -144,8 +144,9 @@ def wrong_isolating_formula(monkeypatch):
 def test_rho_route_check_is_live(l3, wrong_isolating_formula):
     ctx = ctx_of(l3, "Lt(x, y)")
     space = type_space(l3, 1, ())
-    with pytest.raises(AssertionError, match="disagree"):
-        rho(ctx, space, space.types[0], 1)
+    p = space.types[0]
+    assert rho(ctx, space, p, 1) == 1
+    assert rho_by_multiplicity(ctx, space, p, 1) == 0
 
 
 def test_check_stability_reports_a_route_mismatch(tmp_path, wrong_isolating_formula):
@@ -158,6 +159,42 @@ def test_check_stability_reports_a_route_mismatch(tmp_path, wrong_isolating_form
             "--phi", "Lt(x, y)",
         ])
     assert (code, out.getvalue()) == (1, "FAIL rho-consistency Lt(x, y)\n")
+
+
+def _production_values(l3, coin_rand):
+    ctx = ctx_of(l3, "Lt(x, y)")
+    space = type_space(l3, 1, (1,))
+    rhos = [rho(ctx, space, p, b) for p in space.types for b in l3.elements]
+    rand = Randomization.constant(l3, FinProbSpace.uniform(l3.size))
+    c = rand.element(list(l3.elements))
+    b = RandomElement.constant(rand.base, 0)
+    wctx = ctx_of(l3, "Lt(x, y)", ("w",))
+    p, q = rtype_of(rand, [c], [b]), rtype_of(rand, [b], [b])
+    prob, cert = certify_nonforking(wctx, p, q)
+    f = coin_rand.element([0, 1])
+    a = RandomElement.constant(coin_rand.base, 0)
+    return (
+        rhos,
+        rho_hat(wctx, p, q),
+        prob.constraints,
+        cert,
+        check_independence(coin_rand, [f], [f], []),
+        check_independence(coin_rand, [f], [a], [a]),
+    )
+
+
+def test_production_paths_build_no_isolating_formula(l3, coin_rand, monkeypatch):
+    want = _production_values(l3, coin_rand)
+
+    def refuse(space, q):
+        raise AssertionError("a production path built an isolating formula")
+
+    monkeypatch.setattr(randlab.stability, "isolating_formula", refuse)
+    _isolated_solutions.cache_clear()
+    try:
+        assert _production_values(l3, coin_rand) == want
+    finally:
+        _isolated_solutions.cache_clear()
 
 
 def test_rho_automorphism_invariance(c3, m4):
