@@ -1,13 +1,19 @@
 """Axiom checking for randomizations, with shipped formula corpora.
 
 The exact axiom groups (validity, boolean, distance, fullness, event,
-measure, transfer) are decided by exact rational identities.  Validity
-ranges over all logically valid sentences, which has no finite
-presentation, so it is checked against a corpus of tautologies and the
-report says so; this is a deliberate under-approximation.  The event
-group is decided exactly on every base with two witnesses instead of
-2^|Omega|: witnesses and [[x = y]] are read point by point, so the full
-and the empty event test every point both inside and outside an event.
+measure, transfer) are decided by exact rational identities, without
+random draws.  Validity ranges over all logically valid sentences, which
+has no finite presentation, so it is checked against a corpus of
+tautologies and the report says so; this is a deliberate
+under-approximation.  The premise: event_of and fullness_witness read a
+point w only through family[w] and the bound values at w, and d_K(f, g)
+sums p_w over the points where f(w) != g(w).  So bindings that meet every
+(fibre, valuation) pair at some point (_covering_bindings; each pair at
+one point only) decide validity and fullness for all bindings; the
+boolean connectives still take one covering binding per corpus pair.
+Tuples of the full and the empty event decide the lattice, d_B and
+modular laws, elements with one equality pattern at every point the d_K
+laws, and two witnesses the event group instead of 2^|Omega|.
 Atomlessness cannot hold on a finite space: the checker reports the
 exact defect
   max_U min_V |mu(U /\\ V) - mu(U)/2|
@@ -18,9 +24,10 @@ refinement).
 
 from __future__ import annotations
 
+import functools
 import itertools
-import random
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import BudgetError
 from .formulas import (
@@ -38,6 +45,7 @@ from .formulas import (
     free_vars,
     substitute,
 )
+from .measure import Point
 from .randomization import (
     Randomization,
     RandomElement,
@@ -49,9 +57,8 @@ from .randomization import (
     mu,
 )
 from .record import Record
-from .structures import Signature
+from .structures import FinStructure, Signature
 
-AXIOM_SEED = 2024  # seeds the element pool and the bindings of check_axioms
 ATOMLESS_HARD_LIMIT = 12  # largest non-uniform base whose 2^n events are searched
 EXACT_GROUPS = (
     "validity",
@@ -82,11 +89,11 @@ def _base_atoms(sig: Signature) -> list[Formula]:
     return atoms
 
 
-def default_formula_corpus(sig: Signature, minimum: int = 40) -> list[Formula]:
+def default_formula_corpus(sig: Signature) -> list[Formula]:
     """A deterministic corpus of first-order formulas over the signature.
 
     Free variables are drawn from {x, y, z}; depth grows until the corpus
-    reaches the requested size.
+    holds at least 40 formulas.
     """
     atoms = _base_atoms(sig)
     corpus: list[Formula] = []
@@ -98,13 +105,12 @@ def default_formula_corpus(sig: Signature, minimum: int = 40) -> list[Formula]:
             seen.add(key)
             corpus.append(phi)
 
-    cap = max(minimum + 20, 64)
     for a in atoms:
         push(a)
     for a in atoms:
         push(Not(a))
     for a, b in itertools.combinations(atoms, 2):
-        if len(corpus) >= cap:
+        if len(corpus) >= 64:
             break
         push(And(a, b))
         push(Or(a, b))
@@ -118,14 +124,14 @@ def default_formula_corpus(sig: Signature, minimum: int = 40) -> list[Formula]:
         push(Exists("z", And(a, Not(Eq(Var("z"), Var("x"))))))
         push(Forall("z", Or(a, Eq(Var("z"), Var("x")))))
     for a, b in itertools.combinations(atoms, 2):
-        if len(corpus) >= max(minimum, 60):
+        if len(corpus) >= 60:
             break
         push(Not(And(a, Not(b))))
         push(Or(Not(a), And(a, b)))
-    if len(corpus) < minimum:
+    if len(corpus) < 40:
         for a, b, c in itertools.combinations(atoms, 3):
             push(And(a, Or(b, c)))
-            if len(corpus) >= minimum:
+            if len(corpus) >= 40:
                 break
     return corpus
 
@@ -161,10 +167,10 @@ def tautology_corpus(sig: Signature) -> list[Formula]:
     return out
 
 
-def sentence_corpus(sig: Signature, limit: int = 12) -> list[Formula]:
+def sentence_corpus(sig: Signature) -> list[Formula]:
     """Sentences (universal closures of corpus formulas) for transfer checks."""
     out = []
-    for phi in default_formula_corpus(sig)[:limit]:
+    for phi in default_formula_corpus(sig)[:12]:
         closed = phi
         for v in sorted(free_vars(phi), reverse=True):
             closed = Forall(v, closed)
@@ -207,29 +213,35 @@ class AxiomReport(Record):
         ]
 
 
-# --- Element sampling ------------------------------------------------------------
+# --- Covering bindings ------------------------------------------------------------
 
-def sample_elements(
-    rand: Randomization, count: int, seed: int = 2024
-) -> list[RandomElement]:
-    """Deterministic pool of random elements: constants first, then seeded draws."""
-    rng = random.Random(seed)
-    min_size = min(m.size for m in rand.family.values())
-    pool = [RandomElement.constant(rand.base, a) for a in range(min(2, min_size))]
-    while len(pool) < count:
-        values = {w: rng.randrange(rand.family[w].size) for w in rand.base.points}
-        pool.append(RandomElement(rand.base, values))
-    return pool[:count]
-
-
-def _bindings_for(
-    phi: Formula, pool: list[RandomElement], rng: random.Random, count: int
+def _covering_bindings(
+    rand: Randomization, variables: Iterable[str]
 ) -> list[dict[str, RandomElement]]:
-    fv = sorted(free_vars(phi))
-    out = []
-    for _ in range(count):
-        out.append({v: rng.choice(pool) for v in fv})
-    return out
+    """Bindings under which every (fibre, valuation) pair occurs at a point.
+
+    The points sharing a fibre M split its |M|^k valuations of the k
+    variables between them, so there are max over fibre classes C of
+    ceil(|M_C|^k / |C|) bindings; a class with more (binding, point)
+    slots than valuations starts over at its first valuation.
+    """
+    variables = sorted(variables)
+    k = len(variables)
+    classes: dict[FinStructure, list[Point]] = {}
+    for w in rand.base.points:
+        classes.setdefault(rand.family[w], []).append(w)
+    count = max(-(-m.size**k // len(ws)) for m, ws in classes.items())
+    values = [[{} for _ in variables] for _ in range(count)]  # [binding][variable][point]
+    for m, ws in classes.items():
+        valuations = list(itertools.product(m.elements, repeat=k))
+        for t in range(count):
+            for j, w in enumerate(ws):
+                for i, a in enumerate(valuations[(t * len(ws) + j) % len(valuations)]):
+                    values[t][i][w] = a
+    return [
+        {v: RandomElement(rand.base, vals) for v, vals in zip(variables, per_variable)}
+        for per_variable in values
+    ]
 
 
 # --- Atomless defect --------------------------------------------------------------
@@ -262,18 +274,17 @@ def atomless_defect(rand: Randomization) -> Fraction:
 def check_axioms(rand: Randomization) -> AxiomReport:
     sig = rand.signature
     corpus = default_formula_corpus(sig)
-    rng = random.Random(AXIOM_SEED)
-    pool = sample_elements(rand, 6, seed=AXIOM_SEED)
     verdicts: list[AxiomVerdict] = []
     top = rand.full_event()
+    # tuples of these events put every point in every membership pattern
+    corners = (top, frozenset())
+    covering = functools.cache(functools.partial(_covering_bindings, rand))
 
     # Validity: tautologies evaluate to the sure event under any binding.
     failures = []
     for phi in tautology_corpus(sig):
-        for binding in _bindings_for(phi, pool, rng, 3):
-            if event_of(rand, phi, binding) != top:
-                failures.append(format_formula(phi))
-                break
+        if any(event_of(rand, phi, b) != top for b in covering(free_vars(phi))):
+            failures.append(format_formula(phi))
     verdicts.append(
         AxiomVerdict(
             "validity",
@@ -285,9 +296,9 @@ def check_axioms(rand: Randomization) -> AxiomReport:
     # Boolean: connectives on events, plus lattice laws for the event sort.
     ok = True
     detail = ""
-    for phi, psi in zip(corpus, corpus[1:] + corpus[:1]):
-        joint_vars = sorted(free_vars(phi) | free_vars(psi))
-        binding = {v: pool[i % len(pool)] for i, v in enumerate(joint_vars)}
+    for i, (phi, psi) in enumerate(zip(corpus, corpus[1:] + corpus[:1])):
+        cover = covering(free_vars(phi) | free_vars(psi))
+        binding = cover[i % len(cover)]
         e_phi = event_of(rand, phi, binding)
         e_psi = event_of(rand, psi, binding)
         checks = [
@@ -300,11 +311,7 @@ def check_axioms(rand: Randomization) -> AxiomReport:
             detail = f"connective identity failed for {format_formula(phi)}"
             break
     if ok:
-        pts = list(rand.base.points)
-        for _ in range(32):
-            u = frozenset(p for p in pts if rng.random() < 0.5)
-            v = frozenset(p for p in pts if rng.random() < 0.5)
-            w = frozenset(p for p in pts if rng.random() < 0.5)
+        for u, v, w in itertools.product(corners, repeat=3):
             laws = [
                 u | v == v | u,
                 u & v == v & u,
@@ -318,28 +325,29 @@ def check_axioms(rand: Randomization) -> AxiomReport:
                 break
     verdicts.append(AxiomVerdict("boolean", ok, detail))
 
-    # Distance: the two defining identities plus pseudo-metric laws.
+    # Distance: the two defining identities plus pseudo-metric laws.  d_K
+    # reads each point only through which values agree there, so elements
+    # with one equality pattern at every point cover all the patterns.
     ok = True
     detail = ""
     eq_xy = Eq(Var("x"), Var("y"))
-    for f in pool:
-        for g in pool:
-            lhs = d_k(rand, f, g)
-            rhs = 1 - mu(rand, event_of(rand, eq_xy, {"x": f, "y": g}))
-            if lhs != rhs or lhs != d_k(rand, g, f):
-                ok = False
-                detail = "d_K identity failed"
-    for _ in range(16):
-        pts = list(rand.base.points)
-        u = frozenset(p for p in pts if rng.random() < 0.5)
-        v = frozenset(p for p in pts if rng.random() < 0.5)
-        w = frozenset(p for p in pts if rng.random() < 0.5)
+    zero, one = (RandomElement.constant(rand.base, a) for a in (0, 1))
+    # all distinct where the universe has a third element, else like (1, 0, 0)
+    two = RandomElement(rand.base, {w: min(2, m.size - 1) for w, m in rand.family.items()})
+    for f, g in itertools.product((zero, one), repeat=2):
+        lhs = d_k(rand, f, g)
+        rhs = 1 - mu(rand, event_of(rand, eq_xy, {"x": f, "y": g}))
+        if lhs != rhs or lhs != d_k(rand, g, f):
+            ok = False
+            detail = "d_K identity failed"
+    for u, v, w in itertools.product(corners, repeat=3):
         if d_b(rand, u, v) != mu(rand, u ^ v) or d_b(rand, u, w) > d_b(
             rand, u, v
         ) + d_b(rand, v, w):
             ok = False
             detail = "d_B identity or triangle failed"
-    for f, g, h in itertools.combinations(pool, 3):
+    patterns = [(zero,) * 3, (zero, zero, one), (zero, one, zero), (one, zero, zero)]
+    for f, g, h in patterns + [(zero, one, two)]:
         if d_k(rand, f, h) > d_k(rand, f, g) + d_k(rand, g, h):
             ok = False
             detail = "d_K triangle failed"
@@ -351,10 +359,7 @@ def check_axioms(rand: Randomization) -> AxiomReport:
     for phi in corpus:
         if "x" not in free_vars(phi):
             continue
-        rest = sorted(free_vars(phi) - {"x"})
-        for binding in (
-            {v: rng.choice(pool) for v in rest} for _ in range(2)
-        ):
+        for binding in covering(free_vars(phi) - {"x"}):
             f = fullness_witness(rand, phi, "x", binding)
             lhs = event_of(rand, phi, {**binding, "x": f})
             rhs = event_of(rand, Exists("x", phi), binding)
@@ -389,10 +394,7 @@ def check_axioms(rand: Randomization) -> AxiomReport:
     # Measure: normalisation and the modular law.
     ok = mu(rand, top) == 1 and mu(rand, frozenset()) == 0
     detail = "" if ok else "normalisation failed"
-    pts = list(rand.base.points)
-    for _ in range(64):
-        u = frozenset(p for p in pts if rng.random() < 0.5)
-        v = frozenset(p for p in pts if rng.random() < 0.5)
+    for u, v in itertools.product(corners, repeat=2):
         if mu(rand, u) + mu(rand, v) != mu(rand, u | v) + mu(rand, u & v):
             ok = False
             detail = "modular law failed"

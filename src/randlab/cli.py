@@ -15,7 +15,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .axioms import check_axioms, default_formula_corpus, sample_elements
+from .axioms import check_axioms, default_formula_corpus
 from .cformulas import eval_cformula, parse_cformula
 from .errors import (
     DEFAULT_BUDGET,
@@ -42,6 +42,7 @@ from .randomization import (
     d_k,
     event_of,
     mu,
+    sample_elements,
 )
 from .rtypes import (
     check_omega_categoricity,

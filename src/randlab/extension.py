@@ -346,7 +346,7 @@ def _constraint_line(tk: Lexer) -> tuple[str, Fraction, list[Fraction]]:
     return rel, bound, tk.separated(tk.rational)
 
 
-def parse_problem(text: str, ground: Sequence[Point] | None = None) -> LinFeasProblem:
+def parse_problem(text: str) -> LinFeasProblem:
     """One constraint per line: `<=|= <rational> : v1,v2,...,vk`."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     rows = []
@@ -363,9 +363,7 @@ def parse_problem(text: str, ground: Sequence[Point] | None = None) -> LinFeasPr
         rows.append((rel, bound, values))
     if width is None:
         raise ValidationError("empty problem")
-    pts: tuple[Point, ...] = tuple(ground) if ground is not None else tuple(range(width))
-    if len(pts) != width:
-        raise ValidationError("ground set size does not match row width")
+    pts = tuple(range(width))
     constraints = [
         (RationalFn(pts, dict(zip(pts, values))), bound, rel)
         for rel, bound, values in rows

@@ -10,6 +10,7 @@ range).  Events are plain subsets of the base.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -133,6 +134,19 @@ class Randomization:
 
     def complement(self, e: Event) -> Event:
         return self.full_event() - self.check_event(e)
+
+
+def sample_elements(
+    rand: Randomization, count: int, seed: int = 2024
+) -> list[RandomElement]:
+    """Deterministic pool of random elements: constants first, then seeded draws."""
+    rng = random.Random(seed)
+    min_size = min(m.size for m in rand.family.values())
+    pool = [RandomElement.constant(rand.base, a) for a in range(min(2, min_size))]
+    while len(pool) < count:
+        values = {w: rng.randrange(rand.family[w].size) for w in rand.base.points}
+        pool.append(RandomElement(rand.base, values))
+    return pool[:count]
 
 
 def _check_binding(
@@ -271,16 +285,16 @@ def convex_combination(
 
 
 def inject_element(
-    combined: Randomization, part_index: int, f: RandomElement, fill: int = 0
+    combined: Randomization, part_index: int, f: RandomElement
 ) -> RandomElement:
     """Lift a part's random element into a convex combination's base.
 
-    Points of other parts get the `fill` element.
+    Points of other parts get the element 0.
     """
     values = {}
     for label in combined.base.points:
         i, p = label
-        values[label] = f(p) if i == part_index else fill
+        values[label] = f(p) if i == part_index else 0
     return RandomElement(combined.base, values)
 
 
@@ -300,15 +314,6 @@ class EventAlgebra:
         self.atoms: tuple[Event, ...] = tuple(
             sorted((frozenset(c) for c in cells.values()), key=lambda c: min(order[w] for w in c))
         )
-
-    def members(self) -> Iterable[Event]:
-        for k in range(len(self.atoms) + 1):
-            for combo in itertools.combinations(self.atoms, k):
-                yield frozenset().union(*combo) if combo else frozenset()
-
-    def contains(self, e: Event) -> bool:
-        e = self.rand.check_event(e)
-        return all(atom <= e or not (atom & e) for atom in self.atoms)
 
     def best_approximation(self, target: Event) -> Event:
         """The algebra member minimising the measure of the symmetric

@@ -45,9 +45,6 @@ class RMeasure:
     def __getitem__(self, q: TypeId) -> Fraction:
         return self.weights[q]
 
-    def support(self) -> list[TypeId]:
-        return [q for q in self.space.types if self.weights[q] > 0]
-
     def mass_where(self, predicate) -> Fraction:
         return sum(
             (w for q, w in self.weights.items() if predicate(q)), Fraction(0)
@@ -78,10 +75,7 @@ class RMeasure:
         )
 
     def __repr__(self):
-        inner = ", ".join(
-            f"q{q.index}: {w}" for q, w in self.weights.items() if w > 0
-        )
-        return f"rtype {{ {inner} }}"
+        return format_rmeasure(self)
 
 
 def format_rmeasure(nu: RMeasure) -> str:
@@ -337,7 +331,7 @@ class CategoricityReport(Record):
         return list(self.lines_)
 
     def all_pass(self) -> bool:
-        return all(line.startswith("PASS") for line in self.lines_)
+        return not any(line.startswith("FAIL") for line in self.lines_)
 
 
 def check_omega_categoricity(structure, n_max: int) -> CategoricityReport:
@@ -358,6 +352,9 @@ def check_omega_categoricity(structure, n_max: int) -> CategoricityReport:
         sizes[n] = len(space)
         lines.append(f"PASS type-space-size n={n} |S_{n}|={len(space)} (finite)")
         if len(space) > BATTERY_SPACE_LIMIT:
+            lines.append(
+                f"SKIP realize-battery n={n} |S_{n}|={len(space)} > {BATTERY_SPACE_LIMIT}"
+            )
             continue
         count = 0
         for nu in simplex_measures(space, BATTERY_DENOMINATOR):

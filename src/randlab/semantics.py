@@ -290,7 +290,8 @@ def type_space(
     """S_n over the parameter tuple `params` (types = Aut(M/A)-orbits).
 
     Building the space enumerates all |M|**n tuples; more than `budget` of
-    them raise BudgetError before any work.
+    them raise BudgetError before any work.  The error's count is exact
+    up to 2**16 bits and a power-of-two lower bound beyond.
     """
     ptup = tuple(params)
     for a in ptup:
@@ -298,6 +299,11 @@ def type_space(
             raise ValidationError(f"parameter {a} not in universe")
     if n < 0:
         raise ValidationError(f"negative arity {n}")
+    lower_bits = n * (m.size.bit_length() - 1)  # |M|**n >= 2**lower_bits
+    if lower_bits > max(budget.bit_length(), 1 << 16):
+        # forming |M|**n would take seconds at this length; the lower bound
+        # already exceeds the budget
+        raise BudgetError("type space enumeration over budget", 1 << lower_bits)
     required = m.size ** n
     if required > budget:
         raise BudgetError("type space enumeration over budget", required)
@@ -377,28 +383,24 @@ def isolating_formula(space: TypeSpace, q: TypeId) -> Formula:
     target = frozenset(space.orbit(q))
     rep = q.rep
 
-    pool = _literal_pool(m, variables, space.params)
-    val = dict(zip(variables, rep))
-    literals = [atom if eval_formula(m, atom, val) else Not(atom) for atom in pool]
-    if not literals:
-        literals = [Eq(Var(variables[0]), Var(variables[0]))]
-    tables = [_extension(m, lit, variables) for lit in literals]
-    if frozenset.intersection(*tables) == target:
-        return _minimize_conjunction(literals, tables, target)
-
-    # Back-and-forth levels: formulas are built for every orbit of extended
-    # tuples and reused, so construction is polynomial in the orbit count.
     def qf_formula(tup: tuple[int, ...], varnames: tuple[str, ...]) -> list[Formula]:
-        out = []
         val = dict(zip(varnames, tup))
-        for atom in _literal_pool(m, varnames, space.params):
-            out.append(atom if eval_formula(m, atom, val) else Not(atom))
-        return out
+        return [
+            atom if eval_formula(m, atom, val) else Not(atom)
+            for atom in _literal_pool(m, varnames, space.params)
+        ]
 
-    max_rank = m.size
-    for rank in range(1, max_rank + 1):
-        formula = _hintikka(m, space.params, rep, variables, rank, qf_formula, {})
-        parts = _flatten_and(formula)
+    # Back-and-forth levels: rank 0 is the quantifier-free diagram of the
+    # representative; higher ranks build formulas for every orbit of
+    # extended tuples and reuse them, so construction is polynomial in the
+    # orbit count.
+    for rank in range(m.size + 1):
+        if rank:
+            parts = _flatten_and(
+                _hintikka(m, space.params, rep, variables, rank, qf_formula, {})
+            )
+        else:
+            parts = qf_formula(rep, variables) or [Eq(Var(variables[0]), Var(variables[0]))]
         tables = [_extension(m, part, variables) for part in parts]
         if frozenset.intersection(*tables) == target:
             return _minimize_conjunction(parts, tables, target)

@@ -369,9 +369,7 @@ def rho_hat(ctx: PhiContext, p: RMeasure, q: RMeasure) -> Fraction:
 
 # --- The canonical nonforking extension ----------------------------------------------
 
-def nonforking_extension(
-    ctx: PhiContext, p: RMeasure, q: RMeasure, target: TypeSpace | None = None
-) -> RMeasure:
+def nonforking_extension(ctx: PhiContext, p: RMeasure, q: RMeasure) -> RMeasure:
     """The joint measure extending p by the new parameters described by q.
 
     Over each fiber pair, the pair's mass is spread uniformly over the
@@ -381,10 +379,7 @@ def nonforking_extension(
     """
     m = ctx.structure
     w_space, pi_x, pi_y, nx, totaly, nw = _fiber_data(ctx, p, q)
-    if target is None:
-        target = type_space(m, nx + totaly + nw, ())
-    if target.arity != nx + totaly + nw or target.params:
-        raise ValidationError("target must be the joint space over ()")
+    target = type_space(m, nx + totaly + nw, ())
     img_p = {w: Fraction(0) for w in w_space.types}
     for q0 in p.space.types:
         img_p[pi_x(q0)] += p.weights[q0]
@@ -411,9 +406,7 @@ def nonforking_extension(
     return RMeasure(target, acc)
 
 
-def stationarity_problem(
-    ctx: PhiContext, p: RMeasure, q: RMeasure, target: TypeSpace | None = None
-) -> LinFeasProblem:
+def stationarity_problem(ctx: PhiContext, p: RMeasure, q: RMeasure) -> LinFeasProblem:
     """The linear system a joint extension must satisfy: both marginals,
     plus every phi-instance pinned to its rho_hat value."""
     m = ctx.structure
@@ -421,8 +414,7 @@ def stationarity_problem(
     if total_y % len(ctx.y_vars) != 0:
         raise ValidationError("q's arity is not a whole number of y blocks")
     copies = total_y // len(ctx.y_vars)
-    if target is None:
-        target = type_space(m, nx + total_y + nw, ())
+    target = type_space(m, nx + total_y + nw, ())
     constraints: list[tuple[RationalFn, Fraction, str]] = []
     restrict_x = restriction_map(
         target, list(range(nx)) + list(range(nx + total_y, target.arity)), p.space

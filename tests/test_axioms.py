@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,8 +16,11 @@ from randlab import (
     default_formula_corpus,
 )
 from randlab.axioms import EXACT_GROUPS, sentence_corpus, tautology_corpus
+from randlab.axioms import _covering_bindings
 from randlab.formulas import Eq, Var
+from randlab.formulas import Exists, Rel, format_formula, free_vars
 from randlab.randomization import RandomElement, event_of, event_witness
+from randlab.randomization import d_k, fullness_witness
 from randlab.semantics import eval_formula
 
 F = Fraction
@@ -215,3 +220,236 @@ def test_event_group_fails_on_a_witness_wrong_at_one_point(monkeypatch, m2, insi
 def test_event_group_exact_past_two_to_the_seventeen(m2, base, detail):
     verdict = check_axioms(Randomization.constant(m2, base)).by_group("event")
     assert verdict.passed and verdict.detail == detail
+
+
+# --- The covering: its premise, its shape, and the groups it decides -----------------
+
+@st.composite
+def shared_fibre_randomizations(draw):
+    """small_randomizations, with each point's fibre copied from some point,
+    so that fibre classes of several points occur."""
+    rand = draw(small_randomizations())
+    pts = rand.base.points
+    source = draw(st.lists(st.sampled_from(pts), min_size=len(pts), max_size=len(pts)))
+    return Randomization(rand.base, {w: rand.family[s] for w, s in zip(pts, source)})
+
+
+def _draw_binding(data, rand, variables):
+    return {
+        v: RandomElement(
+            rand.base,
+            {w: data.draw(st.integers(0, rand.family[w].size - 1)) for w in rand.base.points},
+        )
+        for v in sorted(variables)
+    }
+
+
+DIGRAPH_CORPUS = default_formula_corpus(DIGRAPH)
+PREMISE_SETTINGS = settings(
+    max_examples=40, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@PREMISE_SETTINGS
+@given(shared_fibre_randomizations(), st.data())
+def test_event_of_reads_a_point_through_its_fibre_and_values(rand, data):
+    phi = data.draw(st.sampled_from(DIGRAPH_CORPUS))
+    binding = _draw_binding(data, rand, free_vars(phi))
+    event = event_of(rand, phi, binding)
+    for w in rand.base.points:
+        val = {v: f(w) for v, f in binding.items()}
+        assert (w in event) == eval_formula(rand.family[w], phi, val)
+
+
+@PREMISE_SETTINGS
+@given(shared_fibre_randomizations(), st.data())
+def test_fullness_witness_reads_a_point_through_its_fibre_and_values(rand, data):
+    phi = data.draw(st.sampled_from([p for p in DIGRAPH_CORPUS if "x" in free_vars(p)]))
+    binding = _draw_binding(data, rand, free_vars(phi) - {"x"})
+    f = fullness_witness(rand, phi, "x", binding)
+    for w in rand.base.points:
+        # the same fibre and values on a base of one point give the same pick
+        alone = FinProbSpace([(w, F(1))])
+        local = {v: RandomElement(alone, {w: g(w)}) for v, g in binding.items()}
+        pick = fullness_witness(Randomization(alone, {w: rand.family[w]}), phi, "x", local)
+        assert pick(w) == f(w)
+
+
+@PREMISE_SETTINGS
+@given(shared_fibre_randomizations(), st.data())
+def test_d_k_sums_the_weights_of_disagreeing_points(rand, data):
+    b = _draw_binding(data, rand, "fg")
+    f, g = b["f"], b["g"]
+    differ = [rand.base.weight[w] for w in rand.base.points if f(w) != g(w)]
+    assert d_k(rand, f, g) == sum(differ, F(0))
+
+
+@PREMISE_SETTINGS
+@given(shared_fibre_randomizations(), st.integers(0, 3))
+def test_covering_bindings_meet_every_fibre_valuation_pair(rand, k):
+    variables = ["x", "y", "z"][:k]
+    cover = _covering_bindings(rand, variables)
+    classes = {}
+    for w in rand.base.points:
+        classes.setdefault(rand.family[w], []).append(w)
+    met = {
+        (rand.family[w], tuple(b[v](w) for v in variables))
+        for b in cover
+        for w in rand.base.points
+    }
+    assert met == {
+        (m, val) for m in classes for val in itertools.product(m.elements, repeat=k)
+    }
+    assert len(cover) == max(math.ceil(m.size**k / len(ws)) for m, ws in classes.items())
+
+
+def _full_product_verdicts(rand):
+    """The validity and fullness verdicts over every binding from the whole
+    carrier, through the (possibly patched) functions check_axioms calls."""
+    carrier = list(rand.all_elements())
+    top = rand.full_event()
+
+    def bindings(variables):
+        variables = sorted(variables)
+        for combo in itertools.product(carrier, repeat=len(variables)):
+            yield dict(zip(variables, combo))
+
+    def exact(phi, binding):
+        f = randlab.axioms.fullness_witness(rand, phi, "x", binding)
+        lhs = randlab.axioms.event_of(rand, phi, {**binding, "x": f})
+        return lhs == randlab.axioms.event_of(rand, Exists("x", phi), binding)
+
+    failures = [
+        format_formula(phi)
+        for phi in tautology_corpus(rand.signature)
+        if any(
+            randlab.axioms.event_of(rand, phi, b) != top for b in bindings(free_vars(phi))
+        )
+    ]
+    validity = (
+        not failures,
+        failures[0] if failures else "tautology corpus, per-point evaluation",
+    )
+    fullness = (True, "")
+    for phi in default_formula_corpus(rand.signature):
+        if "x" in free_vars(phi) and not all(
+            exact(phi, b) for b in bindings(free_vars(phi) - {"x"})
+        ):
+            fullness = (False, f"witness inexact for {format_formula(phi)}")
+            break
+    return validity, fullness
+
+
+def _event_of_wrong_at(phi0, fibre, valuation):
+    """event_of, except that phi0's event drops every point of `fibre` whose
+    sorted free variables take `valuation` there."""
+
+    def faulty(rand, phi, binding):
+        e = event_of(rand, phi, binding)
+        if phi != phi0:
+            return e
+        fv = sorted(free_vars(phi))
+        return frozenset(
+            w for w in e
+            if rand.family[w] != fibre or tuple(binding[v](w) for v in fv) != valuation
+        )
+
+    return faulty
+
+
+def _x_eq_y_witness_wrong_at(fibre, y_value):
+    """fullness_witness, except that the witness of x = y is wrong at every
+    point of `fibre` where y takes `y_value`."""
+    phi0 = Eq(Var("x"), Var("y"))
+
+    def faulty(rand, phi, var, binding):
+        f = fullness_witness(rand, phi, var, binding)
+        if phi != phi0:
+            return f
+        values = dict(f.values)
+        for w in rand.base.points:
+            if rand.family[w] == fibre and binding["y"](w) == y_value:
+                values[w] = 1 - y_value
+        return RandomElement(rand.base, values)
+
+    return faulty
+
+
+def _mixed_c3(c3):
+    no_edges = FinStructure(c3.signature, 3, relations={"E": set()})
+    return Randomization(FinProbSpace.dyadic(1), {0: c3, 1: no_edges})
+
+
+ORACLE_CASES = {
+    "m2-dyadic2": lambda m2, c3: Randomization.constant(m2, FinProbSpace.dyadic(2)),
+    "c3-dyadic1": lambda m2, c3: Randomization.constant(c3, FinProbSpace.dyadic(1)),
+    "c3-mixed": lambda m2, c3: _mixed_c3(c3),
+}
+
+
+@pytest.mark.parametrize("fault", [None, "validity", "fullness"])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_validity_and_fullness_match_the_full_product(monkeypatch, m2, c3, case, fault):
+    rand = ORACLE_CASES[case](m2, c3)
+    fibre = rand.family[rand.base.points[-1]]
+    if fault == "validity":
+        phi0 = tautology_corpus(rand.signature)[0]
+        monkeypatch.setattr(
+            randlab.axioms, "event_of", _event_of_wrong_at(phi0, fibre, (0, 1))
+        )
+    elif fault == "fullness":
+        monkeypatch.setattr(
+            randlab.axioms, "fullness_witness", _x_eq_y_witness_wrong_at(fibre, 1)
+        )
+    validity, fullness = _full_product_verdicts(rand)
+    assert validity[0] == (fault != "validity")
+    assert fullness[0] == (fault != "fullness")
+    report = check_axioms(rand)
+    for group, expected in (("validity", validity), ("fullness", fullness)):
+        verdict = report.by_group(group)
+        assert (verdict.passed, verdict.detail) == expected
+
+
+# The distinct-fibre family of the axioms benchmark workload at seed 15.
+DISTINCT_DIGRAPHS = [
+    {(0, 1), (1, 0), (1, 1), (2, 0), (2, 2)},
+    {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)},
+    {(0, 0), (0, 2), (1, 2), (2, 0), (2, 2)},
+    {(0, 0), (0, 2), (1, 2), (2, 2)},
+    {(1, 1), (2, 0)},
+    {(0, 0), (0, 1), (1, 1), (2, 0)},
+    {(0, 0), (0, 1), (0, 2), (1, 1), (1, 2)},
+    {(0, 1), (0, 2), (1, 1), (1, 2), (2, 0), (2, 2)},
+]
+
+
+def test_fullness_group_fails_on_every_wrong_witness_of_e_x_y(monkeypatch):
+    base = FinProbSpace.dyadic(3)
+    rand = Randomization(
+        base,
+        {
+            w: FinStructure(DIGRAPH, 3, relations={"E": edges})
+            for w, edges in zip(base.points, DISTINCT_DIGRAPHS)
+        },
+    )
+    exy = Rel("E", (Var("x"), Var("y")))
+    faults = 0
+    for w_bad in base.points:
+        m = rand.family[w_bad]
+        for b in m.elements:
+            wrong = [a for a in m.elements if not m.holds("E", (a, b))]
+            if len(wrong) in (0, m.size):
+                continue  # every pick is a witness, or none is: no fault
+            faults += 1
+
+            def faulty(rand, phi, var, binding, w_bad=w_bad, b=b, a=wrong[0]):
+                f = fullness_witness(rand, phi, var, binding)
+                if phi != exy or binding["y"](w_bad) != b:
+                    return f
+                return RandomElement(rand.base, {**f.values, w_bad: a})
+
+            monkeypatch.setattr(randlab.axioms, "fullness_witness", faulty)
+            verdict = check_axioms(rand).by_group("fullness")
+            assert (verdict.passed, verdict.detail) == (False, "witness inexact for E(x, y)")
+    assert faults == 15

@@ -117,6 +117,22 @@ def test_check_types_and_categoricity(ws_file):
     assert code == 0 and "|S_2|=3" in out
 
 
+def test_check_categoricity_says_when_it_skips_the_battery(ws_file):
+    code, out, _ = run(
+        "--workspace", ws_file, "check", "categoricity", "--structure", "c3",
+        "--nmax", "3",
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "PASS type-space-size n=1 |S_1|=1 (finite)",
+        "PASS realize-battery n=1 count=1",
+        "PASS type-space-size n=2 |S_2|=3 (finite)",
+        "PASS realize-battery n=2 count=22",
+        "PASS type-space-size n=3 |S_3|=9 (finite)",
+        "SKIP realize-battery n=3 |S_3|=9 > 4",
+    ]
+
+
 def test_rho_command(ws_file):
     code, out, _ = run(
         "--workspace", ws_file, "rho", "--structure", "m2",

@@ -56,7 +56,8 @@ def test_ctypes_identity_on_corpus(l3):
     # measure of {types containing phi} equals measure of the phi event
     import random
 
-    from randlab.axioms import default_formula_corpus, sample_elements
+    from randlab.axioms import default_formula_corpus
+    from randlab.randomization import sample_elements
     from randlab.formulas import free_vars
 
     rng = random.Random(11)
@@ -258,6 +259,13 @@ def test_categoricity_reports(m2, c3):
     rep2 = check_omega_categoricity(c3, 2)
     assert rep2.sizes[2] == 3
     assert rep2.all_pass()
+
+
+def test_categoricity_report_passes_with_a_skipped_battery(c3):
+    rep = check_omega_categoricity(c3, 3)
+    assert rep.lines()[-1] == "SKIP realize-battery n=3 |S_3|=9 > 4"
+    assert 3 not in rep.realized
+    assert rep.all_pass()
 
 
 def test_rmeasure_serialization(l3):

@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as hst
@@ -109,6 +111,18 @@ def test_type_space_budget_counts_tuples_before_enumerating(l3):
         type_space(l3, 10_000)
     assert err.value.required == 3**10_000
     assert f"at least 2^{(3**10_000).bit_length() - 1})" in str(err.value)
+
+
+def test_type_space_refuses_an_absurd_arity_at_once(l3):
+    # forming 3**(10**7) alone takes seconds; the refusal must not
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as err:
+        type_space(l3, 10**7)
+    assert time.perf_counter() - start < 0.1
+    required = err.value.required
+    # a power of two no larger than the count
+    assert required == 1 << (required.bit_length() - 1)
+    assert required.bit_length() - 1 <= 10**7 * math.log2(3)
 
 
 def test_type_space_partitions(c3):
