@@ -1,19 +1,17 @@
 """Axiom checking for randomizations, with shipped formula corpora.
 
 The exact axiom groups (validity, boolean, distance, fullness, event,
-measure, transfer) are decided by exact rational identities, without
-random draws.  Validity ranges over all logically valid sentences, which
-has no finite presentation, so it is checked against a corpus of
-tautologies and the report says so; this is a deliberate
-under-approximation.  The premise: event_of and fullness_witness read a
-point w only through family[w] and the bound values at w, and d_K(f, g)
-sums p_w over the points where f(w) != g(w).  So bindings that meet every
-(fibre, valuation) pair at some point (_covering_bindings; each pair at
-one point only) decide validity and fullness for all bindings; the
-boolean connectives still take one covering binding per corpus pair.
-Tuples of the full and the empty event decide the lattice, d_B and
-modular laws, elements with one equality pattern at every point the d_K
-laws, and two witnesses the event group instead of 2^|Omega|.
+measure, transfer) are checked without random draws.  Validity ranges
+over all logically valid sentences, which has no finite presentation, so
+it is checked against a corpus of tautologies and the report says so;
+this is a deliberate under-approximation.  The premise, pinned by tests:
+event_of and fullness_witness read a point w only through family[w] and
+the bound values at w, and d_K, d_B and mu sum point weights.  So the
+bindings of _covering_bindings decide validity and fullness, elements
+with one equality pattern per point the d_K laws, and two witnesses the
+event group; the lattice, d_B and modular laws follow from the premise
+(the checker evaluates them at the full and the empty event only), and
+the boolean connectives still take one covering binding per corpus pair.
 Atomlessness cannot hold on a finite space: the checker reports the
 exact defect
   max_U min_V |mu(U /\\ V) - mu(U)/2|
@@ -29,7 +27,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import BudgetError
+from .errors import DEFAULT_BUDGET, BudgetError
 from .formulas import (
     And,
     Eq,
@@ -45,7 +43,6 @@ from .formulas import (
     free_vars,
     substitute,
 )
-from .measure import Point
 from .randomization import (
     Randomization,
     RandomElement,
@@ -220,17 +217,20 @@ def _covering_bindings(
 ) -> list[dict[str, RandomElement]]:
     """Bindings under which every (fibre, valuation) pair occurs at a point.
 
-    The points sharing a fibre M split its |M|^k valuations of the k
-    variables between them, so there are max over fibre classes C of
-    ceil(|M_C|^k / |C|) bindings; a class with more (binding, point)
-    slots than valuations starts over at its first valuation.
+    The points of a fibre class C split its |M_C|^k valuations, so there
+    are max_C ceil(|M_C|^k / |C|) bindings (a class with spare slots
+    starts over).  That is small only for small universes: more than
+    DEFAULT_BUDGET slots (bindings times points) raise BudgetError first.
     """
     variables = sorted(variables)
     k = len(variables)
-    classes: dict[FinStructure, list[Point]] = {}
+    classes: dict[FinStructure, list] = {}
     for w in rand.base.points:
         classes.setdefault(rand.family[w], []).append(w)
     count = max(-(-m.size**k // len(ws)) for m, ws in classes.items())
+    slots = count * len(rand.base.points)
+    if slots > DEFAULT_BUDGET:
+        raise BudgetError("axiom covering over budget", slots)
     values = [[{} for _ in variables] for _ in range(count)]  # [binding][variable][point]
     for m, ws in classes.items():
         valuations = list(itertools.product(m.elements, repeat=k))
@@ -276,7 +276,7 @@ def check_axioms(rand: Randomization) -> AxiomReport:
     corpus = default_formula_corpus(sig)
     verdicts: list[AxiomVerdict] = []
     top = rand.full_event()
-    # tuples of these events put every point in every membership pattern
+    # the laws on events follow from the premise; these only exercise them
     corners = (top, frozenset())
     covering = functools.cache(functools.partial(_covering_bindings, rand))
 

@@ -12,6 +12,7 @@ without affecting exit codes (a negative N is a parse error).
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 from fractions import Fraction
 
@@ -36,13 +37,13 @@ from .lexer import Lexer, parse_numbers
 from .measure import FinProbSpace, FiberSpace, MeasurableMap, fiber_product, image_measure
 from .randomization import (
     EventAlgebra,
+    RandomElement,
     Randomization,
     approximate_by_simple,
     convex_combination,
     d_k,
     event_of,
     mu,
-    sample_elements,
 )
 from .rtypes import (
     check_omega_categoricity,
@@ -210,10 +211,21 @@ def cmd_check(args, ws: Workspace) -> int:
         return EXIT_CHECK
 
 
+def sample_elements(
+    rand: Randomization, count: int, seed: int = 2024
+) -> list[RandomElement]:
+    """Deterministic pool of random elements: constants first, then seeded draws."""
+    rng = random.Random(seed)
+    min_size = min(m.size for m in rand.family.values())
+    pool = [RandomElement.constant(rand.base, a) for a in range(min(2, min_size))]
+    while len(pool) < count:
+        values = {w: rng.randrange(rand.family[w].size) for w in rand.base.points}
+        pool.append(RandomElement(rand.base, values))
+    return pool[:count]
+
+
 def _types_identity_lines(st: FinStructure) -> list[str]:
     """The types-as-measures identity on a default base, per corpus formula."""
-    import random
-
     rng = random.Random(7)
     base = FinProbSpace.uniform(4)
     rand = Randomization.constant(st, base)

@@ -24,16 +24,19 @@ class ResolutionError(RandlabError):
 
 
 DEFAULT_BUDGET = 200_000  # largest enumeration run unless a caller allows more
+SHOWN_BITS = 4096  # longest count shown in full; str() refuses ints of more than 4300 digits
 
 
 class BudgetError(RandlabError):
-    """An exhaustive enumeration would exceed the configured budget."""
+    """An exhaustive enumeration would exceed the configured budget.
 
-    def __init__(self, message: str, required: int):
+    A count too large to form is passed as None, with a lower bound
+    `bits` > SHOWN_BITS on its bit length."""
+
+    def __init__(self, message: str, required: int | None, bits: int | None = None):
         self.required = required
-        # str() refuses ints of more than 4300 digits
-        bits = required.bit_length()
-        shown = required if bits <= 4096 else f"at least 2^{bits - 1}"
+        bits = required.bit_length() if bits is None else bits
+        shown = required if bits <= SHOWN_BITS else f"at least 2^{bits - 1}"
         super().__init__(f"{message} (required count {shown})")
 
 

@@ -10,7 +10,6 @@ range).  Events are plain subsets of the base.
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -134,19 +133,6 @@ class Randomization:
 
     def complement(self, e: Event) -> Event:
         return self.full_event() - self.check_event(e)
-
-
-def sample_elements(
-    rand: Randomization, count: int, seed: int = 2024
-) -> list[RandomElement]:
-    """Deterministic pool of random elements: constants first, then seeded draws."""
-    rng = random.Random(seed)
-    min_size = min(m.size for m in rand.family.values())
-    pool = [RandomElement.constant(rand.base, a) for a in range(min(2, min_size))]
-    while len(pool) < count:
-        values = {w: rng.randrange(rand.family[w].size) for w in rand.base.points}
-        pool.append(RandomElement(rand.base, values))
-    return pool[:count]
 
 
 def _check_binding(

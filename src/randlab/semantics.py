@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .errors import DEFAULT_BUDGET, BudgetError, ValidationError
+from .errors import DEFAULT_BUDGET, SHOWN_BITS, BudgetError, ValidationError
 from .formulas import (
     And,
     App,
@@ -290,8 +290,9 @@ def type_space(
     """S_n over the parameter tuple `params` (types = Aut(M/A)-orbits).
 
     Building the space enumerates all |M|**n tuples; more than `budget` of
-    them raise BudgetError before any work.  The error's count is exact
-    up to 2**16 bits and a power-of-two lower bound beyond.
+    them raise BudgetError before any work.  Forming |M|**n costs at least
+    b = n * floor(log2 |M|) steps; once b passes the budget and SHOWN_BITS
+    the error reports the lower bound 2**b instead.
     """
     ptup = tuple(params)
     for a in ptup:
@@ -300,10 +301,8 @@ def type_space(
     if n < 0:
         raise ValidationError(f"negative arity {n}")
     lower_bits = n * (m.size.bit_length() - 1)  # |M|**n >= 2**lower_bits
-    if lower_bits > max(budget.bit_length(), 1 << 16):
-        # forming |M|**n would take seconds at this length; the lower bound
-        # already exceeds the budget
-        raise BudgetError("type space enumeration over budget", 1 << lower_bits)
+    if lower_bits > max(budget, SHOWN_BITS):
+        raise BudgetError("type space enumeration over budget", None, lower_bits + 1)
     required = m.size ** n
     if required > budget:
         raise BudgetError("type space enumeration over budget", required)

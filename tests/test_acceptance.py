@@ -49,7 +49,7 @@ from randlab import (
     type_space,
 )
 from randlab.axioms import default_formula_corpus
-from randlab.randomization import sample_elements
+from randlab.cli import sample_elements
 from randlab.formulas import format_formula, free_vars
 from randlab.rtypes import simplex_measures
 from randlab.stability import restriction_map

@@ -20,7 +20,8 @@ from randlab.axioms import _covering_bindings
 from randlab.formulas import Eq, Var
 from randlab.formulas import Exists, Rel, format_formula, free_vars
 from randlab.randomization import RandomElement, event_of, event_witness
-from randlab.randomization import d_k, fullness_witness
+from randlab.errors import BudgetError
+from randlab.randomization import d_b, d_k, fullness_witness, mu
 from randlab.semantics import eval_formula
 
 F = Fraction
@@ -286,6 +287,19 @@ def test_d_k_sums_the_weights_of_disagreeing_points(rand, data):
 
 
 @PREMISE_SETTINGS
+@given(shared_fibre_randomizations(), st.data())
+def test_mu_and_d_b_sum_the_weights_of_their_points(rand, data):
+    # the lattice, d_B and modular laws follow from this for all events
+    u, v = (frozenset(data.draw(st.sets(st.sampled_from(rand.base.points)))) for _ in "uv")
+
+    def weight(e):
+        return sum((rand.base.weight[w] for w in e), F(0))
+
+    assert mu(rand, u) == weight(u)
+    assert d_b(rand, u, v) == weight(u ^ v)
+
+
+@PREMISE_SETTINGS
 @given(shared_fibre_randomizations(), st.integers(0, 3))
 def test_covering_bindings_meet_every_fibre_valuation_pair(rand, k):
     variables = ["x", "y", "z"][:k]
@@ -302,6 +316,17 @@ def test_covering_bindings_meet_every_fibre_valuation_pair(rand, k):
         (m, val) for m in classes for val in itertools.product(m.elements, repeat=k)
     }
     assert len(cover) == max(math.ceil(m.size**k / len(ws)) for m, ws in classes.items())
+
+
+def test_covering_over_budget_raises_before_building(monkeypatch, m2):
+    # pure_set(2) over dyadic(1), three variables: 2^3 / 2 bindings, 8 slots
+    rand = Randomization.constant(m2, FinProbSpace.dyadic(1))
+    monkeypatch.setattr(randlab.axioms, "DEFAULT_BUDGET", 8)
+    assert len(_covering_bindings(rand, "xyz")) == 4
+    monkeypatch.setattr(randlab.axioms, "DEFAULT_BUDGET", 7)
+    with pytest.raises(BudgetError) as err:
+        _covering_bindings(rand, "xyz")
+    assert err.value.required == 8
 
 
 def _full_product_verdicts(rand):

@@ -117,6 +117,26 @@ def test_check_types_and_categoricity(ws_file):
     assert code == 0 and "|S_2|=3" in out
 
 
+def test_over_budget_commands_exit_4(tmp_path):
+    path = tmp_path / "big.rl"
+    path.write_text(
+        WS + "structure big { universe = 59; }\n"
+        "randomization rbig { structure = big; space = dy1; }\n"
+    )
+    # ceil(59^3 / 2) three-variable bindings over 2 points (or 59^3 / 4 over 4)
+    covering = "axiom covering over budget (required count 205380)"
+    for argv, message in [
+        (["check", "axioms", "--rand", "rbig"], covering),
+        (["convex", "--parts", "1/2:rbig,1/2:rbig"], covering),
+        (
+            ["types", "--structure", "l3", "--arity", str(10**12)],
+            f"(required count at least 2^{10**12})",
+        ),
+    ]:
+        code, _, err = run("--workspace", str(path), *argv)
+        assert code == 4 and message in err, argv
+
+
 def test_check_categoricity_says_when_it_skips_the_battery(ws_file):
     code, out, _ = run(
         "--workspace", ws_file, "check", "categoricity", "--structure", "c3",

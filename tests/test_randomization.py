@@ -85,7 +85,7 @@ def test_fullness_witness_examples(m2, c3, coin_rand):
 
 def test_fullness_witness_exact_on_corpus(c3):
     from randlab.axioms import default_formula_corpus
-    from randlab.randomization import sample_elements
+    from randlab.cli import sample_elements
 
     rc = Randomization.constant(c3, FinProbSpace.uniform(4))
     pool = sample_elements(rc, 5)
@@ -125,7 +125,7 @@ def test_transfer_sentences(c3):
 def test_boolean_identities_exhaustive_small(m2):
     # connective identities for every pair of corpus formulas over a tiny base
     from randlab.axioms import default_formula_corpus
-    from randlab.randomization import sample_elements
+    from randlab.cli import sample_elements
     from randlab.formulas import And, Not, Or, free_vars
 
     r = Randomization.constant(m2, FinProbSpace.dyadic(2))
