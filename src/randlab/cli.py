@@ -366,6 +366,8 @@ def cmd_extend(args, ws: Workspace) -> int:
     except OSError as exc:
         raise ResolutionError(f"cannot read problem {args.problem!r}: {exc}") from exc
     rels = prob.relations()
+    if len(rels) > 1:
+        raise ValidationError("problem mixes <= and = constraints")
     cert = extend_measure_eq(prob) if rels == {"="} else extend_measure_ineq(prob)
     if isinstance(cert, FeasibleCertificate):
         print("FEASIBLE")

@@ -1,11 +1,14 @@
 """Measure-extension problems as exact linear feasibility with certificates.
 
 `extend_measure_ineq` decides whether a probability measure exists meeting
-a family of one-sided integral bounds; `extend_measure_eq` handles exact
-prescribed integrals by the +/- duplication trick.  Either a witness
-measure (zero weights allowed: a simplex point, not a sample space) or an
-integer-coefficient infeasibility certificate is returned; both re-verify
-against the problem data by exact arithmetic.
+a family of one-sided integral bounds; `extend_measure_eq` decides exact
+prescribed integrals.  Both go to one phase-one simplex in standard form
+`A x = b, x >= 0`: the mass row, one row per constraint, and a slack
+column for each `<=` row only; by Farkas' lemma its duals give the
+infeasibility certificate.  Either a witness measure (zero weights
+allowed: a simplex point, not a sample space) or an integer-coefficient
+infeasibility certificate is returned; both re-verify against the
+problem data by exact arithmetic.
 
 The pivot engine is a dictionary-free phase-one simplex over Fractions
 with Bland's rule, so runs are deterministic and never cycle.
@@ -34,6 +37,8 @@ class LinFeasProblem:
 
     def __init__(self, ground: Sequence[Point], constraints: Iterable[tuple[RationalFn, Fraction, str]]):
         self.ground: tuple[Point, ...] = tuple(ground)
+        if not self.ground:
+            raise ValidationError("empty ground set")
         if len(set(self.ground)) != len(self.ground):
             raise ValidationError("duplicate ground-set points")
         self.constraints: list[Constraint] = []
@@ -208,39 +213,29 @@ def _phase_one(
     return None, duals
 
 
-def _solve_feasibility(prob: LinFeasProblem) -> Certificate:
+def _solve_feasibility(prob: LinFeasProblem) -> FeasibleCertificate | list[Fraction]:
+    """Phase one in standard form: the mass row `<1, mu> = 1`, one row per
+    constraint, and a slack column for each `<=` row only.
+
+    Returns a verified witness, or the duals: y_0 for the mass row and y_i
+    for constraint i, with y_0 + sum y_i fn_i <= 0 pointwise, y_i <= 0 on
+    `<=` rows (their slack columns), and y_0 + sum y_i bound_i > 0.
+    """
     ground = prob.ground
-    k = len(prob.constraints)
-    nvar = len(ground) + k  # measure weights + slacks for <= rows
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    # total mass one
-    rows.append([Fraction(1)] * len(ground) + [Fraction(0)] * k)
-    rhs.append(Fraction(1))
+    slacks = [i for i, c in enumerate(prob.constraints) if c.relation == "<="]
+    rows = [[Fraction(1)] * len(ground) + [Fraction(0)] * len(slacks)]
+    rhs = [Fraction(1)]
     for i, c in enumerate(prob.constraints):
-        row = [c.fn(p) for p in ground]
-        row += [Fraction(1 if j == i else 0) for j in range(k)]
-        rows.append(row)
+        rows.append([c.fn(p) for p in ground] + [Fraction(1 if j == i else 0) for j in slacks])
         rhs.append(c.bound)
     x, duals = _phase_one(rows, rhs)
-    if x is not None:
-        weights = {p: x[i] for i, p in enumerate(ground)}
-        cert = FeasibleCertificate(weights)
-        if not cert.verify(prob):
-            raise AssertionError("simplex produced a non-verifying witness")
-        return cert
-    assert duals is not None
-    # duals: y_0 for the mass row, y_1..y_k for the bound rows.  Dual
-    # feasibility gives y_0 + sum y_i fn_i(p) <= 0 and slack columns force
-    # y_i <= 0, while y_0 + sum y_i bound_i > 0.  With u = -y_i >= 0:
-    #   sum u_i fn_i >= y_0 pointwise  and  sum u_i bound_i < y_0.
-    y0 = duals[0]
-    u = [-d for d in duals[1:]]
-    for i, ui in enumerate(u):
-        if ui < 0:
-            # numeric impossibility for exact arithmetic; guard anyway
-            raise AssertionError(f"negative dual multiplier u[{i}] = {ui}")
-    return _integerize_certificate(prob, u, y0)
+    if duals is not None:
+        return duals
+    assert x is not None
+    cert = FeasibleCertificate({p: x[i] for i, p in enumerate(ground)})
+    if not cert.verify(prob):
+        raise AssertionError("simplex produced a non-verifying witness")
+    return cert
 
 
 def _integerize_certificate(
@@ -281,55 +276,45 @@ def extend_measure_ineq(prob: LinFeasProblem) -> Certificate:
     """Decide `exists mu: <fn_i, mu> <= bound_i for all i` with certificates."""
     if prob.relations() - {"<="}:
         raise ValidationError("extend_measure_ineq accepts only <= constraints")
-    return _solve_feasibility(prob)
+    res = _solve_feasibility(prob)
+    if isinstance(res, FeasibleCertificate):
+        return res
+    # With u_i = -y_i >= 0:  sum u_i fn_i >= y_0 pointwise  and
+    # sum u_i bound_i < y_0.
+    y0 = res[0]
+    u = [-d for d in res[1:]]
+    for i, ui in enumerate(u):
+        if ui < 0:
+            # numeric impossibility for exact arithmetic; guard anyway
+            raise AssertionError(f"negative dual multiplier u[{i}] = {ui}")
+    return _integerize_certificate(prob, u, y0)
 
 
 def extend_measure_eq(prob: LinFeasProblem) -> Certificate:
     """Decide `exists mu: <fn_i, mu> = bound_i for all i` with certificates.
 
-    The constant-one constraint `<1, mu> = 1` is required; it is adjoined
-    when missing and rejected when present with a different bound.  The
-    decision reduces to the one-sided solver by duplicating each
-    constraint with both signs.
+    The constant-one constraint `<1, mu> = 1` is the solver's mass row; a
+    constant-one constraint with a different bound is rejected.  The
+    negated duals, cleared of denominators, are the certificate: the mass
+    row's coefficient folds into a constant-one constraint when there is
+    one and is the certificate's `constant` otherwise.
     """
     if prob.relations() - {"="}:
         raise ValidationError("extend_measure_eq accepts only = constraints")
-    constraints = list(prob.constraints)
     one = RationalFn.constant(prob.ground, 1)
-    one_index = None
-    for i, c in enumerate(constraints):
-        if c.fn == one:
-            if c.bound != 1:
-                raise ValidationError(f"constant-one constraint bound {c.bound} != 1")
-            one_index = i
-    if one_index is None:
-        constraints.append(Constraint(one, Fraction(1), "="))
-        one_index = len(constraints) - 1
-    ground = prob.ground
-    doubled = []
-    for c in constraints:
-        doubled.append((c.fn, c.bound, "<="))
-        neg = RationalFn(ground, {p: -c.fn(p) for p in ground})
-        doubled.append((neg, -c.bound, "<="))
-    ineq = LinFeasProblem(ground, doubled)
-    res = extend_measure_ineq(ineq)
+    ones = [i for i, c in enumerate(prob.constraints) if c.fn == one]
+    for c in (prob.constraints[i] for i in ones):
+        if c.bound != 1:
+            raise ValidationError(f"constant-one constraint bound {c.bound} != 1")
+    res = _solve_feasibility(prob)
     if isinstance(res, FeasibleCertificate):
-        full = LinFeasProblem(ground, [(c.fn, c.bound, c.relation) for c in constraints])
-        if not res.verify(full):
-            raise AssertionError("equality witness failed to verify")
         return res
-    assert isinstance(res, InfeasibleIneqCertificate)
-    signed = [
-        res.multipliers[2 * i] - res.multipliers[2 * i + 1]
-        for i in range(len(constraints))
-    ]
-    # fold the threshold n into the constant-one coefficient
-    if one_index >= len(prob.constraints):  # the constant row was adjoined
-        constant = signed.pop() - res.n
-    else:
-        signed[one_index] -= res.n
+    den = math.lcm(*(y.denominator for y in res))
+    constant, *multipliers = (int(-y * den) for y in res)
+    if ones:
+        multipliers[ones[0]] += constant
         constant = 0
-    cert = InfeasibleEqCertificate(signed, constant)
+    cert = InfeasibleEqCertificate(multipliers, constant)
     if not cert.verify(prob):
         raise AssertionError("equality certificate failed to verify")
     return cert

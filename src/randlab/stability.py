@@ -411,46 +411,39 @@ def stationarity_problem(ctx: PhiContext, p: RMeasure, q: RMeasure) -> LinFeasPr
     plus every phi-instance pinned to its rho_hat value."""
     m = ctx.structure
     w_space, pi_x, pi_y, nx, total_y, nw = _fiber_data(ctx, p, q)
-    if total_y % len(ctx.y_vars) != 0:
+    ny = len(ctx.y_vars)
+    if total_y % ny != 0:
         raise ValidationError("q's arity is not a whole number of y blocks")
-    copies = total_y // len(ctx.y_vars)
+    copies = total_y // ny
     target = type_space(m, nx + total_y + nw, ())
+    block = type_space(m, ny + nw, ())
+
+    def indicator(holds) -> RationalFn:
+        return RationalFn.indicator(target.types, filter(holds, target.types))
+
     constraints: list[tuple[RationalFn, Fraction, str]] = []
     restrict_x = restriction_map(
         target, list(range(nx)) + list(range(nx + total_y, target.arity)), p.space
     )
     for s in p.space.types:
-        ind = RationalFn(
-            target.types,
-            {t: Fraction(1 if restrict_x(t) == s else 0) for t in target.types},
-        )
-        constraints.append((ind, p.weights[s], "="))
+        constraints.append((indicator(lambda t: restrict_x(t) == s), p.weights[s], "="))
     restrict_y = restriction_map(
         target, list(range(nx, target.arity)), q.space
     )
     for s in q.space.types:
-        ind = RationalFn(
-            target.types,
-            {t: Fraction(1 if restrict_y(t) == s else 0) for t in target.types},
-        )
-        constraints.append((ind, q.weights[s], "="))
-    ny = len(ctx.y_vars)
+        constraints.append((indicator(lambda t: restrict_y(t) == s), q.weights[s], "="))
     for i in range(copies):
         q_i = image_measure(
             _measure_space(q),
             restriction_map(
                 q.space,
                 list(range(i * ny, (i + 1) * ny)) + list(range(total_y, q.space.arity)),
-                type_space(m, ny + nw, ()),
+                block,
             ),
         )
-        nu_i = RMeasure(
-            type_space(m, ny + nw, ()),
-            {t: q_i.weight.get(t, Fraction(0)) for t in type_space(m, ny + nw, ()).types},
-        )
-        value = rho_hat(ctx, p, nu_i)
+        value = rho_hat(ctx, p, RMeasure(block, q_i.weight))
 
-        def holds(t: TypeId, i=i) -> bool:
+        def holds(t: TypeId) -> bool:
             rep = t.rep
             a = rep[:nx]
             b = rep[nx + i * ny : nx + (i + 1) * ny]
@@ -458,11 +451,7 @@ def stationarity_problem(ctx: PhiContext, p: RMeasure, q: RMeasure) -> LinFeasPr
             w_vals = tuple(w_rep[j] for j in range(len(ctx.w_vars)))
             return ctx.instance_holds(a, b, w_vals)
 
-        ind = RationalFn(
-            target.types,
-            {t: Fraction(1 if holds(t) else 0) for t in target.types},
-        )
-        constraints.append((ind, value, "="))
+        constraints.append((indicator(holds), value, "="))
     return LinFeasProblem(target.types, constraints)
 
 

@@ -17,8 +17,9 @@ from randlab import (
 )
 from randlab.axioms import EXACT_GROUPS, sentence_corpus, tautology_corpus
 from randlab.axioms import _covering_bindings
+from randlab.cformulas import CInf, CMu, CSup, EvFormula, eval_cformula
 from randlab.formulas import Eq, Var
-from randlab.formulas import Exists, Rel, format_formula, free_vars
+from randlab.formulas import Exists, Forall, Rel, format_formula, free_vars
 from randlab.randomization import RandomElement, event_of, event_witness
 from randlab.errors import BudgetError
 from randlab.randomization import d_b, d_k, fullness_witness, mu
@@ -478,3 +479,39 @@ def test_fullness_group_fails_on_every_wrong_witness_of_e_x_y(monkeypatch):
             verdict = check_axioms(rand).by_group("fullness")
             assert (verdict.passed, verdict.detail) == (False, "witness inexact for E(x, y)")
     assert faults == 15
+
+
+def _digraph_family(base, digraphs):
+    return Randomization(
+        base,
+        {w: FinStructure(DIGRAPH, 3, relations={"E": e}) for w, e in zip(base.points, digraphs)},
+    )
+
+
+FULLNESS_CASES = {
+    "c3-dyadic2": lambda c3, l3: Randomization.constant(c3, FinProbSpace.dyadic(2)),
+    "l3-skewed": lambda c3, l3: Randomization.constant(
+        l3, FinProbSpace([(0, F(1, 2)), (1, F(1, 3)), (2, F(1, 6))])
+    ),
+    "digraphs-dyadic2": lambda c3, l3: _digraph_family(
+        FinProbSpace.dyadic(2), DISTINCT_DIGRAPHS[:4]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FULLNESS_CASES))
+def test_continuous_fullness_identities(c3, l3, case):
+    # sup_x mu[[phi]] = mu[[exists x phi]] and inf_x mu[[phi]] = mu[[forall x phi]]
+    rand = FULLNESS_CASES[case](c3, l3)
+    checked = 0
+    for phi in default_formula_corpus(rand.signature):
+        if "x" not in free_vars(phi):
+            continue
+        body = CMu(EvFormula(phi))
+        for binding in _covering_bindings(rand, free_vars(phi) - {"x"}):
+            sup = eval_cformula(rand, CSup("x", body), binding)
+            inf = eval_cformula(rand, CInf("x", body), binding)
+            assert sup == mu(rand, event_of(rand, Exists("x", phi), binding)), phi
+            assert inf == mu(rand, event_of(rand, Forall("x", phi), binding)), phi
+            checked += 1
+    assert checked >= len(default_formula_corpus(rand.signature)) // 2

@@ -197,6 +197,22 @@ def test_extend_command(tmp_path, ws_file):
     assert code == 0 and "INFEASIBLE" in out and "verifies" in out
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("= 1 : \n", "empty ground set"),
+        ("<= 1 : \n", "empty ground set"),
+        ("<= 1/2 : 1,0\n= 1 : 1,1\n", "problem mixes <= and = constraints"),
+    ],
+)
+def test_extend_bad_problem_exits_validation(tmp_path, ws_file, text, message):
+    prob = tmp_path / "prob.txt"
+    prob.write_text(text)
+    code, out, err = run("--workspace", ws_file, "extend", "--problem", str(prob))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_convex_command(ws_file):
     code, out, _ = run(
         "--workspace", ws_file, "convex", "--parts", "1/2:r1,1/2:r1"

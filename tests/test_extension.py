@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import randlab.extension
 from randlab import (
     FeasibleCertificate,
     InfeasibleEqCertificate,
@@ -189,6 +191,112 @@ def test_deterministic_certificates():
         assert a.weights == b.weights
     else:
         assert (a.multipliers, a.n) == (b.multipliers, b.n)
+
+
+def test_deterministic_eq_certificates():
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(20):
+        prob = _random_problem(rng, "=")
+        a = extend_measure_eq(prob)
+        b = extend_measure_eq(prob)
+        verdicts.add(a.feasible)
+        if isinstance(a, FeasibleCertificate):
+            assert a.weights == b.weights
+        else:
+            assert (a.multipliers, a.constant) == (b.multipliers, b.constant)
+    assert verdicts == {True, False}
+
+
+# --- Equality problems against the +/- doubling ------------------------------------
+
+def _doubled(prob: LinFeasProblem) -> LinFeasProblem:
+    """The `<=` problem with the mass row adjoined and every row taken with
+    both signs: feasible exactly when the equality problem is."""
+    ground = prob.ground
+    rows = [(RationalFn.constant(ground, 1), F(1))]
+    rows += [(c.fn, c.bound) for c in prob.constraints]
+    doubled = []
+    for f, bound in rows:
+        doubled.append((f, bound, "<="))
+        doubled.append((RationalFn(ground, {p: -f(p) for p in ground}), -bound, "<="))
+    return LinFeasProblem(ground, doubled)
+
+
+RATIONALS = st.builds(F, st.integers(-2, 3), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def eq_problems(draw):
+    """Equality problems with the rows stationarity systems have: an explicit
+    constant-one row, repeated rows, and indicator rows summing to one."""
+    n = draw(st.integers(1, 4))
+    ground = tuple(range(n))
+    rows: list[tuple[list, F]] = []
+    kinds = draw(st.lists(st.sampled_from(["free", "one", "repeat", "split"]), min_size=1, max_size=5))
+    for kind in kinds:
+        if kind == "one":
+            rows.append(([1] * n, F(1)))
+        elif kind == "repeat" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "split":
+            cut = draw(st.sets(st.sampled_from(ground)))
+            w = draw(st.builds(F, st.integers(0, 4), st.just(4)))
+            rows.append(([1 if p in cut else 0 for p in ground], w))
+            rows.append(([0 if p in cut else 1 for p in ground], 1 - w))
+        else:
+            rows.append((draw(st.lists(RATIONALS, min_size=n, max_size=n)), draw(RATIONALS)))
+    # a constant-one row must have bound 1
+    rows = [(v, F(1) if all(x == 1 for x in v) else b) for v, b in rows]
+    return LinFeasProblem(ground, [(fn(ground, v), b, "=") for v, b in rows])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(eq_problems())
+def test_eq_verdict_matches_the_doubled_problem(prob):
+    cert = extend_measure_eq(prob)
+    doubled = _doubled(prob)
+    ref = extend_measure_ineq(doubled)
+    assert cert.feasible == ref.feasible
+    assert cert.verify(prob) and ref.verify(doubled)
+
+
+def test_eq_certificate_folds_the_mass_row_into_a_constant_one_row():
+    ground = ("a", "b")
+    rows = [(fn(ground, (1, 0)), F(3, 5), "="), (fn(ground, (0, 1)), F(3, 5), "=")]
+    with_one = LinFeasProblem(ground, rows + [(fn(ground, (1, 1)), F(1), "=")])
+    cert = extend_measure_eq(with_one)
+    assert isinstance(cert, InfeasibleEqCertificate)
+    assert cert.constant == 0 and cert.verify(with_one)
+
+
+@pytest.mark.parametrize("relation", ["<=", "="])
+def test_phase_one_gets_one_row_per_constraint_and_slacks_for_le_rows(monkeypatch, relation):
+    seen = []
+    real = randlab.extension._phase_one
+
+    def recording(rows, rhs):
+        seen.append((len(rows), {len(row) for row in rows}))
+        return real(rows, rhs)
+
+    monkeypatch.setattr(randlab.extension, "_phase_one", recording)
+    ground = (0, 1, 2)
+    prob = LinFeasProblem(
+        ground,
+        [(fn(ground, (1, 0, 2)), F(1, 2), relation), (fn(ground, (0, 1, 1)), F(1, 3), relation)],
+    )
+    solve = extend_measure_eq if relation == "=" else extend_measure_ineq
+    solve(prob)
+    k, n = 2, 3
+    assert seen == [(k + 1, {n + (k if relation == "<=" else 0)})]
+
+
+@pytest.mark.parametrize("text", ["= 1 : \n", "<= 1 : \n"])
+def test_empty_ground_set_rejected(text):
+    with pytest.raises(ValidationError, match="empty ground set"):
+        parse_problem(text)
+    with pytest.raises(ValidationError, match="empty ground set"):
+        LinFeasProblem((), [])
 
 
 def test_problem_text_round_trip():
