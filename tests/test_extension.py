@@ -291,10 +291,10 @@ def test_phase_one_gets_one_row_per_constraint_and_slacks_for_le_rows(monkeypatc
     assert seen == [(k + 1, {n + (k if relation == "<=" else 0)})]
 
 
-@pytest.mark.parametrize("text", ["= 1 : \n", "<= 1 : \n"])
-def test_empty_ground_set_rejected(text):
-    with pytest.raises(ValidationError, match="empty ground set"):
-        parse_problem(text)
+def test_empty_ground_set_rejected():
+    for text in ("= 1 : \n", "<= 1 : \n"):
+        with pytest.raises(ValidationError, match="empty ground set"):
+            parse_problem(text)
     with pytest.raises(ValidationError, match="empty ground set"):
         LinFeasProblem((), [])
 
