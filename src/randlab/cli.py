@@ -32,7 +32,7 @@ from .extension import (
     extend_measure_ineq,
     parse_problem,
 )
-from .formulas import format_formula, free_vars, parse_formula
+from .formulas import _VAR_RE, format_formula, free_vars, parse_formula
 from .lexer import Lexer, parse_numbers
 from .measure import FinProbSpace, FiberSpace, MeasurableMap, fiber_product, image_measure
 from .randomization import (
@@ -144,6 +144,21 @@ def _rational(text: str) -> Fraction:
     return parse_numbers(text, Lexer.rational)
 
 
+def _var_names(spec: str) -> tuple[str, ...]:
+    names = tuple(name.strip() for name in spec.split(","))
+    for name in names:
+        if not _VAR_RE.match(name):
+            raise ParseError(f"bad variable name {name!r} in {spec!r}")
+    return names
+
+
+def _require(args, command: str, options) -> None:
+    """Raise a ParseError naming every option in `options` that is missing."""
+    missing = ["--" + o.replace("_", "-") for o in options if getattr(args, o) is None]
+    if missing:
+        raise ParseError(f"{command} needs {', '.join(missing)}")
+
+
 # --- Commands ---------------------------------------------------------------------
 
 def cmd_eval(args, ws: Workspace) -> int:
@@ -174,10 +189,7 @@ _CHECK_NEEDS = {
 
 
 def cmd_check(args, ws: Workspace) -> int:
-    needs = _CHECK_NEEDS[args.what]
-    missing = [f"--{name}" for name in needs if getattr(args, name) is None]
-    if missing:
-        raise ParseError(f"check {args.what} needs {', '.join(missing)}")
+    _require(args, f"check {args.what}", _CHECK_NEEDS[args.what])
     if args.what == "axioms":
         rand = ws.randomization(args.rand)
         report = check_axioms(rand)
@@ -276,10 +288,12 @@ def _stability_lines(st: FinStructure, phi_text: str | None) -> list[str]:
 def cmd_rho(args, ws: Workspace) -> int:
     st = ws.structure(args.structure)
     phi = parse_formula(args.phi, st.signature)
-    x_vars = tuple(args.x.split(",")) if args.x else ("x",)
-    y_vars = tuple(args.y.split(",")) if args.y else ("y",)
-    w_vars = tuple(args.w.split(",")) if args.w else ()
+    x_vars = _var_names(args.x) if args.x else ("x",)
+    y_vars = _var_names(args.y) if args.y else ("y",)
+    w_vars = _var_names(args.w) if args.w else ()
     if args.rho_hat or args.certify:
+        mode = "--certify" if args.certify else "--rho-hat"
+        _require(args, f"rho {mode}", ("p_measure", "q_measure"))
         p_meas = ws.rmeasure(args.p_measure)
         q_meas = ws.rmeasure(args.q_measure)
         ctx = PhiContext(st, phi, x_vars, y_vars, w_vars)
@@ -345,6 +359,11 @@ def cmd_fiber(args, ws: Workspace) -> int:
     nu_sp = ws.space(args.nu)
     pix = _int_list(args.pix)
     piy = _int_list(args.piy)
+    for option, image, space in (("--pix", pix, mu_sp), ("--piy", piy, nu_sp)):
+        if len(image) != len(space.points):
+            raise ValidationError(
+                f"{option} has {len(image)} entries for {len(space.points)} points"
+            )
     z_points = tuple(sorted(set(pix) | set(piy)))
     fx = MeasurableMap(mu_sp.points, z_points, dict(zip(mu_sp.points, pix)))
     fy = MeasurableMap(nu_sp.points, z_points, dict(zip(nu_sp.points, piy)))

@@ -27,7 +27,7 @@ from .extension import (
     LinFeasProblem,
     extend_measure_eq,
 )
-from .formulas import Elem, Formula, TypeIs, Var, disj, free_vars, substitute
+from .formulas import Eq, Formula, Not, TypeIs, Var, disj, free_vars, substitute
 from .measure import (
     FinProbSpace,
     MeasurableMap,
@@ -41,6 +41,7 @@ from .randomization import Randomization, RandomElement
 from .record import Record
 from .rtypes import RMeasure, rtype_of
 from .semantics import TypeId, TypeSpace, eval_formula, isolating_formula, type_space
+from .semantics import _extension
 from .structures import FinStructure
 
 NEG_INF = float("-inf")
@@ -153,9 +154,10 @@ def phi_type_space(ctx: PhiContext) -> list[PhiType]:
     return [PhiType(t, a) for t, a in ordered]
 
 
-def _trace_count(ctx: PhiContext, solutions, w: tuple[int, ...]) -> int:
-    """The number of distinct traces among the given x tuples."""
-    return len({_trace(ctx, a, w) for a in solutions})
+def _trace_fraction(ctx: PhiContext, tuples, b: tuple, w: tuple) -> Fraction:
+    """The fraction of the distinct traces of the given x tuples that contain b."""
+    traces = {_trace(ctx, a, w) for a in tuples}
+    return Fraction(sum(1 for t in traces if b in t), len(traces))
 
 
 def cb_rank_mult(ctx: PhiContext, pi: Formula) -> tuple[float | int, int]:
@@ -165,19 +167,14 @@ def cb_rank_mult(ctx: PhiContext, pi: Formula) -> tuple[float | int, int]:
     consistent pi has rank 0 and multiplicity the number of distinct
     traces among its solutions; an inconsistent pi reports -inf rank.
     """
-    m = ctx.structure
     w = ctx._w_or_raise()
     fv = free_vars(pi)
     if not fv <= set(ctx.x_vars):
         raise ValidationError(
             f"partial type may only use the x variables, got {sorted(fv)}"
         )
-    solutions = [
-        a
-        for a in itertools.product(m.elements, repeat=len(ctx.x_vars))
-        if eval_formula(m, pi, dict(zip(ctx.x_vars, a)))
-    ]
-    mult = _trace_count(ctx, solutions, w)
+    solutions = _extension(ctx.structure, pi, ctx.x_vars)
+    mult = len({_trace(ctx, a, w) for a in solutions})
     if not mult:
         return (NEG_INF, 0)
     return (0, mult)
@@ -188,23 +185,18 @@ def cb_rank_mult(ctx: PhiContext, pi: Formula) -> tuple[float | int, int]:
 @lru_cache(maxsize=None)
 def _isolated_solutions(
     p_space: TypeSpace, p: TypeId, x_vars: tuple[str, ...]
-) -> tuple[tuple[int, ...], ...]:
+) -> frozenset[tuple[int, ...]]:
     """The solutions over M^|x| of p's isolating formula, renamed to x_vars.
 
     Found by evaluating the formula, not read from the orbit, so that
     `rho_by_multiplicity` stays independent of `rho`.  Only the tuples are
     cached: formulas are large and each is needed once per type.
     """
-    m = p_space.structure
     iso = substitute(
         isolating_formula(p_space, p),
         {f"x{i}": Var(v) for i, v in enumerate(x_vars)},
     )
-    return tuple(
-        a
-        for a in itertools.product(m.elements, repeat=len(x_vars))
-        if eval_formula(m, iso, dict(zip(x_vars, a)))
-    )
+    return _extension(p_space.structure, iso, x_vars)
 
 
 def _rho_inputs(
@@ -230,6 +222,8 @@ def _rho_inputs(
         b_tuple = tuple(b)
     if len(b_tuple) != len(ctx.y_vars):
         raise ValidationError("b must match the y variable group")
+    if not set(b_tuple) <= set(m.elements):
+        raise ValidationError(f"b {b_tuple} outside the universe of size {m.size}")
     return w, b_tuple
 
 
@@ -246,9 +240,7 @@ def rho(
     `rho_by_multiplicity` computes the same value independently.
     """
     w, b_tuple = _rho_inputs(ctx, p_space, b)
-    traces = {_trace(ctx, a, w) for a in p_space.orbit(p)}
-    hits = sum(1 for t in traces if b_tuple in t)
-    return Fraction(hits, len(traces))
+    return _trace_fraction(ctx, p_space.orbit(p), b_tuple, w)
 
 
 def rho_by_multiplicity(
@@ -260,27 +252,14 @@ def rho_by_multiplicity(
     """rho as the ratio of multiplicities of (isolating formula of p) &
     phi(x, b) over the isolating formula alone.
 
-    An independent check on `rho`, used by `randlab check stability`. It
-    builds one isolating formula per type and reuses its solutions for
-    every b; the instance phi(x, b) is evaluated afresh on each call.
+    An independent check on `rho`, used by `randlab check stability`: the
+    solutions come from evaluating the isolating formula, once per type,
+    never from the orbit table.  Those satisfying phi(x, b) are exactly
+    those whose trace contains b.
     """
     w, b_tuple = _rho_inputs(ctx, p_space, b)
-    m = ctx.structure
     solutions = _isolated_solutions(p_space, p, ctx.x_vars)
-    inst = substitute(
-        ctx.phi,
-        {
-            **{v: Elem(e) for v, e in zip(ctx.y_vars, b_tuple)},
-            **{v: Elem(e) for v, e in zip(ctx.w_vars, w)},
-        },
-    )
-    m_base = _trace_count(ctx, solutions, w)
-    m_inst = _trace_count(
-        ctx,
-        (a for a in solutions if eval_formula(m, inst, dict(zip(ctx.x_vars, a)))),
-        w,
-    )
-    return Fraction(m_inst, m_base)
+    return _trace_fraction(ctx, solutions, b_tuple, w)
 
 
 # --- Type-space plumbing for the measure level --------------------------------------
@@ -302,26 +281,31 @@ def _measure_space(nu: RMeasure) -> FinProbSpace:
     return FinProbSpace(support)
 
 
-def _realize_with_w_part(
-    space: TypeSpace, q: TypeId, head: int, w_rep: tuple[int, ...]
-) -> tuple[int, ...]:
-    """A member of q's orbit whose trailing coordinates equal w_rep."""
-    for t in space.orbit(q):
-        if t[head:] == w_rep:
-            return t[:head]
-    raise AssertionError("matching orbit member must exist when base types agree")
+def _heads(space: TypeSpace, q: TypeId, head: int, w: tuple) -> list[tuple]:
+    """The leading `head` coordinates of the members of q's orbit whose
+    tail is w, sorted: the realizations over w of q's head part."""
+    return [t[:head] for t in space.orbit(q) if t[head:] == w]
 
 
-def _fiber_data(ctx: PhiContext, p: RMeasure, q: RMeasure, y_width: int | None = None):
-    m = ctx.structure
+def _widths(ctx: PhiContext, p: RMeasure, q: RMeasure) -> tuple[int, int, int]:
+    """The widths of p's x block, q's y block and their shared W block."""
     nx = len(ctx.x_vars)
     nw = p.space.arity - nx
-    ny = q.space.arity - nw if y_width is None else y_width
-    if nw < 0 or ny < 0 or q.space.arity - ny != nw:
+    ny = q.space.arity - nw
+    if nw < 0 or ny < 0:
         raise ValidationError("measures do not share a parameter block")
+    if len(ctx.w_vars) > nw:
+        raise ValidationError(
+            f"{len(ctx.w_vars)} w variables for {nw} parameter coordinates"
+        )
     if p.space.params or q.space.params:
         raise ValidationError("measure-level operations use joint spaces over ()")
-    w_space = type_space(m, nw, ())
+    return nx, ny, nw
+
+
+def _fiber_data(ctx: PhiContext, p: RMeasure, q: RMeasure):
+    nx, ny, nw = _widths(ctx, p, q)
+    w_space = type_space(ctx.structure, nw, ())
     pi_x = restriction_map(p.space, range(nx, nx + nw), w_space)
     pi_y = restriction_map(q.space, range(ny, ny + nw), w_space)
     return w_space, pi_x, pi_y, nx, ny, nw
@@ -329,24 +313,22 @@ def _fiber_data(ctx: PhiContext, p: RMeasure, q: RMeasure, y_width: int | None =
 
 def _rho_at_pair(
     ctx: PhiContext, p0: TypeId, q0: TypeId, p_space: TypeSpace, q_space: TypeSpace,
-    nx: int, ny: int, nw: int,
+    nx: int, ny: int,
 ) -> Fraction:
-    m = ctx.structure
-    w_rep = type_space(m, nw, ()).type_of(p0.rep[nx:]).rep
-    a = _realize_with_w_part(p_space, p0, nx, w_rep)
-    b = _realize_with_w_part(q_space, q0, ny, w_rep)
-    positions = range(len(ctx.w_vars))  # w variables name the leading W coords
-    w_vals = tuple(w_rep[i] for i in positions)
-    inner = PhiContext(
-        m, ctx.phi, ctx.x_vars, ctx.y_vars, ctx.w_vars, w_vals
-    )
-    space_a = type_space(m, nx, w_rep)
-    return rho(inner, space_a, space_a.type_of(a), b)
+    """rho over p0's own W part w, which q0's orbit meets because the pair
+    lies in the fibre product; rho is automorphism invariant, so any w of
+    the fibre gives the same value.  The w variables name w's leading
+    coordinates."""
+    w = p0.rep[nx:]
+    b = _heads(q_space, q0, ny, w)[0]
+    return _trace_fraction(ctx, _heads(p_space, p0, nx, w), b, w[: len(ctx.w_vars)])
 
 
 def rho_fn(ctx: PhiContext, p: RMeasure, q: RMeasure) -> tuple[RationalFn, FinProbSpace]:
     """rho materialised on the fiber product of the two measures."""
-    w_space, pi_x, pi_y, nx, ny, nw = _fiber_data(ctx, p, q, len(ctx.y_vars))
+    w_space, pi_x, pi_y, nx, ny, nw = _fiber_data(ctx, p, q)
+    if ny != len(ctx.y_vars):
+        raise ValidationError("measures do not share a parameter block")
     mu_p = _measure_space(p)
     mu_q = _measure_space(q)
     fib = FiberSpace(
@@ -355,7 +337,7 @@ def rho_fn(ctx: PhiContext, p: RMeasure, q: RMeasure) -> tuple[RationalFn, FinPr
     )
     joint = fiber_product(mu_p, mu_q, fib)
     values = {
-        pt: _rho_at_pair(ctx, pt[0], pt[1], p.space, q.space, nx, ny, nw)
+        pt: _rho_at_pair(ctx, pt[0], pt[1], p.space, q.space, nx, ny)
         for pt in joint.points
     }
     return RationalFn(joint.points, values), joint
@@ -373,13 +355,13 @@ def nonforking_extension(ctx: PhiContext, p: RMeasure, q: RMeasure) -> RMeasure:
     """The joint measure extending p by the new parameters described by q.
 
     Over each fiber pair, the pair's mass is spread uniformly over the
-    completions obtained from the realizations of the x-type; transitivity
-    of the parameter-fixing group makes this the same as averaging over
-    the trace classes, so every phi-instance value equals rho_hat.
+    completions obtained from the realizations of the x-type, read from
+    p0's orbit over p0's own W part; transitivity of the parameter-fixing
+    group makes this the same as averaging over the trace classes, so
+    every phi-instance value equals rho_hat.
     """
-    m = ctx.structure
     w_space, pi_x, pi_y, nx, totaly, nw = _fiber_data(ctx, p, q)
-    target = type_space(m, nx + totaly + nw, ())
+    target = type_space(ctx.structure, nx + totaly + nw, ())
     img_p = {w: Fraction(0) for w in w_space.types}
     for q0 in p.space.types:
         img_p[pi_x(q0)] += p.weights[q0]
@@ -388,20 +370,15 @@ def nonforking_extension(ctx: PhiContext, p: RMeasure, q: RMeasure) -> RMeasure:
         if p.weights[p0] == 0:
             continue
         r = pi_x(p0)
+        w = p0.rep[nx:]
+        realizations = _heads(p.space, p0, nx, w)
         for q0 in q.space.types:
             if q.weights[q0] == 0 or pi_y(q0) != r:
                 continue
-            cell = p.weights[p0] * q.weights[q0] / img_p[r]
-            w_rep = r.rep
-            b = _realize_with_w_part(q.space, q0, totaly, w_rep)
-            realizations = [
-                a
-                for a in itertools.product(m.elements, repeat=nx)
-                if p.space.type_of(a + w_rep) == p0
-            ]
-            share = cell / len(realizations)
+            b = _heads(q.space, q0, totaly, w)[0]
+            share = p.weights[p0] * q.weights[q0] / img_p[r] / len(realizations)
             for a in realizations:
-                r0 = target.type_of(a + b + w_rep)
+                r0 = target.type_of(a + b + w)
                 acc[r0] = acc.get(r0, Fraction(0)) + share
     return RMeasure(target, acc)
 
@@ -410,7 +387,7 @@ def stationarity_problem(ctx: PhiContext, p: RMeasure, q: RMeasure) -> LinFeasPr
     """The linear system a joint extension must satisfy: both marginals,
     plus every phi-instance pinned to its rho_hat value."""
     m = ctx.structure
-    w_space, pi_x, pi_y, nx, total_y, nw = _fiber_data(ctx, p, q)
+    nx, total_y, nw = _widths(ctx, p, q)
     ny = len(ctx.y_vars)
     if total_y % ny != 0:
         raise ValidationError("q's arity is not a whole number of y blocks")
@@ -447,9 +424,8 @@ def stationarity_problem(ctx: PhiContext, p: RMeasure, q: RMeasure) -> LinFeasPr
             rep = t.rep
             a = rep[:nx]
             b = rep[nx + i * ny : nx + (i + 1) * ny]
-            w_rep = rep[nx + total_y :]
-            w_vals = tuple(w_rep[j] for j in range(len(ctx.w_vars)))
-            return ctx.instance_holds(a, b, w_vals)
+            w = rep[nx + total_y : nx + total_y + len(ctx.w_vars)]
+            return ctx.instance_holds(a, b, w)
 
         constraints.append((indicator(holds), value, "="))
     return LinFeasProblem(target.types, constraints)
@@ -492,8 +468,6 @@ def invariant_subset_formulas(
     if 2 ** len(orbits) > MAX_INVARIANT_FORMULAS:
         raise BudgetError("invariant-subset fragment too large", 2 ** len(orbits))
     arg_terms = tuple(Var(v) for v in tuple(x_vars) + tuple(y_vars) + tuple(w_vars))
-    from .formulas import Eq, Not
-
     never = Not(Eq(arg_terms[0], arg_terms[0]))
     out: list[tuple[Formula, frozenset[int]]] = []
     indices = list(range(len(orbits)))

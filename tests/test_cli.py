@@ -183,6 +183,16 @@ def test_fiber_command(ws_file):
         "--pix", "0,1", "--piy", "0,0,1",
     )
     assert code == 2 and "differ at base point" in err
+    # a map must have one entry per point of its space, no more and no fewer
+    for pix, piy, message in (
+        ("0,1", "0,1,1,1", "--piy has 4 entries for 3 points"),
+        ("0", "0,1,1", "--pix has 1 entries for 2 points"),
+    ):
+        code, out, err = run(
+            "--workspace", ws_file, "fiber", "--mu", "dy1", "--nu", "sk",
+            "--pix", pix, "--piy", piy,
+        )
+        assert (code, out) == (2, "") and message in err
 
 
 def test_extend_command(tmp_path, ws_file):
@@ -322,6 +332,9 @@ def test_bad_numbers_in_arguments_exit_parse(ws_file, tmp_path):
         (rho + ["--p", "q-1", "--b", "0"], "expected int"),
         (rho + ["--p", "0", "--b", "0", "--A", "1.5"], "unexpected character '.'"),
         (rho + ["--b", "0"], "needs --p and --b"),
+        (rho + ["--x", "x,", "--p", "q0", "--b", "1"], "bad variable name ''"),
+        (rho + ["--y", "Y", "--p", "q0", "--b", "1"], "bad variable name 'Y'"),
+        (rho + ["--w", "w,,v", "--p", "q0", "--b", "1"], "bad variable name ''"),
         (["approx-simple", "--rand", "m2x8", "--f", "h", "--algebra", "e1", "--eps", "0.5"],
          "unexpected character '.'"),
         (["types", "--structure", "c3", "--params", "0,,1"], "expected int"),
@@ -340,6 +353,8 @@ def test_rho_type_outside_the_space_exits_validation(ws_file):
     assert (code, out) == (2, "") and "no type q9 in a space of 1 types" in err
     code, out, err = run(*rho, "--p", "7", "--b", "0")
     assert (code, out) == (2, "") and "outside the universe" in err
+    code, out, err = run(*rho, "--p", "q0", "--b", "9")
+    assert (code, out) == (2, "") and "b (9,) outside the universe of size 3" in err
 
 
 @pytest.mark.parametrize(
@@ -354,11 +369,18 @@ def test_rho_type_outside_the_space_exits_validation(ws_file):
         (["check", "stability"], "check stability needs --structure"),
         (["check", "categoricity", "--structure", "c3", "--nmax", "0"],
          "--nmax must be at least 1, got 0"),
+        (["rho", "--structure", "l3", "--phi", "Lt(x, y)", "--rho-hat"],
+         "rho --rho-hat needs --p-measure, --q-measure"),
+        (["rho", "--structure", "l3", "--phi", "Lt(x, y)", "--rho-hat", "--q-measure", "nu1"],
+         "rho --rho-hat needs --p-measure"),
+        (["rho", "--structure", "l3", "--phi", "Lt(x, y)", "--certify", "--p-measure", "nu1"],
+         "rho --certify needs --q-measure"),
     ],
     ids=[
         "axioms-rand", "independence-rand", "independence-c", "independence-b",
         "types-structure", "categoricity-structure", "stability-structure",
-        "categoricity-nmax",
+        "categoricity-nmax", "rho-hat-measures", "rho-hat-p-measure",
+        "certify-q-measure",
     ],
 )
 def test_check_without_a_needed_option_exits_parse(ws_file, argv, message):

@@ -1,8 +1,11 @@
 import io
+import itertools
+import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from randlab import (
     FeasibleCertificate,
@@ -10,14 +13,18 @@ from randlab import (
     PhiContext,
     RandomElement,
     Randomization,
+    RMeasure,
     ValidationError,
     cb_rank_mult,
     certify_nonforking,
     check_independence,
+    directed_cycle,
     ladder_length,
+    linear_order,
     nonforking_extension,
     parse_formula,
     phi_type_space,
+    pure_set,
     rho,
     rho_by_multiplicity,
     rho_hat,
@@ -28,7 +35,13 @@ import randlab.stability
 from randlab.cli import main
 from randlab.formulas import Eq, Not, Var, format_formula, substitute
 from randlab.semantics import _extension, automorphisms, isolating_formula
-from randlab.stability import NEG_INF, _isolated_solutions, restriction_map
+from randlab.stability import (
+    NEG_INF,
+    _heads,
+    _isolated_solutions,
+    restriction_map,
+    rho_fn,
+)
 
 F = Fraction
 
@@ -89,6 +102,11 @@ def test_rho_examples(m2):
     assert rho(ctx_top, space, space.types[0], 0) == 1
     ctx_bot = PhiContext(m2, Not(Eq(Var("x"), Var("x"))), ("x",), ("y",))
     assert rho(ctx_bot, space, space.types[0], 0) == 0
+    # b must lie in the universe, on both routes
+    for route in (rho, rho_by_multiplicity):
+        for b in (2, -1):
+            with pytest.raises(ValidationError, match="outside the universe"):
+                route(ctx, space, space.types[0], b)
 
 
 def _phi_corpus(st):
@@ -267,6 +285,11 @@ def test_rho_hat_rejects_mismatched_marginals(l3):
     q = rtype_of(rand, [f], [a1])  # different W marginal
     with pytest.raises(ValidationError):
         rho_hat(ctx, p, q)
+    # more w variables than parameter coordinates
+    wide = PhiContext(l3, ctx.phi, ("x",), ("y",), ("w", "v"))
+    for build in (rho_hat, nonforking_extension, certify_nonforking):
+        with pytest.raises(ValidationError, match="2 w variables for 1 parameter"):
+            build(wide, p, p)
 
 
 def test_nonforking_extension_empty_y_returns_p(m2):
@@ -412,3 +435,142 @@ def test_independence_conjugation_invariance(m2):
     dep2 = check_independence(rand, [swapped_c], [swapped_c], [])
     assert not dep1.independent and not dep2.independent
     assert format_formula(dep1.witness) == format_formula(dep2.witness)
+
+
+# --- Oracles: realizations and rho at fibre pairs, as built before `_heads` -----------
+
+def _old_realize_with_w_part(space, q, head, w_rep):
+    for t in space.orbit(q):
+        if t[head:] == w_rep:
+            return t[:head]
+    raise AssertionError("matching orbit member must exist when base types agree")
+
+
+def _old_rho_at_pair(ctx, p0, q0, p_space, q_space, nx, ny, nw):
+    """rho at a fibre pair through the canonical W representative and a
+    fresh type space over it, as `rho_fn` computed it before `_heads`."""
+    m = ctx.structure
+    w_rep = type_space(m, nw, ()).type_of(p0.rep[nx:]).rep
+    a = _old_realize_with_w_part(p_space, p0, nx, w_rep)
+    b = _old_realize_with_w_part(q_space, q0, ny, w_rep)
+    w_vals = tuple(w_rep[i] for i in range(len(ctx.w_vars)))
+    inner = PhiContext(m, ctx.phi, ctx.x_vars, ctx.y_vars, ctx.w_vars, w_vals)
+    space_a = type_space(m, nx, w_rep)
+    return rho(inner, space_a, space_a.type_of(a), b)
+
+
+def _old_nonforking_extension(ctx, p, q):
+    """The canonical extension with realizations found by scanning M^nx."""
+    m = ctx.structure
+    nx = len(ctx.x_vars)
+    nw = p.space.arity - nx
+    totaly = q.space.arity - nw
+    w_space = type_space(m, nw, ())
+    pi_x = restriction_map(p.space, range(nx, nx + nw), w_space)
+    pi_y = restriction_map(q.space, range(totaly, totaly + nw), w_space)
+    target = type_space(m, nx + totaly + nw, ())
+    img_p = {w: F(0) for w in w_space.types}
+    for q0 in p.space.types:
+        img_p[pi_x(q0)] += p.weights[q0]
+    acc = {}
+    for p0 in p.space.types:
+        if p.weights[p0] == 0:
+            continue
+        r = pi_x(p0)
+        for q0 in q.space.types:
+            if q.weights[q0] == 0 or pi_y(q0) != r:
+                continue
+            cell = p.weights[p0] * q.weights[q0] / img_p[r]
+            w_rep = r.rep
+            b = _old_realize_with_w_part(q.space, q0, totaly, w_rep)
+            realizations = [
+                a
+                for a in itertools.product(m.elements, repeat=nx)
+                if p.space.type_of(a + w_rep) == p0
+            ]
+            for a in realizations:
+                r0 = target.type_of(a + b + w_rep)
+                acc[r0] = acc.get(r0, F(0)) + cell / len(realizations)
+    return RMeasure(target, acc)
+
+
+ORACLE_STRUCTURES = {
+    "m2": pure_set(2),
+    "m4": pure_set(4),
+    "c3": directed_cycle(3),
+    "c4": directed_cycle(4),
+    "c5": directed_cycle(5),
+    "l3": linear_order(3),
+    "l4": linear_order(4),
+}
+ORACLE_PHI = {  # one formula per signature and parameter width, using every w
+    ("m", 1): "x = y | x = w",
+    ("m", 2): "x = y | (x = w & !(y = v))",
+    ("c", 1): "E(x, y) | E(w, x)",
+    ("c", 2): "E(x, y) | (E(w, x) & !(y = v))",
+    ("l", 1): "Lt(x, y) & Lt(w, y)",
+    ("l", 2): "(Lt(x, y) & Lt(w, y)) | x = v",
+}
+W_VARS = {1: ("w",), 2: ("w", "v")}
+
+
+def _check_against_oracles(name, nw, c_vals, b_vals, w_vals):
+    """rho_fn, nonforking_extension and _heads against the constructions
+    above, for p = type of (c, w) and q = type of (b, w) over a uniform base."""
+    st = ORACLE_STRUCTURES[name]
+    text = ORACLE_PHI[(name[0], nw)]
+    ctx = PhiContext(st, parse_formula(text, st.signature), ("x",), ("y",), W_VARS[nw])
+    rand = Randomization.constant(st, FinProbSpace.uniform(len(c_vals)))
+    params = [rand.element(vals) for vals in w_vals]
+    p = rtype_of(rand, [rand.element(c_vals)], params)
+    q = rtype_of(rand, [rand.element(b_vals)], params)
+
+    fn, joint = rho_fn(ctx, p, q)
+    for p0, q0 in joint.points:
+        want = _old_rho_at_pair(ctx, p0, q0, p.space, q.space, 1, 1, nw)
+        assert fn((p0, q0)) == want, (name, text, p0, q0)
+    assert nonforking_extension(ctx, p, q) == _old_nonforking_extension(ctx, p, q)
+
+    for meas in (p, q):
+        for t0 in meas.space.types:
+            for member in meas.space.orbit(t0):
+                w = member[1:]
+                heads = _heads(meas.space, t0, 1, w)
+                scan = [
+                    a for a in itertools.product(st.elements, repeat=1)
+                    if meas.space.type_of(a + w) == t0
+                ]
+                over_w = type_space(st, 1, w)
+                assert heads == scan == over_w.orbit(over_w.type_of(member[:1]))
+
+
+@pytest.mark.parametrize("nw", [1, 2])
+@pytest.mark.parametrize("name", sorted(ORACLE_STRUCTURES))
+def test_fibre_pairs_match_the_old_constructions(name, nw):
+    st = ORACLE_STRUCTURES[name]
+    k = st.size
+    rng = random.Random(f"{name}-{nw}")
+    # the identity element meets every type of x; constant and random
+    # parameters give one fibre and several
+    cases = [(list(st.elements), [0] * k, [[0] * k for _ in range(nw)])]
+    for _ in range(3):
+        cases.append((
+            [rng.randrange(k) for _ in range(k)],
+            [rng.randrange(k) for _ in range(k)],
+            [[rng.randrange(k) for _ in range(k)] for _ in range(nw)],
+        ))
+    for c_vals, b_vals, w_vals in cases:
+        _check_against_oracles(name, nw, c_vals, b_vals, w_vals)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(hst.data())
+def test_fibre_pairs_match_the_old_constructions_random(data):
+    name = data.draw(hst.sampled_from(sorted(ORACLE_STRUCTURES)))
+    nw = data.draw(hst.sampled_from([1, 2]))
+    points = data.draw(hst.integers(1, 5))
+    size = ORACLE_STRUCTURES[name].size
+    values = hst.lists(hst.integers(0, size - 1), min_size=points, max_size=points)
+    c_vals, b_vals = data.draw(values), data.draw(values)
+    w_vals = [data.draw(values) for _ in range(nw)]
+    _check_against_oracles(name, nw, c_vals, b_vals, w_vals)
