@@ -515,3 +515,49 @@ def test_continuous_fullness_identities(c3, l3, case):
             assert inf == mu(rand, event_of(rand, Forall("x", phi), binding)), phi
             checked += 1
     assert checked >= len(default_formula_corpus(rand.signature)) // 2
+
+
+# --- The report on the benchmark's case shapes, pinned --------------------------
+
+def _pinned_lines(events, defect, threshold):
+    verdict = "PASS" if F(defect) <= F(threshold) else "FAIL"
+    return [
+        "PASS axiom-validity tautology corpus, per-point evaluation",
+        "PASS axiom-boolean",
+        "PASS axiom-distance",
+        "PASS axiom-fullness",
+        f"PASS axiom-event {events} events, exact witnesses",
+        "PASS axiom-measure",
+        f"{verdict} axiom-atomless defect {defect} vs threshold {threshold}",
+        "PASS axiom-transfer",
+    ]
+
+
+PINNED_BASES = {
+    "dyadic1": (lambda: FinProbSpace.dyadic(1), 4, "1/4", "1/4"),
+    "dyadic2": (lambda: FinProbSpace.dyadic(2), 16, "1/8", "1/8"),
+    "dyadic3": (lambda: FinProbSpace.dyadic(3), 256, "1/16", "1/16"),
+    "thirds": (
+        lambda: FinProbSpace([(0, F(1, 2)), (1, F(1, 3)), (2, F(1, 6))]),
+        8,
+        "1/4",
+        "1/12",
+    ),
+}
+
+
+@pytest.mark.parametrize("base", sorted(PINNED_BASES))
+@pytest.mark.parametrize("structure", ["m2", "c3", "l3"])
+def test_report_pinned_on_constant_families(request, structure, base):
+    make, events, defect, threshold = PINNED_BASES[base]
+    report = check_axioms(Randomization.constant(request.getfixturevalue(structure), make()))
+    assert report.lines() == _pinned_lines(events, defect, threshold)
+    assert report.atomless_defect == F(defect)
+
+
+def test_report_pinned_on_distinct_fibres():
+    rand = _digraph_family(FinProbSpace.dyadic(3), DISTINCT_DIGRAPHS)
+    assert len(set(rand.family.values())) == 8
+    report = check_axioms(rand)
+    assert report.lines() == _pinned_lines(256, "1/16", "1/16")
+    assert report.atomless_defect == F(1, 16)
