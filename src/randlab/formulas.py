@@ -127,6 +127,18 @@ def term_vars(t: Term) -> Iterator[str]:
 
 
 def free_vars(phi: Formula) -> frozenset[str]:
+    """The free variables of phi.  Computed once per node and kept on the
+    node, outside its fields, so equality, hashing and repr ignore it."""
+    try:
+        return phi._free_vars
+    except AttributeError:
+        pass
+    out = _free_vars(phi)
+    object.__setattr__(phi, "_free_vars", out)
+    return out
+
+
+def _free_vars(phi: Formula) -> frozenset[str]:
     if isinstance(phi, Eq):
         return frozenset(term_vars(phi.left)) | frozenset(term_vars(phi.right))
     if isinstance(phi, Rel):

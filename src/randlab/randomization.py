@@ -143,7 +143,9 @@ def _check_binding(
     `binding` is a dict from variable names to random elements, or a
     sequence matched against `fv` in order.
     """
-    if isinstance(binding, Mapping):
+    if isinstance(binding, dict):
+        bound = binding
+    elif isinstance(binding, Mapping):
         bound = dict(binding)
     else:
         elems = list(binding)
@@ -167,12 +169,13 @@ def event_of(rand: Randomization, phi: Formula, binding) -> Event:
     a tuple matched against the sorted free variables of phi.
     """
     bound = _check_binding(rand, sorted(free_vars(phi)), binding)
-    out = set()
-    for w in rand.base.points:
-        val = {v: f(w) for v, f in bound.items()}
-        if eval_formula(rand.family[w], phi, val):
-            out.add(w)
-    return frozenset(out)
+    columns = [(v, f.values) for v, f in bound.items()]
+    family = rand.family
+    return frozenset(
+        w
+        for w in rand.base.points
+        if eval_formula(family[w], phi, {v: values[w] for v, values in columns})
+    )
 
 
 def mu(rand: Randomization, e: Event) -> Fraction:
@@ -221,7 +224,8 @@ def fullness_witness(
         val = {v: f(w) for v, f in bound.items()}
         pick = 0
         for a in m.elements:
-            if eval_formula(m, phi, {**val, var: a}):
+            val[var] = a
+            if eval_formula(m, phi, val):
                 pick = a
                 break
         values[w] = pick

@@ -36,48 +36,136 @@ from .record import Record
 from .structures import FinStructure
 
 
-def eval_term(m: FinStructure, t: Term, val: dict[str, int]) -> int:
-    if isinstance(t, Var):
-        if t.name not in val:
-            raise ValidationError(f"unassigned free variable {t.name!r}")
+class _Dispatch(dict):
+    """Handlers keyed by node class; a class without one gets `reject`."""
+
+    def __init__(self, handlers, reject):
+        super().__init__(handlers)
+        self.reject = reject
+
+    def __missing__(self, cls):
+        return self.reject
+
+
+def _not_a_term(m, t, val):
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _not_a_formula(m, phi, val):
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def _var(m, t, val):
+    try:
         return val[t.name]
-    if isinstance(t, Elem):
-        if not 0 <= t.value < m.size:
-            raise ValidationError(f"element literal #{t.value} out of range")
-        return t.value
-    if isinstance(t, Const):
-        return m.constant(t.name)
-    return m.apply(t.func, tuple(eval_term(m, a, val) for a in t.args))
+    except KeyError:
+        raise ValidationError(f"unassigned free variable {t.name!r}") from None
+
+
+def _elem(m, t, val):
+    if not 0 <= t.value < m.size:
+        raise ValidationError(f"element literal #{t.value} out of range")
+    return t.value
+
+
+def _const(m, t, val):
+    return m.constant(t.name)
+
+
+def _args(m, args, val):
+    return tuple([_TERMS[type(a)](m, a, val) for a in args])
+
+
+def _app(m, t, val):
+    return m.apply(t.func, _args(m, t.args, val))
+
+
+def _eq(m, phi, val):
+    left, right = phi.left, phi.right
+    return _TERMS[type(left)](m, left, val) == _TERMS[type(right)](m, right, val)
+
+
+def _rel(m, phi, val):
+    return m.holds(phi.name, _args(m, phi.args, val))
+
+
+def _not(m, phi, val):
+    body = phi.body
+    return not _FORMULAS[type(body)](m, body, val)
+
+
+def _and(m, phi, val):
+    left, right = phi.left, phi.right
+    return _FORMULAS[type(left)](m, left, val) and _FORMULAS[type(right)](m, right, val)
+
+
+def _or(m, phi, val):
+    left, right = phi.left, phi.right
+    return _FORMULAS[type(left)](m, left, val) or _FORMULAS[type(right)](m, right, val)
+
+
+def _implies(m, phi, val):
+    left, right = phi.left, phi.right
+    return (not _FORMULAS[type(left)](m, left, val)) or _FORMULAS[type(right)](m, right, val)
+
+
+def _exists(m, phi, val):
+    body, var = phi.body, phi.var
+    handler = _FORMULAS[type(body)]
+    inner = dict(val)
+    for a in m.elements:
+        inner[var] = a
+        if handler(m, body, inner):
+            return True
+    return False
+
+
+def _forall(m, phi, val):
+    body, var = phi.body, phi.var
+    handler = _FORMULAS[type(body)]
+    inner = dict(val)
+    for a in m.elements:
+        inner[var] = a
+        if not handler(m, body, inner):
+            return False
+    return True
+
+
+def _type_is(m, phi, val):
+    if phi.space.structure != m:
+        raise ValidationError("TypeIs atom evaluated in a foreign structure")
+    return phi.space.index_of(_args(m, phi.args, val)) == phi.type_id.index
+
+
+_TERMS = _Dispatch({Var: _var, Elem: _elem, Const: _const, App: _app}, _not_a_term)
+_FORMULAS = _Dispatch(
+    {
+        Eq: _eq,
+        Rel: _rel,
+        Not: _not,
+        And: _and,
+        Or: _or,
+        Implies: _implies,
+        Exists: _exists,
+        Forall: _forall,
+        TypeIs: _type_is,
+    },
+    _not_a_formula,
+)
+
+
+def eval_term(m: FinStructure, t: Term, val: dict[str, int]) -> int:
+    return _TERMS[type(t)](m, t, val)
 
 
 def eval_formula(m: FinStructure, phi: Formula, val: dict[str, int]) -> bool:
-    """Classical satisfaction; quantifiers range over the whole universe."""
-    if isinstance(phi, Eq):
-        return eval_term(m, phi.left, val) == eval_term(m, phi.right, val)
-    if isinstance(phi, Rel):
-        return m.holds(phi.name, tuple(eval_term(m, a, val) for a in phi.args))
-    if isinstance(phi, Not):
-        return not eval_formula(m, phi.body, val)
-    if isinstance(phi, And):
-        return eval_formula(m, phi.left, val) and eval_formula(m, phi.right, val)
-    if isinstance(phi, Or):
-        return eval_formula(m, phi.left, val) or eval_formula(m, phi.right, val)
-    if isinstance(phi, Implies):
-        return (not eval_formula(m, phi.left, val)) or eval_formula(m, phi.right, val)
-    if isinstance(phi, Exists):
-        return any(
-            eval_formula(m, phi.body, {**val, phi.var: a}) for a in m.elements
-        )
-    if isinstance(phi, Forall):
-        return all(
-            eval_formula(m, phi.body, {**val, phi.var: a}) for a in m.elements
-        )
-    if isinstance(phi, TypeIs):
-        if phi.space.structure != m:
-            raise ValidationError("TypeIs atom evaluated in a foreign structure")
-        tup = tuple(eval_term(m, a, val) for a in phi.args)
-        return phi.space.index_of(tup) == phi.type_id.index
-    raise TypeError(f"not a formula: {phi!r}")
+    """Classical satisfaction; quantifiers range over the whole universe.
+
+    Each node class has one handler in `_FORMULAS` (terms: `_TERMS`), and
+    the handlers recurse through those tables.  A quantifier copies the
+    valuation once and rebinds its variable for each element.
+    """
+    return _FORMULAS[type(phi)](m, phi, val)
 
 
 # --- Automorphisms -----------------------------------------------------------

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from randlab import ParseError, parse_formula, format_formula, free_vars
 from randlab.formulas import (
@@ -12,10 +12,13 @@ from randlab.formulas import (
     Not,
     Or,
     Rel,
+    TypeIs,
     Var,
     substitute,
+    term_vars,
 )
 from randlab.structures import Signature
+from test_record import KINDS, rebuild
 
 SIG = Signature(relations={"E": 2})
 
@@ -117,3 +120,33 @@ def test_overlong_element_literal_is_a_parse_error():
     assert parse_formula("x = #12", SIG) == Eq(Var("x"), Elem(12))
     with pytest.raises(ParseError):
         parse_formula("x = # 12", SIG)
+
+
+# --- free_vars is kept on the node ------------------------------------------------
+
+def _tree_walk_free_vars(phi):
+    if isinstance(phi, (Eq, Rel, TypeIs)):
+        terms = (phi.left, phi.right) if isinstance(phi, Eq) else phi.args
+        return frozenset(v for t in terms for v in term_vars(t))
+    if isinstance(phi, Not):
+        return _tree_walk_free_vars(phi.body)
+    if isinstance(phi, (Exists, Forall)):
+        return _tree_walk_free_vars(phi.body) - {phi.var}
+    return _tree_walk_free_vars(phi.left) | _tree_walk_free_vars(phi.right)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(KINDS["Formula"])
+def test_free_vars_kept_on_the_node_match_a_tree_walk(phi):
+    shown, hashed, copy = repr(phi), hash(phi), rebuild(phi)
+    assert free_vars(phi) == _tree_walk_free_vars(phi)
+    assert free_vars(phi) is free_vars(phi)
+    assert (repr(phi), hash(phi)) == (shown, hashed) and phi == copy
+    with pytest.raises(AttributeError):
+        phi._free_vars = frozenset()
+
+
+def test_free_vars_rejects_a_non_formula():
+    for bad in (Var("x"), "x = y", None):
+        with pytest.raises(TypeError, match="^not a formula: "):
+            free_vars(bad)

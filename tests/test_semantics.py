@@ -1,5 +1,6 @@
 import itertools
 import time
+import typing
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as hst
@@ -19,8 +20,27 @@ from randlab import (
     type_of_tuple,
     type_space,
 )
-from randlab.formulas import And, Eq, Exists, Forall, Not, Or, Rel, Var, conj
+from randlab import formulas, semantics
+from randlab.axioms import default_formula_corpus, sentence_corpus, tautology_corpus
+from randlab.formulas import (
+    And,
+    App,
+    Const,
+    Elem,
+    Eq,
+    Exists,
+    Forall,
+    Implies,
+    Not,
+    Or,
+    Rel,
+    TypeIs,
+    Var,
+    conj,
+    free_vars,
+)
 from randlab.semantics import _extension, _flatten_and, _hintikka, _literal_pool
+from test_record import KINDS
 
 
 def test_eval_examples(c3, l3, m2):
@@ -329,3 +349,173 @@ def test_orbit_table_matches_scan(st):
             group = automorphisms(st, frozenset(space.params))
             images = {tuple(sigma[e] for e in q.rep) for sigma in group}
             assert space.orbit(q) == scan == sorted(images)
+
+
+# --- Oracle: the evaluator as an isinstance chain -----------------------------------
+#
+# `eval_formula` dispatches on the node's class through one table of
+# handlers.  The oracle is the chain of isinstance tests it replaced,
+# kept verbatim; the two must agree on every value and on every error,
+# type and message alike.
+
+def _tree_walk_eval_term(m, t, val):
+    if isinstance(t, Var):
+        if t.name not in val:
+            raise ValidationError(f"unassigned free variable {t.name!r}")
+        return val[t.name]
+    if isinstance(t, Elem):
+        if not 0 <= t.value < m.size:
+            raise ValidationError(f"element literal #{t.value} out of range")
+        return t.value
+    if isinstance(t, Const):
+        return m.constant(t.name)
+    return m.apply(t.func, tuple(_tree_walk_eval_term(m, a, val) for a in t.args))
+
+
+def _tree_walk_eval_formula(m, phi, val):
+    if isinstance(phi, Eq):
+        return _tree_walk_eval_term(m, phi.left, val) == _tree_walk_eval_term(m, phi.right, val)
+    if isinstance(phi, Rel):
+        return m.holds(phi.name, tuple(_tree_walk_eval_term(m, a, val) for a in phi.args))
+    if isinstance(phi, Not):
+        return not _tree_walk_eval_formula(m, phi.body, val)
+    if isinstance(phi, And):
+        return _tree_walk_eval_formula(m, phi.left, val) and _tree_walk_eval_formula(m, phi.right, val)
+    if isinstance(phi, Or):
+        return _tree_walk_eval_formula(m, phi.left, val) or _tree_walk_eval_formula(m, phi.right, val)
+    if isinstance(phi, Implies):
+        return (not _tree_walk_eval_formula(m, phi.left, val)) or _tree_walk_eval_formula(
+            m, phi.right, val
+        )
+    if isinstance(phi, Exists):
+        return any(
+            _tree_walk_eval_formula(m, phi.body, {**val, phi.var: a}) for a in m.elements
+        )
+    if isinstance(phi, Forall):
+        return all(
+            _tree_walk_eval_formula(m, phi.body, {**val, phi.var: a}) for a in m.elements
+        )
+    if isinstance(phi, TypeIs):
+        if phi.space.structure != m:
+            raise ValidationError("TypeIs atom evaluated in a foreign structure")
+        tup = tuple(_tree_walk_eval_term(m, a, val) for a in phi.args)
+        return phi.space.index_of(tup) == phi.type_id.index
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def _outcome(evaluate, m, phi, val):
+    try:
+        value = evaluate(m, phi, val)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+    return ("value", type(value), value)
+
+
+def _assert_agrees(m, phi, val):
+    before = dict(val)
+    want = _outcome(_tree_walk_eval_formula, m, phi, val)
+    assert _outcome(eval_formula, m, phi, val) == want, (m, phi, val)
+    assert val == before
+
+
+def _corpora(sig):
+    return default_formula_corpus(sig) + tautology_corpus(sig) + sentence_corpus(sig)
+
+
+VALUATION_NAMES = ["x", "y", "z", "w", "E"]
+DIGRAPH_CORPUS = _corpora(DIGRAPH)
+
+
+@hst.composite
+def digraphs(draw):
+    size = draw(hst.integers(2, 4))
+    pairs = [(a, b) for a in range(size) for b in range(size)]
+    return FinStructure(DIGRAPH, size, relations={"E": draw(hst.sets(hst.sampled_from(pairs)))})
+
+
+DIGRAPH_TERMS = hst.one_of(
+    hst.builds(Var, hst.sampled_from(VALUATION_NAMES[:4])), hst.builds(Elem, hst.integers(0, 3))
+)
+DIGRAPH_FORMULAS = hst.recursive(
+    hst.one_of(
+        hst.builds(Eq, DIGRAPH_TERMS, DIGRAPH_TERMS),
+        hst.builds(lambda a, b: Rel("E", (a, b)), DIGRAPH_TERMS, DIGRAPH_TERMS),
+    ),
+    lambda sub: hst.one_of(
+        hst.builds(Not, sub),
+        *(hst.builds(c, sub, sub) for c in (And, Or, Implies)),
+        *(hst.builds(c, hst.sampled_from(VALUATION_NAMES[:4]), sub) for c in (Exists, Forall)),
+    ),
+    max_leaves=8,
+)
+
+
+@hst.composite
+def evaluations(draw):
+    # pure_set(2) carries the type spaces that the random TypeIs atoms use
+    m = draw(hst.one_of(digraphs(), hst.just(pure_set(2))))
+    phi = draw(hst.one_of(KINDS["Formula"], DIGRAPH_FORMULAS, hst.sampled_from(DIGRAPH_CORPUS)))
+    val = {v: draw(hst.integers(0, m.size - 1)) for v in VALUATION_NAMES}
+    for v in draw(hst.sets(hst.sampled_from(VALUATION_NAMES), max_size=2)):
+        del val[v]
+    return m, phi, val
+
+
+@settings(max_examples=600, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(evaluations())
+def test_eval_formula_matches_tree_walk_oracle_random(case):
+    _assert_agrees(*case)
+
+
+@pytest.mark.parametrize("st", BATTERY, ids=lambda st: st.name)
+def test_eval_formula_matches_tree_walk_oracle_on_the_corpora(st):
+    for phi in _corpora(st.signature):
+        fv = sorted(free_vars(phi))
+        for tup in itertools.product(st.elements, repeat=len(fv)):
+            _assert_agrees(st, phi, dict(zip(fv, tup)))
+
+
+_FOREIGN = type_space(pure_set(2), 1)
+INVALID_INPUTS = {
+    "unassigned": Eq(Var("x"), Var("u")),
+    "unassigned-before-literal": And(Eq(Var("u"), Var("u")), Eq(Elem(9), Elem(9))),
+    "unassigned-in-function": Eq(App("f", (Var("u"),)), Var("x")),
+    "literal": Eq(Elem(3), Var("x")),
+    "literal-before-unassigned": Rel("E", (Elem(9), Var("u"))),
+    "literal-under-quantifier": Exists("z", Eq(Var("z"), Elem(7))),
+    "type-is-foreign": TypeIs(_FOREIGN, _FOREIGN.types[0], (Var("x"),)),
+    "type-is-foreign-before-args": TypeIs(_FOREIGN, _FOREIGN.types[0], (Var("u"), Elem(9))),
+    "unknown-relation": Rel("R", (Var("x"),)),
+    "not-a-formula": Var("x"),
+    "not-a-formula-text": "x = x",
+    "not-a-formula-none": None,
+    "not-a-formula-inside": Not(Elem(0)),
+    "not-a-formula-under-quantifier": Forall("z", Var("z")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
+def test_eval_formula_errors_match_tree_walk_oracle(c3, case):
+    phi = INVALID_INPUTS[case]
+    want = _outcome(_tree_walk_eval_formula, c3, phi, {"x": 0})
+    assert want[0] == "raised"
+    assert _outcome(eval_formula, c3, phi, {"x": 0}) == want
+
+
+def test_every_node_class_has_a_handler():
+    for cls in typing.get_args(formulas.Formula):
+        assert semantics._FORMULAS.get(cls) not in (None, semantics._not_a_formula), cls
+    for cls in typing.get_args(formulas.Term):
+        assert semantics._TERMS.get(cls) not in (None, semantics._not_a_term), cls
+    assert len(semantics._FORMULAS) == len(typing.get_args(formulas.Formula))
+    assert len(semantics._TERMS) == len(typing.get_args(formulas.Term))
+
+
+def test_a_non_node_raises_type_error(c3):
+    for bad in (Var("x"), Elem(0), "E(x, x)", None, 0):
+        with pytest.raises(TypeError, match="^not a formula: "):
+            eval_formula(c3, bad, {"x": 0})
+    for bad in (Not(Eq(Var("x"), Var("x"))), "x", None):
+        with pytest.raises(TypeError, match="^not a term: "):
+            eval_formula(c3, Eq(bad, Var("x")), {"x": 0})
