@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from typing import Iterable
+from collections.abc import Iterable, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetError
 from .formulas import (
@@ -212,9 +212,36 @@ class AxiomReport(Record):
 
 # --- Covering bindings ------------------------------------------------------------
 
-def _covering_bindings(
-    rand: Randomization, variables: Iterable[str]
-) -> list[dict[str, RandomElement]]:
+class _Covering(Sequence):
+    """The bindings of `_covering_bindings`; binding t is built from t
+    when it is asked for, so walking the covering keeps one in memory."""
+
+    def __init__(self, base, variables: list[str], count: int, classes: list[tuple[int, list]]):
+        self.base = base
+        self.variables = variables
+        self.count = count
+        self.classes = classes  # (universe size, points) of each fibre class
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, t: int) -> dict[str, RandomElement]:
+        if t < 0:
+            t += self.count
+        if not 0 <= t < self.count:
+            raise IndexError("covering binding out of range")
+        k = len(self.variables)
+        values: list[dict] = [{} for _ in self.variables]  # [variable][point]
+        for size, ws in self.classes:
+            for j, w in enumerate(ws):
+                # valuation number r of itertools.product(range(size), repeat=k)
+                r = (t * len(ws) + j) % size**k
+                for i in reversed(range(k)):
+                    r, values[i][w] = divmod(r, size)
+        return {v: RandomElement(self.base, vals) for v, vals in zip(self.variables, values)}
+
+
+def _covering_bindings(rand: Randomization, variables: Iterable[str]) -> _Covering:
     """Bindings under which every (fibre, valuation) pair occurs at a point.
 
     The points of a fibre class C split its |M_C|^k valuations, so there
@@ -231,17 +258,7 @@ def _covering_bindings(
     slots = count * len(rand.base.points)
     if slots > DEFAULT_BUDGET:
         raise BudgetError("axiom covering over budget", slots)
-    values = [[{} for _ in variables] for _ in range(count)]  # [binding][variable][point]
-    for m, ws in classes.items():
-        valuations = list(itertools.product(m.elements, repeat=k))
-        for t in range(count):
-            for j, w in enumerate(ws):
-                for i, a in enumerate(valuations[(t * len(ws) + j) % len(valuations)]):
-                    values[t][i][w] = a
-    return [
-        {v: RandomElement(rand.base, vals) for v, vals in zip(variables, per_variable)}
-        for per_variable in values
-    ]
+    return _Covering(rand.base, variables, count, [(m.size, ws) for m, ws in classes.items()])
 
 
 # --- Atomless defect --------------------------------------------------------------

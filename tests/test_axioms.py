@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from randlab import (
     Signature,
     check_axioms,
     default_formula_corpus,
+    directed_cycle,
 )
 from randlab.axioms import EXACT_GROUPS, sentence_corpus, tautology_corpus
 from randlab.axioms import _covering_bindings
@@ -328,6 +330,55 @@ def test_covering_over_budget_raises_before_building(monkeypatch, m2):
     with pytest.raises(BudgetError) as err:
         _covering_bindings(rand, "xyz")
     assert err.value.required == 8
+
+
+def _eager_covering(rand, variables):
+    """The covering as a list, every binding built up front."""
+    variables = sorted(variables)
+    k = len(variables)
+    classes = {}
+    for w in rand.base.points:
+        classes.setdefault(rand.family[w], []).append(w)
+    count = max(-(-m.size**k // len(ws)) for m, ws in classes.items())
+    values = [[{} for _ in variables] for _ in range(count)]
+    for m, ws in classes.items():
+        valuations = list(itertools.product(m.elements, repeat=k))
+        for t in range(count):
+            for j, w in enumerate(ws):
+                for i, a in enumerate(valuations[(t * len(ws) + j) % len(valuations)]):
+                    values[t][i][w] = a
+    return [
+        {v: RandomElement(rand.base, vals) for v, vals in zip(variables, per_variable)}
+        for per_variable in values
+    ]
+
+
+@PREMISE_SETTINGS
+@given(shared_fibre_randomizations(), st.integers(0, 3))
+def test_lazy_covering_equals_the_eager_list(rand, k):
+    variables = ["z", "x", "y"][:k]
+    cover = _covering_bindings(rand, variables)
+    eager = _eager_covering(rand, variables)
+    assert len(cover) == len(eager)
+    assert list(cover) == eager
+    assert [cover[i] for i in range(-len(eager), 0)] == eager
+    for i in (len(eager), -len(eager) - 1):
+        with pytest.raises(IndexError):
+            cover[i]
+
+
+def test_walking_a_large_covering_keeps_memory_flat():
+    # C30 over two points, three variables: 27000 valuations, 13500 bindings
+    rand = Randomization.constant(directed_cycle(30), FinProbSpace.dyadic(1))
+    tracemalloc.start()
+    try:
+        cover = _covering_bindings(rand, "xyz")
+        walked = sum(1 for _ in cover)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walked == len(cover) == 13500
+    assert peak < 2**20
 
 
 def _full_product_verdicts(rand):
