@@ -77,8 +77,16 @@ TYPES_IDENTITY_ROUNDS = 3  # random tuples per corpus formula in `check types`
 def fmt_rat(x: Fraction, decimal: int | None) -> str:
     base = f"{x.numerator}/{x.denominator}"
     if decimal is not None:
-        return f"{base} ({float(x):.{decimal}f})"
+        return f"{base} ({_rounded(x, decimal)})"
     return base
+
+
+def _rounded(x: Fraction, k: int) -> str:
+    """x rounded half to even to k decimals, with every digit exact; a
+    negative x keeps its sign when it rounds to zero, as `format` does."""
+    digits = str(round(abs(x) * 10**k)).rjust(k + 1, "0")
+    sign = "-" if x < 0 else ""
+    return f"{sign}{digits[:-k]}.{digits[-k:]}" if k else sign + digits
 
 
 def _load_ws(path: str | None) -> Workspace:

@@ -1,9 +1,12 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
-from randlab.cli import main
+from randlab.cli import fmt_rat, main
 
 WS = """
 structure m2 { universe = 2; }
@@ -290,6 +293,42 @@ def test_decimal_flag(ws_file):
         "--cformula", "mu[[ x = y ]]", "--bind", "x=f,y=g",
     )
     assert code == 0 and out.strip() == "1/2 (0.500)"
+
+
+def test_decimal_digits_are_exact(ws_file):
+    code, out, _ = run(
+        "--workspace", ws_file, "--decimal", "30", "eval", "--rand", "r1", "--cformula", "1/3"
+    )
+    assert code == 0 and out.strip() == "1/3 (0.333333333333333333333333333333)"
+    assert fmt_rat(Fraction(1, 3), 30) == "1/3 (0.333333333333333333333333333333)"
+
+
+def test_decimal_ties_round_half_to_even():
+    assert fmt_rat(Fraction(1, 2000), 3) == "1/2000 (0.000)"
+    assert fmt_rat(Fraction(3, 2000), 3) == "3/2000 (0.002)"
+    assert fmt_rat(Fraction(5, 2), 0) == "5/2 (2)"
+    assert fmt_rat(Fraction(-1, 2000), 3) == "-1/2000 (-0.000)"
+
+
+def _decimal_oracle(x, k):
+    """x quantized to k places by `decimal`, at a precision that leaves no
+    doubt about the rounding: a run of nines in n/d is shorter than d."""
+    num, den = Decimal(x.numerator), Decimal(x.denominator)
+    prec = len(str(abs(x.numerator) // x.denominator)) + k + len(str(x.denominator)) + 5
+    with localcontext() as ctx:
+        ctx.prec = prec
+        exact = num / den
+        return format(exact.quantize(Decimal(1).scaleb(-k), rounding=ROUND_HALF_EVEN), "f")
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    hst.fractions(max_denominator=10**6).filter(lambda x: abs(x) < 10**6)
+    | hst.integers(-10**4, 10**4).map(lambda n: Fraction(n, 2000)),
+    hst.integers(0, 40),
+)
+def test_decimal_matches_decimal_quantization(x, k):
+    assert fmt_rat(x, k) == f"{x.numerator}/{x.denominator} ({_decimal_oracle(x, k)})"
 
 
 def test_zero_denominator_exits_parse(ws_file, tmp_path):
