@@ -230,14 +230,16 @@ class _Covering(Sequence):
             t += self.count
         if not 0 <= t < self.count:
             raise IndexError("covering binding out of range")
-        k = len(self.variables)
         values: list[dict] = [{} for _ in self.variables]  # [variable][point]
+        last_first = values[::-1]
         for size, ws in self.classes:
-            for j, w in enumerate(ws):
-                # valuation number r of itertools.product(range(size), repeat=k)
-                r = (t * len(ws) + j) % size**k
-                for i in reversed(range(k)):
-                    r, values[i][w] = divmod(r, size)
+            total = size ** len(values)
+            for r, w in enumerate(ws, t * len(ws)):
+                # slot r gets valuation r mod size**k in the order of
+                # itertools.product(range(size), repeat=k): its base-size digits
+                r %= total
+                for column in last_first:
+                    r, column[w] = divmod(r, size)
         return {v: RandomElement(self.base, vals) for v, vals in zip(self.variables, values)}
 
 
