@@ -6,12 +6,13 @@ over all logically valid sentences, which has no finite presentation, so
 it is checked against a corpus of tautologies and the report says so;
 this is a deliberate under-approximation.  The premise, pinned by tests:
 event_of and fullness_witness read a point w only through family[w] and
-the bound values at w, and d_K, d_B and mu sum point weights.  So the
-bindings of _covering_bindings decide validity and fullness, elements
-with one equality pattern per point the d_K laws, and two witnesses the
-event group; the lattice, d_B and modular laws follow from the premise
-(the checker evaluates them at the full and the empty event only), and
-the boolean connectives still take one covering binding per corpus pair.
+the bound values at w, event_of of !, | and & is the pointwise set
+operation on its operands' events, and d_K, d_B and mu sum point weights.
+So the bindings of _covering_bindings decide validity and fullness,
+elements with one equality pattern per point the d_K laws, and two
+witnesses the event group; the connective, lattice, d_B and modular laws
+follow from the premise and are only exercised (the connectives at one
+covering binding per corpus pair, the rest at the full and empty event).
 Atomlessness cannot hold on a finite space: the checker reports the
 exact defect
   max_U min_V |mu(U /\\ V) - mu(U)/2|
@@ -22,10 +23,9 @@ refinement).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetError
 from .formulas import (
@@ -263,6 +263,28 @@ def _covering_bindings(rand: Randomization, variables: Iterable[str]) -> _Coveri
     return _Covering(rand.base, variables, count, [(m.size, ws) for m, ws in classes.items()])
 
 
+def covering_failures(rand: Randomization, items: Iterable, holds: Callable) -> list:
+    """The payloads of the (payload, variables) items for which
+    holds(payload, binding) is false at some covering binding of the
+    variables, in input order.  Items with the same variables share one
+    walk of the covering, so each binding is built once; every covering is
+    sized, and refused past the budget, before any binding is checked.
+    """
+    items = list(items)
+    groups: dict[frozenset[str], list[int]] = {}
+    for i, (_, variables) in enumerate(items):
+        groups.setdefault(frozenset(variables), []).append(i)
+    coverings = [(_covering_bindings(rand, vs), members) for vs, members in groups.items()]
+    passing: set[int] = set()
+    for cover, members in coverings:
+        for binding in cover:
+            members = [i for i in members if holds(items[i][0], binding)]
+            if not members:
+                break
+        passing.update(members)
+    return [payload for i, (payload, _) in enumerate(items) if i not in passing]
+
+
 # --- Atomless defect --------------------------------------------------------------
 
 def atomless_defect(rand: Randomization) -> Fraction:
@@ -297,26 +319,21 @@ def check_axioms(rand: Randomization) -> AxiomReport:
     top = rand.full_event()
     # the laws on events follow from the premise; these only exercise them
     corners = (top, frozenset())
-    covering = functools.cache(functools.partial(_covering_bindings, rand))
 
     # Validity: tautologies evaluate to the sure event under any binding.
-    failures = []
-    for phi in tautology_corpus(sig):
-        if any(event_of(rand, phi, b) != top for b in covering(free_vars(phi))):
-            failures.append(format_formula(phi))
-    verdicts.append(
-        AxiomVerdict(
-            "validity",
-            not failures,
-            failures[0] if failures else "tautology corpus, per-point evaluation",
-        )
+    failures = covering_failures(
+        rand,
+        ((phi, free_vars(phi)) for phi in tautology_corpus(sig)),
+        lambda phi, binding: event_of(rand, phi, binding) == top,
     )
+    detail = format_formula(failures[0]) if failures else "tautology corpus, per-point evaluation"
+    verdicts.append(AxiomVerdict("validity", not failures, detail))
 
     # Boolean: connectives on events, plus lattice laws for the event sort.
     ok = True
     detail = ""
     for i, (phi, psi) in enumerate(zip(corpus, corpus[1:] + corpus[:1])):
-        cover = covering(free_vars(phi) | free_vars(psi))
+        cover = _covering_bindings(rand, free_vars(phi) | free_vars(psi))
         binding = cover[i % len(cover)]
         e_phi = event_of(rand, phi, binding)
         e_psi = event_of(rand, psi, binding)
@@ -373,22 +390,18 @@ def check_axioms(rand: Randomization) -> AxiomReport:
     verdicts.append(AxiomVerdict("distance", ok, detail))
 
     # Fullness: exact witnesses for every corpus formula with x free.
-    ok = True
-    detail = ""
-    for phi in corpus:
-        if "x" not in free_vars(phi):
-            continue
-        for binding in covering(free_vars(phi) - {"x"}):
-            f = fullness_witness(rand, phi, "x", binding)
-            lhs = event_of(rand, phi, {**binding, "x": f})
-            rhs = event_of(rand, Exists("x", phi), binding)
-            if lhs != rhs:
-                ok = False
-                detail = f"witness inexact for {format_formula(phi)}"
-                break
-        if not ok:
-            break
-    verdicts.append(AxiomVerdict("fullness", ok, detail))
+    def exact(phi: Formula, binding: dict[str, RandomElement]) -> bool:
+        f = fullness_witness(rand, phi, "x", binding)
+        lhs = event_of(rand, phi, {**binding, "x": f})
+        return lhs == event_of(rand, Exists("x", phi), binding)
+
+    failures = covering_failures(
+        rand,
+        ((phi, free_vars(phi) - {"x"}) for phi in corpus if "x" in free_vars(phi)),
+        exact,
+    )
+    detail = f"witness inexact for {format_formula(failures[0])}" if failures else ""
+    verdicts.append(AxiomVerdict("fullness", not failures, detail))
 
     # Event: every event is an equality event, exactly.  event_witness
     # sets f(w), g(w) from whether w lies in the event alone, and

@@ -12,11 +12,10 @@ without affecting exit codes (a negative N is a parse error).
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from fractions import Fraction
 
-from .axioms import check_axioms, default_formula_corpus
+from .axioms import check_axioms, covering_failures, default_formula_corpus
 from .cformulas import eval_cformula, parse_cformula
 from .errors import (
     DEFAULT_BUDGET,
@@ -37,7 +36,6 @@ from .lexer import Lexer, parse_numbers
 from .measure import FinProbSpace, FiberSpace, MeasurableMap, fiber_product, image_measure
 from .randomization import (
     EventAlgebra,
-    RandomElement,
     Randomization,
     approximate_by_simple,
     convex_combination,
@@ -70,8 +68,6 @@ EXIT_RESOLVE = 2
 EXIT_PARSE = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
-
-TYPES_IDENTITY_ROUNDS = 3  # random tuples per corpus formula in `check types`
 
 
 def fmt_rat(x: Fraction, decimal: int | None) -> str:
@@ -231,41 +227,23 @@ def cmd_check(args, ws: Workspace) -> int:
         return EXIT_CHECK
 
 
-def sample_elements(
-    rand: Randomization, count: int, seed: int = 2024
-) -> list[RandomElement]:
-    """Deterministic pool of random elements: constants first, then seeded draws."""
-    rng = random.Random(seed)
-    min_size = min(m.size for m in rand.family.values())
-    pool = [RandomElement.constant(rand.base, a) for a in range(min(2, min_size))]
-    while len(pool) < count:
-        values = {w: rng.randrange(rand.family[w].size) for w in rand.base.points}
-        pool.append(RandomElement(rand.base, values))
-    return pool[:count]
-
-
 def _types_identity_lines(st: FinStructure) -> list[str]:
-    """The types-as-measures identity on a default base, per corpus formula."""
-    rng = random.Random(7)
-    base = FinProbSpace.uniform(4)
+    """The types-as-measures identity per corpus formula at every covering
+    binding, on weights 1/15, 2/15, 4/15, 8/15: a point moves the sides
+    apart by its weight or not, by its valuation alone, and distinct powers
+    of two with signs never sum to 0, so this decides every tuple."""
+    base = FinProbSpace([(i, Fraction(2**i, 15)) for i in range(4)])
     rand = Randomization.constant(st, base)
-    pool = sample_elements(rand, 6, seed=7)
-    lines = []
-    for phi in default_formula_corpus(st.signature):
-        fv = sorted(free_vars(phi))
-        ok = True
-        for _ in range(TYPES_IDENTITY_ROUNDS):
-            tup = [rng.choice(pool) for _ in fv]
-            nu = rtype_of(rand, tup)
-            lhs = nu.formula_mass(phi, fv)
-            rhs = mu(rand, event_of(rand, phi, dict(zip(fv, tup))))
-            if lhs != rhs:
-                ok = False
-                break
-        lines.append(
-            f"{'PASS' if ok else 'FAIL'} types-identity {format_formula(phi)}"
-        )
-    return lines
+
+    def holds(phi, binding) -> bool:
+        fv = sorted(binding)
+        lhs = rtype_of(rand, [binding[v] for v in fv]).formula_mass(phi, fv)
+        return lhs == mu(rand, event_of(rand, phi, binding))
+
+    corpus = default_formula_corpus(st.signature)
+    failing = set(covering_failures(rand, ((phi, free_vars(phi)) for phi in corpus), holds))
+    return [f"{'FAIL' if phi in failing else 'PASS'} types-identity {format_formula(phi)}"
+            for phi in corpus]
 
 
 def _stability_lines(st: FinStructure, phi_text: str | None) -> list[str]:

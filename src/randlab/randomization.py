@@ -157,7 +157,7 @@ def _check_binding(
     for v in fv:
         if v not in bound:
             raise ValidationError(f"free variable {v!r} not bound")
-        if bound[v].base != rand.base:
+        if bound[v].base is not rand.base and bound[v].base != rand.base:
             raise ValidationError(f"element bound to {v!r} lives on a different base")
     return {v: bound[v] for v in fv}
 

@@ -1,14 +1,29 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from randlab import (
     FinProbSpace,
+    RandomElement,
     Randomization,
     directed_cycle,
     linear_order,
     pure_set,
 )
+
+
+def sample_elements(
+    rand: Randomization, count: int, seed: int = 2024
+) -> list[RandomElement]:
+    """Deterministic pool of random elements: constants first, then seeded draws."""
+    rng = random.Random(seed)
+    min_size = min(m.size for m in rand.family.values())
+    pool = [RandomElement.constant(rand.base, a) for a in range(min(2, min_size))]
+    while len(pool) < count:
+        values = {w: rng.randrange(rand.family[w].size) for w in rand.base.points}
+        pool.append(RandomElement(rand.base, values))
+    return pool[:count]
 
 
 @pytest.fixture(scope="session")

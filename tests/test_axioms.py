@@ -20,7 +20,7 @@ from randlab import (
 from randlab.axioms import EXACT_GROUPS, sentence_corpus, tautology_corpus
 from randlab.axioms import _covering_bindings
 from randlab.cformulas import CInf, CMu, CSup, EvFormula, eval_cformula
-from randlab.formulas import Eq, Var
+from randlab.formulas import And, Eq, Not, Or, Var
 from randlab.formulas import Exists, Forall, Rel, format_formula, free_vars
 from randlab.randomization import RandomElement, event_of, event_witness
 from randlab.errors import BudgetError
@@ -264,6 +264,18 @@ def test_event_of_reads_a_point_through_its_fibre_and_values(rand, data):
     for w in rand.base.points:
         val = {v: f(w) for v, f in binding.items()}
         assert (w in event) == eval_formula(rand.family[w], phi, val)
+
+
+@PREMISE_SETTINGS
+@given(shared_fibre_randomizations(), st.data())
+def test_event_of_connectives_are_pointwise_set_operations(rand, data):
+    # the connective identities of the boolean group follow from this
+    phi, psi = (data.draw(st.sampled_from(DIGRAPH_CORPUS)) for _ in "ab")
+    binding = _draw_binding(data, rand, free_vars(phi) | free_vars(psi))
+    e_phi, e_psi = (event_of(rand, chi, binding) for chi in (phi, psi))
+    assert event_of(rand, Not(phi), binding) == rand.full_event() - e_phi
+    assert event_of(rand, Or(phi, psi), binding) == e_phi | e_psi
+    assert event_of(rand, And(phi, psi), binding) == e_phi & e_psi
 
 
 @PREMISE_SETTINGS

@@ -1,4 +1,7 @@
+import ast
 import io
+import pathlib
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -6,7 +9,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from randlab.cli import fmt_rat, main
+import randlab
+import randlab.rtypes
+from conftest import sample_elements
+from randlab import FinProbSpace, Randomization, default_formula_corpus, rtype_of, type_space
+from randlab.axioms import _covering_bindings
+from randlab.cli import _types_identity_lines, fmt_rat, main
+from randlab.formulas import format_formula, free_vars, parse_formula
+from randlab.randomization import event_of, mu
 
 WS = """
 structure m2 { universe = 2; }
@@ -131,6 +141,7 @@ def test_over_budget_commands_exit_4(tmp_path):
     for argv, message in [
         (["check", "axioms", "--rand", "rbig"], covering),
         (["convex", "--parts", "1/2:rbig,1/2:rbig"], covering),
+        (["check", "types", "--structure", "big"], covering),
         (
             ["types", "--structure", "l3", "--arity", str(10**12)],
             f"(required count at least 2^{10**12})",
@@ -464,3 +475,85 @@ def test_check_samples_flag_is_rejected(ws_file):
               "--samples", "24"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --samples 24" in err.getvalue()
+
+
+# --- check types: decided on the covering -----------------------------------------
+
+def _flip_at(monkeypatch, phi0, reps):
+    """Make randlab.rtypes.eval_formula answer wrong for phi0 at the valuations
+    `reps`, given in sorted-variable order."""
+    real = randlab.rtypes.eval_formula
+
+    def faulty(m, phi, val):
+        truth = real(m, phi, val)
+        if phi == phi0 and tuple(val[v] for v in sorted(val)) in reps:
+            return not truth
+        return truth
+
+    monkeypatch.setattr(randlab.rtypes, "eval_formula", faulty)
+
+
+def _identity_holds(rand, phi, binding):
+    fv = sorted(free_vars(phi))
+    lhs = rtype_of(rand, [binding[v] for v in fv]).formula_mass(phi, fv)
+    return lhs == mu(rand, event_of(rand, phi, binding))
+
+
+def _seeded_draws(st):
+    """The tuples `check types` used to draw: three per corpus formula from six
+    elements over uniform(4), with one random.Random(7) throughout."""
+    rand = Randomization.constant(st, FinProbSpace.uniform(4))
+    pool = sample_elements(rand, 6, seed=7)
+    rng = random.Random(7)
+    draws = [
+        (phi, [[rng.choice(pool) for _ in free_vars(phi)] for _ in range(3)])
+        for phi in default_formula_corpus(st.signature)
+    ]
+    return rand, draws
+
+
+def _failing_lines(st):
+    return [line for line in _types_identity_lines(st) if not line.startswith("PASS")]
+
+
+def test_check_types_catches_a_fault_the_seeded_draws_miss(monkeypatch, c3):
+    rand, draws = _seeded_draws(c3)
+    space = type_space(c3, 3, ())
+    # a three-variable formula and a type that none of its draws takes at any point
+    phi0, tuples, q = next(
+        (phi, tuples, q)
+        for phi, tuples in draws
+        if len(free_vars(phi)) == 3
+        for q in space.types
+        if q not in {
+            space.type_of(tuple(f(w) for f in tup)) for tup in tuples for w in rand.base.points
+        }
+    )
+    _flip_at(monkeypatch, phi0, {q.rep})
+    fv = sorted(free_vars(phi0))
+    assert all(_identity_holds(rand, phi0, dict(zip(fv, tup))) for tup in tuples)
+    assert _failing_lines(c3) == [f"FAIL types-identity {format_formula(phi0)}"]
+
+
+def test_check_types_keeps_opposite_faults_apart(monkeypatch, c3):
+    phi0 = parse_formula("x = y | x = z", c3.signature)
+    # phi0 holds at the first type and fails at the second: opposite faults
+    flips = {(0, 2, 0), (0, 2, 1)}
+    assert flips <= {q.rep for q in type_space(c3, 3, ()).types}
+    _flip_at(monkeypatch, phi0, flips)
+    # every covering binding over uniform(4) meets the two types equally often
+    uniform = Randomization.constant(c3, FinProbSpace.uniform(4))
+    assert all(_identity_holds(uniform, phi0, b) for b in _covering_bindings(uniform, "xyz"))
+    assert _failing_lines(c3) == ["FAIL types-identity x = y | x = z"]
+
+
+def test_no_module_of_the_package_imports_random():
+    for path in sorted(pathlib.Path(randlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "random"], path.name

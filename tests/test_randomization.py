@@ -85,7 +85,7 @@ def test_fullness_witness_examples(m2, c3, coin_rand):
 
 def test_fullness_witness_exact_on_corpus(c3):
     from randlab.axioms import default_formula_corpus
-    from randlab.cli import sample_elements
+    from conftest import sample_elements
 
     rc = Randomization.constant(c3, FinProbSpace.uniform(4))
     pool = sample_elements(rc, 5)
@@ -125,7 +125,7 @@ def test_transfer_sentences(c3):
 def test_boolean_identities_exhaustive_small(m2):
     # connective identities for every pair of corpus formulas over a tiny base
     from randlab.axioms import default_formula_corpus
-    from randlab.cli import sample_elements
+    from conftest import sample_elements
     from randlab.formulas import And, Not, Or, free_vars
 
     r = Randomization.constant(m2, FinProbSpace.dyadic(2))
@@ -309,6 +309,15 @@ def test_fullness_witness_binding_checked_like_event_of(m2, coin_rand):
     for binding in ({}, [], [g, g], {"y": other_base}):
         with pytest.raises(ValidationError):
             fullness_witness(coin_rand, phi, "x", binding)
+    # an element on an equal but distinct base is accepted, by event_of too
+    twin = RandomElement(FinProbSpace.dyadic(1), g.values)
+    assert twin.base is not coin_rand.base and twin.base == coin_rand.base
+    assert fullness_witness(coin_rand, phi, "x", {"y": twin}) == (
+        fullness_witness(coin_rand, phi, "x", {"y": g})
+    )
+    assert event_of(coin_rand, phi, {"x": twin, "y": g}) == frozenset()
+    with pytest.raises(ValidationError):
+        event_of(coin_rand, phi, {"x": twin, "y": other_base})
     # the witness's own variable is not part of the binding
     assert fullness_witness(coin_rand, phi, "x", {"y": g, "x": other_base}) == (
         fullness_witness(coin_rand, phi, "x", {"y": g})

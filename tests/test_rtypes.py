@@ -57,7 +57,7 @@ def test_ctypes_identity_on_corpus(l3):
     import random
 
     from randlab.axioms import default_formula_corpus
-    from randlab.cli import sample_elements
+    from conftest import sample_elements
     from randlab.formulas import free_vars
 
     rng = random.Random(11)
