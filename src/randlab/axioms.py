@@ -54,6 +54,7 @@ from .randomization import (
     mu,
 )
 from .record import Record
+from .semantics import eval_formula
 from .structures import FinStructure, Signature
 
 ATOMLESS_HARD_LIMIT = 12  # largest non-uniform base whose 2^n events are searched
@@ -447,8 +448,6 @@ def check_axioms(rand: Randomization) -> AxiomReport:
     # Transfer: sentences true (false) in every fiber get measure 1 (0).
     ok = True
     detail = ""
-    from .semantics import eval_formula
-
     for sigma in sentence_corpus(sig):
         truth = [eval_formula(rand.family[w], sigma, {}) for w in rand.base.points]
         value = mu(rand, event_of(rand, sigma, {}))

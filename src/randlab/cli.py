@@ -24,6 +24,7 @@ from .errors import (
     RandlabError,
     ResolutionError,
     ValidationError,
+    show_count,
 )
 from .extension import (
     FeasibleCertificate,
@@ -217,7 +218,7 @@ def cmd_check(args, ws: Workspace) -> int:
         a = _elements_by_names(ws, args.rand, args.A) if args.A else []
         verdict = check_independence(rand, c, b, a)
         if verdict.independent:
-            print(f"PASS independence checked={verdict.checked}")
+            print(f"PASS independence checked={show_count(verdict.checked)}")
             return EXIT_OK
         print(
             f"FAIL independence witness {format_formula(verdict.witness)} "

@@ -27,17 +27,21 @@ DEFAULT_BUDGET = 200_000  # largest enumeration run unless a caller allows more
 SHOWN_BITS = 4096  # longest count shown in full; str() refuses ints of more than 4300 digits
 
 
-class BudgetError(RandlabError):
-    """An exhaustive enumeration would exceed the configured budget.
+def show_count(count: int | None, bits: int | None = None) -> str:
+    """A count in full up to SHOWN_BITS bits, otherwise its order of
+    magnitude.  A count too large to form is passed as None, with a lower
+    bound `bits` > SHOWN_BITS on its bit length."""
+    bits = count.bit_length() if bits is None else bits
+    return str(count) if bits <= SHOWN_BITS else f"at least 2^{bits - 1}"
 
-    A count too large to form is passed as None, with a lower bound
-    `bits` > SHOWN_BITS on its bit length."""
+
+class BudgetError(RandlabError):
+    """An exhaustive enumeration would exceed the configured budget; the
+    required count is shown as `show_count` shows it."""
 
     def __init__(self, message: str, required: int | None, bits: int | None = None):
         self.required = required
-        bits = required.bit_length() if bits is None else bits
-        shown = required if bits <= SHOWN_BITS else f"at least 2^{bits - 1}"
-        super().__init__(f"{message} (required count {shown})")
+        super().__init__(f"{message} (required count {show_count(required, bits)})")
 
 
 class ValidationError(RandlabError):

@@ -10,6 +10,8 @@ formulas are synthesised on demand and are not stored on the type.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from functools import lru_cache
 
 from .errors import DEFAULT_BUDGET, SHOWN_BITS, BudgetError, ValidationError
@@ -154,10 +156,6 @@ _FORMULAS = _Dispatch(
 )
 
 
-def eval_term(m: FinStructure, t: Term, val: dict[str, int]) -> int:
-    return _TERMS[type(t)](m, t, val)
-
-
 def eval_formula(m: FinStructure, phi: Formula, val: dict[str, int]) -> bool:
     """Classical satisfaction; quantifiers range over the whole universe.
 
@@ -251,6 +249,9 @@ def _automorphisms_cached(m: FinStructure, fix: frozenset[int]) -> tuple[tuple[i
         if a not in m.elements:
             raise ValidationError(f"fixed element {a} not in universe")
     colours = _refine_classes(m, fix)
+    leaves = math.prod(math.factorial(n) for n in Counter(colours).values())
+    if leaves > DEFAULT_BUDGET:
+        raise BudgetError("automorphism search over budget", leaves)
     out: list[tuple[int, ...]] = []
     img: list[int | None] = [None] * m.size
 
@@ -273,7 +274,11 @@ def _automorphisms_cached(m: FinStructure, fix: frozenset[int]) -> tuple[tuple[i
 
 
 def automorphisms(m: FinStructure, fix: frozenset[int] | set[int] = frozenset()) -> list[tuple[int, ...]]:
-    """All automorphisms of `m` fixing `fix` pointwise, sorted."""
+    """All automorphisms of `m` fixing `fix` pointwise, sorted.
+
+    The backtrack has at most prod |class|! leaves over the colour classes
+    of the partition refinement; a bound past DEFAULT_BUDGET raises
+    BudgetError before any search."""
     return list(_automorphisms_cached(m, frozenset(fix)))
 
 

@@ -21,13 +21,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError
 from .extension import (
     Certificate,
     LinFeasProblem,
     extend_measure_eq,
 )
-from .formulas import Eq, Formula, Not, TypeIs, Var, disj, free_vars, substitute
+from .formulas import Formula, TypeIs, Var, free_vars, substitute
 from .measure import (
     FinProbSpace,
     MeasurableMap,
@@ -43,9 +43,6 @@ from .rtypes import RMeasure, rtype_of
 from .semantics import TypeId, TypeSpace, eval_formula, isolating_formula, type_space
 from .semantics import _extension
 from .structures import FinStructure
-
-NEG_INF = float("-inf")
-MAX_INVARIANT_FORMULAS = 4096  # cap on the orbit-union fragment of independence
 
 
 class PhiContext(Record):
@@ -160,12 +157,12 @@ def _trace_fraction(ctx: PhiContext, tuples, b: tuple, w: tuple) -> Fraction:
     return Fraction(sum(1 for t in traces if b in t), len(traces))
 
 
-def cb_rank_mult(ctx: PhiContext, pi: Formula) -> tuple[float | int, int]:
+def cb_rank_mult(ctx: PhiContext, pi: Formula) -> tuple[int | None, int]:
     """Rank and multiplicity of the trace classes consistent with pi.
 
     The trace space of a finite structure is finite and discrete, so a
     consistent pi has rank 0 and multiplicity the number of distinct
-    traces among its solutions; an inconsistent pi reports -inf rank.
+    traces among its solutions; an inconsistent pi reports rank None.
     """
     w = ctx._w_or_raise()
     fv = free_vars(pi)
@@ -176,7 +173,7 @@ def cb_rank_mult(ctx: PhiContext, pi: Formula) -> tuple[float | int, int]:
     solutions = _extension(ctx.structure, pi, ctx.x_vars)
     mult = len({_trace(ctx, a, w) for a in solutions})
     if not mult:
-        return (NEG_INF, 0)
+        return (None, 0)
     return (0, mult)
 
 
@@ -303,44 +300,53 @@ def _widths(ctx: PhiContext, p: RMeasure, q: RMeasure) -> tuple[int, int, int]:
     return nx, ny, nw
 
 
-def _fiber_data(ctx: PhiContext, p: RMeasure, q: RMeasure):
-    nx, ny, nw = _widths(ctx, p, q)
-    w_space = type_space(ctx.structure, nw, ())
-    pi_x = restriction_map(p.space, range(nx, nx + nw), w_space)
-    pi_y = restriction_map(q.space, range(ny, ny + nw), w_space)
-    return w_space, pi_x, pi_y, nx, ny, nw
+def _fibre(p: RMeasure, q: RMeasure, nx: int) -> tuple[FinProbSpace, dict]:
+    """The fibre product of p and q over their shared trailing W block, and
+    for each pair (p0, q0) of it: p0's realizations over p0's own W part w,
+    one realization b of q0 over w, and w.
+
+    q0's orbit meets that w because the pair lies in the fibre product,
+    and rho is automorphism invariant, so any w of the fibre gives the
+    same values.  Each p0's realizations are read once.
+    """
+    nw = p.space.arity - nx
+    ny = q.space.arity - nw
+    w_space = type_space(p.space.structure, nw, ())
+    mu_p, mu_q = _measure_space(p), _measure_space(q)
+
+    def leg(mu: FinProbSpace, head: int) -> MeasurableMap:
+        return MeasurableMap(
+            mu.points, w_space.types, {t: w_space.type_of(t.rep[head:]) for t in mu.points}
+        )
+
+    joint = fiber_product(mu_p, mu_q, FiberSpace(leg(mu_p, nx), leg(mu_q, ny)))
+    heads: dict[TypeId, list[tuple]] = {}
+    cells = {}
+    for p0, q0 in joint.points:
+        w = p0.rep[nx:]
+        if p0 not in heads:
+            heads[p0] = _heads(p.space, p0, nx, w)
+        cells[(p0, q0)] = (heads[p0], _heads(q.space, q0, ny, w)[0], w)
+    return joint, cells
 
 
-def _rho_at_pair(
-    ctx: PhiContext, p0: TypeId, q0: TypeId, p_space: TypeSpace, q_space: TypeSpace,
-    nx: int, ny: int,
-) -> Fraction:
-    """rho over p0's own W part w, which q0's orbit meets because the pair
-    lies in the fibre product; rho is automorphism invariant, so any w of
-    the fibre gives the same value.  The w variables name w's leading
-    coordinates."""
-    w = p0.rep[nx:]
-    b = _heads(q_space, q0, ny, w)[0]
-    return _trace_fraction(ctx, _heads(p_space, p0, nx, w), b, w[: len(ctx.w_vars)])
+def _rho_on(ctx: PhiContext, joint: FinProbSpace, cells: dict) -> RationalFn:
+    """rho at every pair of a fibre product built by `_fibre`; the w
+    variables name w's leading coordinates."""
+    nw = len(ctx.w_vars)
+    return RationalFn(joint.points, {
+        pt: _trace_fraction(ctx, realizations, b, w[:nw])
+        for pt, (realizations, b, w) in cells.items()
+    })
 
 
 def rho_fn(ctx: PhiContext, p: RMeasure, q: RMeasure) -> tuple[RationalFn, FinProbSpace]:
     """rho materialised on the fiber product of the two measures."""
-    w_space, pi_x, pi_y, nx, ny, nw = _fiber_data(ctx, p, q)
+    nx, ny, _ = _widths(ctx, p, q)
     if ny != len(ctx.y_vars):
         raise ValidationError("measures do not share a parameter block")
-    mu_p = _measure_space(p)
-    mu_q = _measure_space(q)
-    fib = FiberSpace(
-        MeasurableMap(mu_p.points, w_space.types, {t: pi_x(t) for t in mu_p.points}),
-        MeasurableMap(mu_q.points, w_space.types, {t: pi_y(t) for t in mu_q.points}),
-    )
-    joint = fiber_product(mu_p, mu_q, fib)
-    values = {
-        pt: _rho_at_pair(ctx, pt[0], pt[1], p.space, q.space, nx, ny)
-        for pt in joint.points
-    }
-    return RationalFn(joint.points, values), joint
+    joint, cells = _fibre(p, q, nx)
+    return _rho_on(ctx, joint, cells), joint
 
 
 def rho_hat(ctx: PhiContext, p: RMeasure, q: RMeasure) -> Fraction:
@@ -360,26 +366,15 @@ def nonforking_extension(ctx: PhiContext, p: RMeasure, q: RMeasure) -> RMeasure:
     group makes this the same as averaging over the trace classes, so
     every phi-instance value equals rho_hat.
     """
-    w_space, pi_x, pi_y, nx, totaly, nw = _fiber_data(ctx, p, q)
+    nx, totaly, nw = _widths(ctx, p, q)
     target = type_space(ctx.structure, nx + totaly + nw, ())
-    img_p = {w: Fraction(0) for w in w_space.types}
-    for q0 in p.space.types:
-        img_p[pi_x(q0)] += p.weights[q0]
+    joint, cells = _fibre(p, q, nx)
     acc: dict[TypeId, Fraction] = {}
-    for p0 in p.space.types:
-        if p.weights[p0] == 0:
-            continue
-        r = pi_x(p0)
-        w = p0.rep[nx:]
-        realizations = _heads(p.space, p0, nx, w)
-        for q0 in q.space.types:
-            if q.weights[q0] == 0 or pi_y(q0) != r:
-                continue
-            b = _heads(q.space, q0, totaly, w)[0]
-            share = p.weights[p0] * q.weights[q0] / img_p[r] / len(realizations)
-            for a in realizations:
-                r0 = target.type_of(a + b + w)
-                acc[r0] = acc.get(r0, Fraction(0)) + share
+    for pt, (realizations, b, w) in cells.items():
+        share = joint.weight[pt] / len(realizations)
+        for a in realizations:
+            r0 = target.type_of(a + b + w)
+            acc[r0] = acc.get(r0, Fraction(0)) + share
     return RMeasure(target, acc)
 
 
@@ -449,38 +444,6 @@ class IndependenceVerdict(Record):
     checked: int = 0
 
 
-def invariant_subset_formulas(
-    m: FinStructure,
-    x_vars: tuple[str, ...],
-    y_vars: tuple[str, ...],
-    w_vars: tuple[str, ...],
-) -> list[tuple[Formula, frozenset[int]]]:
-    """Every semantically distinct formula in the given variable groups.
-
-    Over a finite structure the definable subsets are exactly the unions
-    of orbits, so enumerating orbit unions realizes the full fragment of
-    any quantifier depth.  Formulas are returned as orbit-membership
-    disjunctions, printable through isolating formulas.
-    """
-    k = len(x_vars) + len(y_vars) + len(w_vars)
-    ambient = type_space(m, k, ())
-    orbits = list(ambient.types)
-    if 2 ** len(orbits) > MAX_INVARIANT_FORMULAS:
-        raise BudgetError("invariant-subset fragment too large", 2 ** len(orbits))
-    arg_terms = tuple(Var(v) for v in tuple(x_vars) + tuple(y_vars) + tuple(w_vars))
-    never = Not(Eq(arg_terms[0], arg_terms[0]))
-    out: list[tuple[Formula, frozenset[int]]] = []
-    indices = list(range(len(orbits)))
-    for size in range(len(orbits) + 1):
-        for combo in itertools.combinations(indices, size):
-            if combo:
-                phi = disj([TypeIs(ambient, orbits[i], arg_terms) for i in combo])
-            else:
-                phi = never
-            out.append((phi, frozenset(combo)))
-    return out
-
-
 def check_independence(
     rand: Randomization,
     c: Sequence[RandomElement],
@@ -489,10 +452,14 @@ def check_independence(
 ) -> IndependenceVerdict:
     """Decide whether c and b are independent over the parameters.
 
-    Independence here means: for every formula phi(x, y, w) in the
-    exhaustive fragment, the measured probability of phi(c, b, params)
-    equals the expected nonforking value rho_hat computed from the two
-    type measures.  The first violating formula is reported.
+    Independence here means: for every formula phi(x, y, w), the measured
+    probability of phi(c, b, params) equals the expected nonforking value
+    rho_hat computed from the two type measures.  Over a finite structure
+    the formulas are the unions of orbits of the joint type space, and both
+    sides add up over disjoint orbits, so the single orbits decide them
+    all: the first violating orbit, in index order, is the first violating
+    union in the order empty, singles, pairs, ...  `checked` counts the
+    unions up to it, or all 2^|orbits| of them.
     """
     if not rand.is_constant:
         raise ValidationError("independence checking needs a constant family")
@@ -507,22 +474,14 @@ def check_independence(
     x_vars = names("x", len(c))
     y_vars = names("y", len(b))
     w_vars = names("w", len(params))
-    k = len(c) + len(b) + len(params)
-    ambient = type_space(m, k, ())
-    p_meas = rtype_of(rand, c, params)
-    q_meas = rtype_of(rand, b, params)
-    checked = 0
-    for phi, orbit_set in invariant_subset_formulas(m, x_vars, y_vars, w_vars):
-        lhs = Fraction(0)
-        for w in rand.base.points:
-            tup = tuple(f(w) for f in c) + tuple(g(w) for g in b) + tuple(
-                h(w) for h in params
-            )
-            if ambient.index_of(tup) in orbit_set:
-                lhs += rand.base.weight[w]
-        ctx = PhiContext(m, phi, x_vars, y_vars, w_vars)
-        rhs = rho_hat(ctx, p_meas, q_meas)
-        checked += 1
+    args = tuple(Var(v) for v in x_vars + y_vars + w_vars)
+    measured = rtype_of(rand, c + b + params)
+    joint, cells = _fibre(rtype_of(rand, c, params), rtype_of(rand, b, params), len(c))
+    space = measured.space
+    for t in space.types:
+        phi = TypeIs(space, t, args)
+        lhs = measured.weights[t]
+        rhs = pair(_rho_on(PhiContext(m, phi, x_vars, y_vars, w_vars), joint, cells), joint)
         if lhs != rhs:
-            return IndependenceVerdict(False, phi, lhs, rhs, checked)
-    return IndependenceVerdict(True, None, None, None, checked)
+            return IndependenceVerdict(False, phi, lhs, rhs, t.index + 2)
+    return IndependenceVerdict(True, None, None, None, 2 ** len(space))

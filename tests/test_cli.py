@@ -1,5 +1,6 @@
 import ast
 import io
+import math
 import pathlib
 import random
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,6 +16,7 @@ from conftest import sample_elements
 from randlab import FinProbSpace, Randomization, default_formula_corpus, rtype_of, type_space
 from randlab.axioms import _covering_bindings
 from randlab.cli import _types_identity_lines, fmt_rat, main
+from randlab.errors import SHOWN_BITS, show_count
 from randlab.formulas import format_formula, free_vars, parse_formula
 from randlab.randomization import event_of, mu
 
@@ -557,3 +559,41 @@ def test_no_module_of_the_package_imports_random():
             else:
                 continue
             assert not [n for n in names if n.split(".")[0] == "random"], path.name
+
+
+def test_show_count_prints_the_count_or_its_order_of_magnitude():
+    assert show_count(0) == "0"
+    assert show_count(2**SHOWN_BITS - 1) == str(2**SHOWN_BITS - 1)
+    assert show_count(2**SHOWN_BITS) == f"at least 2^{SHOWN_BITS}"
+    assert show_count(None, 10**12 + 1) == f"at least 2^{10**12}"
+
+
+def test_independence_over_a_large_fragment_prints_its_count(tmp_path):
+    # L25 is rigid, so its 3-tuples form 25^3 orbits and the fragment has
+    # 2^(25^3) orbit unions: too long a number for str()
+    lt = ", ".join(f"({i},{j})" for i in range(25) for j in range(i + 1, 25))
+    path = tmp_path / "l25.rl"
+    path.write_text(
+        f"structure l25 {{ universe = 25; relation Lt/2 = {{{lt}}}; }}\n"
+        "space two { weights = [1/3, 2/3]; }\n"
+        "randomization r { structure = l25; space = two; }\n"
+        "element c = r [3, 3];\nelement b = r [7, 7];\nelement a = r [11, 11];\n"
+    )
+    code, out, err = run(
+        "--workspace", str(path), "check", "independence", "--rand", "r",
+        "--c", "c", "--b", "b", "--A", "a",
+    )
+    assert (code, out, err) == (0, f"PASS independence checked=at least 2^{25**3}\n", "")
+
+
+def test_automorphism_search_over_budget_exits_4(tmp_path):
+    path = tmp_path / "p9.rl"
+    path.write_text("structure p9 { universe = 9; }\nstructure p8 { universe = 8; }\n")
+    code, out, err = run("--workspace", str(path), "types", "--structure", "p9")
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: automorphism search over budget "
+        f"(required count {math.factorial(9)})\n"
+    )
+    code, out, _ = run("--workspace", str(path), "types", "--structure", "p8")
+    assert (code, out) == (0, "q0 rep (0,) orbit-size 8 isolated-by x0 = x0\n")

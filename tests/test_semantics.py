@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 import typing
 
@@ -21,6 +22,7 @@ from randlab import (
     type_space,
 )
 from randlab import formulas, semantics
+from randlab.errors import DEFAULT_BUDGET
 from randlab.axioms import default_formula_corpus, sentence_corpus, tautology_corpus
 from randlab.formulas import (
     And,
@@ -106,6 +108,24 @@ def test_automorphisms_form_a_group(c3, m4):
             assert inverse in group
             for t in group:
                 assert tuple(s[t[a]] for a in range(st.size)) in group
+
+
+def test_automorphism_search_is_budgeted():
+    # the backtrack has at most prod |class|! leaves over the colour classes
+    for n in (9, 59):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError) as err:
+            automorphisms(pure_set(n))
+        assert time.perf_counter() - start < 1
+        assert err.value.required == math.factorial(n) > DEFAULT_BUDGET
+        with pytest.raises(BudgetError):
+            type_space(pure_set(n), 1)
+    assert math.factorial(8) <= DEFAULT_BUDGET
+    assert len(automorphisms(pure_set(8))) == math.factorial(8)
+    # a fixed element is a class of its own
+    assert len(automorphisms(pure_set(9), {0})) == math.factorial(8)
+    assert len(type_space(directed_cycle(6), 2)) == 6
+    assert len(type_space(linear_order(25), 2)) == 25**2
 
 
 def test_type_space_sizes(m2, c3, l3):

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from randlab import (
+    BudgetError,
     FeasibleCertificate,
     FinProbSpace,
+    FinStructure,
     PhiContext,
     RandomElement,
     Randomization,
     RMeasure,
+    Signature,
     ValidationError,
     cb_rank_mult,
     certify_nonforking,
@@ -33,10 +36,10 @@ from randlab import (
 )
 import randlab.stability
 from randlab.cli import main
-from randlab.formulas import Eq, Not, Var, format_formula, substitute
+from randlab.formulas import Eq, Not, TypeIs, Var, disj, format_formula, substitute
 from randlab.semantics import _extension, automorphisms, isolating_formula
 from randlab.stability import (
-    NEG_INF,
+    IndependenceVerdict,
     _heads,
     _isolated_solutions,
     restriction_map,
@@ -75,7 +78,7 @@ def test_phi_type_space_examples(m2, c3):
 def test_cb_rank_mult_examples(m2):
     ctx = ctx_of(m2, "x = y")
     assert cb_rank_mult(ctx, parse_formula("x = x", m2.signature)) == (0, 2)
-    assert cb_rank_mult(ctx, parse_formula("!(x = x)", m2.signature)) == (NEG_INF, 0)
+    assert cb_rank_mult(ctx, parse_formula("!(x = x)", m2.signature)) == (None, 0)
     assert cb_rank_mult(ctx, parse_formula("x = #0", m2.signature)) == (0, 1)
 
 
@@ -90,7 +93,7 @@ def test_cb_rank_zero_on_every_consistent_input(c3, l3):
             if not free_vars(pi) <= {"x"}:
                 continue
             rank, mult = cb_rank_mult(ctx, pi)
-            assert (rank == 0 and mult >= 1) or (rank == NEG_INF and mult == 0)
+            assert (rank == 0 and mult >= 1) or (rank is None and mult == 0)
 
 
 def test_rho_examples(m2):
@@ -574,3 +577,191 @@ def test_fibre_pairs_match_the_old_constructions_random(data):
     c_vals, b_vals = data.draw(values), data.draw(values)
     w_vals = [data.draw(values) for _ in range(nw)]
     _check_against_oracles(name, nw, c_vals, b_vals, w_vals)
+
+
+# --- Oracle: independence over every orbit union, as decided before single orbits ----
+
+MAX_INVARIANT_FORMULAS = 4096  # the old cap on the orbit-union fragment
+
+
+def _invariant_subset_formulas(m, x_vars, y_vars, w_vars):
+    """Every orbit-union formula in the given variable groups, the empty
+    union first, then by size and index."""
+    k = len(x_vars) + len(y_vars) + len(w_vars)
+    ambient = type_space(m, k, ())
+    orbits = list(ambient.types)
+    if 2 ** len(orbits) > MAX_INVARIANT_FORMULAS:
+        raise BudgetError("invariant-subset fragment too large", 2 ** len(orbits))
+    arg_terms = tuple(Var(v) for v in tuple(x_vars) + tuple(y_vars) + tuple(w_vars))
+    never = Not(Eq(arg_terms[0], arg_terms[0]))
+    out = []
+    indices = list(range(len(orbits)))
+    for size in range(len(orbits) + 1):
+        for combo in itertools.combinations(indices, size):
+            if combo:
+                phi = disj([TypeIs(ambient, orbits[i], arg_terms) for i in combo])
+            else:
+                phi = never
+            out.append((phi, frozenset(combo)))
+    return out
+
+
+def _names(letter, count):
+    return (letter,) if count == 1 else tuple(f"{letter}{i}" for i in range(count))
+
+
+def _old_check_independence(rand, c, b, params):
+    """Measured mass against rho_hat for every orbit-union formula."""
+    m = rand.structure
+    c, b, params = tuple(c), tuple(b), tuple(params)
+    x_vars, y_vars, w_vars = _names("x", len(c)), _names("y", len(b)), _names("w", len(params))
+    ambient = type_space(m, len(c) + len(b) + len(params), ())
+    p_meas = rtype_of(rand, c, params)
+    q_meas = rtype_of(rand, b, params)
+    checked = 0
+    for phi, orbit_set in _invariant_subset_formulas(m, x_vars, y_vars, w_vars):
+        lhs = F(0)
+        for w in rand.base.points:
+            tup = tuple(f(w) for f in c + b + params)
+            if ambient.index_of(tup) in orbit_set:
+                lhs += rand.base.weight[w]
+        rhs = rho_hat(PhiContext(m, phi, x_vars, y_vars, w_vars), p_meas, q_meas)
+        checked += 1
+        if lhs != rhs:
+            return IndependenceVerdict(False, phi, lhs, rhs, checked)
+    return IndependenceVerdict(True, None, None, None, checked)
+
+
+def _digraph3(edges):
+    return FinStructure(Signature(relations={"E": 2}), 3, relations={"E": edges}, name="g3")
+
+
+INDEPENDENCE_STRUCTURES = [
+    pure_set(2), pure_set(3), directed_cycle(3), directed_cycle(4), linear_order(3),
+]
+
+
+@hst.composite
+def independence_cases(draw):
+    """A constant randomization on 1-6 points of non-uniform weight, with c
+    and b of 1-2 elements and 0-1 parameters.  On a product base c reads
+    the first factor and b the second, which makes independent cases."""
+    pairs = [(a, b) for a in range(3) for b in range(3)]
+    st = draw(hst.one_of(
+        hst.sampled_from(INDEPENDENCE_STRUCTURES),
+        hst.sets(hst.sampled_from(pairs)).map(_digraph3),
+    ))
+    value = hst.integers(0, st.size - 1)
+    nc, nb, na = draw(hst.integers(1, 2)), draw(hst.integers(1, 2)), draw(hst.integers(0, 1))
+    if draw(hst.booleans()):
+        rows, cols = draw(hst.integers(1, 3)), draw(hst.integers(1, 2))
+        row_w = draw(hst.lists(hst.integers(1, 4), min_size=rows, max_size=rows))
+        col_w = draw(hst.lists(hst.integers(1, 4), min_size=cols, max_size=cols))
+        total = sum(row_w) * sum(col_w)
+        base = FinProbSpace([
+            ((i, j), F(row_w[i] * col_w[j], total)) for i in range(rows) for j in range(cols)
+        ])
+        rand = Randomization.constant(st, base)
+
+        def reading(index, length):
+            vals = [draw(value) for _ in range(length)]
+            return rand.element([vals[pt[index]] for pt in base.points])
+
+        c = [reading(0, rows) for _ in range(nc)]
+        b = [reading(1, cols) for _ in range(nb)]
+        params = [RandomElement.constant(base, draw(value)) for _ in range(na)]
+        return rand, c, b, params
+    n = draw(hst.integers(1, 6))
+    weights = draw(hst.lists(hst.integers(1, 5), min_size=n, max_size=n))
+    base = FinProbSpace([(i, F(wt, sum(weights))) for i, wt in enumerate(weights)])
+    rand = Randomization.constant(st, base)
+    pool = hst.lists(value, min_size=n, max_size=n).map(rand.element)
+    c = [draw(pool) for _ in range(nc)]
+    b = [draw(pool) for _ in range(nb)]
+    if draw(hst.booleans()):
+        b[0] = c[0]  # b shares c's element
+    params = [draw(pool) for _ in range(na)]
+    return rand, c, b, params
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(independence_cases())
+def test_independence_matches_the_orbit_union_oracle(case):
+    rand, c, b, params = case
+    verdict = check_independence(rand, c, b, params)
+    try:
+        want = _old_check_independence(rand, c, b, params)
+    except BudgetError:  # more than 12 orbits: the oracle refuses
+        return
+    assert verdict == want
+    assert repr(verdict.witness) == repr(want.witness)
+
+
+def _orbit_ctx(space, t, n_groups):
+    x_vars, y_vars, w_vars = (_names(letter, k) for letter, k in zip("xyw", n_groups))
+    args = tuple(Var(v) for v in x_vars + y_vars + w_vars)
+    return x_vars, y_vars, w_vars, TypeIs(space, t, args)
+
+
+@pytest.mark.parametrize("name,points,groups", [
+    ("m2", [[0, 1, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]], (2, 1, 1)),
+    ("m3", [[0, 1, 2, 2], [1, 1, 0, 2], [0, 0, 0, 1]], (1, 1, 1)),
+    ("c3", [[0, 1, 2, 2], [1, 1, 0, 2], [0, 0, 0, 1]], (1, 1, 1)),
+    ("l3", [[0, 1, 2, 2], [1, 2, 0, 0]], (1, 1, 0)),
+])
+def test_rho_hat_adds_up_over_orbit_unions(name, points, groups):
+    st = {**ORACLE_STRUCTURES, "m3": pure_set(3)}[name]
+    rand = Randomization.constant(st, FinProbSpace([(i, F(i + 1, 10)) for i in range(4)]))
+    elems = [rand.element(vals) for vals in points]
+    nx, ny, _ = groups
+    c, b, params = elems[:nx], elems[nx:nx + ny], elems[nx + ny:]
+    p, q = rtype_of(rand, c, params), rtype_of(rand, b, params)
+    x_vars, y_vars, w_vars = _names("x", nx), _names("y", ny), _names("w", len(params))
+    single = {}
+    space = type_space(st, len(elems), ())
+    for t in space.types:
+        phi = _orbit_ctx(space, t, (nx, ny, len(params)))[3]
+        single[t.index] = rho_hat(PhiContext(st, phi, x_vars, y_vars, w_vars), p, q)
+    unions = _invariant_subset_formulas(st, x_vars, y_vars, w_vars)
+    assert len(unions) == 2 ** len(space) >= 2**5
+    for phi, orbit_set in unions:
+        value = rho_hat(PhiContext(st, phi, x_vars, y_vars, w_vars), p, q)
+        assert value == sum((single[i] for i in orbit_set), F(0)), format_formula(phi)
+
+
+def test_a_27_orbit_fragment_is_decided():
+    l3 = linear_order(3)
+    rand = Randomization.constant(l3, FinProbSpace([(0, F(1, 4)), (1, F(3, 4))]))
+    a = RandomElement.constant(rand.base, 2)
+    f = rand.element([0, 1])
+    assert len(type_space(l3, 3, ())) == 27
+    with pytest.raises(BudgetError):
+        _old_check_independence(rand, [f], [a], [a])
+    # a parameter is independent of anything over itself
+    verdict = check_independence(rand, [f], [a], [a])
+    assert verdict == IndependenceVerdict(True, None, None, None, 2**27)
+    # f with itself over a constant: the first orbit (f, f, a) = (0, 0, 2)
+    # has mass 1/4 but expected 1/4 * 1/4 + 3/4 * 0
+    verdict = check_independence(rand, [f], [f], [a])
+    space = type_space(l3, 3, ())
+    t = space.type_of((0, 0, 2))
+    x_vars, y_vars, w_vars, phi = _orbit_ctx(space, t, (1, 1, 1))
+    expected = rho_hat(
+        PhiContext(l3, phi, x_vars, y_vars, w_vars),
+        rtype_of(rand, [f], [a]),
+        rtype_of(rand, [f], [a]),
+    )
+    assert verdict == IndependenceVerdict(False, phi, F(1, 4), expected, t.index + 2)
+    assert expected == F(1, 16)
+
+
+def test_nonforking_extension_rejects_mismatched_marginals():
+    l3 = linear_order(3)
+    ctx = PhiContext(l3, parse_formula("Lt(x, y)", l3.signature), ("x",), ("y",), ("w",))
+    rand = Randomization.constant(l3, FinProbSpace.uniform(4))
+    f = rand.element([0, 1, 2, 0])
+    p = rtype_of(rand, [f], [rand.element([0, 0, 1, 1])])  # W marginal 1/2, 1/2
+    q = rtype_of(rand, [f], [rand.element([0, 1, 1, 1])])  # W marginal 1/4, 3/4
+    for build in (rho_hat, nonforking_extension):
+        with pytest.raises(ValidationError, match="image measures differ"):
+            build(ctx, p, q)
