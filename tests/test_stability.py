@@ -36,7 +36,8 @@ from randlab import (
 )
 import randlab.stability
 from randlab.cli import main
-from randlab.formulas import Eq, Not, TypeIs, Var, disj, format_formula, substitute
+from randlab.formulas import Eq, Not, Var, format_formula, substitute
+from randlab.formulas import TypeIs, disj
 from randlab.semantics import _extension, automorphisms, isolating_formula
 from randlab.stability import (
     IndependenceVerdict,
