@@ -10,8 +10,6 @@ formulas are synthesised on demand and are not stored on the type.
 from __future__ import annotations
 
 import itertools
-import math
-from collections import Counter
 from functools import lru_cache
 
 from .errors import DEFAULT_BUDGET, SHOWN_BITS, BudgetError, ValidationError
@@ -249,13 +247,12 @@ def _automorphisms_cached(m: FinStructure, fix: frozenset[int]) -> tuple[tuple[i
         if a not in m.elements:
             raise ValidationError(f"fixed element {a} not in universe")
     colours = _refine_classes(m, fix)
-    leaves = math.prod(math.factorial(n) for n in Counter(colours).values())
-    if leaves > DEFAULT_BUDGET:
-        raise BudgetError("automorphism search over budget", leaves)
     out: list[tuple[int, ...]] = []
     img: list[int | None] = [None] * m.size
+    tried = 0
 
     def backtrack(a: int) -> None:
+        nonlocal tried
         if a == m.size:
             out.append(tuple(img))  # type: ignore[arg-type]
             return
@@ -264,6 +261,9 @@ def _automorphisms_cached(m: FinStructure, fix: frozenset[int]) -> tuple[tuple[i
             b for b in m.elements if colours[b] == colours[a] and b not in used
         ]
         for b in candidates:
+            tried += 1
+            if tried > DEFAULT_BUDGET:
+                raise BudgetError("automorphism search over budget", tried)
             img[a] = b
             if _is_partial_ok(m, img):
                 backtrack(a + 1)
@@ -276,9 +276,9 @@ def _automorphisms_cached(m: FinStructure, fix: frozenset[int]) -> tuple[tuple[i
 def automorphisms(m: FinStructure, fix: frozenset[int] | set[int] = frozenset()) -> list[tuple[int, ...]]:
     """All automorphisms of `m` fixing `fix` pointwise, sorted.
 
-    The backtrack has at most prod |class|! leaves over the colour classes
-    of the partition refinement; a bound past DEFAULT_BUDGET raises
-    BudgetError before any search."""
+    The backtrack tries at most DEFAULT_BUDGET candidate images, each
+    within its class of the partition refinement; one more raises
+    BudgetError."""
     return list(_automorphisms_cached(m, frozenset(fix)))
 
 

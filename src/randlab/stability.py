@@ -330,23 +330,18 @@ def _fibre(p: RMeasure, q: RMeasure, nx: int) -> tuple[FinProbSpace, dict]:
     return joint, cells
 
 
-def _rho_on(ctx: PhiContext, joint: FinProbSpace, cells: dict) -> RationalFn:
-    """rho at every pair of a fibre product built by `_fibre`; the w
-    variables name w's leading coordinates."""
-    nw = len(ctx.w_vars)
-    return RationalFn(joint.points, {
-        pt: _trace_fraction(ctx, realizations, b, w[:nw])
-        for pt, (realizations, b, w) in cells.items()
-    })
-
-
 def rho_fn(ctx: PhiContext, p: RMeasure, q: RMeasure) -> tuple[RationalFn, FinProbSpace]:
-    """rho materialised on the fiber product of the two measures."""
+    """rho materialised on the fiber product of the two measures; the w
+    variables name w's leading coordinates."""
     nx, ny, _ = _widths(ctx, p, q)
     if ny != len(ctx.y_vars):
         raise ValidationError("measures do not share a parameter block")
     joint, cells = _fibre(p, q, nx)
-    return _rho_on(ctx, joint, cells), joint
+    nw = len(ctx.w_vars)
+    return RationalFn(joint.points, {
+        pt: _trace_fraction(ctx, realizations, b, w[:nw])
+        for pt, (realizations, b, w) in cells.items()
+    }), joint
 
 
 def rho_hat(ctx: PhiContext, p: RMeasure, q: RMeasure) -> Fraction:
@@ -458,8 +453,10 @@ def check_independence(
     the formulas are the unions of orbits of the joint type space, and both
     sides add up over disjoint orbits, so the single orbits decide them
     all: the first violating orbit, in index order, is the first violating
-    union in the order empty, singles, pairs, ...  `checked` counts the
-    unions up to it, or all 2^|orbits| of them.
+    union in the order empty, singles, pairs, ...  The expected mass of an
+    orbit is read off the nonforking extension, whose mass there is rho_hat
+    of the orbit's formula.  `checked` counts the unions up to the first
+    violating orbit, or all 2^|orbits| of them.
     """
     if not rand.is_constant:
         raise ValidationError("independence checking needs a constant family")
@@ -476,12 +473,11 @@ def check_independence(
     w_vars = names("w", len(params))
     args = tuple(Var(v) for v in x_vars + y_vars + w_vars)
     measured = rtype_of(rand, c + b + params)
-    joint, cells = _fibre(rtype_of(rand, c, params), rtype_of(rand, b, params), len(c))
     space = measured.space
+    ctx = PhiContext(m, TypeIs(space, space.types[0], args), x_vars, y_vars, w_vars)
+    expected = nonforking_extension(ctx, rtype_of(rand, c, params), rtype_of(rand, b, params))
     for t in space.types:
-        phi = TypeIs(space, t, args)
-        lhs = measured.weights[t]
-        rhs = pair(_rho_on(PhiContext(m, phi, x_vars, y_vars, w_vars), joint, cells), joint)
+        lhs, rhs = measured.weights[t], expected.weights[t]
         if lhs != rhs:
-            return IndependenceVerdict(False, phi, lhs, rhs, t.index + 2)
+            return IndependenceVerdict(False, TypeIs(space, t, args), lhs, rhs, t.index + 2)
     return IndependenceVerdict(True, None, None, None, 2 ** len(space))

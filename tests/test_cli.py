@@ -1,6 +1,5 @@
 import ast
 import io
-import math
 import pathlib
 import random
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,7 +15,7 @@ from conftest import sample_elements
 from randlab import FinProbSpace, Randomization, default_formula_corpus, rtype_of, type_space
 from randlab.axioms import _covering_bindings
 from randlab.cli import _types_identity_lines, fmt_rat, main
-from randlab.errors import SHOWN_BITS, show_count
+from randlab.errors import DEFAULT_BUDGET, SHOWN_BITS, show_count
 from randlab.formulas import format_formula, free_vars, parse_formula
 from randlab.randomization import event_of, mu
 
@@ -593,7 +592,7 @@ def test_automorphism_search_over_budget_exits_4(tmp_path):
     assert (code, out) == (4, "")
     assert err == (
         "error: automorphism search over budget "
-        f"(required count {math.factorial(9)})\n"
+        f"(required count {DEFAULT_BUDGET + 1})\n"
     )
     code, out, _ = run("--workspace", str(path), "types", "--structure", "p8")
     assert (code, out) == (0, "q0 rep (0,) orbit-size 8 isolated-by x0 = x0\n")

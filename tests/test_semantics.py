@@ -111,20 +111,25 @@ def test_automorphisms_form_a_group(c3, m4):
 
 
 def test_automorphism_search_is_budgeted():
-    # the backtrack has at most prod |class|! leaves over the colour classes
+    # the backtrack tries at most DEFAULT_BUDGET candidate images
     for n in (9, 59):
         start = time.perf_counter()
         with pytest.raises(BudgetError) as err:
             automorphisms(pure_set(n))
-        assert time.perf_counter() - start < 1
-        assert err.value.required == math.factorial(n) > DEFAULT_BUDGET
-        with pytest.raises(BudgetError):
-            type_space(pure_set(n), 1)
-    assert math.factorial(8) <= DEFAULT_BUDGET
+        assert time.perf_counter() - start < 5
+        assert err.value.required == DEFAULT_BUDGET + 1
+    with pytest.raises(BudgetError):
+        type_space(pure_set(9), 1)
+    # a pure set of 8 tries 8!/7! + 8!/6! + ... + 8!/0! images
+    assert sum(math.perm(8, k) for k in range(1, 9)) <= DEFAULT_BUDGET
     assert len(automorphisms(pure_set(8))) == math.factorial(8)
     # a fixed element is a class of its own
     assert len(automorphisms(pure_set(9), {0})) == math.factorial(8)
-    assert len(type_space(directed_cycle(6), 2)) == 6
+    # refinement leaves a directed cycle in one class; the pruned search
+    # still finds its rotations
+    for n in (6, 9, 30):
+        assert len(automorphisms(directed_cycle(n))) == n
+        assert len(type_space(directed_cycle(n), 2)) == n
     assert len(type_space(linear_order(25), 2)) == 25**2
 
 
