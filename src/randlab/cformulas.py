@@ -138,33 +138,23 @@ class CInf(Record):
 CFormula = CConst | CNeg | CTruncSub | CHalf | CMin | CMax | CMu | CDK | CDB | CSup | CInf
 
 
-def cformula_free_kvars(c: CFormula) -> frozenset[str]:
-    """Free random-element variables of a continuous formula."""
-    if isinstance(c, CConst):
-        return frozenset()
-    if isinstance(c, (CNeg, CHalf)):
-        return cformula_free_kvars(c.body)
-    if isinstance(c, (CTruncSub, CMin, CMax)):
-        return cformula_free_kvars(c.left) | cformula_free_kvars(c.right)
-    if isinstance(c, CMu):
-        return _event_kvars(c.event)
+def _parts(node: Record) -> list[Record]:
+    """The Record-valued fields of a node in field order: its value and
+    event subterms.  Every walk treats `EvFormula` as a leaf, so no walk
+    reaches a first-order formula through here.  A value that is not a
+    Record has no parts; `_eval` and the printers reject it."""
+    fields = (getattr(node, n) for n in getattr(node, "_fields", ()))
+    return [f for f in fields if isinstance(f, Record)]
+
+
+def cformula_free_kvars(c: CFormula | EventTerm) -> frozenset[str]:
+    """Free random-element variables of a continuous formula or event term."""
+    if isinstance(c, EvFormula):
+        return free_vars(c.phi)
     if isinstance(c, CDK):
         return frozenset({c.left, c.right})
-    if isinstance(c, CDB):
-        return _event_kvars(c.left) | _event_kvars(c.right)
-    if isinstance(c, (CSup, CInf)):
-        return cformula_free_kvars(c.body) - {c.var}
-    raise TypeError(f"not a continuous formula: {c!r}")
-
-
-def _event_kvars(e: EventTerm) -> frozenset[str]:
-    if isinstance(e, EvFormula):
-        return free_vars(e.phi)
-    if isinstance(e, (EvTop, EvBot, EvName)):
-        return frozenset()
-    if isinstance(e, EvNot):
-        return _event_kvars(e.body)
-    return _event_kvars(e.left) | _event_kvars(e.right)
+    out = frozenset().union(*map(cformula_free_kvars, _parts(c)))
+    return out - {c.var} if isinstance(c, (CSup, CInf)) else out
 
 
 # --- Parser ---------------------------------------------------------------------
@@ -359,24 +349,17 @@ def format_event(e: EventTerm) -> str:
 # --- Evaluation -------------------------------------------------------------------
 
 def _quantifier_depth(c: CFormula) -> int:
-    if isinstance(c, (CConst, CDK)):
-        return 0
-    if isinstance(c, (CNeg, CHalf)):
-        return _quantifier_depth(c.body)
-    if isinstance(c, (CTruncSub, CMin, CMax)):
-        return max(_quantifier_depth(c.left), _quantifier_depth(c.right))
     if isinstance(c, (CMu, CDB)):
-        return 0
-    if isinstance(c, (CSup, CInf)):
-        return 1 + _quantifier_depth(c.body)
-    raise TypeError(f"not a continuous formula: {c!r}")
+        return 0  # events hold no quantifiers
+    depth = max(map(_quantifier_depth, _parts(c)), default=0)
+    return depth + 1 if isinstance(c, (CSup, CInf)) else depth
 
 
 def _formula_binding(
     phi: Formula, env: Mapping[str, RandomElement | Event]
 ) -> dict[str, RandomElement]:
     binding = {}
-    for v in free_vars(phi):
+    for v in sorted(free_vars(phi)):
         if v not in env or not isinstance(env[v], RandomElement):
             raise ValidationError(f"variable {v!r} is not a bound random element")
         binding[v] = env[v]
@@ -443,7 +426,7 @@ def eval_cformula(
         required = rand.carrier_size() ** depth
         if required > budget:
             raise BudgetError("quantifier enumeration over budget", required)
-    missing = [v for v in cformula_free_kvars(c) if v not in env]
+    missing = [v for v in sorted(cformula_free_kvars(c)) if v not in env]
     if missing:
         raise ValidationError(f"unbound variables {missing}")
     return _eval(rand, c, env)
@@ -486,7 +469,10 @@ def _eval(rand: Randomization, c: CFormula, env: dict) -> Fraction:
 # --- Symmetry classes of a quantifier body ------------------------------------------
 
 def _key_atoms(
-    rand: Randomization, c: CFormula, env: Mapping[str, RandomElement | Event], names: set[str]
+    rand: Randomization,
+    c: CFormula | EventTerm,
+    env: Mapping[str, RandomElement | Event],
+    names: set[str],
 ) -> tuple:
     """The atoms of c a point key reads, in the order `_eval` meets them.
 
@@ -495,47 +481,23 @@ def _key_atoms(
     stands for a constant element on rand's base.  The bound event names c
     reads are added to `names`.
     """
-    if isinstance(c, CConst):
+    if isinstance(c, EvFormula):
+        binding = _formula_binding(c.phi, env)
+        _check_binding(rand, sorted(binding), binding)
+        return (c.phi,)
+    if isinstance(c, EvName):
+        _bound_event(rand, c.name, env)
+        names.add(c.name)
         return ()
-    if isinstance(c, (CNeg, CHalf)):
-        return _key_atoms(rand, c.body, env, names)
-    if isinstance(c, (CTruncSub, CMin, CMax)):
-        return _key_atoms(rand, c.left, env, names) + _key_atoms(rand, c.right, env, names)
-    if isinstance(c, CMu):
-        return _event_key_atoms(rand, c.event, env, names)
     if isinstance(c, CDK):
         f, g = _dk_elements(c, env)
         if f.base != rand.base or g.base != rand.base:
             d_k(rand, f, g)  # raises d_k's error for a foreign base
         return (c,)
-    if isinstance(c, CDB):
-        return _event_key_atoms(rand, c.left, env, names) + _event_key_atoms(
-            rand, c.right, env, names
-        )
     if isinstance(c, (CSup, CInf)):
         inner = {**env, c.var: RandomElement.constant(rand.base, 0)}
         return ((c.var, _key_atoms(rand, c.body, inner, names)),)
-    raise TypeError(f"not a continuous formula: {c!r}")
-
-
-def _event_key_atoms(
-    rand: Randomization, e: EventTerm, env: Mapping[str, RandomElement | Event], names: set[str]
-) -> tuple:
-    if isinstance(e, EvFormula):
-        binding = _formula_binding(e.phi, env)
-        _check_binding(rand, sorted(binding), binding)
-        return (e.phi,)
-    if isinstance(e, (EvTop, EvBot)):
-        return ()
-    if isinstance(e, EvName):
-        _bound_event(rand, e.name, env)
-        names.add(e.name)
-        return ()
-    if isinstance(e, EvNot):
-        return _event_key_atoms(rand, e.body, env, names)
-    return _event_key_atoms(rand, e.left, env, names) + _event_key_atoms(
-        rand, e.right, env, names
-    )
+    return sum((_key_atoms(rand, p, env, names) for p in _parts(c)), ())
 
 
 def _point_key(m: FinStructure, atoms: tuple, val: dict[str, int]) -> tuple:

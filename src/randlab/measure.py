@@ -94,7 +94,12 @@ class RationalFn:
 
     def __init__(self, domain: tuple[Point, ...], values: Mapping[Point, Fraction]):
         self.domain = tuple(domain)
-        self.values = {p: frac(values[p]) for p in self.domain}
+        try:
+            self.values = {p: frac(values[p]) for p in self.domain}
+        except KeyError as missing:
+            raise ValidationError(
+                f"function not total on its domain: missing {missing.args[0]!r}"
+            ) from None
         if len(self.values) != len(self.domain):
             raise ValidationError("function not total on its domain")
 

@@ -28,7 +28,12 @@ class RandomElement:
 
     def __init__(self, base: FinProbSpace, values: Mapping[Point, int]):
         self.base = base
-        self.values = {p: values[p] for p in base.points}
+        try:
+            self.values = {p: values[p] for p in base.points}
+        except KeyError as missing:
+            raise ValidationError(
+                f"random element not total on the base: missing {missing.args[0]!r}"
+            ) from None
 
     def __call__(self, w: Point) -> int:
         return self.values[w]
@@ -56,9 +61,12 @@ class Randomization:
 
     def __init__(self, base: FinProbSpace, family: Mapping[Point, FinStructure]):
         self.base = base
-        self.family = {w: family[w] for w in base.points}
-        if len(self.family) != len(base.points):
-            raise ValidationError("family not total on the base")
+        try:
+            self.family = {w: family[w] for w in base.points}
+        except KeyError as missing:
+            raise ValidationError(
+                f"family not total on the base: missing {missing.args[0]!r}"
+            ) from None
         sigs = {m.signature for m in self.family.values()}
         if len(sigs) != 1:
             raise ValidationError("family structures must share one signature")

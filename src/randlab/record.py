@@ -66,6 +66,7 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         names = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = names
         defaults = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
         if any(n not in cls.__dict__ for n in names[len(names) - len(defaults):]):
             raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")

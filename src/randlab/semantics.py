@@ -166,78 +166,73 @@ def eval_formula(m: FinStructure, phi: Formula, val: dict[str, int]) -> bool:
 
 # --- Automorphisms -----------------------------------------------------------
 
-def _invariant_signature(m: FinStructure, a: int) -> tuple:
-    """Cheap per-element invariant used to seed the partition refinement."""
-    consts = tuple(sorted(s for s, v in m.const_values.items() if v == a))
-    rel_prof = []
-    for sym in sorted(m.rel_tables):
-        table = m.rel_tables[sym]
-        k = m.signature.relations[sym]
-        counts = tuple(
-            sum(1 for t in table if t[i] == a) for i in range(k)
-        )
-        rel_prof.append((sym, counts))
-    fn_prof = []
-    for sym in sorted(m.fn_tables):
-        table = m.fn_tables[sym]
-        fn_prof.append((sym, sum(1 for v in table.values() if v == a)))
-    return (consts, tuple(rel_prof), tuple(fn_prof))
-
-
 def _refine_classes(m: FinStructure, fix: frozenset[int]) -> list[int]:
-    """Partition-refinement colouring; automorphic elements share a colour."""
-    colour = {}
-    seed: dict[tuple, int] = {}
-    for a in m.elements:
-        key: tuple = ("fixed", a) if a in fix else ("free", _invariant_signature(m, a))
-        colour[a] = seed.setdefault(key, len(seed))
+    """Partition-refinement colouring; automorphic elements share a colour.
+
+    Fixed elements and constant values start as singleton classes, every
+    other element in one class.  Each round splits a class by the relation
+    tuples and function entries through its elements: their colours, and
+    the positions the element itself holds in them.
+    """
+    pinned = fix | set(m.const_values.values())
+    colour = {a: a + 1 if a in pinned else 0 for a in m.elements}
     while True:
         sigs = {}
         for a in m.elements:
-            rel_sig = []
-            for sym in sorted(m.rel_tables):
-                k = m.signature.relations[sym]
-                if k == 0:
-                    continue
-                hits = sorted(
-                    tuple(colour[e] for e in t)
-                    for t in m.rel_tables[sym]
-                    if a in t
-                )
-                rel_sig.append((sym, tuple(hits)))
-            fn_sig = []
-            for sym in sorted(m.fn_tables):
-                img = sorted(
-                    (tuple(colour[e] for e in args), colour[v])
+            rel_sig = tuple(
+                tuple(sorted(
+                    tuple((colour[e], e == a) for e in t) for t in m.rel_tables[sym] if a in t
+                ))
+                for sym in sorted(m.rel_tables)
+            )
+            fn_sig = tuple(
+                tuple(sorted(
+                    (tuple((colour[e], e == a) for e in args), colour[v], v == a)
                     for args, v in m.fn_tables[sym].items()
                     if a in args or v == a
-                )
-                fn_sig.append((sym, tuple(img)))
-            sigs[a] = (colour[a], tuple(rel_sig), tuple(fn_sig))
+                ))
+                for sym in sorted(m.fn_tables)
+            )
+            sigs[a] = (colour[a], rel_sig, fn_sig)
         fresh: dict[tuple, int] = {}
         new_colour = {a: fresh.setdefault(sigs[a], len(fresh)) for a in m.elements}
-        if len(set(new_colour.values())) == len(set(colour.values())):
+        if len(fresh) == len(set(colour.values())):
             return [colour[a] for a in m.elements]
         colour = new_colour
 
 
-def _is_partial_ok(m: FinStructure, img: list[int | None]) -> bool:
-    assigned = [a for a in m.elements if img[a] is not None]
+def _tuples_through(assigned: list[int], a: int, k: int):
+    """Every k-tuple over `assigned` that contains a, each once: by the
+    position i of its first a."""
+    others = [b for b in assigned if b != a]
+    for i in range(k):
+        for head in itertools.product(others, repeat=i):
+            for tail in itertools.product(assigned, repeat=k - 1 - i):
+                yield (*head, a, *tail)
+
+
+def _is_partial_ok(m: FinStructure, img: list[int | None], a: int) -> bool:
+    """Whether img still preserves m now that a is assigned.
+
+    The parent node passed this check, so only the relation tuples through
+    a and the function entries whose arguments or value involve a are new.
+    """
+    assigned = [b for b in m.elements if img[b] is not None]
+    image = img.__getitem__
     for sym, table in m.rel_tables.items():
-        k = m.signature.relations[sym]
-        for t in itertools.product(assigned, repeat=k):
-            mapped = tuple(img[e] for e in t)
-            if (t in table) != (mapped in table):
+        for t in _tuples_through(assigned, a, m.signature.relations[sym]):
+            if (t in table) != (tuple(map(image, t)) in table):
                 return False
     for sym, table in m.fn_tables.items():
         k = m.signature.functions[sym]
-        for args in itertools.product(assigned, repeat=k):
+        others = [b for b in assigned if b != a]
+        for args in _tuples_through(assigned, a, k):
             v = table[args]
-            if img[v] is not None and table[tuple(img[e] for e in args)] != img[v]:
+            if img[v] is not None and table[tuple(map(image, args))] != img[v]:
                 return False
-    for v in m.const_values.values():
-        if img[v] is not None and img[v] != v:
-            return False
+        for args in itertools.product(others, repeat=k):
+            if table[args] == a and table[tuple(map(image, args))] != img[a]:
+                return False
     return True
 
 
@@ -257,15 +252,13 @@ def _automorphisms_cached(m: FinStructure, fix: frozenset[int]) -> tuple[tuple[i
             out.append(tuple(img))  # type: ignore[arg-type]
             return
         used = {b for b in img if b is not None}
-        candidates = [a] if a in fix else [
-            b for b in m.elements if colours[b] == colours[a] and b not in used
-        ]
+        candidates = [b for b in m.elements if colours[b] == colours[a] and b not in used]
         for b in candidates:
             tried += 1
             if tried > DEFAULT_BUDGET:
                 raise BudgetError("automorphism search over budget", tried)
             img[a] = b
-            if _is_partial_ok(m, img):
+            if _is_partial_ok(m, img, a):
                 backtrack(a + 1)
             img[a] = None
 

@@ -1,13 +1,21 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from typing import Mapping
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as hst
 
+import randlab
+import randlab.cformulas as cf
 from randlab import (
     BudgetError,
     FinProbSpace,
     FinStructure,
+    RandomElement,
     Randomization,
     Signature,
     directed_cycle,
@@ -19,18 +27,30 @@ from randlab.cformulas import (
     CConst,
     CDB,
     CDK,
+    CFormula,
     CHalf,
+    CInf,
     CMax,
     CMin,
     CMu,
     CNeg,
     CSup,
     CTruncSub,
+    EvBot,
+    EventTerm,
     EvFormula,
+    EvName,
+    EvNot,
+    EvTop,
+    _bound_event,
+    _dk_elements,
+    _formula_binding,
     eval_event_term,
 )
 from randlab.errors import ParseError, ValidationError
-from randlab.randomization import d_b, d_k, mu
+from randlab.formulas import free_vars
+from randlab.randomization import Event, _check_binding, d_b, d_k, mu
+from test_record import KINDS
 
 F = Fraction
 
@@ -410,3 +430,188 @@ def test_invalid_environment_in_quantifier_body(monkeypatch, text, binding, mess
     with pytest.raises(ValidationError) as err:
         eval_cformula(rand, parse_cformula(text, c3.signature), {"y": y})
     assert str(err.value) == message
+
+
+# --- the walks against their explicit forms -----------------------------------------
+# The functions below are the sort-by-sort walks that `_parts` replaced, kept
+# verbatim as oracles: `cformula_free_kvars`, `_event_kvars`,
+# `_quantifier_depth`, `_key_atoms` and `_event_key_atoms`.
+
+
+def cformula_free_kvars(c: CFormula) -> frozenset[str]:
+    """Free random-element variables of a continuous formula."""
+    if isinstance(c, CConst):
+        return frozenset()
+    if isinstance(c, (CNeg, CHalf)):
+        return cformula_free_kvars(c.body)
+    if isinstance(c, (CTruncSub, CMin, CMax)):
+        return cformula_free_kvars(c.left) | cformula_free_kvars(c.right)
+    if isinstance(c, CMu):
+        return _event_kvars(c.event)
+    if isinstance(c, CDK):
+        return frozenset({c.left, c.right})
+    if isinstance(c, CDB):
+        return _event_kvars(c.left) | _event_kvars(c.right)
+    if isinstance(c, (CSup, CInf)):
+        return cformula_free_kvars(c.body) - {c.var}
+    raise TypeError(f"not a continuous formula: {c!r}")
+
+
+def _event_kvars(e: EventTerm) -> frozenset[str]:
+    if isinstance(e, EvFormula):
+        return free_vars(e.phi)
+    if isinstance(e, (EvTop, EvBot, EvName)):
+        return frozenset()
+    if isinstance(e, EvNot):
+        return _event_kvars(e.body)
+    return _event_kvars(e.left) | _event_kvars(e.right)
+
+
+def _quantifier_depth(c: CFormula) -> int:
+    if isinstance(c, (CConst, CDK)):
+        return 0
+    if isinstance(c, (CNeg, CHalf)):
+        return _quantifier_depth(c.body)
+    if isinstance(c, (CTruncSub, CMin, CMax)):
+        return max(_quantifier_depth(c.left), _quantifier_depth(c.right))
+    if isinstance(c, (CMu, CDB)):
+        return 0
+    if isinstance(c, (CSup, CInf)):
+        return 1 + _quantifier_depth(c.body)
+    raise TypeError(f"not a continuous formula: {c!r}")
+
+
+def _key_atoms(
+    rand: Randomization, c: CFormula, env: Mapping[str, RandomElement | Event], names: set[str]
+) -> tuple:
+    """The atoms of c a point key reads, in the order `_eval` meets them.
+
+    env is checked as `_eval` checks it, so an invalid environment raises
+    the same error before any key is computed.  Each quantified variable
+    stands for a constant element on rand's base.  The bound event names c
+    reads are added to `names`.
+    """
+    if isinstance(c, CConst):
+        return ()
+    if isinstance(c, (CNeg, CHalf)):
+        return _key_atoms(rand, c.body, env, names)
+    if isinstance(c, (CTruncSub, CMin, CMax)):
+        return _key_atoms(rand, c.left, env, names) + _key_atoms(rand, c.right, env, names)
+    if isinstance(c, CMu):
+        return _event_key_atoms(rand, c.event, env, names)
+    if isinstance(c, CDK):
+        f, g = _dk_elements(c, env)
+        if f.base != rand.base or g.base != rand.base:
+            d_k(rand, f, g)  # raises d_k's error for a foreign base
+        return (c,)
+    if isinstance(c, CDB):
+        return _event_key_atoms(rand, c.left, env, names) + _event_key_atoms(
+            rand, c.right, env, names
+        )
+    if isinstance(c, (CSup, CInf)):
+        inner = {**env, c.var: RandomElement.constant(rand.base, 0)}
+        return ((c.var, _key_atoms(rand, c.body, inner, names)),)
+    raise TypeError(f"not a continuous formula: {c!r}")
+
+
+def _event_key_atoms(
+    rand: Randomization, e: EventTerm, env: Mapping[str, RandomElement | Event], names: set[str]
+) -> tuple:
+    if isinstance(e, EvFormula):
+        binding = _formula_binding(e.phi, env)
+        _check_binding(rand, sorted(binding), binding)
+        return (e.phi,)
+    if isinstance(e, (EvTop, EvBot)):
+        return ()
+    if isinstance(e, EvName):
+        _bound_event(rand, e.name, env)
+        names.add(e.name)
+        return ()
+    if isinstance(e, EvNot):
+        return _event_key_atoms(rand, e.body, env, names)
+    return _event_key_atoms(rand, e.left, env, names) + _event_key_atoms(
+        rand, e.right, env, names
+    )
+
+
+def _outcome(walk, *args):
+    """What a walk returns, or the type and message of what it raises."""
+    try:
+        return walk(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+def _key_outcome(walk, rand, term, env):
+    names: set[str] = set()
+    return _outcome(walk, rand, term, env, names), names
+
+
+def _walk_environments():
+    """Environments for the names random trees use ("x", "y", "E"): valid,
+    elements and events swapped, elements on another base, an event off
+    the base, and none at all."""
+    c3 = directed_cycle(3)
+    rand = Randomization.constant(c3, FinProbSpace.dyadic(1))
+    foreign = Randomization.constant(c3, FinProbSpace.dyadic(2))
+    f, g, event = rand.element([0, 1]), rand.element([2, 2]), frozenset({1})
+    return rand, [
+        {"x": f, "y": g, "E": event},
+        {"x": event, "y": frozenset(), "E": f},
+        {"x": foreign.element([0, 1, 2, 0]), "y": foreign.element([1, 1, 1, 1]), "E": event},
+        {"x": f, "y": g, "E": frozenset({5})},
+        {},
+    ]
+
+
+WALK_RAND, WALK_ENVIRONMENTS = _walk_environments()
+WALKS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@WALKS
+@given(KINDS["CFormula"])
+def test_cformula_walks_match_explicit_forms(c):
+    for term in (c, CSup("x", c)):
+        assert cf.cformula_free_kvars(term) == cformula_free_kvars(term)
+        assert cf._quantifier_depth(term) == _quantifier_depth(term)
+        for env in WALK_ENVIRONMENTS:
+            assert _key_outcome(cf._key_atoms, WALK_RAND, term, env) == _key_outcome(
+                _key_atoms, WALK_RAND, term, env
+            )
+
+
+@WALKS
+@given(KINDS["EventTerm"])
+def test_event_walks_match_explicit_forms(e):
+    assert cf.cformula_free_kvars(e) == _event_kvars(e)
+    for env in WALK_ENVIRONMENTS:
+        assert _key_outcome(cf._key_atoms, WALK_RAND, e, env) == _key_outcome(
+            _event_key_atoms, WALK_RAND, e, env
+        )
+
+
+def test_variable_errors_name_variables_in_sorted_order(tmp_path):
+    # frozenset order changes with the hash seed; the messages may not
+    ws = tmp_path / "ws.rl"
+    ws.write_text(
+        "structure m2 { universe = 2; }\n"
+        "space dy1 { weights = [1/2, 1/2]; }\n"
+        "randomization r1 { structure = m2; space = dy1; }\n"
+        "event e = r1 {0};\n"
+    )
+    src = str(Path(randlab.__file__).resolve().parents[1])
+    cases = {
+        (): "error: unbound variables ['x', 'y']\n",
+        ("--bind", "x=e,y=e"): "error: variable 'x' is not a bound random element\n",
+    }
+    for bind, message in cases.items():
+        argv = [sys.executable, "-m", "randlab.cli", "--workspace", str(ws), "eval",
+                "--rand", "r1", "--cformula", "mu[[x = y]]", *bind]
+        errors = {
+            subprocess.run(
+                argv, env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed)),
+                capture_output=True, text=True,
+            ).stderr
+            for seed in range(4)
+        }
+        assert errors == {message}

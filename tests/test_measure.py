@@ -256,3 +256,10 @@ def test_fiber_product_marginals_random(nx, nz, rng):
     prod = fiber_product(mu, nu, fib)
     assert image_measure(prod, fib.proj_x()).weight == mu.weight
     assert image_measure(prod, fib.proj_y()).weight == nu.weight
+
+
+def test_partial_maps_name_the_missing_point():
+    with pytest.raises(ValidationError, match=r"^function not total on its domain: missing 1$"):
+        RationalFn((0, 1), {0: 1})
+    with pytest.raises(ValidationError, match=r"^map not total: missing 1$"):
+        MeasurableMap((0, 1), (0,), {0: 0})

@@ -322,3 +322,11 @@ def test_fullness_witness_binding_checked_like_event_of(m2, coin_rand):
     assert fullness_witness(coin_rand, phi, "x", {"y": g, "x": other_base}) == (
         fullness_witness(coin_rand, phi, "x", {"y": g})
     )
+
+
+def test_partial_maps_name_the_missing_point(m2):
+    base = FinProbSpace.dyadic(1)
+    with pytest.raises(ValidationError, match=r"^family not total on the base: missing 1$"):
+        Randomization(base, {0: m2})
+    with pytest.raises(ValidationError, match=r"^random element not total on the base: missing 1$"):
+        RandomElement(base, {0: 1})

@@ -544,3 +544,106 @@ def test_a_non_node_raises_type_error(c3):
     for bad in (Not(Eq(Var("x"), Var("x"))), "x", None):
         with pytest.raises(TypeError, match="^not a term: "):
             eval_formula(c3, Eq(bad, Var("x")), {"x": 0})
+
+
+@hst.composite
+def structures_with_functions(draw):
+    """2-5 elements, a random subset of the symbols U/1, E/2, T/3, f/1, g/2
+    and c.  The tables are closed under a random permutation sigma, so
+    sigma is an automorphism when it also fixes c, and groups are often
+    larger than the identity."""
+    rng = draw(hst.randoms(use_true_random=False))
+    n = rng.randint(2, 5)
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+
+    def orbit(t):
+        out = [t]
+        while (t := tuple(sigma[e] for e in t)) != out[0]:
+            out.append(t)
+        return out
+
+    relations = {s: k for s, k in (("U", 1), ("E", 2), ("T", 3)) if rng.random() < 0.6}
+    functions = {s: k for s, k in (("f", 1), ("g", 2)) if rng.random() < 0.5}
+    constants = ["c"] if rng.random() < 0.5 else []
+    rel_tables = {}
+    for sym, k in relations.items():
+        table: set = set()
+        for t in itertools.product(range(n), repeat=k):
+            if t not in table and rng.random() < 0.4:
+                table.update(orbit(t))
+        rel_tables[sym] = table
+    fn_tables = {}
+    for sym, k in functions.items():
+        table: dict = {}
+        for args in itertools.product(range(n), repeat=k):
+            if args in table:
+                continue
+            ring = orbit(args)
+            # v must come back to itself after len(ring) steps of sigma
+            fixed = [b for b in range(n) if len(ring) % len(orbit((b,))) == 0]
+            v = rng.choice(fixed) if fixed else rng.randrange(n)
+            for args_j, v_j in zip(ring, itertools.cycle(orbit((v,)))):
+                table[args_j] = v_j[0]
+        fn_tables[sym] = table
+    points = [b for b in range(n) if sigma[b] == b] or list(range(n))
+    consts = {"c": rng.choice(points)} if constants else {}
+    sig = Signature(relations=relations, functions=functions, constants=constants)
+    return FinStructure(sig, n, rel_tables, fn_tables, consts)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(structures_with_functions())
+def test_automorphisms_with_functions_and_constants_match_brute_force(st):
+    for fix in (frozenset(), frozenset({0})):
+        group = automorphisms(st, fix)
+        assert group == _brute_force_automorphisms(st, fix)
+        colours = semantics._refine_classes(st, fix)
+        for sigma in group:
+            assert all(colours[sigma[a]] == colours[a] for a in st.elements)
+
+
+def _whole_partial_check(m, img):
+    """Every relation tuple, function entry and constant over the assigned
+    elements, as a backtrack node checked them before nodes checked only
+    what passes through their new image."""
+    assigned = [a for a in m.elements if img[a] is not None]
+    for sym, table in m.rel_tables.items():
+        k = m.signature.relations[sym]
+        for t in itertools.product(assigned, repeat=k):
+            mapped = tuple(img[e] for e in t)
+            if (t in table) != (mapped in table):
+                return False
+    for sym, table in m.fn_tables.items():
+        k = m.signature.functions[sym]
+        for args in itertools.product(assigned, repeat=k):
+            v = table[args]
+            if img[v] is not None and table[tuple(img[e] for e in args)] != img[v]:
+                return False
+    for v in m.const_values.values():
+        if img[v] is not None and img[v] != v:
+            return False
+    return True
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(structures_with_functions())
+def test_partial_check_through_the_new_image_matches_the_whole_check(st):
+    # every injective partial map, assigned in element order as the
+    # backtrack assigns it, whose parent passed the whole check; the
+    # constant check is left to the singleton classes, so skip constants
+    img = [None] * st.size
+    pinned = set(st.const_values.values())
+
+    def walk(a):
+        for b in st.elements:
+            if b in img or (a in pinned or b in pinned) and b != a:
+                continue
+            img[a] = b
+            whole = _whole_partial_check(st, img)
+            assert semantics._is_partial_ok(st, img, a) == whole, (img, a)
+            if whole and a + 1 < st.size:
+                walk(a + 1)
+            img[a] = None
+
+    walk(0)
