@@ -10,8 +10,11 @@ allowed: a simplex point, not a sample space) or an integer-coefficient
 infeasibility certificate is returned; both re-verify against the
 problem data by exact arithmetic.
 
-The pivot engine is a dictionary-free phase-one simplex over Fractions
-with Bland's rule, so runs are deterministic and never cycle.
+The pivot engine is a dictionary-free phase-one simplex with Bland's
+rule, so runs are deterministic and never cycle.  Each tableau row is a
+list of ints over one positive int denominator, pivoted fraction-free;
+the arithmetic is exact, so it makes the same Bland pivots and returns
+the same Fractions as a Fraction tableau.
 """
 
 from __future__ import annotations
@@ -65,11 +68,10 @@ class FeasibleCertificate(Record):
             return False
         if sum(self.weights.values(), Fraction(0)) != 1:
             return False
+        # zero weights add nothing: sum over the support, in ground order
+        support = [(p, w) for p in prob.ground if (w := self.weights.get(p))]
         for c in prob.constraints:
-            val = sum(
-                (c.fn(p) * self.weights.get(p, Fraction(0)) for p in prob.ground),
-                Fraction(0),
-            )
+            val = sum((c.fn(p) * w for p, w in support), Fraction(0))
             if c.relation == "<=" and not val <= c.bound:
                 return False
             if c.relation == "=" and val != c.bound:
@@ -133,6 +135,14 @@ Certificate = FeasibleCertificate | InfeasibleIneqCertificate | InfeasibleEqCert
 
 # --- Phase-one simplex ---------------------------------------------------------
 
+def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
+    """The row of ints over `den`, with the gcd of all of them divided out."""
+    g = math.gcd(den, *row)
+    if g > 1:
+        return [v // g for v in row], den // g
+    return row, den
+
+
 def _phase_one(
     rows: list[list[Fraction]], rhs: list[Fraction]
 ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
@@ -141,29 +151,40 @@ def _phase_one(
     Returns (solution, None) with a basic feasible solution, or
     (None, duals) where the duals y satisfy y.A <= 0 columnwise while
     y.b > 0 (a separating functional proving infeasibility).
+
+    Each tableau row, the cost row included, is a list of ints over one
+    positive int denominator, its last entry the right-hand side; the
+    basic column of row i holds that denominator.  Pivots are
+    fraction-free, in the manner of Bareiss (1968), with each row's gcd
+    divided out; they are exact, so every decision is the one a Fraction
+    tableau would make.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    flip = [Fraction(1)] * m
-    tab = [row[:] for row in rows]
-    b = rhs[:]
-    for i in range(m):
-        if b[i] < 0:
-            flip[i] = Fraction(-1)
-            tab[i] = [-v for v in tab[i]]
-            b[i] = -b[i]
-    # columns 0..n-1 original, n..n+m-1 artificial; minimise sum of artificials
-    for i in range(m):
-        tab[i] = tab[i] + [Fraction(1 if j == i else 0) for j in range(m)]
     width = n + m
+    flip = [1] * m
+    tab: list[list[int]] = []
+    den: list[int] = []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        if b < 0:
+            flip[i] = -1
+            row, b = [-v for v in row], -b
+        d = math.lcm(*(v.denominator for v in row), b.denominator)
+        ints = [v.numerator * (d // v.denominator) for v in row]
+        # columns 0..n-1 original, n..n+m-1 artificial, then the rhs
+        ints += [d if j == i else 0 for j in range(m)]
+        ints.append(b.numerator * (d // b.denominator))
+        tab.append(ints)
+        den.append(d)
     basis = [n + i for i in range(m)]
-    # objective row holds d_j = z_j - c_j (c_j = 1 on artificial columns);
-    # a column with d_j > 0 improves, and optimality means d_j <= 0.
-    cost = [
-        sum(tab[i][j] for i in range(m)) - (1 if j >= n else 0)
-        for j in range(width)
-    ]
-    obj = sum(b, Fraction(0))
+    # objective row holds d_j = z_j - c_j (c_j = 1 on artificial columns),
+    # its last entry the objective; a column with d_j > 0 improves, and
+    # optimality means d_j <= 0.  The artificial columns start at 1 - 1 = 0.
+    cden = math.lcm(*den)
+    scale = [cden // d for d in den]
+    cost = [sum(s * t[j] for s, t in zip(scale, tab)) for j in range(n)]
+    cost += [0] * m
+    cost.append(sum(s * t[width] for s, t in zip(scale, tab)))
 
     while True:
         enter = -1
@@ -173,43 +194,46 @@ def _phase_one(
                 break
         if enter < 0:
             break
+        # the ratio b_i / tab_i[e] is B_i / T_i[e]: the row denominators
+        # cancel, and the positive T_i[e] cross-multiply
         leave = -1
-        best: Fraction | None = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = b[i] / tab[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
+            a = tab[i][enter]
+            if a > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                here = tab[i][width] * tab[leave][enter]
+                best = tab[leave][width] * a
+                if here < best or (here == best and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             raise AssertionError("phase-one objective is bounded by construction")
-        piv = tab[leave][enter]
-        tab[leave] = [v / piv for v in tab[leave]]
-        b[leave] /= piv
+        # row l becomes row_l / tab_l[e]: its ints over T_l[e], whose basic
+        # column then holds the denominator
+        tab[leave], den[leave] = _reduced(tab[leave], tab[leave][enter])
+        prow, p = tab[leave], den[leave]
         for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                factor = tab[i][enter]
-                tab[i] = [v - factor * w for v, w in zip(tab[i], tab[leave])]
-                b[i] -= factor * b[leave]
-        factor = cost[enter]
-        cost = [v - factor * w for v, w in zip(cost, tab[leave])]
-        obj -= factor * b[leave]
+            a = tab[i][enter]
+            if i != leave and a:
+                row = [p * v - a * w for v, w in zip(tab[i], prow)]
+                tab[i], den[i] = _reduced(row, den[i] * p)
+        a = cost[enter]
+        cost, cden = _reduced([p * v - a * w for v, w in zip(cost, prow)], cden * p)
         basis[leave] = enter
 
-    if obj == 0:
+    if cost[width] == 0:
         x = [Fraction(0)] * n
         for i, j in enumerate(basis):
             if j < n:
-                x[j] = b[i]
-            elif b[i] != 0:
+                x[j] = Fraction(tab[i][width], den[i])
+            elif tab[i][width] != 0:
                 raise AssertionError("zero objective with a nonzero artificial")
         return x, None
     # duals y_i = z at the i-th artificial column = d + 1; undo row flips.
-    # obj > 0 already certifies y.b > 0, and d_j <= 0 on the original
+    # an objective > 0 already certifies y.b > 0, and d_j <= 0 on the original
     # columns gives y.A <= 0 there, which is all Farkas needs.
-    duals = [(cost[n + i] + 1) * flip[i] for i in range(m)]
+    duals = [Fraction((cost[n + i] + cden) * flip[i], cden) for i in range(m)]
     return None, duals
 
 

@@ -101,7 +101,9 @@ class RationalFn:
                 f"function not total on its domain: missing {missing.args[0]!r}"
             ) from None
         if len(self.values) != len(self.domain):
-            raise ValidationError("function not total on its domain")
+            seen: set[Point] = set()
+            repeated = next(p for p in self.domain if p in seen or seen.add(p))
+            raise ValidationError(f"duplicate domain point {repeated!r}")
 
     def __call__(self, p: Point) -> Fraction:
         return self.values[p]

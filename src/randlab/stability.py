@@ -196,6 +196,14 @@ def _isolated_solutions(
     return _extension(p_space.structure, iso, x_vars)
 
 
+@lru_cache(maxsize=None)
+def _orbit_traces(ctx: PhiContext, p_space: TypeSpace, p: TypeId) -> frozenset[frozenset]:
+    """The distinct traces of p's orbit under ctx's w: one table per orbit,
+    which `rho` reads for every b instead of rebuilding every instance."""
+    w = ctx._w_or_raise()
+    return frozenset(_trace(ctx, a, w) for a in p_space.orbit(p))
+
+
 def _rho_inputs(
     ctx: PhiContext, p_space: TypeSpace, b
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -234,10 +242,12 @@ def rho(
     phi-instance at b: the fraction of traces of p's orbit containing b.
 
     `b` is an element, a tuple, or a TypeId over the same parameters.
-    `rho_by_multiplicity` computes the same value independently.
+    `rho_by_multiplicity` computes the same value independently, without
+    the trace table.
     """
-    w, b_tuple = _rho_inputs(ctx, p_space, b)
-    return _trace_fraction(ctx, p_space.orbit(p), b_tuple, w)
+    _, b_tuple = _rho_inputs(ctx, p_space, b)
+    traces = _orbit_traces(ctx, p_space, p)
+    return Fraction(sum(1 for t in traces if b_tuple in t), len(traces))
 
 
 def rho_by_multiplicity(

@@ -8,16 +8,26 @@ from hypothesis import given, settings, strategies as st
 import randlab.extension
 from randlab import (
     FeasibleCertificate,
+    FinProbSpace,
     InfeasibleEqCertificate,
     InfeasibleIneqCertificate,
     LinFeasProblem,
     ParseError,
+    PhiContext,
+    RandomElement,
+    Randomization,
     RationalFn,
     ValidationError,
+    certify_nonforking,
+    directed_cycle,
     extend_measure_eq,
     extend_measure_ineq,
+    linear_order,
+    parse_formula,
+    pure_set,
+    rtype_of,
 )
-from randlab.extension import format_problem, parse_problem
+from randlab.extension import _phase_one, format_problem, parse_problem
 
 F = Fraction
 
@@ -289,6 +299,238 @@ def test_phase_one_gets_one_row_per_constraint_and_slacks_for_le_rows(monkeypatc
     solve(prob)
     k, n = 2, 3
     assert seen == [(k + 1, {n + (k if relation == "<=" else 0)})]
+
+
+# --- The Fraction simplex and the whole-ground check, kept as oracles ---------------
+# Verbatim copies of the Fraction-tableau `_phase_one` and of
+# `FeasibleCertificate.verify` summing over the whole ground set, which the
+# integer-row pivots and the support-only sums must reproduce exactly.
+
+def _oracle_phase_one(
+    rows: list[list[Fraction]], rhs: list[Fraction]
+) -> tuple[list[Fraction] | None, list[Fraction] | None]:
+    """Solve `rows * x = rhs, x >= 0` for feasibility.
+
+    Returns (solution, None) with a basic feasible solution, or
+    (None, duals) where the duals y satisfy y.A <= 0 columnwise while
+    y.b > 0 (a separating functional proving infeasibility).
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    flip = [Fraction(1)] * m
+    tab = [row[:] for row in rows]
+    b = rhs[:]
+    for i in range(m):
+        if b[i] < 0:
+            flip[i] = Fraction(-1)
+            tab[i] = [-v for v in tab[i]]
+            b[i] = -b[i]
+    # columns 0..n-1 original, n..n+m-1 artificial; minimise sum of artificials
+    for i in range(m):
+        tab[i] = tab[i] + [Fraction(1 if j == i else 0) for j in range(m)]
+    width = n + m
+    basis = [n + i for i in range(m)]
+    # objective row holds d_j = z_j - c_j (c_j = 1 on artificial columns);
+    # a column with d_j > 0 improves, and optimality means d_j <= 0.
+    cost = [
+        sum(tab[i][j] for i in range(m)) - (1 if j >= n else 0)
+        for j in range(width)
+    ]
+    obj = sum(b, Fraction(0))
+
+    while True:
+        enter = -1
+        for j in range(n):  # artificials never re-enter
+            if j not in basis and cost[j] > 0:
+                enter = j  # Bland: smallest index
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best: Fraction | None = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = b[i] / tab[i][enter]
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise AssertionError("phase-one objective is bounded by construction")
+        piv = tab[leave][enter]
+        tab[leave] = [v / piv for v in tab[leave]]
+        b[leave] /= piv
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                factor = tab[i][enter]
+                tab[i] = [v - factor * w for v, w in zip(tab[i], tab[leave])]
+                b[i] -= factor * b[leave]
+        factor = cost[enter]
+        cost = [v - factor * w for v, w in zip(cost, tab[leave])]
+        obj -= factor * b[leave]
+        basis[leave] = enter
+
+    if obj == 0:
+        x = [Fraction(0)] * n
+        for i, j in enumerate(basis):
+            if j < n:
+                x[j] = b[i]
+            elif b[i] != 0:
+                raise AssertionError("zero objective with a nonzero artificial")
+        return x, None
+    # duals y_i = z at the i-th artificial column = d + 1; undo row flips.
+    # obj > 0 already certifies y.b > 0, and d_j <= 0 on the original
+    # columns gives y.A <= 0 there, which is all Farkas needs.
+    duals = [(cost[n + i] + 1) * flip[i] for i in range(m)]
+    return None, duals
+
+
+def _oracle_verify(self, prob: LinFeasProblem) -> bool:
+    if any(w < 0 for w in self.weights.values()):
+        return False
+    if sum(self.weights.values(), Fraction(0)) != 1:
+        return False
+    for c in prob.constraints:
+        val = sum(
+            (c.fn(p) * self.weights.get(p, Fraction(0)) for p in prob.ground),
+            Fraction(0),
+        )
+        if c.relation == "<=" and not val <= c.bound:
+            return False
+        if c.relation == "=" and val != c.bound:
+            return False
+    return True
+
+
+ENTRIES = [F(0), F(1), F(-1), F(1, 2), F(-3, 4), F(5), F(1, 7)]
+
+
+@st.composite
+def phase_one_systems(draw):
+    """1-7 rows over 1-9 columns: sometimes an all-ones mass row first, a
+    repeated row or column (ratio ties), and a right-hand side either read
+    off a known point x >= 0 (feasible) or drawn freely, negatives included
+    (the row flips)."""
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 9))
+    rows = [draw(st.lists(st.sampled_from(ENTRIES), min_size=n, max_size=n)) for _ in range(m)]
+    if draw(st.booleans()):
+        rows[0] = [F(1)] * n
+    if m > 1 and draw(st.booleans()):
+        rows[draw(st.integers(1, m - 1))] = list(rows[draw(st.integers(0, m - 1))])
+    if n > 1 and draw(st.booleans()):
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        for row in rows:
+            row[dst] = row[src]
+    if draw(st.booleans()):
+        point = draw(st.lists(st.sampled_from([F(0), F(1, 3), F(1), F(2, 5)]), min_size=n, max_size=n))
+        rhs = [sum((a * x for a, x in zip(row, point)), F(0)) for row in rows]
+    else:
+        rhs = draw(st.lists(st.sampled_from(ENTRIES + [F(-2)]), min_size=m, max_size=m))
+    return rows, rhs
+
+
+def _assert_same_phase_one(rows, rhs):
+    want = _oracle_phase_one([row[:] for row in rows], rhs[:])
+    got = _phase_one([row[:] for row in rows], rhs[:])
+    assert got == want and repr(got) == repr(want)
+    return got
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(phase_one_systems())
+def test_integer_phase_one_matches_the_fraction_tableau(system):
+    _assert_same_phase_one(*system)
+
+
+def test_integer_phase_one_meets_ratio_ties_and_flips():
+    """Fixed systems that need the tie-break on the smallest basis index,
+    a flipped row, and a pivot row whose denominator changes."""
+    seen = set()
+    for rows, rhs in [
+        ([[F(1), F(1)], [F(1), F(1)]], [F(1), F(1)]),
+        # a ratio tie: without the smallest-basis-index tie-break the
+        # duals come out (1/8, 1, -1/4), not (1, 1, -2)
+        ([[F(0), F(1)], [F(1, 2), F(0)], [F(2), F(1, 2)]], [F(0), F(2), F(0)]),
+        ([[F(1), F(1), F(1)], [F(2), F(0), F(1)], [F(0), F(2), F(1)]], [F(1), F(1), F(1)]),
+        ([[F(1), F(1)], [F(-1), F(1, 2)]], [F(1), F(-1, 2)]),
+        ([[F(1), F(1)], [F(-1), F(-1)]], [F(1), F(1)]),
+        ([[F(3), F(1, 7)], [F(5), F(-3, 4)]], [F(2), F(1, 2)]),
+    ]:
+        x, duals = _assert_same_phase_one(rows, rhs)
+        seen.add(x is None)
+    assert seen == {True, False}
+
+
+def _bench_stability_cases():
+    """The five randomized cases of the benchmark's `stability` workload,
+    with the random element c and the parameter b0 its seed 1301 draws."""
+    for st_, text, size, c_vals, b0 in (
+        (pure_set(2), "x = y", 2, [0, 1], 1),
+        (pure_set(2), "x = y", 3, [1, 1, 0], 0),
+        (linear_order(3), "Lt(x, y)", 3, [1, 2, 2], 1),
+        (directed_cycle(3), "E(x, y)", 3, [2, 0, 1], 1),
+        (directed_cycle(4), "E(x, y)", 4, [1, 2, 1, 3], 1),
+    ):
+        rand = Randomization.constant(st_, FinProbSpace.uniform(size))
+        b = RandomElement.constant(rand.base, b0)
+        ctx = PhiContext(st_, parse_formula(text, st_.signature), ("x",), ("y",), ("w",))
+        yield ctx, rand, rand.element(c_vals), b
+
+
+def test_integer_phase_one_on_the_benchmark_stationarity_systems(monkeypatch):
+    systems = []
+    real = randlab.extension._phase_one
+
+    def recording(rows, rhs):
+        systems.append(([row[:] for row in rows], rhs[:]))
+        return real(rows, rhs)
+
+    monkeypatch.setattr(randlab.extension, "_phase_one", recording)
+    for ctx, rand, c, b in _bench_stability_cases():
+        prob, cert = certify_nonforking(ctx, rtype_of(rand, [c], [b]), rtype_of(rand, [b], [b]))
+        assert cert.feasible and cert.verify(prob)
+        assert _oracle_verify(cert, prob)
+    # constraints x types, as the benchmark's systems are sized
+    assert [(len(r) - 1, len(r[0])) for r, _ in systems] == [(5, 4), (5, 4), (19, 27), (7, 9), (9, 16)]
+    for rows, rhs in systems:
+        _assert_same_phase_one(rows, rhs)
+
+
+WEIGHTS = st.sampled_from([F(0), F(0), F(1), F(1, 2), F(1, 3), F(2, 3), F(-1, 2), F(3, 2)])
+
+
+@st.composite
+def weighted_problems(draw):
+    """A problem of both relations and weights that are its own witness
+    (when it is feasible) or drawn freely: zeros, negatives, and keys
+    outside the ground set."""
+    n = draw(st.integers(1, 5))
+    ground = tuple(range(n))
+    k = draw(st.integers(0, 4))
+    rel = draw(st.sampled_from(["<=", "="]))
+    constraints = []
+    for _ in range(k):
+        values = draw(st.lists(st.sampled_from(ENTRIES), min_size=n, max_size=n))
+        # a constant-one equality must have bound 1
+        bound = F(1) if rel == "=" and set(values) == {1} else draw(st.sampled_from(ENTRIES))
+        constraints.append((fn(ground, values), bound, rel))
+    prob = LinFeasProblem(ground, constraints)
+    if draw(st.booleans()):
+        cert = (extend_measure_eq if rel == "=" else extend_measure_ineq)(prob)
+        if cert.feasible:
+            return prob, dict(cert.weights)
+    keys = draw(st.sets(st.integers(0, n + 2)))
+    return prob, {p: draw(WEIGHTS) for p in sorted(keys)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(weighted_problems())
+def test_support_only_verify_matches_the_whole_ground_check(case):
+    prob, weights = case
+    cert = FeasibleCertificate(weights)
+    assert cert.verify(prob) is _oracle_verify(cert, prob)
 
 
 def test_empty_ground_set_rejected():

@@ -263,3 +263,12 @@ def test_partial_maps_name_the_missing_point():
         RationalFn((0, 1), {0: 1})
     with pytest.raises(ValidationError, match=r"^map not total: missing 1$"):
         MeasurableMap((0, 1), (0,), {0: 0})
+
+
+def test_repeated_domain_points_are_named_not_reported_missing():
+    with pytest.raises(ValidationError, match=r"^duplicate domain point 0$"):
+        RationalFn((0, 0), {0: 1})
+    with pytest.raises(ValidationError, match=r"^duplicate domain point 'b'$"):
+        RationalFn(("a", "b", "c", "b", "a"), {"a": 1, "b": 2, "c": 3})
+    with pytest.raises(ValidationError, match=r"^function not total on its domain: missing 1$"):
+        RationalFn((0, 0, 1), {0: 1})

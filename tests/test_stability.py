@@ -43,6 +43,8 @@ from randlab.stability import (
     IndependenceVerdict,
     _heads,
     _isolated_solutions,
+    _orbit_traces,
+    _trace_fraction,
     restriction_map,
     rho_fn,
 )
@@ -135,6 +137,44 @@ def test_rho_two_routes_agree_everywhere(name, request):
                     value = rho(ctx, space, p, b)
                     assert value == rho_by_multiplicity(ctx, space, p, b)
                     assert 0 <= value <= 1
+
+
+def test_rho_reads_one_trace_table_per_orbit_context_and_space(m4):
+    """rho is the fraction of the orbit's distinct traces containing b, through
+    contexts interleaved on one structure (phi and w_values differ) and a
+    parameter fixed and unfixed: a trace table keyed without the context or
+    the space would hand one of them another's traces."""
+    sig = m4.signature
+    plain = parse_formula("x = y", sig)
+    with_w = parse_formula("x = y | y = w", sig)
+    ctxs = {
+        "plain": PhiContext(m4, plain, ("x",), ("y",)),
+        "w=0": PhiContext(m4, with_w, ("x",), ("y",), ("w",), (0,)),
+        "w=1": PhiContext(m4, with_w, ("x",), ("y",), ("w",), (1,)),
+    }
+    schedule = [
+        ("plain", ()), ("plain", (0,)), ("w=0", (0,)), ("plain", (0,)), ("w=0", (0, 1)),
+        ("w=1", (0, 1)), ("plain", (0, 1)), ("plain", ()), ("w=0", (0,)), ("w=1", (0, 1)),
+    ]
+    _orbit_traces.cache_clear()
+    tables = {}
+    for name, params in schedule:
+        ctx, space = ctxs[name], type_space(m4, 1, params)
+        w = ctx._w_or_raise()
+        table = {}
+        for p in space.types:
+            for b in m4.elements:
+                want = _trace_fraction(ctx, space.orbit(p), (b,), w)
+                got = rho(ctx, space, p, b)
+                assert got == want and repr(got) == repr(want)
+                table[(p, b)] = got
+        assert tables.setdefault((name, params), table) == table
+    # the interleaved tables disagree where they share a key, so sharing shows
+    first = type_space(m4, 1, ()).types[0]
+    assert first == type_space(m4, 1, (0,)).types[0]
+    assert tables[("plain", ())][(first, 0)] != tables[("plain", (0,))][(first, 0)]
+    assert tables[("plain", (0,))] != tables[("w=0", (0,))]
+    assert tables[("w=0", (0, 1))] != tables[("w=1", (0, 1))]
 
 
 @pytest.mark.parametrize("name", ["m2", "m4", "c3", "c5", "l3"])
