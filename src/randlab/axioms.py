@@ -15,10 +15,11 @@ follow from the premise and are only exercised (the connectives at one
 covering binding per corpus pair, the rest at the full and empty event).
 Atomlessness cannot hold on a finite space: the checker reports the
 exact defect
-  max_U min_V |mu(U /\\ V) - mu(U)/2|
-and passes the group when the defect is at most half the smallest atom,
-the value attained by dyadic bases (the defect vanishes under dyadic
-refinement).
+  max_U min_V |mu(U /\\ V) - mu(U)/2|,
+which is half the heaviest atom (see atomless_defect), and passes the
+group when the defect is at most half the smallest atom, that is exactly
+on uniform bases (dyadic ones among them: the defect vanishes under
+dyadic refinement).
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .record import Record
 from .semantics import eval_formula
 from .structures import FinStructure, Signature
 
-ATOMLESS_HARD_LIMIT = 12  # largest non-uniform base whose 2^n events are searched
 EXACT_GROUPS = (
     "validity",
     "boolean",
@@ -290,25 +290,14 @@ def covering_failures(rand: Randomization, items: Iterable, holds: Callable) -> 
 
 def atomless_defect(rand: Randomization) -> Fraction:
     """max over events U of the distance from mu(U)/2 to the masses of
-    subevents of U.  Closed form for uniform bases; exhaustive otherwise."""
-    weights = [rand.base.weight[p] for p in rand.base.points]
-    n = len(weights)
-    if len(set(weights)) == 1:
-        # all subset masses are multiples of the atom; odd-sized events
-        # (always present) miss their half by exactly half an atom
-        return weights[0] / 2
-    if n > ATOMLESS_HARD_LIMIT:
-        raise BudgetError("atomless defect on a large non-uniform base", 2**n)
-    worst = Fraction(0)
-    for mask in range(1, 2**n):
-        atoms = [weights[i] for i in range(n) if mask >> i & 1]
-        target = sum(atoms, Fraction(0)) / 2
-        sums = {Fraction(0)}
-        for a in atoms:
-            sums |= {s + a for s in sums}
-        best = min(abs(s - target) for s in sums)
-        worst = max(worst, best)
-    return worst
+    subevents of U, which is half the heaviest atom w_max.
+
+    At least w_max/2: take U the heaviest atom alone; its subevents weigh
+    0 or w_max, both w_max/2 away from mu(U)/2.  At most w_max/2: list the
+    atoms of any U in any order; the prefix sums climb from 0 to mu(U) one
+    atom at a time, so one of them lies within half an atom of mu(U)/2.
+    """
+    return max(rand.base.weight.values()) / 2
 
 
 # --- The checker -------------------------------------------------------------------

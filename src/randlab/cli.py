@@ -129,16 +129,17 @@ def _parse_bindings(ws: Workspace, rand_name: str, spec: str | None):
     return env
 
 
+def _element_of(ws: Workspace, rand_name: str, name: str):
+    owner, el = ws.element(name)
+    if owner != rand_name:
+        raise ResolutionError(
+            f"element {name!r} belongs to {owner!r}, not {rand_name!r}"
+        )
+    return el
+
+
 def _elements_by_names(ws: Workspace, rand_name: str, spec: str):
-    out = []
-    for name in [s for s in spec.split(",") if s.strip()]:
-        owner, el = ws.element(name.strip())
-        if owner != rand_name:
-            raise ResolutionError(
-                f"element {name!r} belongs to {owner!r}, not {rand_name!r}"
-            )
-        out.append(el)
-    return out
+    return [_element_of(ws, rand_name, s.strip()) for s in spec.split(",") if s.strip()]
 
 
 def _int_list(spec: str) -> tuple[int, ...]:
@@ -410,13 +411,15 @@ def cmd_convex(args, ws: Workspace) -> int:
 
 def cmd_approx_simple(args, ws: Workspace) -> int:
     rand = ws.randomization(args.rand)
-    _, f = ws.element(args.f)
+    f = _element_of(ws, args.rand, args.f)
     gens = []
     for name in args.algebra.split(";"):
         if name.strip():
             owner, ev = ws.event(name.strip())
             if owner != args.rand:
-                raise ResolutionError(f"event {name!r} belongs to {owner!r}")
+                raise ResolutionError(
+                    f"event {name!r} belongs to {owner!r}, not {args.rand!r}"
+                )
             gens.append(ev)
     algebra = EventAlgebra(rand, gens)
     eps = _rational(args.eps)

@@ -136,6 +136,11 @@ class Randomization:
             raise ValidationError(f"event contains foreign points {sorted(map(repr, bad))}")
         return e
 
+    def check_element(self, f: RandomElement) -> RandomElement:
+        if f.base is not self.base and f.base != self.base:
+            raise ValidationError("element lives on a different base")
+        return f
+
     def full_event(self) -> Event:
         return frozenset(self.base.points)
 
@@ -354,6 +359,7 @@ def approximate_by_simple(
     disjointifies, and reads g off the pieces.  The partial bounds are
     recorded on the trace when requested.
     """
+    rand.check_element(f)
     eps = frac(eps)
     if eps <= 0:
         raise ValidationError("eps must be positive")

@@ -11,8 +11,8 @@ construction used for saturation-style arguments.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from math import comb
 from typing import Mapping, Sequence
 
 from .errors import ValidationError
@@ -21,9 +21,6 @@ from .measure import FinProbSpace, Point, frac
 from .randomization import Event, RandomElement, Randomization
 from .record import Record
 from .semantics import TypeId, TypeSpace, eval_formula, type_space
-
-BATTERY_DENOMINATOR = 4  # realize-battery measures have denominators up to this
-BATTERY_SPACE_LIMIT = 4  # the battery runs on type spaces of at most this many types
 
 
 class RMeasure:
@@ -115,6 +112,7 @@ def rtype_of_over(
         raise ValidationError("type space belongs to a different structure")
     if len(elements) != space.arity:
         raise ValidationError("tuple length must match the space arity")
+    elements = [rand.check_element(f) for f in elements]
     acc: dict[TypeId, Fraction] = {}
     for w in rand.base.points:
         q = space.type_of(tuple(f(w) for f in elements))
@@ -305,23 +303,6 @@ def realize_conditional(
 
 # --- Categoricity battery -----------------------------------------------------------------
 
-def simplex_measures(space: TypeSpace, max_denominator: int = 4) -> list[RMeasure]:
-    """All type measures on `space` with denominators up to the bound."""
-    s = len(space.types)
-    seen: set[tuple[Fraction, ...]] = set()
-    out: list[RMeasure] = []
-    for d in range(1, max_denominator + 1):
-        for combo in itertools.product(range(d + 1), repeat=s):
-            if sum(combo) != d:
-                continue
-            vec = tuple(Fraction(k, d) for k in combo)
-            if vec in seen:
-                continue
-            seen.add(vec)
-            out.append(RMeasure(space, dict(zip(space.types, vec))))
-    return out
-
-
 class CategoricityReport(Record):
     sizes: dict[int, int]
     realized: dict[int, int]
@@ -335,12 +316,22 @@ class CategoricityReport(Record):
 
 
 def check_omega_categoricity(structure, n_max: int) -> CategoricityReport:
-    """Report type-space sizes and run the realize-a-measure battery.
+    """Report type-space sizes and decide the realize battery.
 
-    Every type space of a finite structure is finite and every battery
-    measure is realized, so the report can never declare failure of
-    categoricity; what it checks is that the realization construction
-    does produce exact realizations.
+    The battery asks that realize followed by rtype_of_over return every
+    measure on S_n; count= reports how many have denominators up to 4.
+    One round trip decides it.  realize puts q.rep on an event of mass
+    nu(q) and rtype_of_over adds the weights per orbit, so the round trip
+    returns the sum over q of nu(q) times the point mass at q.rep's type.
+    Give type i of s the weight 2(i+1)/(s(s+1)): positive and pairwise
+    distinct.  If that measure comes back, every type has a preimage, so
+    q -> type of q.rep is a bijection, and the distinct weights make it
+    the identity; then every measure comes back.  The premise, pinned by
+    a test: _split_base gives each tag exactly its mass.
+
+    Every type space of a finite structure is finite, so the report can
+    never declare failure of categoricity; what it checks is that the
+    realization construction does produce exact realizations.
     """
     sizes: dict[int, int] = {}
     realized: dict[int, int] = {}
@@ -349,22 +340,18 @@ def check_omega_categoricity(structure, n_max: int) -> CategoricityReport:
     rand = Randomization.constant(structure, trivial)
     for n in range(1, n_max + 1):
         space = type_space(structure, n, ())
-        sizes[n] = len(space)
-        lines.append(f"PASS type-space-size n={n} |S_{n}|={len(space)} (finite)")
-        if len(space) > BATTERY_SPACE_LIMIT:
-            lines.append(
-                f"SKIP realize-battery n={n} |S_{n}|={len(space)} > {BATTERY_SPACE_LIMIT}"
-            )
+        s = sizes[n] = len(space)
+        lines.append(f"PASS type-space-size n={n} |S_{n}|={s} (finite)")
+        nu = RMeasure(
+            space,
+            {q: Fraction(2 * (i + 1), s * (s + 1)) for i, q in enumerate(space.types)},
+        )
+        refined, elements = realize(rand, nu)
+        if rtype_of_over(refined.rand, elements, space) != nu:
+            lines.append(f"FAIL realize-battery n={n} measure {nu!r}")
             continue
-        count = 0
-        for nu in simplex_measures(space, BATTERY_DENOMINATOR):
-            refined, elements = realize(rand, nu)
-            back = rtype_of_over(refined.rand, elements, space)
-            if back != nu:
-                lines.append(f"FAIL realize-battery n={n} measure {nu!r}")
-                break
-            count += 1
-        else:
-            lines.append(f"PASS realize-battery n={n} count={count}")
-        realized[n] = count
+        # comb(s+d-1, d) measures are multiples of 1/d; those over 4 (which
+        # include those over 2 and 1) and those over 3 share the s vertices
+        realized[n] = comb(s + 3, 4) + comb(s + 2, 3) - s
+        lines.append(f"PASS realize-battery n={n} count={realized[n]}")
     return CategoricityReport(sizes, realized, lines)

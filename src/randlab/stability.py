@@ -296,6 +296,8 @@ def _heads(space: TypeSpace, q: TypeId, head: int, w: tuple) -> list[tuple]:
 
 def _widths(ctx: PhiContext, p: RMeasure, q: RMeasure) -> tuple[int, int, int]:
     """The widths of p's x block, q's y block and their shared W block."""
+    if p.space.structure != ctx.structure or q.space.structure != ctx.structure:
+        raise ValidationError("type measures live on a different structure than phi")
     nx = len(ctx.x_vars)
     nw = p.space.arity - nx
     ny = q.space.arity - nw

@@ -189,6 +189,8 @@ def _rmeasure(ws: Workspace, tk: Lexer, name: str) -> None:
                 f"rmeasure {name}: entry {qname} names no type; "
                 f"the space has {len(space.types)}"
             )
+        if space.types[i] in weights:
+            raise ValidationError(f"rmeasure {name}: entry {qname} is repeated")
         weights[space.types[i]] = w
     ws.rmeasures[name] = RMeasure(space, weights)
 

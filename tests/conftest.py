@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from randlab import (
     FinProbSpace,
     RandomElement,
     Randomization,
+    RMeasure,
     directed_cycle,
     linear_order,
     pure_set,
@@ -24,6 +26,23 @@ def sample_elements(
         values = {w: rng.randrange(rand.family[w].size) for w in rand.base.points}
         pool.append(RandomElement(rand.base, values))
     return pool[:count]
+
+
+def simplex_measures(space, max_denominator: int = 4) -> list[RMeasure]:
+    """All type measures on `space` with denominators up to the bound."""
+    s = len(space.types)
+    seen: set[tuple[Fraction, ...]] = set()
+    out: list[RMeasure] = []
+    for d in range(1, max_denominator + 1):
+        for combo in itertools.product(range(d + 1), repeat=s):
+            if sum(combo) != d:
+                continue
+            vec = tuple(Fraction(k, d) for k in combo)
+            if vec in seen:
+                continue
+            seen.add(vec)
+            out.append(RMeasure(space, dict(zip(space.types, vec))))
+    return out
 
 
 @pytest.fixture(scope="session")

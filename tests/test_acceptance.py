@@ -49,9 +49,8 @@ from randlab import (
     type_space,
 )
 from randlab.axioms import default_formula_corpus
-from conftest import sample_elements
+from conftest import sample_elements, simplex_measures
 from randlab.formulas import format_formula, free_vars
-from randlab.rtypes import simplex_measures
 from randlab.stability import restriction_map
 
 F = Fraction

@@ -66,6 +66,57 @@ def test_axiom_suite_skewed_base(c3, skewed_base):
     assert not report.by_group("atomless").passed
 
 
+# --- Atomless defect: the closed form against the enumeration --------------------
+
+ATOMLESS_HARD_LIMIT = 12  # largest non-uniform base whose 2^n events are searched
+
+
+def atomless_defect_by_enumeration(rand: Randomization) -> Fraction:
+    """max over events U of the distance from mu(U)/2 to the masses of
+    subevents of U.  Closed form for uniform bases; exhaustive otherwise."""
+    weights = [rand.base.weight[p] for p in rand.base.points]
+    n = len(weights)
+    if len(set(weights)) == 1:
+        # all subset masses are multiples of the atom; odd-sized events
+        # (always present) miss their half by exactly half an atom
+        return weights[0] / 2
+    if n > ATOMLESS_HARD_LIMIT:
+        raise BudgetError("atomless defect on a large non-uniform base", 2**n)
+    worst = Fraction(0)
+    for mask in range(1, 2**n):
+        atoms = [weights[i] for i in range(n) if mask >> i & 1]
+        target = sum(atoms, Fraction(0)) / 2
+        sums = {Fraction(0)}
+        for a in atoms:
+            sums |= {s + a for s in sums}
+        best = min(abs(s - target) for s in sums)
+        worst = max(worst, best)
+    return worst
+
+
+def _base_of(counts: list[int]) -> FinProbSpace:
+    total = sum(counts)
+    return FinProbSpace([(i, F(k, total)) for i, k in enumerate(counts)])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=10))
+def test_atomless_defect_matches_the_enumeration(counts):
+    rand = Randomization.constant(directed_cycle(3), _base_of(counts))
+    assert randlab.axioms.atomless_defect(rand) == atomless_defect_by_enumeration(rand)
+
+
+def test_atomless_defect_on_a_large_non_uniform_base(m2):
+    # past the enumeration's reach: 20 points of weights 1..20 over 210
+    rand = Randomization.constant(m2, _base_of(list(range(1, 21))))
+    with pytest.raises(BudgetError):
+        atomless_defect_by_enumeration(rand)
+    assert randlab.axioms.atomless_defect(rand) == F(20, 210) / 2
+    report = check_axioms(rand)
+    assert report.exact_groups_pass()
+    assert report.lines()[-2] == "FAIL axiom-atomless defect 1/21 vs threshold 1/420"
+
+
 def test_corrupted_measure_detected(m2):
     rand = Randomization.constant(m2, FinProbSpace.uniform(4))
     # bypass construction-time validation to hand the checker a broken measure

@@ -164,7 +164,7 @@ def test_check_categoricity_says_when_it_skips_the_battery(ws_file):
         "PASS type-space-size n=2 |S_2|=3 (finite)",
         "PASS realize-battery n=2 count=22",
         "PASS type-space-size n=3 |S_3|=9 (finite)",
-        "SKIP realize-battery n=3 |S_3|=9 > 4",
+        "PASS realize-battery n=3 count=651",
     ]
 
 
@@ -250,6 +250,51 @@ def test_convex_command(ws_file):
     )
     assert code == 1
     assert "FAIL axiom-atomless" in out and "FAIL axiom-measure" not in out
+
+
+def test_approx_simple_refuses_another_randomizations_names(ws_file):
+    code, out, err = run(
+        "--workspace", ws_file, "approx-simple", "--rand", "m2x8",
+        "--f", "f", "--algebra", "e1", "--eps", "1",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: element 'f' belongs to 'r1', not 'm2x8'\n"
+    code, out, err = run(
+        "--workspace", ws_file, "approx-simple", "--rand", "r1",
+        "--f", "f", "--algebra", "e1", "--eps", "1",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: event 'e1' belongs to 'm2x8', not 'r1'\n"
+
+
+def test_rho_hat_refuses_measures_on_another_structure(tmp_path):
+    path = tmp_path / "ws2.rl"
+    path.write_text(WS + (
+        "rmeasure p2 { structure = m2; arity = 1; params = (); rtype { q0: 1/1 }; }\n"
+        "rmeasure q2 { structure = m2; arity = 1; params = (); rtype { q0: 1/1 }; }\n"
+    ))
+    for mode in ("--rho-hat", "--certify"):
+        code, out, err = run(
+            "--workspace", str(path), "rho", "--structure", "c3", "--phi", "E(x, y)",
+            mode, "--p-measure", "p2", "--q-measure", "q2",
+        )
+        assert (code, out) == (2, ""), mode
+        assert err == "error: type measures live on a different structure than phi\n"
+
+
+def test_check_axioms_decides_a_large_non_uniform_base(tmp_path):
+    # 20 points, one heavy: the defect is half the heaviest atom
+    path = tmp_path / "ws2.rl"
+    weights = ", ".join(["1/2"] + ["1/38"] * 19)
+    path.write_text(WS + (
+        f"space big {{ weights = [{weights}]; }}\n"
+        "randomization rbig { structure = m2; space = big; }\n"
+    ))
+    code, out, _ = run("--workspace", str(path), "check", "axioms", "--rand", "rbig")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-2] == "FAIL axiom-atomless defect 1/4 vs threshold 1/76"
+    assert all(ln.startswith("PASS") for ln in lines if "atomless" not in ln)
 
 
 def test_approx_simple_command(ws_file):

@@ -22,6 +22,8 @@ from randlab import (
     parse_cformula,
     parse_formula,
     rtype_of,
+    rtype_of_over,
+    type_space,
 )
 from randlab.formulas import Exists
 from randlab.randomization import inject_element
@@ -227,6 +229,26 @@ def test_approximate_measurable_input(m2):
     f = r3.element([0, 0, 1, 1, 0, 0, 1, 1])
     g = approximate_by_simple(r3, f, algebra, F(1, 100))
     assert d_k(r3, f, g) == 0
+
+
+def test_elements_from_another_base_are_refused(m2):
+    r1 = Randomization.constant(m2, FinProbSpace.dyadic(1))
+    r2 = Randomization.constant(m2, FinProbSpace.dyadic(2))
+    f2 = r2.element([0, 1, 1, 1])
+    algebra = EventAlgebra(r1, [])
+    space = type_space(m2, 1, ())
+    with pytest.raises(ValidationError, match="element lives on a different base"):
+        rtype_of(r1, [f2])
+    with pytest.raises(ValidationError, match="element lives on a different base"):
+        rtype_of_over(r1, [r1.element([0, 1]), f2], type_space(m2, 2, ()))
+    with pytest.raises(ValidationError, match="element lives on a different base"):
+        approximate_by_simple(r1, f2, algebra, F(1))
+    # an equal base that is another object is the same base
+    twin = Randomization.constant(m2, FinProbSpace.dyadic(1))
+    f1 = twin.element([0, 1])
+    assert twin.base is not r1.base
+    assert rtype_of_over(r1, [f1], space) == rtype_of(twin, [f1])
+    assert d_k(r1, f1, approximate_by_simple(r1, f1, algebra, F(1))) <= F(1, 2)
 
 
 def test_approximate_spec_example(m2):

@@ -2,7 +2,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
+import randlab.rtypes
 from randlab import (
     CondRealizationSpec,
     FinProbSpace,
@@ -12,6 +14,9 @@ from randlab import (
     ValidationError,
     check_omega_categoricity,
     d_metric,
+    directed_cycle,
+    linear_order,
+    pure_set,
     realize,
     realize_conditional,
     rtype_of,
@@ -20,7 +25,8 @@ from randlab import (
     type_space,
 )
 from randlab.randomization import d_k_tuple, event_of, mu
-from randlab.rtypes import cells_of, format_rmeasure, simplex_measures
+from conftest import simplex_measures
+from randlab.rtypes import _split_base, cells_of, format_rmeasure
 
 F = Fraction
 
@@ -263,9 +269,93 @@ def test_categoricity_reports(m2, c3):
 
 def test_categoricity_report_passes_with_a_skipped_battery(c3):
     rep = check_omega_categoricity(c3, 3)
-    assert rep.lines()[-1] == "SKIP realize-battery n=3 |S_3|=9 > 4"
-    assert 3 not in rep.realized
+    assert rep.lines()[-1] == "PASS realize-battery n=3 count=651"
+    assert rep.realized[3] == 651
     assert rep.all_pass()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    hst.lists(hst.integers(1, 9), min_size=1, max_size=6),
+    hst.lists(hst.integers(0, 9), min_size=1, max_size=6),
+    hst.integers(0, 6),
+)
+def test_split_base_gives_each_tag_exactly_its_mass(point_counts, tag_counts, cut):
+    # the premise of the realize battery: two regions, each split among
+    # the tags in proportion to tag_counts
+    total = sum(point_counts)
+    base = FinProbSpace([(i, F(k, total)) for i, k in enumerate(point_counts)])
+    rand = Randomization.constant(pure_set(2), base)
+    if sum(tag_counts) == 0:
+        tag_counts = tag_counts + [1]
+    regions = [base.points[:cut], base.points[cut:]]
+    allocations = []
+    for r, region in enumerate(regions):
+        mass = base.mass(region)
+        allocations.append((region, [
+            ((r, t), mass * F(k, sum(tag_counts))) for t, k in enumerate(tag_counts)
+        ]))
+    refined, events = _split_base(rand, allocations)
+    for region, allocation in allocations:
+        for tag, mass in allocation:
+            assert refined.rand.base.mass(events.get(tag, frozenset())) == mass
+    for p in base.points:
+        pieces = [w for w in refined.rand.base.points if refined.projection[w] == p]
+        assert sum(refined.rand.base.weight[w] for w in pieces) == base.weight[p]
+
+
+def test_battery_count_is_the_number_of_measures_up_to_denominator_four():
+    reports = {s: check_omega_categoricity(directed_cycle(s), 2) for s in range(2, 8)}
+    assert reports[2].realized[1] == len(simplex_measures(type_space(directed_cycle(2), 1, ())))
+    for s, rep in reports.items():
+        space = type_space(directed_cycle(s), 2, ())
+        assert len(space) == s
+        assert rep.realized[2] == len(simplex_measures(space, 4))
+
+
+@pytest.mark.parametrize(
+    "st",
+    [pure_set(2), pure_set(4), directed_cycle(3), directed_cycle(4),
+     directed_cycle(6), linear_order(3), linear_order(4)],
+    ids=lambda st: st.name,
+)
+def test_battery_pass_agrees_with_realizing_every_measure(st):
+    rep = check_omega_categoricity(st, 3)
+    rand = Randomization.constant(st, FinProbSpace([("w", F(1))]))
+    for n in (1, 2, 3):
+        space = type_space(st, n, ())
+        if len(space) > 6:
+            continue
+        measures = simplex_measures(space, 4)
+        for nu in measures:
+            refined, elements = realize(rand, nu)
+            assert rtype_of_over(refined.rand, elements, space) == nu
+        assert f"PASS realize-battery n={n} count={len(measures)}" in rep.lines()
+
+
+@pytest.mark.parametrize("misplace", ["shift", "collapse"])
+def test_categoricity_report_fails_on_a_misplaced_representative(c3, monkeypatch, misplace):
+    real = randlab.rtypes.realize
+
+    def wrong(rand, nu):
+        # put another type's representative on q0's event (shift: every
+        # type's mass on the next type's representative)
+        types = nu.space.types
+        moved = {}
+        for i, q in enumerate(types):
+            to = types[(i + 1) % len(types)] if misplace == "shift" or i == 0 else q
+            moved[to] = moved.get(to, F(0)) + nu.weights[q]
+        return real(rand, RMeasure(nu.space, moved))
+
+    monkeypatch.setattr(randlab.rtypes, "realize", wrong)
+    rep = check_omega_categoricity(c3, 2)
+    assert rep.lines() == [
+        "PASS type-space-size n=1 |S_1|=1 (finite)",
+        "PASS realize-battery n=1 count=1",
+        "PASS type-space-size n=2 |S_2|=3 (finite)",
+        "FAIL realize-battery n=2 measure rtype { q0: 1/6, q1: 1/3, q2: 1/2 }",
+    ]
+    assert not rep.all_pass() and 2 not in rep.realized
 
 
 def test_rmeasure_serialization(l3):

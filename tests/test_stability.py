@@ -336,6 +336,26 @@ def test_rho_hat_rejects_mismatched_marginals(l3):
             build(wide, p, p)
 
 
+def test_measures_on_another_structure_are_refused(m2, c3):
+    def measures(st):
+        rand = Randomization.constant(st, FinProbSpace.dyadic(1))
+        f = rand.element([0, 1])
+        return rtype_of(rand, [f]), rtype_of(rand, [f, RandomElement.constant(rand.base, 0)])
+
+    ctx_c3 = PhiContext(c3, parse_formula("E(x, y)", c3.signature), ("x",), ("y",))
+    ctx_m2 = PhiContext(m2, parse_formula("x = y", m2.signature), ("x",), ("y",))
+    for ctx, (p, q) in ((ctx_c3, measures(m2)), (ctx_m2, measures(c3))):
+        for build in (rho_hat, randlab.stability.rho_fn, nonforking_extension,
+                      randlab.stability.stationarity_problem, certify_nonforking):
+            with pytest.raises(ValidationError, match="different structure than phi"):
+                build(ctx, p, q)
+    # one measure on the context's structure is not enough
+    p2, _ = measures(m2)
+    _, q3 = measures(c3)
+    with pytest.raises(ValidationError, match="different structure than phi"):
+        rho_hat(ctx_m2, p2, q3)
+
+
 def test_nonforking_extension_empty_y_returns_p(m2):
     ctx = PhiContext(m2, parse_formula("x = y", m2.signature), ("x",), ("y",), ("w",))
     rand = Randomization.constant(m2, FinProbSpace.dyadic(1))

@@ -94,6 +94,15 @@ def test_rmeasure_entry_outside_the_type_space_rejected():
         load_workspace(text)
 
 
+def test_rmeasure_repeated_entry_is_named():
+    text = (
+        "structure m2 { universe = 2; }\n"
+        "rmeasure nu { structure = m2; arity = 1; params = (); rtype { q0: 1/2, q0: 1/2 }; }"
+    )
+    with pytest.raises(ValidationError, match="rmeasure nu: entry q0 is repeated"):
+        load_workspace(text)
+
+
 def test_weights_are_rationals():
     with pytest.raises(ParseError):
         load_workspace("space s { weights = [1/0, 1/2]; }")
