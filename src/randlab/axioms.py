@@ -28,7 +28,7 @@ import itertools
 from fractions import Fraction
 from collections.abc import Callable, Iterable, Sequence
 
-from .errors import DEFAULT_BUDGET, BudgetError
+from .errors import charge
 from .formulas import (
     And,
     Eq,
@@ -249,8 +249,8 @@ def _covering_bindings(rand: Randomization, variables: Iterable[str]) -> _Coveri
 
     The points of a fibre class C split its |M_C|^k valuations, so there
     are max_C ceil(|M_C|^k / |C|) bindings (a class with spare slots
-    starts over).  That is small only for small universes: more than
-    DEFAULT_BUDGET slots (bindings times points) raise BudgetError first.
+    starts over).  That is small only for small universes: the slots
+    (bindings times points) are charged to the budget first.
     """
     variables = sorted(variables)
     k = len(variables)
@@ -258,9 +258,7 @@ def _covering_bindings(rand: Randomization, variables: Iterable[str]) -> _Coveri
     for w in rand.base.points:
         classes.setdefault(rand.family[w], []).append(w)
     count = max(-(-m.size**k // len(ws)) for m, ws in classes.items())
-    slots = count * len(rand.base.points)
-    if slots > DEFAULT_BUDGET:
-        raise BudgetError("axiom covering over budget", slots)
+    charge("axiom covering", count * len(rand.base.points))
     return _Covering(rand.base, variables, count, [(m.size, ws) for m, ws in classes.items()])
 
 

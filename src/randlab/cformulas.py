@@ -24,7 +24,7 @@ import re
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import DEFAULT_BUDGET, BudgetError, ParseError, ValidationError
+from .errors import ParseError, ValidationError, charge
 from .formulas import _VAR_RE, Formula, format_formula, free_vars, parse_formula
 from .lexer import Lexer
 from .randomization import (
@@ -410,22 +410,18 @@ def eval_cformula(
     rand: Randomization,
     c: CFormula,
     env: Mapping[str, RandomElement | Event] | None = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> Fraction:
     """Exact value of a continuous formula in [0, 1].
 
     sup/inf visit one random element per symmetry class of their body (see
     `_quantifier_groups`), which gives the same value as the full
     random-element sort.  The budget still counts the full sort: carrier
-    size to the power of the quantifier nesting depth must stay within
-    `budget`.
+    size to the power of the quantifier nesting depth.
     """
     env = dict(env or {})
     depth = _quantifier_depth(c)
     if depth:
-        required = rand.carrier_size() ** depth
-        if required > budget:
-            raise BudgetError("quantifier enumeration over budget", required)
+        charge("quantifier enumeration", rand.carrier_size(), depth)
     missing = [v for v in sorted(cformula_free_kvars(c)) if v not in env]
     if missing:
         raise ValidationError(f"unbound variables {missing}")

@@ -7,6 +7,8 @@ error (a bug in randlab: one `internal error: <type>: <message>` line on
 stderr instead of a traceback).  All numeric output is exact `p/q`;
 `--decimal N` adds a rounded rendering with N >= 0 digits for humans
 without affecting exit codes (a negative N is a parse error).
+`--budget N` (N >= 1) bounds every enumeration of the command, the
+workspace load included: `main` runs both inside `errors.budget(N)`.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import (
     RandlabError,
     ResolutionError,
     ValidationError,
+    budget,
     show_count,
 )
 from .extension import (
@@ -171,7 +174,7 @@ def cmd_eval(args, ws: Workspace) -> int:
     rand = ws.randomization(args.rand)
     cf = parse_cformula(args.cformula, rand.signature)
     env = _parse_bindings(ws, args.rand, args.bind)
-    value = eval_cformula(rand, cf, env, budget=args.budget)
+    value = eval_cformula(rand, cf, env)
     print(fmt_rat(value, args.decimal))
     return EXIT_OK
 
@@ -432,7 +435,7 @@ def cmd_approx_simple(args, ws: Workspace) -> int:
 def cmd_types(args, ws: Workspace) -> int:
     st = ws.structure(args.structure)
     params = _int_list(args.params) if args.params else ()
-    space = type_space(st, args.arity, params, args.budget)
+    space = type_space(st, args.arity, params)
     for q in space.types:
         iso = isolating_formula(space, q)
         orbit = space.orbit(q)
@@ -538,8 +541,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.decimal is not None and args.decimal < 0:
             raise ParseError(f"--decimal must be at least 0, got {args.decimal}")
-        ws = _load_ws(args.workspace)
-        return args.fn(args, ws)
+        if args.budget < 1:
+            raise ParseError(f"--budget must be at least 1, got {args.budget}")
+        with budget(args.budget):
+            ws = _load_ws(args.workspace)
+            return args.fn(args, ws)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

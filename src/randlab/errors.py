@@ -1,8 +1,19 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the enumeration budget.
 
 The CLI maps these onto its exit-code contract, so new error conditions
 should reuse one of these classes rather than raising bare ValueErrors.
+
+Every exhaustive enumeration charges one limit through `charge`, which
+refuses it with BudgetError before any item is formed.  The limit is
+scoped like a `decimal.localcontext` precision: `with budget(n):` sets it
+for the code inside and restores the old one on exit, and `limit()`
+reads it.  The budget bounds the work a call does: `type_space` charges
+its tuple count on every call, while a cached automorphism group runs no
+search, so it is returned under any limit.
 """
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 
 class RandlabError(Exception):
@@ -46,3 +57,37 @@ class BudgetError(RandlabError):
 
 class ValidationError(RandlabError):
     """Arguments violate a documented precondition or invariant."""
+
+
+_LIMIT: ContextVar[int] = ContextVar("randlab_budget", default=DEFAULT_BUDGET)
+
+
+@contextmanager
+def budget(limit: int):
+    """Run the body with at most `limit` items per enumeration."""
+    token = _LIMIT.set(limit)
+    try:
+        yield
+    finally:
+        _LIMIT.reset(token)
+
+
+def limit() -> int:
+    """The current enumeration limit."""
+    return _LIMIT.get()
+
+
+def charge(what: str, base: int, exponent: int = 1) -> None:
+    """Refuse an enumeration of base**exponent items past the limit.
+
+    Forming base**exponent costs at least b = exponent * floor(log2 base)
+    steps; once b passes the limit and SHOWN_BITS the error reports the
+    lower bound 2**b instead of the count.
+    """
+    cap = _LIMIT.get()
+    bits = exponent * (base.bit_length() - 1)  # base**exponent >= 2**bits
+    if bits > max(cap, SHOWN_BITS):
+        raise BudgetError(f"{what} over budget", None, bits + 1)
+    required = base**exponent
+    if required > cap:
+        raise BudgetError(f"{what} over budget", required)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .errors import DEFAULT_BUDGET, SHOWN_BITS, BudgetError, ValidationError
+from .errors import ValidationError, charge, limit
 from .formulas import (
     And,
     App,
@@ -245,6 +245,7 @@ def _automorphisms_cached(m: FinStructure, fix: frozenset[int]) -> tuple[tuple[i
     out: list[tuple[int, ...]] = []
     img: list[int | None] = [None] * m.size
     tried = 0
+    cap = limit()
 
     def backtrack(a: int) -> None:
         nonlocal tried
@@ -255,8 +256,8 @@ def _automorphisms_cached(m: FinStructure, fix: frozenset[int]) -> tuple[tuple[i
         candidates = [b for b in m.elements if colours[b] == colours[a] and b not in used]
         for b in candidates:
             tried += 1
-            if tried > DEFAULT_BUDGET:
-                raise BudgetError("automorphism search over budget", tried)
+            if tried > cap:
+                charge("automorphism search", tried)
             img[a] = b
             if _is_partial_ok(m, img, a):
                 backtrack(a + 1)
@@ -269,9 +270,9 @@ def _automorphisms_cached(m: FinStructure, fix: frozenset[int]) -> tuple[tuple[i
 def automorphisms(m: FinStructure, fix: frozenset[int] | set[int] = frozenset()) -> list[tuple[int, ...]]:
     """All automorphisms of `m` fixing `fix` pointwise, sorted.
 
-    The backtrack tries at most DEFAULT_BUDGET candidate images, each
-    within its class of the partition refinement; one more raises
-    BudgetError."""
+    The backtrack tries at most `limit()` candidate images, each within
+    its class of the partition refinement; one more raises BudgetError.
+    A cached group runs no search, so it is returned under any limit."""
     return list(_automorphisms_cached(m, frozenset(fix)))
 
 
@@ -371,14 +372,11 @@ def type_space(
     m: FinStructure,
     n: int,
     params: tuple[int, ...] | list[int] = (),
-    budget: int = DEFAULT_BUDGET,
 ) -> TypeSpace:
     """S_n over the parameter tuple `params` (types = Aut(M/A)-orbits).
 
-    Building the space enumerates all |M|**n tuples; more than `budget` of
-    them raise BudgetError before any work.  Forming |M|**n costs at least
-    b = n * floor(log2 |M|) steps; once b passes the budget and SHOWN_BITS
-    the error reports the lower bound 2**b instead.
+    Building the space enumerates all |M|**n tuples, which every call
+    charges to the budget before any work, cached or not.
     """
     ptup = tuple(params)
     for a in ptup:
@@ -386,12 +384,7 @@ def type_space(
             raise ValidationError(f"parameter {a} not in universe")
     if n < 0:
         raise ValidationError(f"negative arity {n}")
-    lower_bits = n * (m.size.bit_length() - 1)  # |M|**n >= 2**lower_bits
-    if lower_bits > max(budget, SHOWN_BITS):
-        raise BudgetError("type space enumeration over budget", None, lower_bits + 1)
-    required = m.size ** n
-    if required > budget:
-        raise BudgetError("type space enumeration over budget", required)
+    charge("type space enumeration", m.size, n)
     return _type_space_cached(m, n, ptup)
 
 

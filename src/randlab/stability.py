@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, charge, limit
 from .extension import (
     Certificate,
     LinFeasProblem,
@@ -92,7 +92,10 @@ class PhiContext(Record):
 
 def ladder_length(ctx: PhiContext, bound: int) -> int:
     """Largest n <= bound with tuples a_i, b_j such that phi(a_i, b_j)
-    holds exactly when i < j.  Always finite over a finite structure."""
+    holds exactly when i < j.  Always finite over a finite structure.
+
+    The search tries at most `limit()` (a, b) pairs; one more raises
+    BudgetError."""
     if bound < 1:
         raise ValidationError("bound must be at least 1")
     m = ctx.structure
@@ -100,9 +103,11 @@ def ladder_length(ctx: PhiContext, bound: int) -> int:
     xs = list(itertools.product(m.elements, repeat=len(ctx.x_vars)))
     ys = list(itertools.product(m.elements, repeat=len(ctx.y_vars)))
     best = 0
+    tried = 0
+    cap = limit()
 
     def extend(a_list: list, b_list: list) -> None:
-        nonlocal best
+        nonlocal best, tried
         k = len(a_list)
         best = max(best, k)
         if k >= bound:
@@ -111,6 +116,9 @@ def ladder_length(ctx: PhiContext, bound: int) -> int:
             if any(ctx.instance_holds(a, b, w) for b in b_list):
                 continue
             for b in ys:
+                tried += 1
+                if tried > cap:
+                    charge("ladder search", tried)
                 if ctx.instance_holds(a, b, w):
                     continue
                 if all(ctx.instance_holds(ai, b, w) for ai in a_list):
@@ -139,9 +147,12 @@ def _trace(ctx: PhiContext, a: tuple[int, ...], w: tuple[int, ...]) -> frozenset
 
 
 def phi_type_space(ctx: PhiContext) -> list[PhiType]:
-    """All distinct traces, each with its least witness, in a stable order."""
+    """All distinct traces, each with its least witness, in a stable order.
+
+    The |M|**(|x| + |y|) (a, b) pairs are charged to the budget first."""
     m = ctx.structure
     w = ctx._w_or_raise()
+    charge("phi type space", m.size, len(ctx.x_vars) + len(ctx.y_vars))
     seen: dict[frozenset, tuple[int, ...]] = {}
     for a in itertools.product(m.elements, repeat=len(ctx.x_vars)):
         t = _trace(ctx, a, w)

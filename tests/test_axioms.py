@@ -23,7 +23,7 @@ from randlab.cformulas import CInf, CMu, CSup, EvFormula, eval_cformula
 from randlab.formulas import And, Eq, Not, Or, Var
 from randlab.formulas import Exists, Forall, Rel, format_formula, free_vars
 from randlab.randomization import RandomElement, event_of, event_witness
-from randlab.errors import BudgetError
+from randlab.errors import BudgetError, budget
 from randlab.randomization import d_b, d_k, fullness_witness, mu
 from randlab.semantics import eval_formula
 
@@ -384,13 +384,12 @@ def test_covering_bindings_meet_every_fibre_valuation_pair(rand, k):
     assert len(cover) == max(math.ceil(m.size**k / len(ws)) for m, ws in classes.items())
 
 
-def test_covering_over_budget_raises_before_building(monkeypatch, m2):
+def test_covering_over_budget_raises_before_building(m2):
     # pure_set(2) over dyadic(1), three variables: 2^3 / 2 bindings, 8 slots
     rand = Randomization.constant(m2, FinProbSpace.dyadic(1))
-    monkeypatch.setattr(randlab.axioms, "DEFAULT_BUDGET", 8)
-    assert len(_covering_bindings(rand, "xyz")) == 4
-    monkeypatch.setattr(randlab.axioms, "DEFAULT_BUDGET", 7)
-    with pytest.raises(BudgetError) as err:
+    with budget(8):
+        assert len(_covering_bindings(rand, "xyz")) == 4
+    with budget(7), pytest.raises(BudgetError) as err:
         _covering_bindings(rand, "xyz")
     assert err.value.required == 8
 

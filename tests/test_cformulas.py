@@ -47,7 +47,7 @@ from randlab.cformulas import (
     _formula_binding,
     eval_event_term,
 )
-from randlab.errors import ParseError, ValidationError
+from randlab.errors import ParseError, ValidationError, budget
 from randlab.formulas import free_vars
 from randlab.randomization import Event, _check_binding, d_b, d_k, mu
 from test_record import KINDS
@@ -122,7 +122,8 @@ def test_budget_error_reports_required_count(m2):
     cf = CSup("x", CSup("y", CMu(EvFormula(__import__("randlab").formulas.Eq(
         __import__("randlab").formulas.Var("x"), __import__("randlab").formulas.Var("y"))))))
     with pytest.raises(BudgetError) as err:
-        eval_cformula(r, cf, {}, budget=1000)
+        with budget(1000):
+            eval_cformula(r, cf, {})
     assert err.value.required == (2 ** 16) ** 2
 
 

@@ -1,5 +1,6 @@
 import ast
 import io
+import math
 import pathlib
 import random
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as hst
 
 import randlab
 import randlab.rtypes
+import randlab.semantics
 from conftest import sample_elements
 from randlab import FinProbSpace, Randomization, default_formula_corpus, rtype_of, type_space
 from randlab.axioms import _covering_bindings
@@ -98,8 +100,13 @@ def test_types_arity_is_budgeted(ws_file):
         "--workspace", ws_file, "--budget", "8", "types", "--structure", "l3", "--arity", "2"
     )
     assert code == 4 and "required count 9" in err
+    # the isolating formulas of pairs enumerate the 3**3 triples
+    code, out, err = run(
+        "--workspace", ws_file, "--budget", "26", "types", "--structure", "l3", "--arity", "2"
+    )
+    assert code == 4 and out == "" and f"required count {3**3}" in err
     code, out, _ = run(
-        "--workspace", ws_file, "--budget", "9", "types", "--structure", "l3", "--arity", "2"
+        "--workspace", ws_file, "--budget", "27", "types", "--structure", "l3", "--arity", "2"
     )
     assert code == 0 and out.startswith("q0 ")
 
@@ -129,6 +136,76 @@ def test_check_types_and_categoricity(ws_file):
         "--nmax", "2",
     )
     assert code == 0 and "|S_2|=3" in out
+
+
+def test_budget_below_one_is_a_parse_error(ws_file):
+    for value in ("0", "-5"):
+        code, out, err = run(
+            "--workspace", ws_file, "--budget", value, "types", "--structure", "c3"
+        )
+        assert (code, out, err) == (3, "", f"error: --budget must be at least 1, got {value}\n")
+
+
+def test_budget_reaches_check_categoricity(ws_file):
+    triples = 3**3
+    argv = ["check", "categoricity", "--structure", "c3", "--nmax", "3"]
+    code, out, err = run("--workspace", ws_file, "--budget", str(triples - 1), *argv)
+    assert (code, out) == (4, "") and f"required count {triples}" in err
+    code, out, _ = run("--workspace", ws_file, "--budget", str(triples), *argv)
+    # the rotations act freely on triples: 9 types, and measures with
+    # denominators up to 4 counted by the battery's closed form
+    s = triples // 3
+    count = math.comb(s + 3, 4) + math.comb(s + 2, 3) - s
+    assert code == 0 and out.endswith(f"PASS realize-battery n=3 count={count}\n")
+
+
+def _forget_groups():
+    """Empty the caches through which a built group skips its search."""
+    randlab.semantics._automorphisms_cached.cache_clear()
+    randlab.semantics._type_space_cached.cache_clear()
+
+
+def test_budget_reaches_the_automorphism_search(tmp_path):
+    path = tmp_path / "p.rl"
+    path.write_text("structure p8 { universe = 8; }\nstructure p9 { universe = 9; }\n")
+    try:
+        for n in (8, 9):
+            # a pure set of n tries n!/(n-1)! + n!/(n-2)! + ... + n!/0! images
+            tries = sum(math.perm(n, k) for k in range(1, n + 1))
+            _forget_groups()
+            argv = ["types", "--structure", f"p{n}"]
+            code, out, err = run("--workspace", str(path), "--budget", str(tries - 1), *argv)
+            assert (code, out) == (4, "")
+            assert err == f"error: automorphism search over budget (required count {tries})\n"
+            code, out, _ = run("--workspace", str(path), "--budget", str(tries), *argv)
+            assert (code, out) == (0, f"q0 rep (0,) orbit-size {n} isolated-by x0 = x0\n")
+    finally:
+        _forget_groups()  # p9 is refused under the default budget again
+
+
+def test_budget_reaches_the_axiom_covering(tmp_path):
+    path = tmp_path / "u4.rl"
+    path.write_text(
+        WS + "space u4 { weights = [1/4, 1/4, 1/4, 1/4]; }\n"
+        "randomization rc3 { structure = c3; space = u4; }\n"
+    )
+    # three variables over C3: ceil(3^3 / 4) bindings, each over 4 points
+    slots = -(-(3**3) // 4) * 4
+    argv = ["check", "axioms", "--rand", "rc3"]
+    code, _, err = run("--workspace", str(path), "--budget", str(slots - 1), *argv)
+    assert code == 4
+    assert f"axiom covering over budget (required count {slots})" in err
+    code, _, _ = run("--workspace", str(path), "--budget", str(slots), *argv)
+    assert code == 0
+
+
+def test_budget_reaches_rho(ws_file):
+    # the 1-type space of C3 has its 3 elements as tuples
+    code, out, err = run(
+        "--workspace", ws_file, "--budget", "2", "rho", "--structure", "c3",
+        "--phi", "E(x, y)", "--p", "q0", "--b", "1",
+    )
+    assert (code, out) == (4, "") and "required count 3" in err
 
 
 def test_over_budget_commands_exit_4(tmp_path):

@@ -22,7 +22,7 @@ from randlab import (
     type_space,
 )
 from randlab import formulas, semantics
-from randlab.errors import DEFAULT_BUDGET
+from randlab.errors import DEFAULT_BUDGET, budget
 from randlab.axioms import default_formula_corpus, sentence_corpus, tautology_corpus
 from randlab.formulas import (
     And,
@@ -144,9 +144,11 @@ def test_type_space_budget_counts_tuples_before_enumerating(l3):
     with pytest.raises(BudgetError) as err:
         type_space(l3, 20)
     assert err.value.required == 3**20
-    assert len(type_space(l3, 2, budget=9)) == len(type_space(l3, 2))
-    with pytest.raises(BudgetError) as err:
-        type_space(l3, 2, budget=8)
+    with budget(9):
+        admitted = type_space(l3, 2)
+    assert len(admitted) == len(type_space(l3, 2))
+    with budget(8), pytest.raises(BudgetError) as err:
+        type_space(l3, 2)
     assert err.value.required == 9
     with pytest.raises(ValidationError):
         type_space(l3, -1)

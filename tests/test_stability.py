@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from randlab import (
 )
 import randlab.stability
 from randlab.cli import main
+from randlab.errors import DEFAULT_BUDGET, budget
 from randlab.formulas import Eq, Not, Var, format_formula, substitute
 from randlab.formulas import TypeIs, disj
 from randlab.semantics import _extension, automorphisms, isolating_formula
@@ -76,6 +78,37 @@ def test_phi_type_space_examples(m2, c3):
     assert len(phi_type_space(ctx_of(c3, "E(x, y)"))) == 3
     top = PhiContext(m2, Eq(Var("y"), Var("y")), ("x",), ("y",))
     assert len(phi_type_space(top)) == 1
+
+
+def _c6_pairs_ctx():
+    c6 = directed_cycle(6)
+    phi = parse_formula("E(x0, y0) & E(x1, y1)", c6.signature)
+    return PhiContext(c6, phi, ("x0", "x1"), ("y0", "y1"))
+
+
+def test_ladder_search_is_budgeted(l3):
+    # unbounded, this search runs for minutes; the budget stops it at once
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as err:
+        ladder_length(_c6_pairs_ctx(), 6)
+    assert time.perf_counter() - start < 5
+    assert err.value.required == DEFAULT_BUDGET + 1
+    # the second (a, b) pair tried is one past a budget of 1
+    with budget(1), pytest.raises(BudgetError) as err:
+        ladder_length(ctx_of(l3, "Lt(x, y)"), 6)
+    assert err.value.required == 2
+
+
+def test_phi_type_space_is_budgeted():
+    ctx = _c6_pairs_ctx()
+    pairs = 6 ** (2 + 2)
+    with budget(pairs - 1), pytest.raises(BudgetError) as err:
+        phi_type_space(ctx)
+    assert err.value.required == pairs
+    assert "phi type space over budget" in str(err.value)
+    # the trace of (a0, a1) is its successor pair alone, so all 6**2 differ
+    with budget(pairs):
+        assert len(phi_type_space(ctx)) == 6**2
 
 
 def test_cb_rank_mult_examples(m2):
