@@ -40,6 +40,7 @@ class FinProbSpace:
                 f"weights sum to {sum(self.weight.values())}, not 1"
             )
         self._key_cache = tuple((p, self.weight[p]) for p in self.points)
+        self._hash: int | None = None  # of _key_cache, on the first __hash__
 
     @classmethod
     def uniform(cls, n: int) -> "FinProbSpace":
@@ -56,10 +57,14 @@ class FinProbSpace:
         return self.points.index(p)
 
     def __eq__(self, other):
-        return isinstance(other, FinProbSpace) and self._key_cache == other._key_cache
+        return self is other or (
+            isinstance(other, FinProbSpace) and self._key_cache == other._key_cache
+        )
 
     def __hash__(self):
-        return hash(self._key_cache)
+        if self._hash is None:
+            self._hash = hash(self._key_cache)
+        return self._hash
 
     def __repr__(self):
         inner = ", ".join(f"{p!r}: {w}" for p, w in self.weight.items())

@@ -21,6 +21,18 @@ at the end of `__init__`.  Assigning or deleting an attribute raises
 
 The methods are generated source, not loops over the fields, so they cost
 what the dataclass ones do, without importing `dataclasses` and `inspect`.
+
+The first `__hash__` of an instance keeps its value on the instance as
+`_hash`, outside the fields, as `formulas.free_vars` keeps `_free_vars`;
+later calls return it without rehashing the tree below.  The value is
+still `hash` of the field tuple, so equality, repr and the dataclass
+contract are unchanged.  This is safe because the fields cannot be
+reassigned and the hashable values they hold (nodes, strings, ints,
+tuples, `Fraction`s, structures and type spaces) never change their hash;
+a Record with an unhashable field, such as a list, raises `TypeError` on
+every call and keeps nothing.  String hashes differ from one process to
+the next, so a kept hash must never leave its process: Records are not
+pickled, and one that were would carry a stale `_hash`.
 """
 
 from __future__ import annotations
@@ -51,7 +63,11 @@ def _maker(names: tuple[str, ...], post_init: bool):
             f"   return {mine} == {theirs}\n"
             "  return NotImplemented\n"
             " def __hash__(self):\n"
-            f"  return hash({mine})\n"
+            "  h = self._hash\n"
+            "  if h is None:\n"
+            f"   h = hash({mine})\n"
+            "   _set(self, '_hash', h)\n"
+            "  return h\n"
             " def __repr__(self):\n"
             f"  return self.__class__.__qualname__ + f'({shown})'\n"
             " return __init__, __eq__, __hash__, __repr__\n"
@@ -63,6 +79,8 @@ def _maker(names: tuple[str, ...], post_init: bool):
 
 
 class Record:
+    _hash = None  # hash of the field tuple, kept on the instance by its first __hash__
+
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         names = tuple(cls.__dict__.get("__annotations__", ()))

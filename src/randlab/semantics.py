@@ -301,6 +301,7 @@ class TypeSpace:
         self.structure = structure
         self.arity = arity
         self.params = params
+        self._hash: int | None = None  # of (structure, arity, params), on the first __hash__
         group = automorphisms(structure, frozenset(params))
         orbits: list[tuple[tuple[int, ...], ...]] = []
         seen: set[tuple[int, ...]] = set()
@@ -351,10 +352,12 @@ class TypeSpace:
         )
 
     def __eq__(self, other):
-        return isinstance(other, TypeSpace) and self.same_space(other)
+        return self is other or (isinstance(other, TypeSpace) and self.same_space(other))
 
     def __hash__(self):
-        return hash((self.structure, self.arity, self.params))
+        if self._hash is None:
+            self._hash = hash((self.structure, self.arity, self.params))
+        return self._hash
 
     def __repr__(self):
         return (

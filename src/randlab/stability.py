@@ -17,6 +17,7 @@ construction, certified independently by linear feasibility.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -190,6 +191,9 @@ def cb_rank_mult(ctx: PhiContext, pi: Formula) -> tuple[int | None, int]:
 
 # --- rho ---------------------------------------------------------------------------
 
+_ZERO = Fraction(0)
+
+
 @lru_cache(maxsize=None)
 def _isolated_solutions(
     p_space: TypeSpace, p: TypeId, x_vars: tuple[str, ...]
@@ -208,11 +212,17 @@ def _isolated_solutions(
 
 
 @lru_cache(maxsize=None)
-def _orbit_traces(ctx: PhiContext, p_space: TypeSpace, p: TypeId) -> frozenset[frozenset]:
-    """The distinct traces of p's orbit under ctx's w: one table per orbit,
-    which `rho` reads for every b instead of rebuilding every instance."""
+def _orbit_traces(
+    ctx: PhiContext, p_space: TypeSpace, p: TypeId
+) -> dict[tuple[int, ...], Fraction]:
+    """rho's values for p under ctx's w, one table per orbit: for each b in
+    some distinct trace of p's orbit, the fraction of those traces that
+    contain b.  `rho` reads one entry per call; a b in no trace is absent
+    and has rho 0.  Callers must not change the table."""
     w = ctx._w_or_raise()
-    return frozenset(_trace(ctx, a, w) for a in p_space.orbit(p))
+    traces = {_trace(ctx, a, w) for a in p_space.orbit(p)}
+    counts = Counter(b for t in traces for b in t)
+    return {b: Fraction(k, len(traces)) for b, k in counts.items()}
 
 
 def _rho_inputs(
@@ -238,7 +248,7 @@ def _rho_inputs(
         b_tuple = tuple(b)
     if len(b_tuple) != len(ctx.y_vars):
         raise ValidationError("b must match the y variable group")
-    if not set(b_tuple) <= set(m.elements):
+    if not all(e in m.elements for e in b_tuple):
         raise ValidationError(f"b {b_tuple} outside the universe of size {m.size}")
     return w, b_tuple
 
@@ -257,8 +267,7 @@ def rho(
     the trace table.
     """
     _, b_tuple = _rho_inputs(ctx, p_space, b)
-    traces = _orbit_traces(ctx, p_space, p)
-    return Fraction(sum(1 for t in traces if b_tuple in t), len(traces))
+    return _orbit_traces(ctx, p_space, p).get(b_tuple, _ZERO)
 
 
 def rho_by_multiplicity(

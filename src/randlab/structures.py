@@ -127,6 +127,7 @@ class FinStructure:
             tuple(sorted((s, tuple(sorted(t.items()))) for s, t in self.fn_tables.items())),
             tuple(sorted(self.const_values.items())),
         )
+        self._hash: int | None = None  # of _key_cache, on the first __hash__
 
     @property
     def elements(self) -> range:
@@ -142,10 +143,14 @@ class FinStructure:
         return self.const_values[sym]
 
     def __eq__(self, other):
-        return isinstance(other, FinStructure) and self._key_cache == other._key_cache
+        return self is other or (
+            isinstance(other, FinStructure) and self._key_cache == other._key_cache
+        )
 
     def __hash__(self):
-        return hash(self._key_cache)
+        if self._hash is None:
+            self._hash = hash(self._key_cache)
+        return self._hash
 
     def __repr__(self):
         label = self.name or f"<{self.size} elements>"

@@ -272,3 +272,18 @@ def test_repeated_domain_points_are_named_not_reported_missing():
         RationalFn(("a", "b", "c", "b", "a"), {"a": 1, "b": 2, "c": 3})
     with pytest.raises(ValidationError, match=r"^function not total on its domain: missing 1$"):
         RationalFn((0, 0, 1), {0: 1})
+
+
+def test_equal_spaces_compare_and_hash_equal():
+    mu = FinProbSpace([(0, F(1, 4)), (1, F(3, 4))])
+    for copy in (FinProbSpace({0: F(1, 4), 1: F(3, 4)}), FinProbSpace([(0, "1/4"), (1, "3/4")])):
+        assert copy is not mu and copy == mu and mu == copy and not copy != mu
+        assert hash(copy) == hash(mu) == hash(copy._key_cache)
+    assert FinProbSpace.dyadic(1) == FinProbSpace.uniform(2)
+    assert hash(FinProbSpace.dyadic(1)) == hash(FinProbSpace.uniform(2))
+    for other in (
+        FinProbSpace.uniform(2),
+        FinProbSpace([(0, F(1, 4)), (2, F(3, 4))]),
+        FinProbSpace([(0, F(1, 4)), (1, F(1, 2)), (2, F(1, 4))]),
+    ):
+        assert other != mu and mu != other and not other == mu

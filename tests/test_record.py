@@ -204,3 +204,43 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout == "[]\n"
+
+
+def _fields(node):
+    return tuple(getattr(node, n) for n in node._fields)
+
+
+@ORACLE
+@given(TREES)
+def test_a_kept_hash_is_the_hash_of_the_fields(a):
+    fresh = rebuild(a)
+    assert all("_hash" not in vars(n) for n in nodes(fresh))
+    want = [hash(twin(n)) for n in nodes(fresh)]
+    shown, fields = repr(fresh), [_fields(n) for n in nodes(fresh)]
+    # the root first computes its hash, and with it every node's below
+    assert hash(fresh) == want[0] == hash(_fields(fresh))
+    assert all("_hash" in vars(n) for n in nodes(fresh))
+    assert [hash(n) for n in nodes(fresh)] == want
+    assert [hash(_fields(n)) for n in nodes(fresh)] == want
+    # leaves first: each node computes its own hash from kept ones below
+    other = rebuild(a)
+    assert [hash(n) for n in reversed(list(nodes(other)))] == want[::-1]
+    # the kept hash changes neither equality, repr nor the fields
+    assert repr(fresh) == shown == repr(twin(fresh))
+    assert all(
+        len(got) == len(was) and all(g is w for g, w in zip(got, was))
+        for got, was in zip((_fields(n) for n in nodes(fresh)), fields)
+    )
+    assert fresh == a == other == rebuild(a) and not fresh != other
+    for n in nodes(fresh):
+        with pytest.raises(AttributeError):
+            n._hash = 0
+    assert [hash(n) for n in nodes(fresh)] == want
+
+
+def test_a_record_with_an_unhashable_field_keeps_no_hash():
+    report = axioms.AxiomReport([axioms.AxiomVerdict("event", True)], Fraction(0))
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            hash(report)
+    assert "_hash" not in vars(report)

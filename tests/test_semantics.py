@@ -23,6 +23,7 @@ from randlab import (
 )
 from randlab import formulas, semantics
 from randlab.errors import DEFAULT_BUDGET, budget
+from randlab.structures import format_structure, parse_structure
 from randlab.axioms import default_formula_corpus, sentence_corpus, tautology_corpus
 from randlab.formulas import (
     And,
@@ -649,3 +650,15 @@ def test_partial_check_through_the_new_image_matches_the_whole_check(st):
             img[a] = None
 
     walk(0)
+
+
+def test_equal_type_spaces_compare_and_hash_equal_and_share_the_cache():
+    st = directed_cycle(3)
+    copy = parse_structure(format_structure(st))
+    space = type_space(st, 1)
+    assert copy is not st and type_space(copy, 1) is space
+    built = semantics.TypeSpace(copy, 1, ())
+    assert built is not space and built == space and space == built and not built != space
+    assert hash(built) == hash(space) == hash((st, 1, ()))
+    for other in (type_space(st, 2), type_space(st, 1, (0,)), type_space(directed_cycle(4), 1)):
+        assert other != space and space != other and not other == space

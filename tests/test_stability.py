@@ -2,6 +2,7 @@ import io
 import itertools
 import random
 import time
+import typing
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -39,7 +40,7 @@ import randlab.stability
 from randlab.cli import main
 from randlab.errors import DEFAULT_BUDGET, budget
 from randlab.formulas import Eq, Not, Var, format_formula, substitute
-from randlab.formulas import TypeIs, disj
+from randlab.formulas import Formula, Term, TypeIs, disj
 from randlab.semantics import _extension, automorphisms, isolating_formula
 from randlab.stability import (
     IndependenceVerdict,
@@ -208,6 +209,83 @@ def test_rho_reads_one_trace_table_per_orbit_context_and_space(m4):
     assert tables[("plain", ())][(first, 0)] != tables[("plain", (0,))][(first, 0)]
     assert tables[("plain", (0,))] != tables[("w=0", (0,))]
     assert tables[("w=0", (0, 1))] != tables[("w=1", (0, 1))]
+
+
+def _table_contexts(st):
+    """(context, parameter sets) with |y| = 1 and 2, without w and with w = 0, 1."""
+    sig = st.signature
+    rel = next(iter(sig.relations), None)
+    one = f"{rel}(x, y)" if rel else "x = y"
+    two = f"{rel}(x, y) & !(x = z)" if rel else "x = y | x = z"
+    out = []
+    for text, y_vars in ((one, ("y",)), (two, ("y", "z"))):
+        out.append((PhiContext(st, parse_formula(text, sig), ("x",), y_vars), [(), (0,)]))
+        with_w = parse_formula(f"({text}) | y = w", sig)
+        for w in (0, 1):
+            out.append((PhiContext(st, with_w, ("x",), y_vars, ("w",), (w,)), [(w,), (0, 1)]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "st", [directed_cycle(3), directed_cycle(4), linear_order(3), pure_set(4)], ids=repr
+)
+def test_rho_table_is_the_trace_fraction_for_every_b(st):
+    """rho's table per orbit against the trace fraction over the orbit, and
+    against the isolating-formula route, for every type and every b."""
+    _orbit_traces.cache_clear()
+    seen = set()
+    for ctx, param_sets in _table_contexts(st):
+        w = ctx._w_or_raise()
+        for params in param_sets:
+            space = type_space(st, 1, params)
+            for p in space.types:
+                orbit = space.orbit(p)
+                for b in itertools.product(st.elements, repeat=len(ctx.y_vars)):
+                    want = _trace_fraction(ctx, orbit, b, w)
+                    got = rho(ctx, space, p, b)
+                    assert got == want and repr(got) == repr(want)
+                    assert got == rho_by_multiplicity(ctx, space, p, b)
+                    seen.add(got)
+    # some b lies in no trace and some in every trace
+    assert {F(0), F(1)} <= seen
+
+
+def test_a_context_hashes_its_tree_once_and_rho_builds_its_table_once(monkeypatch):
+    """After one hash of a context, hashing it again calls no child
+    `__hash__`; after one rho call, another over the same (context, space,
+    type) builds no trace and hashes no child either."""
+    calls = []
+    for cls in (*typing.get_args(Formula), *typing.get_args(Term), FinStructure):
+
+        def counted(self, hash_=cls.__hash__):
+            calls.append(type(self).__name__)
+            return hash_(self)
+
+        monkeypatch.setattr(cls, "__hash__", counted)
+    st = directed_cycle(4)
+    ctx = ctx_of(st, "exists z (E(x, z) & E(z, y)) | y = w", ("w",), (0,))
+    hash(ctx)
+    assert "FinStructure" in calls and "Exists" in calls and "Var" in calls
+    calls.clear()
+    hash(ctx)
+    assert calls == []
+
+    traces = []
+    real_trace = randlab.stability._trace
+    monkeypatch.setattr(
+        randlab.stability, "_trace", lambda *args: traces.append(args) or real_trace(*args)
+    )
+    _orbit_traces.cache_clear()
+    space = type_space(st, 1, (0,))
+    p = space.types[1]
+    first = rho(ctx, space, p, 2)
+    assert len(traces) == len(space.orbit(p))
+    want = [_trace_fraction(ctx, space.orbit(p), (b,), (0,)) for b in st.elements]
+    traces.clear()
+    calls.clear()
+    assert [rho(ctx, space, p, b) for b in st.elements] == want
+    assert first == rho(ctx, space, p, 2) == want[2]
+    assert traces == [] and calls == []
 
 
 @pytest.mark.parametrize("name", ["m2", "m4", "c3", "c5", "l3"])

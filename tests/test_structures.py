@@ -1,6 +1,14 @@
 import pytest
 
-from randlab import ParseError, Signature, ValidationError, parse_structure
+from randlab import (
+    ParseError,
+    Signature,
+    ValidationError,
+    directed_cycle,
+    linear_order,
+    parse_structure,
+    pure_set,
+)
 from randlab.structures import FinStructure, format_structure
 
 
@@ -69,3 +77,12 @@ def test_structure_equality_is_content_based():
     b = parse_structure("structure b { universe = 2; }")
     assert a.signature == b.signature
     assert a._key_cache[1:] == b._key_cache[1:]
+
+
+def test_equal_structures_compare_and_hash_equal():
+    st = directed_cycle(3)
+    for copy in (directed_cycle(3), directed_cycle(3, "other"), parse_structure(format_structure(st))):
+        assert copy is not st and copy == st and st == copy and not copy != st
+        assert hash(copy) == hash(st) == hash(copy._key_cache)
+    for other in (directed_cycle(4), linear_order(3), pure_set(3)):
+        assert other != st and st != other and not other == st
