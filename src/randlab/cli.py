@@ -113,36 +113,27 @@ def _parse_bindings(ws: Workspace, rand_name: str, spec: str | None):
         var, obj = var.strip(), obj.strip()
         if var in env:
             raise ParseError(f"variable {var!r} is bound twice")
-        if obj in ws.elements:
-            owner, el = ws.elements[obj]
-            if owner != rand_name:
-                raise ResolutionError(
-                    f"element {obj!r} belongs to {owner!r}, not {rand_name!r}"
-                )
-            env[var] = el
-        elif obj in ws.events:
-            owner, ev = ws.events[obj]
-            if owner != rand_name:
-                raise ResolutionError(
-                    f"event {obj!r} belongs to {owner!r}, not {rand_name!r}"
-                )
-            env[var] = ev
-        else:
-            raise ResolutionError(f"unknown element or event {obj!r}")
+        env[var] = _owned(ws, rand_name, obj, "element", "event")
     return env
 
 
-def _element_of(ws: Workspace, rand_name: str, name: str):
-    owner, el = ws.element(name)
-    if owner != rand_name:
-        raise ResolutionError(
-            f"element {name!r} belongs to {owner!r}, not {rand_name!r}"
-        )
-    return el
+def _owned(ws: Workspace, rand_name: str, name: str, *kinds: str):
+    """The workspace entry `name` of the first kind in `kinds` ("element"
+    or "event") that has one, which must belong to `rand_name`."""
+    for kind in kinds:
+        table = ws.elements if kind == "element" else ws.events
+        if name in table:
+            owner, value = table[name]
+            if owner != rand_name:
+                raise ResolutionError(
+                    f"{kind} {name!r} belongs to {owner!r}, not {rand_name!r}"
+                )
+            return value
+    raise ResolutionError(f"unknown {' or '.join(kinds)} {name!r}")
 
 
 def _elements_by_names(ws: Workspace, rand_name: str, spec: str):
-    return [_element_of(ws, rand_name, s.strip()) for s in spec.split(",") if s.strip()]
+    return [_owned(ws, rand_name, s.strip(), "element") for s in spec.split(",") if s.strip()]
 
 
 def _int_list(spec: str) -> tuple[int, ...]:
@@ -414,16 +405,12 @@ def cmd_convex(args, ws: Workspace) -> int:
 
 def cmd_approx_simple(args, ws: Workspace) -> int:
     rand = ws.randomization(args.rand)
-    f = _element_of(ws, args.rand, args.f)
-    gens = []
-    for name in args.algebra.split(";"):
-        if name.strip():
-            owner, ev = ws.event(name.strip())
-            if owner != args.rand:
-                raise ResolutionError(
-                    f"event {name!r} belongs to {owner!r}, not {args.rand!r}"
-                )
-            gens.append(ev)
+    f = _owned(ws, args.rand, args.f, "element")
+    gens = [
+        _owned(ws, args.rand, name.strip(), "event")
+        for name in args.algebra.split(";")
+        if name.strip()
+    ]
     algebra = EventAlgebra(rand, gens)
     eps = _rational(args.eps)
     g = approximate_by_simple(rand, f, algebra, eps)

@@ -7,9 +7,10 @@ Every exhaustive enumeration charges one limit through `charge`, which
 refuses it with BudgetError before any item is formed.  The limit is
 scoped like a `decimal.localcontext` precision: `with budget(n):` sets it
 for the code inside and restores the old one on exit, and `limit()`
-reads it.  The budget bounds the work a call does: `type_space` charges
-its tuple count on every call, while a cached automorphism group runs no
-search, so it is returned under any limit.
+reads it.  A cached result is refused exactly where a fresh call would
+be: `type_space` charges its tuple count on every call, and a cached
+automorphism group, or a type space built from one, is refused when its
+search tried more candidates than the limit.
 """
 
 from contextlib import contextmanager

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Mapping
 
 from .errors import ValidationError
+from .record import Keyed
 
 Point = Hashable
 
@@ -21,7 +22,7 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-class FinProbSpace:
+class FinProbSpace(Keyed):
     """Finite sample space with positive rational weights summing to one."""
 
     def __init__(self, weights: Mapping[Point, Fraction] | Iterable[tuple[Point, Fraction]]):
@@ -40,7 +41,6 @@ class FinProbSpace:
                 f"weights sum to {sum(self.weight.values())}, not 1"
             )
         self._key_cache = tuple((p, self.weight[p]) for p in self.points)
-        self._hash: int | None = None  # of _key_cache, on the first __hash__
 
     @classmethod
     def uniform(cls, n: int) -> "FinProbSpace":
@@ -55,16 +55,6 @@ class FinProbSpace:
 
     def index(self, p: Point) -> int:
         return self.points.index(p)
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, FinProbSpace) and self._key_cache == other._key_cache
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._key_cache)
-        return self._hash
 
     def __repr__(self):
         inner = ", ".join(f"{p!r}: {w}" for p, w in self.weight.items())

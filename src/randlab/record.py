@@ -1,4 +1,4 @@
-"""`Record`: immutable value classes with generated methods.
+"""`Record` and `Keyed`: immutable value classes with generated methods.
 
 A subclass lists its fields as class annotations, in order, and gives
 defaults as class attributes:
@@ -22,17 +22,21 @@ at the end of `__init__`.  Assigning or deleting an attribute raises
 The methods are generated source, not loops over the fields, so they cost
 what the dataclass ones do, without importing `dataclasses` and `inspect`.
 
-The first `__hash__` of an instance keeps its value on the instance as
-`_hash`, outside the fields, as `formulas.free_vars` keeps `_free_vars`;
-later calls return it without rehashing the tree below.  The value is
-still `hash` of the field tuple, so equality, repr and the dataclass
-contract are unchanged.  This is safe because the fields cannot be
-reassigned and the hashable values they hold (nodes, strings, ints,
-tuples, `Fraction`s, structures and type spaces) never change their hash;
-a Record with an unhashable field, such as a list, raises `TypeError` on
-every call and keeps nothing.  String hashes differ from one process to
-the next, so a kept hash must never leave its process: Records are not
-pickled, and one that were would carry a stale `_hash`.
+A `Keyed` subclass sets the tuple `_key_cache` in its constructor, from
+values that never change; its `__eq__` tests identity first and then
+compares keys with instances of its own class.
+
+The first `__hash__` of a Record or a Keyed value keeps its value on the
+instance as `_hash`, outside the fields, as `formulas.free_vars` keeps
+`_free_vars`; later calls return it without rehashing the tree below.
+The value is still `hash` of the field tuple (of `_key_cache`), so
+equality, repr and the dataclass contract are unchanged.  This is safe
+because fields and keys cannot change and the hashable values they hold
+(nodes, strings, ints, tuples, `Fraction`s, Keyed values) never change
+their hash; a Record with an unhashable field, such as a list, raises
+`TypeError` on every call and keeps nothing.  String hashes differ from
+one process to the next, so a kept hash must never leave its process:
+neither kind is pickled, and a value that were would carry a stale `_hash`.
 """
 
 from __future__ import annotations
@@ -97,3 +101,31 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Keyed:
+    """Equal to a value of its own class with an equal `_key_cache`.
+
+    Each subclass gets the two methods in its own namespace, as a Record
+    does, so wrapping one in place (as `bench/tracer.py` wraps
+    `FinProbSpace.__eq__`) leaves the other classes alone."""
+
+    _key_cache: tuple
+    _hash = None  # kept on the instance by its first __hash__
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__eq__, cls.__hash__ = Keyed.__eq__, Keyed.__hash__
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self._key_cache == other._key_cache
+        return NotImplemented
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self._key_cache)
+        return h

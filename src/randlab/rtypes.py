@@ -19,11 +19,11 @@ from .errors import ValidationError
 from .formulas import Formula
 from .measure import FinProbSpace, Point, frac
 from .randomization import Event, RandomElement, Randomization
-from .record import Record
+from .record import Keyed, Record
 from .semantics import TypeId, TypeSpace, eval_formula, type_space
 
 
-class RMeasure:
+class RMeasure(Keyed):
     """Rational probability weights on a classical type space (zeros allowed)."""
 
     def __init__(self, space: TypeSpace, weights: Mapping[TypeId, Fraction]):
@@ -38,6 +38,7 @@ class RMeasure:
             raise ValidationError(
                 f"type weights sum to {sum(self.weights.values())}, not 1"
             )
+        self._key_cache = (space, tuple(self.weights.values()))
 
     def __getitem__(self, q: TypeId) -> Fraction:
         return self.weights[q]
@@ -58,18 +59,6 @@ class RMeasure:
             return eval_formula(m, phi, dict(zip(var_order, q.rep)))
 
         return self.mass_where(holds)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RMeasure)
-            and self.space.same_space(other.space)
-            and self.weights == other.weights
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.space, tuple(self.weights[q] for q in self.space.types))
-        )
 
     def __repr__(self):
         return format_rmeasure(self)
@@ -224,7 +213,7 @@ def d_metric(nu1: RMeasure, nu2: RMeasure) -> Fraction:
     this against brute-force minimisation of the probability that two
     joint realizations differ, so the formula is derived, not assumed.
     """
-    if not nu1.space.same_space(nu2.space):
+    if nu1.space != nu2.space:
         raise ValidationError("type measures live on different spaces")
     if nu1.space.params:
         raise ValidationError("distance is only defined for parameter-free spaces")

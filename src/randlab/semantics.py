@@ -32,7 +32,7 @@ from .formulas import (
     conj,
     disj,
 )
-from .record import Record
+from .record import Keyed, Record
 from .structures import FinStructure
 
 
@@ -237,7 +237,10 @@ def _is_partial_ok(m: FinStructure, img: list[int | None], a: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _automorphisms_cached(m: FinStructure, fix: frozenset[int]) -> tuple[tuple[int, ...], ...]:
+def _automorphisms_cached(
+    m: FinStructure, fix: frozenset[int]
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The group, sorted, and the number of candidate images its search tried."""
     for a in fix:
         if a not in m.elements:
             raise ValidationError(f"fixed element {a} not in universe")
@@ -264,16 +267,34 @@ def _automorphisms_cached(m: FinStructure, fix: frozenset[int]) -> tuple[tuple[i
             img[a] = None
 
     backtrack(0)
-    return tuple(sorted(out))
+    return tuple(sorted(out)), tried
 
 
-def automorphisms(m: FinStructure, fix: frozenset[int] | set[int] = frozenset()) -> list[tuple[int, ...]]:
+def _refuse_past_limit(tried: int) -> None:
+    """Refuse a kept group whose search tried more candidates than the
+    limit allows, with the error that search raises."""
+    if tried > limit():
+        charge("automorphism search", limit() + 1)
+
+
+class _Group(list):
+    """A sorted group, with the number of candidate images its search tried."""
+
+    def __init__(self, perms: tuple[tuple[int, ...], ...], tried: int):
+        super().__init__(perms)
+        self.tried = tried
+
+
+def automorphisms(m: FinStructure, fix: frozenset[int] | set[int] = frozenset()) -> _Group:
     """All automorphisms of `m` fixing `fix` pointwise, sorted.
 
     The backtrack tries at most `limit()` candidate images, each within
     its class of the partition refinement; one more raises BudgetError.
-    A cached group runs no search, so it is returned under any limit."""
-    return list(_automorphisms_cached(m, frozenset(fix)))
+    A cached group runs no search, but it is refused exactly where its
+    search would be: when that search tried more than `limit()`."""
+    perms, tried = _automorphisms_cached(m, frozenset(fix))
+    _refuse_past_limit(tried)
+    return _Group(perms, tried)
 
 
 # --- Type spaces --------------------------------------------------------------
@@ -288,10 +309,11 @@ class TypeId(Record):
         return f"q{self.index}"
 
 
-class TypeSpace:
+class TypeSpace(Keyed):
     """The orbits of Aut(M/A) acting on M^n, in canonical order.
 
-    Build it with `type_space`, which caches it and checks the budget.
+    Build it with `type_space`, which caches it and checks the budget;
+    `tried` counts the candidate images the search for Aut(M/A) tried.
 
     Canonical order sorts orbits by their lexicographically least member,
     so output is deterministic across runs.
@@ -301,8 +323,9 @@ class TypeSpace:
         self.structure = structure
         self.arity = arity
         self.params = params
-        self._hash: int | None = None  # of (structure, arity, params), on the first __hash__
+        self._key_cache = (structure, arity, params)
         group = automorphisms(structure, frozenset(params))
+        self.tried = group.tried
         orbits: list[tuple[tuple[int, ...], ...]] = []
         seen: set[tuple[int, ...]] = set()
         for tup in itertools.product(structure.elements, repeat=arity):
@@ -344,21 +367,6 @@ class TypeSpace:
         """The members of q's orbit, sorted."""
         return list(self._orbits[q.index])
 
-    def same_space(self, other: "TypeSpace") -> bool:
-        return (
-            self.structure == other.structure
-            and self.arity == other.arity
-            and self.params == other.params
-        )
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, TypeSpace) and self.same_space(other))
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.structure, self.arity, self.params))
-        return self._hash
-
     def __repr__(self):
         return (
             f"TypeSpace({self.structure!r}, n={self.arity}, "
@@ -379,7 +387,8 @@ def type_space(
     """S_n over the parameter tuple `params` (types = Aut(M/A)-orbits).
 
     Building the space enumerates all |M|**n tuples, which every call
-    charges to the budget before any work, cached or not.
+    charges to the budget before any work, cached or not.  A cached space
+    is then refused where the automorphism search it ran would be.
     """
     ptup = tuple(params)
     for a in ptup:
@@ -388,7 +397,9 @@ def type_space(
     if n < 0:
         raise ValidationError(f"negative arity {n}")
     charge("type space enumeration", m.size, n)
-    return _type_space_cached(m, n, ptup)
+    space = _type_space_cached(m, n, ptup)
+    _refuse_past_limit(space.tried)
+    return space
 
 
 def type_of_tuple(m: FinStructure, tup: tuple[int, ...], params: tuple[int, ...] | list[int] = ()) -> TypeId:

@@ -12,11 +12,12 @@ from typing import Iterable, Mapping
 
 from .errors import ParseError, ValidationError
 from .lexer import Lexer
+from .record import Keyed
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-class Signature:
+class Signature(Keyed):
     """Relation, function and constant symbols with arities.
 
     Symbol names are unique across the three kinds.  A 0-ary relation is a
@@ -45,19 +46,11 @@ class Signature:
         for name, k in self.functions.items():
             if k < 1:
                 raise ValidationError(f"function {name} must have arity >= 1")
-
-    def _key(self):
-        return (
+        self._key_cache = (
             tuple(sorted(self.relations.items())),
             tuple(sorted(self.functions.items())),
             tuple(sorted(self.constants)),
         )
-
-    def __eq__(self, other):
-        return isinstance(other, Signature) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def kind_of(self, name: str) -> str | None:
         if name in self.relations:
@@ -72,7 +65,7 @@ class Signature:
         return f"Signature(relations={self.relations!r}, functions={self.functions!r}, constants={self.constants!r})"
 
 
-class FinStructure:
+class FinStructure(Keyed):
     """A finite structure: universe {0..n-1} plus total interpretation tables."""
 
     def __init__(
@@ -121,13 +114,12 @@ class FinStructure:
         for junk in (*relations, *functions, *constants):
             raise ValidationError(f"interpretation for unknown symbol {junk!r}")
         self._key_cache = (
-            self.signature._key(),
+            self.signature._key_cache,
             self.size,
             tuple(sorted((s, tuple(sorted(t))) for s, t in self.rel_tables.items())),
             tuple(sorted((s, tuple(sorted(t.items()))) for s, t in self.fn_tables.items())),
             tuple(sorted(self.const_values.items())),
         )
-        self._hash: int | None = None  # of _key_cache, on the first __hash__
 
     @property
     def elements(self) -> range:
@@ -141,16 +133,6 @@ class FinStructure:
 
     def constant(self, sym: str) -> int:
         return self.const_values[sym]
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, FinStructure) and self._key_cache == other._key_cache
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._key_cache)
-        return self._hash
 
     def __repr__(self):
         label = self.name or f"<{self.size} elements>"

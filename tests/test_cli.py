@@ -183,6 +183,26 @@ def test_budget_reaches_the_automorphism_search(tmp_path):
         _forget_groups()  # p9 is refused under the default budget again
 
 
+def test_a_cached_group_is_refused_where_its_search_would_be(tmp_path):
+    path = tmp_path / "p9.rl"
+    path.write_text("structure p9 { universe = 9; }\n")
+    tries = sum(math.perm(9, k) for k in range(1, 10))
+    types = ("--workspace", str(path), "types", "--structure", "p9")
+    refused = (4, "", f"error: automorphism search over budget (required count {DEFAULT_BUDGET + 1})\n")
+    passed = (0, "q0 rep (0,) orbit-size 9 isolated-by x0 = x0\n", "")
+    _forget_groups()
+    try:
+        # the default budget before and after a run that built the group
+        assert run(*types) == refused
+        assert run("--budget", str(tries), *types) == passed
+        assert run(*types) == refused
+        with pytest.raises(randlab.BudgetError) as err:
+            randlab.automorphisms(randlab.pure_set(9))
+        assert err.value.required == DEFAULT_BUDGET + 1
+    finally:
+        _forget_groups()
+
+
 def test_budget_reaches_the_axiom_covering(tmp_path):
     path = tmp_path / "u4.rl"
     path.write_text(
@@ -705,6 +725,30 @@ def test_independence_over_a_large_fragment_prints_its_count(tmp_path):
         "--c", "c", "--b", "b", "--A", "a",
     )
     assert (code, out, err) == (0, f"PASS independence checked=at least 2^{25**3}\n", "")
+
+
+_EVAL = ("eval", "--rand", "r1", "--cformula", "mu[[x = #0]]", "--bind")
+_INDEPENDENCE = ("check", "independence", "--rand", "m2x8")
+_APPROX = ("approx-simple", "--rand", "r1", "--eps", "1/2")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ((*_EVAL, "x=h"), "element 'h' belongs to 'm2x8', not 'r1'"),
+    ((*_EVAL, "x=e1"), "event 'e1' belongs to 'm2x8', not 'r1'"),
+    ((*_EVAL, "x=zz"), "unknown element or event 'zz'"),
+    ((*_INDEPENDENCE, "--c", "f", "--b", "h"), "element 'f' belongs to 'r1', not 'm2x8'"),
+    ((*_INDEPENDENCE, "--c", "zz", "--b", "h"), "unknown element 'zz'"),
+    ((*_INDEPENDENCE, "--c", "h", "--b", "h, g"), "element 'g' belongs to 'r1', not 'm2x8'"),
+    ((*_INDEPENDENCE, "--c", "h", "--b", "zz"), "unknown element 'zz'"),
+    ((*_INDEPENDENCE, "--c", "h", "--b", "h", "--A", "f"), "element 'f' belongs to 'r1', not 'm2x8'"),
+    ((*_INDEPENDENCE, "--c", "h", "--b", "h", "--A", "zz"), "unknown element 'zz'"),
+    ((*_APPROX, "--f", "h", "--algebra", "e1"), "element 'h' belongs to 'm2x8', not 'r1'"),
+    ((*_APPROX, "--f", "zz", "--algebra", "e1"), "unknown element 'zz'"),
+    ((*_APPROX, "--f", "f", "--algebra", "; e1 "), "event 'e1' belongs to 'm2x8', not 'r1'"),
+    ((*_APPROX, "--f", "f", "--algebra", "zz"), "unknown event 'zz'"),
+])
+def test_a_name_from_another_randomization_or_none_is_refused(ws_file, argv, message):
+    assert run("--workspace", ws_file, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_automorphism_search_over_budget_exits_4(tmp_path):

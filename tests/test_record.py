@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import randlab
 from randlab import axioms, cformulas, extension, formulas, rtypes, semantics, stability
-from randlab.record import Record
+from randlab.record import Keyed, Record
 from randlab.structures import pure_set
 
 RECORDS = {
@@ -244,3 +244,30 @@ def test_a_record_with_an_unhashable_field_keeps_no_hash():
         with pytest.raises(TypeError):
             hash(report)
     assert "_hash" not in vars(report)
+
+
+class _Left(Keyed):
+    def __init__(self, *key):
+        self._key_cache = key
+
+
+class _Right(Keyed):
+    def __init__(self, *key):
+        self._key_cache = key
+
+
+def test_keyed_values_of_different_classes_never_compare_equal():
+    left, right = _Left(1, "a"), _Right(1, "a")
+    assert left._key_cache == right._key_cache and hash(left) == hash(right)
+    assert left != right and right != left and not left == right
+    assert left == _Left(1, "a") and not left != _Left(1, "a") and left != _Left(2, "a")
+    assert len({left, right, _Left(1, "a"), _Right(1, "a")}) == 2
+
+
+def test_a_keyed_value_keeps_the_hash_of_its_key():
+    value = _Left(1, ("a", Fraction(1, 3)))
+    assert "_hash" not in vars(value)
+    assert hash(value) == hash(value._key_cache) == value._hash
+    # each class holds its own methods, so wrapping one in place leaves the others alone
+    for cls in (_Left, _Right, randlab.FinProbSpace):
+        assert {"__eq__", "__hash__"} <= set(vars(cls))

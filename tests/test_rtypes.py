@@ -27,6 +27,7 @@ from randlab import (
 from randlab.randomization import d_k_tuple, event_of, mu
 from conftest import simplex_measures
 from randlab.rtypes import _split_base, cells_of, format_rmeasure
+from randlab.semantics import TypeSpace
 
 F = Fraction
 
@@ -121,6 +122,29 @@ def test_d_metric_examples(l3):
     assert d_metric(point0, point1) == 1
     half = RMeasure(space, {space.types[0]: F(1, 2), space.types[1]: F(1, 2)})
     assert d_metric(half, point0) == F(1, 2)
+
+
+def test_equal_type_measures_compare_and_hash_equal(l3):
+    space = type_space(l3, 1, ())
+    built = TypeSpace(linear_order(3), 1, ())
+    assert built is not space and built == space
+    nu = RMeasure(space, {space.types[0]: F(1, 3), space.types[2]: F(2, 3)})
+    for copy in (
+        RMeasure(built, {built.types[2]: F(2, 3), built.types[0]: F(1, 3)}),
+        RMeasure(space, {space.types[0]: "1/3", space.types[1]: 0, space.types[2]: "2/3"}),
+    ):
+        assert copy is not nu and copy == nu and nu == copy and not copy != nu
+        assert hash(copy) == hash(nu) == hash(copy._key_cache)
+    for other in (
+        RMeasure(space, {space.types[0]: F(2, 3), space.types[2]: F(1, 3)}),
+        RMeasure(type_space(l3, 1, (0,)), {type_space(l3, 1, (0,)).types[0]: F(1)}),
+        RMeasure(type_space(directed_cycle(3), 1), {type_space(directed_cycle(3), 1).types[0]: 1}),
+    ):
+        assert other != nu and nu != other and not other == nu
+    # equal but distinct spaces are one space to the metric
+    point = RMeasure(built, {built.types[1]: F(1)})
+    assert d_metric(nu, point) == d_metric(point, nu) == 1
+    assert d_metric(nu, RMeasure(built, nu.weights)) == 0
 
 
 def test_d_metric_is_a_metric_small_denominators(l3):

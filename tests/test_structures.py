@@ -79,6 +79,22 @@ def test_structure_equality_is_content_based():
     assert a._key_cache[1:] == b._key_cache[1:]
 
 
+def test_equal_signatures_compare_and_hash_equal():
+    sig = Signature(relations={"E": 2, "P": 1}, functions={"f": 1}, constants=("c", "d"))
+    for copy in (
+        Signature(relations={"P": 1, "E": 2}, functions={"f": 1}, constants=("d", "c")),
+        Signature({"E": 2, "P": 1}, {"f": 1}, ["c", "d"]),
+    ):
+        assert copy is not sig and copy == sig and sig == copy and not copy != sig
+        assert hash(copy) == hash(sig) == hash(copy._key_cache)
+    for other in (
+        Signature(relations={"E": 2}, functions={"f": 1}, constants=("c", "d")),
+        Signature(relations={"E": 2, "P": 2}, functions={"f": 1}, constants=("c", "d")),
+        Signature(relations={"E": 2, "P": 1, "f": 1}, constants=("c", "d")),
+    ):
+        assert other != sig and sig != other and not other == sig
+
+
 def test_equal_structures_compare_and_hash_equal():
     st = directed_cycle(3)
     for copy in (directed_cycle(3), directed_cycle(3, "other"), parse_structure(format_structure(st))):
