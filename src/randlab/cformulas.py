@@ -7,7 +7,8 @@ for `mu[[ phi ]]`.  The only quantifiers are `sup x (...)` and
 `inf x (...)` over the random-element sort.  They are evaluated exactly by
 enumerating one random element per symmetry class of their body (equal
 point keys at each sample point, multisets over interchangeable points)
-instead of the whole sort; the budget still counts the whole sort.
+instead of the whole sort; the budget still counts the whole sort.  A
+formula is compiled once per `eval_cformula` call, then evaluated.
 
 Grammar summary:
 
@@ -142,7 +143,7 @@ def _parts(node: Record) -> list[Record]:
     """The Record-valued fields of a node in field order: its value and
     event subterms.  Every walk treats `EvFormula` as a leaf, so no walk
     reaches a first-order formula through here.  A value that is not a
-    Record has no parts; `_eval` and the printers reject it."""
+    Record has no parts; `_compile` and the printers reject it."""
     fields = (getattr(node, n) for n in getattr(node, "_fields", ()))
     return [f for f in fields if isinstance(f, Record)]
 
@@ -384,28 +385,6 @@ def _dk_elements(
     return f, g
 
 
-def eval_event_term(
-    rand: Randomization, e: EventTerm, env: Mapping[str, RandomElement | Event]
-) -> Event:
-    if isinstance(e, EvFormula):
-        return event_of(rand, e.phi, _formula_binding(e.phi, env))
-    if isinstance(e, EvTop):
-        return rand.full_event()
-    if isinstance(e, EvBot):
-        return frozenset()
-    if isinstance(e, EvName):
-        return _bound_event(rand, e.name, env)
-    if isinstance(e, EvNot):
-        return rand.complement(eval_event_term(rand, e.body, env))
-    left = eval_event_term(rand, e.left, env)
-    right = eval_event_term(rand, e.right, env)
-    if isinstance(e, EvMeet):
-        return left & right
-    if isinstance(e, EvJoin):
-        return left | right
-    return left ^ right
-
-
 def eval_cformula(
     rand: Randomization,
     c: CFormula,
@@ -413,10 +392,11 @@ def eval_cformula(
 ) -> Fraction:
     """Exact value of a continuous formula in [0, 1].
 
-    sup/inf visit one random element per symmetry class of their body (see
-    `_quantifier_groups`), which gives the same value as the full
-    random-element sort.  The budget still counts the full sort: carrier
-    size to the power of the quantifier nesting depth.
+    c is compiled once (see `_compile`), so an invalid environment raises
+    before any value is computed.  sup/inf visit one random element per
+    symmetry class of their body (see `_quantifier`), which gives the same
+    value as the full random-element sort.  The budget still counts the
+    full sort: carrier size to the power of the quantifier nesting depth.
     """
     env = dict(env or {})
     depth = _quantifier_depth(c)
@@ -425,75 +405,76 @@ def eval_cformula(
     missing = [v for v in sorted(cformula_free_kvars(c)) if v not in env]
     if missing:
         raise ValidationError(f"unbound variables {missing}")
-    return _eval(rand, c, env)
+    evaluate, _ = _compile(rand, c, env, set())
+    return evaluate(env)
 
 
-def _eval(rand: Randomization, c: CFormula, env: dict) -> Fraction:
-    if isinstance(c, CConst):
-        return c.value
-    if isinstance(c, CNeg):
-        return 1 - _eval(rand, c.body, env)
-    if isinstance(c, CTruncSub):
-        return max(
-            Fraction(0), _eval(rand, c.left, env) - _eval(rand, c.right, env)
-        )
-    if isinstance(c, CHalf):
-        return _eval(rand, c.body, env) / 2
-    if isinstance(c, CMin):
-        return min(_eval(rand, c.left, env), _eval(rand, c.right, env))
-    if isinstance(c, CMax):
-        return max(_eval(rand, c.left, env), _eval(rand, c.right, env))
-    if isinstance(c, CMu):
-        return mu(rand, eval_event_term(rand, c.event, env))
-    if isinstance(c, CDK):
-        return d_k(rand, *_dk_elements(c, env))
-    if isinstance(c, CDB):
-        return d_b(
-            rand,
-            eval_event_term(rand, c.left, env),
-            eval_event_term(rand, c.right, env),
-        )
-    if isinstance(c, (CSup, CInf)):
-        values = (
-            _eval(rand, c.body, {**env, c.var: h})
-            for h in rand.all_elements(_quantifier_groups(rand, c, env))
-        )
-        return max(values) if isinstance(c, CSup) else min(values)
-    raise TypeError(f"not a continuous formula: {c!r}")
-
-
-# --- Symmetry classes of a quantifier body ------------------------------------------
-
-def _key_atoms(
+def _compile(
     rand: Randomization,
     c: CFormula | EventTerm,
     env: Mapping[str, RandomElement | Event],
     names: set[str],
 ) -> tuple:
-    """The atoms of c a point key reads, in the order `_eval` meets them.
+    """c as (evaluate, atoms); env is checked in evaluation order, each
+    quantified variable standing for a constant element on rand's base.
 
-    env is checked as `_eval` checks it, so an invalid environment raises
-    the same error before any key is computed.  Each quantified variable
-    stands for a constant element on rand's base.  The bound event names c
-    reads are added to `names`.
+    `evaluate(env)` is c's value (an event, for an event term) under any env
+    that differs only in the elements c's quantifiers bind.  `atoms` are what
+    a point key reads: first-order formulas, `dK` nodes and (var, atoms) per
+    quantifier.  The bound event names c reads are added to `names`.
     """
-    if isinstance(c, EvFormula):
-        binding = _formula_binding(c.phi, env)
-        _check_binding(rand, sorted(binding), binding)
-        return (c.phi,)
-    if isinstance(c, EvName):
-        _bound_event(rand, c.name, env)
-        names.add(c.name)
-        return ()
-    if isinstance(c, CDK):
-        f, g = _dk_elements(c, env)
-        if f.base != rand.base or g.base != rand.base:
-            d_k(rand, f, g)  # raises d_k's error for a foreign base
-        return (c,)
-    if isinstance(c, (CSup, CInf)):
-        inner = {**env, c.var: RandomElement.constant(rand.base, 0)}
-        return ((c.var, _key_atoms(rand, c.body, inner, names)),)
-    return sum((_key_atoms(rand, p, env, names) for p in _parts(c)), ())
+    if type(c) not in _COMPILERS:
+        raise TypeError(f"not a continuous formula: {c!r}")
+    return _COMPILERS[type(c)](rand, c, env, names)
+
+
+def _fixed(value) -> tuple:
+    return (lambda env: value), ()
+
+
+def _formula_atom(rand: Randomization, c: EvFormula, env, names) -> tuple:
+    phi, binding = c.phi, _formula_binding(c.phi, env)  # in sorted order
+    _check_binding(rand, list(binding), binding)
+    return (lambda env: event_of(rand, phi, {v: env[v] for v in binding})), (phi,)
+
+
+def _event_name(rand: Randomization, c: EvName, env, names) -> tuple:
+    event = _bound_event(rand, c.name, env)
+    names.add(c.name)
+    return _fixed(event)
+
+
+def _dk_atom(rand: Randomization, c: CDK, env, names) -> tuple:
+    f, g = _dk_elements(c, env)
+    if f.base != rand.base or g.base != rand.base:
+        d_k(rand, f, g)  # raises d_k's error for a foreign base
+    return (lambda env: d_k(rand, env[c.left], env[c.right])), (c,)
+
+
+# How a node combines the values of its parts.  mu and d_b are looked up
+# when called, so a wrapper installed on this module sees every call.
+_COMBINE = {
+    CNeg: lambda rand, u: 1 - u,
+    CTruncSub: lambda rand, u, v: max(Fraction(0), u - v),
+    CHalf: lambda rand, u: u / 2,
+    CMin: lambda rand, u, v: min(u, v),
+    CMax: lambda rand, u, v: max(u, v),
+    CMu: lambda rand, e: mu(rand, e),
+    CDB: lambda rand, e1, e2: d_b(rand, e1, e2),
+    EvNot: Randomization.complement,
+    EvMeet: lambda rand, e1, e2: e1 & e2,
+    EvJoin: lambda rand, e1, e2: e1 | e2,
+    EvSymDiff: lambda rand, e1, e2: e1 ^ e2,
+}
+
+
+def _connective(rand: Randomization, c, env, names) -> tuple:
+    combine = _COMBINE[type(c)]
+    (f, f_atoms), *rest = [_compile(rand, p, env, names) for p in _parts(c)]
+    if not rest:
+        return (lambda env: combine(rand, f(env))), f_atoms
+    ((g, g_atoms),) = rest
+    return (lambda env: combine(rand, f(env), g(env))), f_atoms + g_atoms
 
 
 def _point_key(m: FinStructure, atoms: tuple, val: dict[str, int]) -> tuple:
@@ -512,10 +493,8 @@ def _point_key(m: FinStructure, atoms: tuple, val: dict[str, int]) -> tuple:
     return tuple(out)
 
 
-def _quantifier_groups(
-    rand: Randomization, c: CSup | CInf, env: Mapping[str, RandomElement | Event]
-) -> list[tuple[list[int], list[int]]]:
-    """The (point indices, candidate values) groups that `sup`/`inf` enumerate.
+def _quantifier(rand: Randomization, c: CSup | CInf, env, names) -> tuple:
+    """sup/inf over the (point indices, candidate values) groups of its body.
 
     Every atom is read point by point, so the body's value depends on the
     quantified element h only through two symmetries:
@@ -528,26 +507,46 @@ def _quantifier_groups(
       a group takes every multiset of its candidates instead of every tuple.
 
     Both are bijections of the random-element sort that preserve every
-    atom's mass, so the max/min over the groups is the exact sup/inf.
+    atom's mass, so the max/min over the groups is the exact sup/inf.  The
+    body is compiled once; each evaluation only groups and classes.
     """
-    names: set[str] = set()
-    ((_, atoms),) = _key_atoms(rand, c, env, names)
-    elements = sorted(cformula_free_kvars(c.body) - {c.var})
-    events = [env[n] for n in sorted(names)]
-    groups: dict[tuple, list[int]] = {}
-    for i, w in enumerate(rand.base.points):
-        sig = (
-            rand.base.weight[w],
-            rand.family[w],
-            tuple(env[v](w) for v in elements),
-            tuple(w in e for e in events),
-        )
-        groups.setdefault(sig, []).append(i)
-    out = []
-    for (_, m, values, _), indices in groups.items():
-        val = dict(zip(elements, values))
-        classes: dict[tuple, int] = {}
-        for a in m.elements:
-            classes.setdefault(_point_key(m, atoms, {**val, c.var: a}), a)
-        out.append((indices, list(classes.values())))
-    return out
+    var, pick = c.var, max if isinstance(c, CSup) else min
+    body_env = {**env, var: RandomElement.constant(rand.base, 0)}
+    body_names: set[str] = set()
+    try:
+        body, atoms = _compile(rand, c.body, body_env, body_names)
+    finally:
+        names.update(body_names)  # also the names read before an error
+    elements = sorted(cformula_free_kvars(c.body) - {var})
+    events = [env[n] for n in sorted(body_names)]
+    points, weight = rand.base.points, rand.base.weight
+    fixed = [(weight[w], rand.family[w], tuple(w in e for e in events)) for w in points]
+
+    def evaluate(env: dict) -> Fraction:
+        columns = [env[v].values for v in elements]
+        groups: dict[tuple, list[int]] = {}
+        for i, w in enumerate(points):
+            groups.setdefault((fixed[i], tuple(col[w] for col in columns)), []).append(i)
+        out = []
+        for ((_, m, _), values), indices in groups.items():
+            val = dict(zip(elements, values))
+            classes: dict[tuple, int] = {}
+            for a in m.elements:
+                classes.setdefault(_point_key(m, atoms, {**val, var: a}), a)
+            out.append((indices, list(classes.values())))
+        return pick(body({**env, var: h}) for h in rand.all_elements(out))
+
+    return evaluate, ((var, atoms),)
+
+
+_COMPILERS = {
+    CConst: lambda rand, c, env, names: _fixed(c.value),
+    EvTop: lambda rand, c, env, names: _fixed(rand.full_event()),
+    EvBot: lambda rand, c, env, names: _fixed(frozenset()),
+    EvFormula: _formula_atom,
+    EvName: _event_name,
+    CDK: _dk_atom,
+    CSup: _quantifier,
+    CInf: _quantifier,
+    **dict.fromkeys(_COMBINE, _connective),
+}

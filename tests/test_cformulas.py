@@ -1,8 +1,10 @@
+import io
 import itertools
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import Mapping
 
@@ -23,6 +25,7 @@ from randlab import (
     format_cformula,
     parse_cformula,
 )
+from randlab.cli import main
 from randlab.cformulas import (
     CConst,
     CDB,
@@ -39,18 +42,20 @@ from randlab.cformulas import (
     EvBot,
     EventTerm,
     EvFormula,
+    EvJoin,
+    EvMeet,
     EvName,
     EvNot,
+    EvSymDiff,
     EvTop,
     _bound_event,
     _dk_elements,
     _formula_binding,
-    eval_event_term,
 )
 from randlab.errors import ParseError, ValidationError, budget
 from randlab.formulas import free_vars
-from randlab.randomization import Event, _check_binding, d_b, d_k, mu
-from test_record import KINDS
+from randlab.randomization import Event, _check_binding, d_b, d_k, event_of, mu
+from test_record import KINDS, nodes
 
 F = Fraction
 
@@ -156,6 +161,30 @@ def test_deep_nesting_is_a_parse_error(m2):
 
 
 # --- sup/inf by symmetry classes against the full product --------------------------
+
+# Event terms evaluated sort by sort, apart from the compiled form, so the
+# oracle below runs none of the code it checks.
+def eval_event_term(
+    rand: Randomization, e: EventTerm, env: Mapping[str, RandomElement | Event]
+) -> Event:
+    if isinstance(e, EvFormula):
+        return event_of(rand, e.phi, _formula_binding(e.phi, env))
+    if isinstance(e, EvTop):
+        return rand.full_event()
+    if isinstance(e, EvBot):
+        return frozenset()
+    if isinstance(e, EvName):
+        return _bound_event(rand, e.name, env)
+    if isinstance(e, EvNot):
+        return rand.complement(eval_event_term(rand, e.body, env))
+    left = eval_event_term(rand, e.left, env)
+    right = eval_event_term(rand, e.right, env)
+    if isinstance(e, EvMeet):
+        return left & right
+    if isinstance(e, EvJoin):
+        return left | right
+    return left ^ right
+
 
 def full_product_eval(rand, c, env):
     """Reference semantics: sup/inf range over every random element."""
@@ -396,6 +425,29 @@ def test_nested_quantifier_visits_few_elements(monkeypatch):
     assert visited < 81 * 81 // 100
 
 
+@pytest.mark.parametrize("depth", [1, 2])
+def test_each_quantifier_body_is_compiled_once(monkeypatch, depth):
+    # compiling a body binds its variable to one constant element; an inner
+    # sup/inf must not be compiled again for each value of the outer variable
+    c3 = directed_cycle(3)
+    rand = Randomization.constant(c3, FinProbSpace.dyadic(depth))
+    points = rand.base.points
+    env = {"y": rand.element([2, 0, 1, 1][: len(points)]), "e": frozenset(points[1:3])}
+    text = "sup x (inf z (max(dK(x, z), mu[ e ^ [[E(z, y)]] ])))"
+    c = parse_cformula(text, c3.signature)
+    made = []
+    constant = RandomElement.constant.__func__
+
+    def counting(cls, base, a):
+        made.append(a)
+        return constant(cls, base, a)
+
+    monkeypatch.setattr(RandomElement, "constant", classmethod(counting))
+    value = eval_cformula(rand, c, env)
+    assert len(made) == sum(isinstance(n, (CSup, CInf)) for n in nodes(c)) == 2
+    assert value == full_product_eval(rand, c, env)
+
+
 def test_default_enumeration_is_the_full_product():
     fibres = {0: FinStructure(DIGRAPH, 3), 1: FinStructure(DIGRAPH, 2)}
     rand = Randomization(FinProbSpace([(0, F(1, 2)), (1, F(1, 2))]), fibres)
@@ -431,6 +483,32 @@ def test_invalid_environment_in_quantifier_body(monkeypatch, text, binding, mess
     with pytest.raises(ValidationError) as err:
         eval_cformula(rand, parse_cformula(text, c3.signature), {"y": y})
     assert str(err.value) == message
+
+
+ENVIRONMENT_FIRST = [
+    ("min(mu[[x = #7]], dK(x, q))", "dK arguments must be bound random elements"),
+    ("sup y (min(mu[[y = #7]], dK(y, q)))", "dK arguments must be bound random elements"),
+    ("min(mu[[x = #7]], mu[[E(x, q)]])", "variable 'q' is not a bound random element"),
+]
+
+
+@pytest.mark.parametrize("text, message", ENVIRONMENT_FIRST)
+def test_environment_errors_come_before_values(tmp_path, text, message):
+    # #7 is out of range in C3, but the environment is checked before any
+    # value is computed, with or without a quantifier
+    ws = tmp_path / "ws.rl"
+    ws.write_text(
+        "structure c3 { universe = 3; relation E/2 = {(0,1), (1,2), (2,0)}; }\n"
+        "space dy1 { weights = [1/2, 1/2]; }\n"
+        "randomization r { structure = c3; space = dy1; }\n"
+        "element f = r [0, 1];\n"
+        "event e = r {0};\n"
+    )
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["--workspace", str(ws), "eval", "--rand", "r",
+                     "--cformula", text, "--bind", "x=f,q=e"])
+    assert (code, err.getvalue()) == (2, f"error: {message}\n")
 
 
 # --- the walks against their explicit forms -----------------------------------------
@@ -543,6 +621,10 @@ def _outcome(walk, *args):
         return type(err), str(err)
 
 
+def _compiled_atoms(rand, term, env, names):
+    return cf._compile(rand, term, env, names)[1]
+
+
 def _key_outcome(walk, rand, term, env):
     names: set[str] = set()
     return _outcome(walk, rand, term, env, names), names
@@ -576,7 +658,7 @@ def test_cformula_walks_match_explicit_forms(c):
         assert cf.cformula_free_kvars(term) == cformula_free_kvars(term)
         assert cf._quantifier_depth(term) == _quantifier_depth(term)
         for env in WALK_ENVIRONMENTS:
-            assert _key_outcome(cf._key_atoms, WALK_RAND, term, env) == _key_outcome(
+            assert _key_outcome(_compiled_atoms, WALK_RAND, term, env) == _key_outcome(
                 _key_atoms, WALK_RAND, term, env
             )
 
@@ -586,7 +668,7 @@ def test_cformula_walks_match_explicit_forms(c):
 def test_event_walks_match_explicit_forms(e):
     assert cf.cformula_free_kvars(e) == _event_kvars(e)
     for env in WALK_ENVIRONMENTS:
-        assert _key_outcome(cf._key_atoms, WALK_RAND, e, env) == _key_outcome(
+        assert _key_outcome(_compiled_atoms, WALK_RAND, e, env) == _key_outcome(
             _event_key_atoms, WALK_RAND, e, env
         )
 
