@@ -395,7 +395,8 @@ def eval_cformula(
     c is compiled once (see `_compile`), so an invalid environment raises
     before any value is computed.  sup/inf visit one random element per
     symmetry class of their body (see `_quantifier`), which gives the same
-    value as the full random-element sort.  The budget still counts the
+    value as the full random-element sort, and read their body's atoms off
+    the point keys that class the values.  The budget still counts the
     full sort: carrier size to the power of the quantifier nesting depth.
     """
     env = dict(env or {})
@@ -406,7 +407,7 @@ def eval_cformula(
     if missing:
         raise ValidationError(f"unbound variables {missing}")
     evaluate, _ = _compile(rand, c, env, set())
-    return evaluate(env)
+    return evaluate(env, None)
 
 
 def _compile(
@@ -414,41 +415,54 @@ def _compile(
     c: CFormula | EventTerm,
     env: Mapping[str, RandomElement | Event],
     names: set[str],
+    at: int | None = None,
 ) -> tuple:
     """c as (evaluate, atoms); env is checked in evaluation order, each
     quantified variable standing for a constant element on rand's base.
 
-    `evaluate(env)` is c's value (an event, for an event term) under any env
-    that differs only in the elements c's quantifiers bind.  `atoms` are what
-    a point key reads: first-order formulas, `dK` nodes and (var, atoms) per
-    quantifier.  The bound event names c reads are added to `names`.
+    `evaluate(env, read)` is c's value (an event, for an event term) under
+    any env that differs only in the elements c's quantifiers bind.  `atoms`
+    are what a point key reads: first-order formulas, `dK` nodes and (var,
+    atoms) per quantifier.  The bound event names c reads are added to
+    `names`.  Outside every sup/inf `at` is None and each atom is evaluated
+    where it is reached.  In a sup/inf's body, `at` is the position of c's
+    first atom among that quantifier's atoms, and an atom at position j
+    takes its value from `read[j]`, which the quantifier fills in.
     """
     if type(c) not in _COMPILERS:
         raise TypeError(f"not a continuous formula: {c!r}")
-    return _COMPILERS[type(c)](rand, c, env, names)
+    return _COMPILERS[type(c)](rand, c, env, names, at)
 
 
 def _fixed(value) -> tuple:
-    return (lambda env: value), ()
+    return (lambda env, read: value), ()
 
 
-def _formula_atom(rand: Randomization, c: EvFormula, env, names) -> tuple:
+def _reading(at: int):
+    return lambda env, read: read[at]
+
+
+def _formula_atom(rand: Randomization, c: EvFormula, env, names, at) -> tuple:
     phi, binding = c.phi, _formula_binding(c.phi, env)  # in sorted order
     _check_binding(rand, list(binding), binding)
-    return (lambda env: event_of(rand, phi, {v: env[v] for v in binding})), (phi,)
+    if at is not None:
+        return _reading(at), (phi,)
+    return (lambda env, read: event_of(rand, phi, {v: env[v] for v in binding})), (phi,)
 
 
-def _event_name(rand: Randomization, c: EvName, env, names) -> tuple:
+def _event_name(rand: Randomization, c: EvName, env, names, at) -> tuple:
     event = _bound_event(rand, c.name, env)
     names.add(c.name)
     return _fixed(event)
 
 
-def _dk_atom(rand: Randomization, c: CDK, env, names) -> tuple:
+def _dk_atom(rand: Randomization, c: CDK, env, names, at) -> tuple:
     f, g = _dk_elements(c, env)
     if f.base != rand.base or g.base != rand.base:
         d_k(rand, f, g)  # raises d_k's error for a foreign base
-    return (lambda env: d_k(rand, env[c.left], env[c.right])), (c,)
+    if at is not None:
+        return _reading(at), (c,)
+    return (lambda env, read: d_k(rand, env[c.left], env[c.right])), (c,)
 
 
 # How a node combines the values of its parts.  mu and d_b are looked up
@@ -468,13 +482,14 @@ _COMBINE = {
 }
 
 
-def _connective(rand: Randomization, c, env, names) -> tuple:
+def _connective(rand: Randomization, c, env, names, at) -> tuple:
     combine = _COMBINE[type(c)]
-    (f, f_atoms), *rest = [_compile(rand, p, env, names) for p in _parts(c)]
+    first, *rest = _parts(c)
+    f, f_atoms = _compile(rand, first, env, names, at)
     if not rest:
-        return (lambda env: combine(rand, f(env))), f_atoms
-    ((g, g_atoms),) = rest
-    return (lambda env: combine(rand, f(env), g(env))), f_atoms + g_atoms
+        return (lambda env, read: combine(rand, f(env, read))), f_atoms
+    g, g_atoms = _compile(rand, rest[0], env, names, None if at is None else at + len(f_atoms))
+    return (lambda env, read: combine(rand, f(env, read), g(env, read))), f_atoms + g_atoms
 
 
 def _point_key(m: FinStructure, atoms: tuple, val: dict[str, int]) -> tuple:
@@ -493,7 +508,7 @@ def _point_key(m: FinStructure, atoms: tuple, val: dict[str, int]) -> tuple:
     return tuple(out)
 
 
-def _quantifier(rand: Randomization, c: CSup | CInf, env, names) -> tuple:
+def _quantifier(rand: Randomization, c: CSup | CInf, env, names, at) -> tuple:
     """sup/inf over the (point indices, candidate values) groups of its body.
 
     Every atom is read point by point, so the body's value depends on the
@@ -508,41 +523,62 @@ def _quantifier(rand: Randomization, c: CSup | CInf, env, names) -> tuple:
 
     Both are bijections of the random-element sort that preserve every
     atom's mass, so the max/min over the groups is the exact sup/inf.  The
-    body is compiled once; each evaluation only groups and classes.
+    body is compiled once; each evaluation only groups and classes.  For
+    each enumerated h the body's own atoms are read off the keys of h's
+    values: a formula's event is the points whose key says true there, and
+    a dK is 1 minus the mass of the points whose key says they agree; a
+    nested sup/inf evaluates its own atoms.
     """
     var, pick = c.var, max if isinstance(c, CSup) else min
     body_env = {**env, var: RandomElement.constant(rand.base, 0)}
     body_names: set[str] = set()
     try:
-        body, atoms = _compile(rand, c.body, body_env, body_names)
+        body, atoms = _compile(rand, c.body, body_env, body_names, 0)
     finally:
         names.update(body_names)  # also the names read before an error
     elements = sorted(cformula_free_kvars(c.body) - {var})
     events = [env[n] for n in sorted(body_names)]
-    points, weight = rand.base.points, rand.base.weight
+    base = rand.base
+    points, weight = base.points, base.weight
     fixed = [(weight[w], rand.family[w], tuple(w in e for e in events)) for w in points]
+    # (position, is a dK) of the body's own atoms; a nested sup/inf reads its own
+    own = [(j, isinstance(a, CDK)) for j, a in enumerate(atoms) if not isinstance(a, tuple)]
 
-    def evaluate(env: dict) -> Fraction:
+    def read_off(keys: list[tuple]) -> list:
+        """The body's readings for an element, from its key at each point."""
+        read = [None] * len(atoms)
+        for j, is_dk in own:
+            hit = [w for w, key in zip(points, keys) if key[j]]
+            read[j] = 1 - base.mass(hit) if is_dk else frozenset(hit)
+        return read
+
+    def evaluate(env: dict, read) -> Fraction:
         columns = [env[v].values for v in elements]
         groups: dict[tuple, list[int]] = {}
         for i, w in enumerate(points):
             groups.setdefault((fixed[i], tuple(col[w] for col in columns)), []).append(i)
-        out = []
+        out, key_of = [], [None] * len(points)  # point index -> {value: key}
         for ((_, m, _), values), indices in groups.items():
             val = dict(zip(elements, values))
+            keys = {a: _point_key(m, atoms, {**val, var: a}) for a in m.elements}
             classes: dict[tuple, int] = {}
-            for a in m.elements:
-                classes.setdefault(_point_key(m, atoms, {**val, var: a}), a)
+            for a, key in keys.items():
+                classes.setdefault(key, a)
+            for i in indices:
+                key_of[i] = keys
             out.append((indices, list(classes.values())))
-        return pick(body({**env, var: h}) for h in rand.all_elements(out))
+        return pick(
+            body({**env, var: h}, read_off([k[h.values[w]] for k, w in zip(key_of, points)]))
+            for h in rand.all_elements(out)
+        )
 
     return evaluate, ((var, atoms),)
 
 
 _COMPILERS = {
-    CConst: lambda rand, c, env, names: _fixed(c.value),
-    EvTop: lambda rand, c, env, names: _fixed(rand.full_event()),
-    EvBot: lambda rand, c, env, names: _fixed(frozenset()),
+    CConst: lambda rand, c, env, names, at: _fixed(c.value),
+    EvTop: lambda rand, c, env, names, at: _fixed(rand.full_event()),
+    EvBot: lambda rand, c, env, names, at: _fixed(frozenset()),
     EvFormula: _formula_atom,
     EvName: _event_name,
     CDK: _dk_atom,

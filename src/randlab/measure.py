@@ -9,6 +9,7 @@ witnesses (see `extension`), which are simplex points, not sample spaces.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping
 
@@ -25,10 +26,13 @@ def frac(x) -> Fraction:
 class FinProbSpace(Keyed):
     """Finite sample space with positive rational weights summing to one."""
 
+    _numerators: dict[Point, int] | None = None  # set with _denominator by `mass`
+
     def __init__(self, weights: Mapping[Point, Fraction] | Iterable[tuple[Point, Fraction]]):
         items = list(weights.items()) if isinstance(weights, Mapping) else list(weights)
         self.points: tuple[Point, ...] = tuple(p for p, _ in items)
-        if len(set(self.points)) != len(self.points):
+        self.point_set: frozenset = frozenset(self.points)
+        if len(self.point_set) != len(self.points):
             raise ValidationError("duplicate sample points")
         if not self.points:
             raise ValidationError("empty sample space")
@@ -51,7 +55,16 @@ class FinProbSpace(Keyed):
         return cls.uniform(2**depth)
 
     def mass(self, event: Iterable[Point]) -> Fraction:
-        return sum((self.weight[p] for p in event), Fraction(0))
+        """The total weight of event's points, a repeated point counted each
+        time: an integer sum of numerators over the common denominator of
+        the weights (found on the first call), made a `Fraction` once."""
+        numerators = self._numerators
+        if numerators is None:
+            den = self._denominator = math.lcm(*(w.denominator for w in self.weight.values()))
+            numerators = self._numerators = {
+                p: w.numerator * (den // w.denominator) for p, w in self.weight.items()
+            }
+        return Fraction(sum(numerators[p] for p in event), self._denominator)
 
     def index(self, p: Point) -> int:
         return self.points.index(p)

@@ -131,7 +131,7 @@ class Randomization:
 
     def check_event(self, e: Event) -> Event:
         e = frozenset(e)
-        bad = e - set(self.base.points)
+        bad = e - self.base.point_set
         if bad:
             raise ValidationError(f"event contains foreign points {sorted(map(repr, bad))}")
         return e
@@ -142,7 +142,7 @@ class Randomization:
         return f
 
     def full_event(self) -> Event:
-        return frozenset(self.base.points)
+        return self.base.point_set
 
     def complement(self, e: Event) -> Event:
         return self.full_event() - self.check_event(e)

@@ -698,3 +698,65 @@ def test_variable_errors_name_variables_in_sorted_order(tmp_path):
             for seed in range(4)
         }
         assert errors == {message}
+
+
+# --- readings off the point keys -----------------------------------------------------
+
+ERROR_ORDER = [
+    ("min(sup y (mu[[y = #8]]), mu[[x = #7]])", "#8"),
+    ("min(mu[[x = #7]], sup y (mu[[y = #8]]))", "#7"),
+    ("sup y (min(mu[[y = #8]], mu[[x = #7]]))", "#8"),
+]
+
+
+@pytest.mark.parametrize("text, literal", ERROR_ORDER)
+def test_value_errors_come_in_evaluation_order(text, literal):
+    # an atom outside every sup/inf is evaluated where it is reached, and a
+    # sup/inf's atoms are read when its point keys are computed
+    c3 = directed_cycle(3)
+    rand = Randomization.constant(c3, FinProbSpace.dyadic(2))
+    with pytest.raises(ValidationError) as err:
+        eval_cformula(rand, parse_cformula(text, c3.signature), {"x": rand.element([0, 1, 2, 0])})
+    assert str(err.value) == f"element literal {literal} out of range"
+
+
+READ_OFF = [
+    # (text, depth of dyadic base, eval_formula calls one point key makes at
+    # the outer and the inner level, on C3, value or None for the full product)
+    ("sup x (mu[[E(x, y)]])", 2, [1], None),
+    ("sup x (mu[[E(x, y)]])", 3, [1], None),
+    ("inf x (sup z (max(dK(x, z), mu[[E(z, y)]])))", 2, [3, 1], None),
+    # the full product has 6561**2 pairs here; z = x + 1 everywhere gives 1
+    ("inf x (sup z (max(dK(x, z), mu[[E(z, y)]])))", 3, [3, 1], F(1)),
+]
+
+
+@pytest.mark.parametrize("text, depth, key_cost, value", READ_OFF)
+def test_sup_inf_read_atoms_off_the_point_keys(monkeypatch, text, depth, key_cost, value):
+    # no event is computed per enumerated element: the only eval_formula
+    # calls are the point keys', one key per (group, value) of each level
+    c3 = directed_cycle(3)
+    rand = Randomization.constant(c3, FinProbSpace.dyadic(depth))
+    env = {"y": rand.element([(2 * i + 1) % 3 for i in range(2**depth)])}
+    c = parse_cformula(text, c3.signature)
+    want = full_product_eval(rand, c, env) if value is None else value
+
+    calls = {"event_of": 0, "eval_formula": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(cf, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cf, name, counting)
+    groups = []  # (level, number of groups) per sup/inf evaluation
+    enumerate_all = Randomization.all_elements
+
+    def recording(self, parts=None):
+        groups.append((min(len(groups), 1), len(parts)))
+        return enumerate_all(self, parts)
+
+    monkeypatch.setattr(Randomization, "all_elements", recording)
+    with budget(rand.carrier_size() ** 2):  # the charge counts the full sort
+        assert eval_cformula(rand, c, env) == want
+    assert calls["event_of"] == 0
+    assert 0 < calls["eval_formula"] <= sum(n * c3.size * key_cost[level] for level, n in groups)

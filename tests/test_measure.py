@@ -287,3 +287,52 @@ def test_equal_spaces_compare_and_hash_equal():
         FinProbSpace([(0, F(1, 4)), (1, F(1, 2)), (2, F(1, 4))]),
     ):
         assert other != mu and mu != other and not other == mu
+
+
+MERSENNE_61 = 2**61 - 1
+
+
+@st.composite
+def weighted_spaces(draw):
+    """Either the weights 1/2, 1/3, 1/7 and 1/(2^61 - 1) with the rest of the
+    mass on a fifth point, or 2-6 normalised draws over coprime and large
+    denominators (2, 3, 7, ..., 2^61 - 1)."""
+    if draw(st.booleans()):
+        head = [F(1, 2), F(1, 3), F(1, 7), F(1, MERSENNE_61)]
+        weights = head + [1 - sum(head)]
+    else:
+        dens = st.sampled_from([1, 2, 3, 7, 11, 1024, MERSENNE_61])
+        raw = [F(draw(st.integers(1, 10**6)), draw(dens)) for _ in range(draw(st.integers(2, 6)))]
+        weights = [w / sum(raw) for w in raw]
+    return FinProbSpace(list(enumerate(weights)))
+
+
+def fraction_sum(space, event):
+    return sum((space.weight[p] for p in event), F(0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(weighted_spaces(), st.data())
+def test_mass_is_the_fraction_sum_of_weights(space, data):
+    # an integer sum over the common denominator equals the Fraction sum,
+    # for empty events, sets, and lists that repeat a point
+    event = data.draw(st.lists(st.sampled_from(space.points), max_size=8))
+    assert space.mass(event) == space.mass(iter(event)) == fraction_sum(space, event)
+    assert space.mass(frozenset(event)) == fraction_sum(space, frozenset(event))
+    assert space.mass(()) == space.mass(frozenset()) == 0
+    assert space.mass(space.points) == 1
+
+
+def test_mass_refuses_a_foreign_point_and_leaves_identity_alone():
+    head = [F(1, 2), F(1, 3), F(1, 7), F(1, MERSENNE_61)]
+    weights = list(enumerate(head + [1 - sum(head)]))
+    space, twin = FinProbSpace(weights), FinProbSpace(weights)
+    with pytest.raises(KeyError) as want:
+        fraction_sum(space, [0, 9])
+    with pytest.raises(KeyError) as err:
+        space.mass([0, 9])
+    assert err.value.args == want.value.args == (9,)
+    assert space.mass([3, 3]) == F(2, MERSENNE_61)
+    # only `space` has computed a mass
+    assert space == twin and twin == space and hash(space) == hash(twin)
+    assert repr(space) == repr(twin)

@@ -352,3 +352,12 @@ def test_partial_maps_name_the_missing_point(m2):
         Randomization(base, {0: m2})
     with pytest.raises(ValidationError, match=r"^random element not total on the base: missing 1$"):
         RandomElement(base, {0: 1})
+
+
+def test_events_are_checked_against_the_base_points(coin_rand):
+    assert coin_rand.full_event() == frozenset(coin_rand.base.points) == {0, 1}
+    assert coin_rand.complement({0}) == {1}
+    message = r"""^event contains foreign points \["'a'", '7'\]$"""
+    for check in (lambda e: mu(coin_rand, e), lambda e: d_b(coin_rand, e, frozenset())):
+        with pytest.raises(ValidationError, match=message):
+            check(frozenset({0, 7, "a"}))
