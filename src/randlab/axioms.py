@@ -95,12 +95,11 @@ def default_formula_corpus(sig: Signature) -> list[Formula]:
     """
     atoms = _base_atoms(sig)
     corpus: list[Formula] = []
-    seen: set[str] = set()
+    seen: set[Formula] = set()
 
     def push(phi: Formula) -> None:
-        key = format_formula(phi)
-        if key not in seen:
-            seen.add(key)
+        if phi not in seen:
+            seen.add(phi)
             corpus.append(phi)
 
     for a in atoms:
@@ -167,8 +166,14 @@ def tautology_corpus(sig: Signature) -> list[Formula]:
 
 def sentence_corpus(sig: Signature) -> list[Formula]:
     """Sentences (universal closures of corpus formulas) for transfer checks."""
+    return _closures(default_formula_corpus(sig))
+
+
+def _closures(corpus: list[Formula]) -> list[Formula]:
+    """The universal and the existential closure of each of the first
+    twelve formulas of `corpus`."""
     out = []
-    for phi in default_formula_corpus(sig)[:12]:
+    for phi in corpus[:12]:
         closed = phi
         for v in sorted(free_vars(phi), reverse=True):
             closed = Forall(v, closed)
@@ -378,17 +383,22 @@ def check_axioms(rand: Randomization) -> AxiomReport:
     verdicts.append(AxiomVerdict("distance", ok, detail))
 
     # Fullness: exact witnesses for every corpus formula with x free.
-    def exact(phi: Formula, binding: dict[str, RandomElement]) -> bool:
+    def exact(pair: tuple[Formula, Formula], binding: dict[str, RandomElement]) -> bool:
+        phi, exists_phi = pair
         f = fullness_witness(rand, phi, "x", binding)
         lhs = event_of(rand, phi, {**binding, "x": f})
-        return lhs == event_of(rand, Exists("x", phi), binding)
+        return lhs == event_of(rand, exists_phi, binding)
 
     failures = covering_failures(
         rand,
-        ((phi, free_vars(phi) - {"x"}) for phi in corpus if "x" in free_vars(phi)),
+        (
+            ((phi, Exists("x", phi)), free_vars(phi) - {"x"})
+            for phi in corpus
+            if "x" in free_vars(phi)
+        ),
         exact,
     )
-    detail = f"witness inexact for {format_formula(failures[0])}" if failures else ""
+    detail = f"witness inexact for {format_formula(failures[0][0])}" if failures else ""
     verdicts.append(AxiomVerdict("fullness", not failures, detail))
 
     # Event: every event is an equality event, exactly.  event_witness
@@ -435,7 +445,7 @@ def check_axioms(rand: Randomization) -> AxiomReport:
     # Transfer: sentences true (false) in every fiber get measure 1 (0).
     ok = True
     detail = ""
-    for sigma in sentence_corpus(sig):
+    for sigma in _closures(corpus):
         truth = [eval_formula(rand.family[w], sigma, {}) for w in rand.base.points]
         value = mu(rand, event_of(rand, sigma, {}))
         if all(truth) and value != 1:

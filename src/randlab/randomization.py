@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ValidationError
 from .formulas import Formula, free_vars
 from .measure import FinProbSpace, Point, frac
-from .semantics import eval_formula
+from .semantics import _holds
 from .structures import FinStructure
 
 Event = frozenset
@@ -34,6 +34,15 @@ class RandomElement:
             raise ValidationError(
                 f"random element not total on the base: missing {missing.args[0]!r}"
             ) from None
+
+    @classmethod
+    def _keep(cls, base: FinProbSpace, values: dict[Point, int]) -> "RandomElement":
+        """The element with these values, keeping the dict itself: it must
+        be a fresh dict with one entry per point of `base`, in base order."""
+        f = cls.__new__(cls)
+        f.base = base
+        f.values = values
+        return f
 
     def __call__(self, w: Point) -> int:
         return self.values[w]
@@ -113,7 +122,7 @@ class Randomization:
             for (indices, _), chosen in zip(groups, combo):
                 for i, a in zip(indices, chosen):
                     values[i] = a
-            yield RandomElement(self.base, dict(zip(points, values)))
+            yield RandomElement._keep(self.base, dict(zip(points, values)))
 
     def element(self, values: Sequence[int]) -> RandomElement:
         """The random element taking the i-th value at the i-th sample point."""
@@ -127,7 +136,7 @@ class Randomization:
                     f"value {a} at point {w!r} outside the universe of size "
                     f"{self.family[w].size}"
                 )
-        return RandomElement(self.base, dict(zip(self.base.points, values)))
+        return RandomElement._keep(self.base, dict(zip(self.base.points, values)))
 
     def check_event(self, e: Event) -> Event:
         e = frozenset(e)
@@ -179,16 +188,22 @@ def event_of(rand: Randomization, phi: Formula, binding) -> Event:
     """The set of sample points where the bound tuple satisfies phi.
 
     `binding` is either a dict from variable names to random elements, or
-    a tuple matched against the sorted free variables of phi.
+    a tuple matched against the sorted free variables of phi.  phi's
+    compiled form is fetched once, and one valuation is rebound at each
+    point.
     """
     bound = _check_binding(rand, sorted(free_vars(phi)), binding)
     columns = [(v, f.values) for v, f in bound.items()]
     family = rand.family
-    return frozenset(
-        w
-        for w in rand.base.points
-        if eval_formula(family[w], phi, {v: values[w] for v, values in columns})
-    )
+    holds = _holds(phi)
+    val: dict[str, int] = {}
+    out = []
+    for w in rand.base.points:
+        for v, values in columns:
+            val[v] = values[w]
+        if holds(family[w], val):
+            out.append(w)
+    return frozenset(out)
 
 
 def mu(rand: Randomization, e: Event) -> Fraction:
@@ -231,18 +246,22 @@ def fullness_witness(
     variables of phi other than `var`, as for `event_of`.
     """
     bound = _check_binding(rand, sorted(free_vars(phi) - {var}), binding)
+    columns = [(v, f.values) for v, f in bound.items()]
+    holds = _holds(phi)
+    val: dict[str, int] = {}
     values = {}
     for w in rand.base.points:
         m = rand.family[w]
-        val = {v: f(w) for v, f in bound.items()}
+        for v, column in columns:
+            val[v] = column[w]
         pick = 0
         for a in m.elements:
             val[var] = a
-            if eval_formula(m, phi, val):
+            if holds(m, val):
                 pick = a
                 break
         values[w] = pick
-    return RandomElement(rand.base, values)
+    return RandomElement._keep(rand.base, values)
 
 
 def event_witness(rand: Randomization, e: Event) -> tuple[RandomElement, RandomElement]:

@@ -1,5 +1,15 @@
 """Tarskian evaluation, automorphism groups, and classical type spaces.
 
+A formula is evaluated through its compiled form.  `_FORMULAS` (terms:
+`_TERMS`) maps each node class to a compile function, which turns a node
+into one closure `(m, val) -> value` over its children's closures.  The
+closure is built the first time the node is evaluated and kept on the
+node as `_holds` (terms: `_value`), outside its fields, as
+`formulas.free_vars` keeps `_free_vars`, so equality, hashing and repr
+ignore it.  Errors wait for the call: an unassigned variable, a literal
+out of range, a foreign `TypeIs` or a value that is not a node raises
+only when evaluation reaches it, as a walk of the tree would.
+
 Types of tuples are represented semantically as orbits of the
 automorphism group fixing the parameters pointwise: over a finite
 structure, two tuples satisfy the same formulas with parameters in A
@@ -11,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import ValidationError, charge, limit
 from .formulas import (
@@ -37,104 +48,207 @@ from .structures import FinStructure
 
 
 class _Dispatch(dict):
-    """Handlers keyed by node class; a class without one gets `reject`."""
+    """Compile functions keyed by node class; a class without one gets `reject`."""
 
-    def __init__(self, handlers, reject):
-        super().__init__(handlers)
+    def __init__(self, compilers, reject):
+        super().__init__(compilers)
         self.reject = reject
 
     def __missing__(self, cls):
         return self.reject
 
 
-def _not_a_term(m, t, val):
-    raise TypeError(f"not a term: {t!r}")
+def _not_a_term(t):
+    def value(m, val):
+        raise TypeError(f"not a term: {t!r}")
+
+    return value
 
 
-def _not_a_formula(m, phi, val):
-    raise TypeError(f"not a formula: {phi!r}")
+def _not_a_formula(phi):
+    def holds(m, val):
+        raise TypeError(f"not a formula: {phi!r}")
+
+    return holds
 
 
-def _var(m, t, val):
+def _value(t):
+    """The closure `(m, val) -> element` of term t, compiled on first use
+    and kept on the node as `_value`."""
     try:
-        return val[t.name]
-    except KeyError:
-        raise ValidationError(f"unassigned free variable {t.name!r}") from None
+        return t._value
+    except AttributeError:
+        pass
+    compile_term = _TERMS[type(t)]
+    if compile_term is _not_a_term:
+        return compile_term(t)
+    if type(t) is App:  # the arguments first, as `_holds` does subformulas
+        for a in t.args:
+            _value(a)
+    value = compile_term(t)
+    object.__setattr__(t, "_value", value)
+    return value
 
 
-def _elem(m, t, val):
-    if not 0 <= t.value < m.size:
-        raise ValidationError(f"element literal #{t.value} out of range")
-    return t.value
+def _holds(phi):
+    """The closure `(m, val) -> bool` of formula phi, compiled on first use
+    and kept on the node as `_holds`.
+
+    The subformulas are compiled first, from here, so compiling nests one
+    call per level of phi, as evaluating does, and reaches as deep."""
+    try:
+        return phi._holds
+    except AttributeError:
+        pass
+    compile_formula = _FORMULAS[type(phi)]
+    if compile_formula is _not_a_formula:
+        return compile_formula(phi)
+    for name in phi._fields:
+        child = getattr(phi, name)
+        if type(child) in _FORMULAS:
+            _holds(child)
+    holds = compile_formula(phi)
+    object.__setattr__(phi, "_holds", holds)
+    return holds
 
 
-def _const(m, t, val):
-    return m.constant(t.name)
+def _unassigned(val, names) -> ValidationError:
+    """The error of the first of `names` that `val` does not assign."""
+    missing = next(v for v in names if v not in val)
+    return ValidationError(f"unassigned free variable {missing!r}")
 
 
-def _args(m, args, val):
-    return tuple([_TERMS[type(a)](m, a, val) for a in args])
+def _var(t):
+    name = t.name
+
+    def value(m, val):
+        try:
+            return val[name]
+        except KeyError:
+            raise ValidationError(f"unassigned free variable {name!r}") from None
+
+    return value
 
 
-def _app(m, t, val):
-    return m.apply(t.func, _args(m, t.args, val))
+def _elem(t):
+    a = t.value
+
+    def value(m, val):
+        if not 0 <= a < m.size:
+            raise ValidationError(f"element literal #{a} out of range")
+        return a
+
+    return value
 
 
-def _eq(m, phi, val):
+def _const(t):
+    name = t.name
+    return lambda m, val: m.constant(name)
+
+
+def _arguments(args):
+    """The closure `(m, val) -> tuple` of an argument list, left to right;
+    a list of variables alone is read straight off the valuation."""
+    if args and all(type(a) is Var for a in args):
+        names = tuple(a.name for a in args)
+        get = itemgetter(*names)
+        single = len(names) == 1
+
+        def read(m, val):
+            try:
+                got = get(val)
+            except KeyError:
+                raise _unassigned(val, names) from None
+            return (got,) if single else got
+
+        return read
+    values = [_value(a) for a in args]
+    return lambda m, val: tuple([value(m, val) for value in values])
+
+
+def _app(t):
+    func, args = t.func, _arguments(t.args)
+    return lambda m, val: m.apply(func, args(m, val))
+
+
+def _eq(phi):
     left, right = phi.left, phi.right
-    return _TERMS[type(left)](m, left, val) == _TERMS[type(right)](m, right, val)
+    if type(left) is Var and type(right) is Var:
+        a, b = names = left.name, right.name
+
+        def holds(m, val):
+            try:
+                return val[a] == val[b]
+            except KeyError:
+                raise _unassigned(val, names) from None
+
+        return holds
+    left, right = _value(left), _value(right)
+    return lambda m, val: left(m, val) == right(m, val)
 
 
-def _rel(m, phi, val):
-    return m.holds(phi.name, _args(m, phi.args, val))
+def _rel(phi):
+    name, args = phi.name, _arguments(phi.args)
+    return lambda m, val: m.holds(name, args(m, val))
 
 
-def _not(m, phi, val):
-    body = phi.body
-    return not _FORMULAS[type(body)](m, body, val)
+def _not(phi):
+    body = _holds(phi.body)
+    return lambda m, val: not body(m, val)
 
 
-def _and(m, phi, val):
-    left, right = phi.left, phi.right
-    return _FORMULAS[type(left)](m, left, val) and _FORMULAS[type(right)](m, right, val)
+def _and(phi):
+    left, right = _holds(phi.left), _holds(phi.right)
+    return lambda m, val: left(m, val) and right(m, val)
 
 
-def _or(m, phi, val):
-    left, right = phi.left, phi.right
-    return _FORMULAS[type(left)](m, left, val) or _FORMULAS[type(right)](m, right, val)
+def _or(phi):
+    left, right = _holds(phi.left), _holds(phi.right)
+    return lambda m, val: left(m, val) or right(m, val)
 
 
-def _implies(m, phi, val):
-    left, right = phi.left, phi.right
-    return (not _FORMULAS[type(left)](m, left, val)) or _FORMULAS[type(right)](m, right, val)
+def _implies(phi):
+    left, right = _holds(phi.left), _holds(phi.right)
+    return lambda m, val: not left(m, val) or right(m, val)
 
 
-def _exists(m, phi, val):
-    body, var = phi.body, phi.var
-    handler = _FORMULAS[type(body)]
-    inner = dict(val)
-    for a in m.elements:
-        inner[var] = a
-        if handler(m, body, inner):
-            return True
-    return False
+def _exists(phi):
+    var, body = phi.var, _holds(phi.body)
+
+    def holds(m, val):
+        inner = dict(val)
+        for a in m.elements:
+            inner[var] = a
+            if body(m, inner):
+                return True
+        return False
+
+    return holds
 
 
-def _forall(m, phi, val):
-    body, var = phi.body, phi.var
-    handler = _FORMULAS[type(body)]
-    inner = dict(val)
-    for a in m.elements:
-        inner[var] = a
-        if not handler(m, body, inner):
-            return False
-    return True
+def _forall(phi):
+    var, body = phi.var, _holds(phi.body)
+
+    def holds(m, val):
+        inner = dict(val)
+        for a in m.elements:
+            inner[var] = a
+            if not body(m, inner):
+                return False
+        return True
+
+    return holds
 
 
-def _type_is(m, phi, val):
-    if phi.space.structure != m:
-        raise ValidationError("TypeIs atom evaluated in a foreign structure")
-    return phi.space.index_of(_args(m, phi.args, val)) == phi.type_id.index
+def _type_is(phi):
+    space, type_id, args = phi.space, phi.type_id, _arguments(phi.args)
+
+    def holds(m, val):
+        if space.structure != m:
+            raise ValidationError("TypeIs atom evaluated in a foreign structure")
+        return space.index_of(args(m, val)) == type_id.index
+
+    return holds
 
 
 _TERMS = _Dispatch({Var: _var, Elem: _elem, Const: _const, App: _app}, _not_a_term)
@@ -157,11 +271,13 @@ _FORMULAS = _Dispatch(
 def eval_formula(m: FinStructure, phi: Formula, val: dict[str, int]) -> bool:
     """Classical satisfaction; quantifiers range over the whole universe.
 
-    Each node class has one handler in `_FORMULAS` (terms: `_TERMS`), and
-    the handlers recurse through those tables.  A quantifier copies the
-    valuation once and rebinds its variable for each element.
+    phi is compiled once, on its first evaluation, into a closure
+    `(m, val) -> bool` kept on the node (see `_holds`); later calls, in
+    any structure and under any valuation, only call it.  A quantifier
+    copies the valuation once and rebinds its variable for each element,
+    so no closure keeps `val`.
     """
-    return _FORMULAS[type(phi)](m, phi, val)
+    return _holds(phi)(m, val)
 
 
 # --- Automorphisms -----------------------------------------------------------

@@ -18,9 +18,9 @@ from randlab import (
     directed_cycle,
 )
 from randlab.axioms import EXACT_GROUPS, sentence_corpus, tautology_corpus
-from randlab.axioms import _covering_bindings
+from randlab.axioms import _base_atoms, _covering_bindings
 from randlab.cformulas import CInf, CMu, CSup, EvFormula, eval_cformula
-from randlab.formulas import And, Eq, Not, Or, Var
+from randlab.formulas import And, Eq, Implies, Not, Or, Var
 from randlab.formulas import Exists, Forall, Rel, format_formula, free_vars
 from randlab.randomization import RandomElement, event_of, event_witness
 from randlab.errors import BudgetError, budget
@@ -144,6 +144,74 @@ def test_transfer_group_on_mixed_family(c3):
 
 def test_sentence_corpus_nonempty(c3):
     assert len(sentence_corpus(c3.signature)) >= 8
+
+
+def _text_deduplicated_corpus(sig):
+    """default_formula_corpus as it deduplicated by printed text, kept verbatim."""
+    atoms = _base_atoms(sig)
+    corpus = []
+    seen = set()
+
+    def push(phi):
+        key = format_formula(phi)
+        if key not in seen:
+            seen.add(key)
+            corpus.append(phi)
+
+    for a in atoms:
+        push(a)
+    for a in atoms:
+        push(Not(a))
+    for a, b in itertools.combinations(atoms, 2):
+        if len(corpus) >= 64:
+            break
+        push(And(a, b))
+        push(Or(a, b))
+        push(Implies(a, b))
+    quantifiable = [a for a in atoms if "z" in free_vars(a)] or [
+        Eq(Var("z"), Var("x"))
+    ]
+    for a in quantifiable:
+        push(Exists("z", a))
+        push(Forall("z", a))
+        push(Exists("z", And(a, Not(Eq(Var("z"), Var("x"))))))
+        push(Forall("z", Or(a, Eq(Var("z"), Var("x")))))
+    for a, b in itertools.combinations(atoms, 2):
+        if len(corpus) >= 60:
+            break
+        push(Not(And(a, Not(b))))
+        push(Or(Not(a), And(a, b)))
+    if len(corpus) < 40:
+        for a, b, c in itertools.combinations(atoms, 3):
+            push(And(a, Or(b, c)))
+            if len(corpus) >= 40:
+                break
+    return corpus
+
+
+MIXED = Signature(relations={"U": 1, "T": 3}, functions={"f": 1}, constants=["c"])
+
+
+def test_corpus_deduplicated_by_node_is_the_text_deduplicated_one(m2, c3, l3):
+    for sig in (m2.signature, c3.signature, l3.signature, MIXED):
+        got = default_formula_corpus(sig)
+        want = _text_deduplicated_corpus(sig)
+        assert got == want, sig
+        assert [repr(phi) for phi in got] == [repr(phi) for phi in want], sig
+
+
+def test_check_axioms_builds_the_corpus_once(c3, monkeypatch):
+    built = []
+    corpus = randlab.axioms.default_formula_corpus
+
+    def counted(sig):
+        built.append(sig)
+        return corpus(sig)
+
+    monkeypatch.setattr(randlab.axioms, "default_formula_corpus", counted)
+    rand = Randomization.constant(c3, FinProbSpace.dyadic(1))
+    assert check_axioms(rand).exact_groups_pass()
+    assert built == [c3.signature]
 
 
 # --- The event group against the brute-force enumeration ---------------------------

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as hst
 
 from randlab import (
     EventAlgebra,
@@ -25,8 +26,10 @@ from randlab import (
     rtype_of_over,
     type_space,
 )
-from randlab.formulas import Exists
+from randlab.axioms import default_formula_corpus
+from randlab.formulas import Exists, free_vars
 from randlab.randomization import inject_element
+from test_semantics import DIGRAPH, DIGRAPH_FORMULAS, _tree_walk_eval_formula, digraphs
 
 F = Fraction
 
@@ -361,3 +364,74 @@ def test_events_are_checked_against_the_base_points(coin_rand):
     for check in (lambda e: mu(coin_rand, e), lambda e: d_b(coin_rand, e, frozenset())):
         with pytest.raises(ValidationError, match=message):
             check(frozenset({0, 7, "a"}))
+
+
+# --- Oracle: events and witnesses read off the tree walk, point by point ---------------
+
+C3_CORPUS = default_formula_corpus(DIGRAPH)
+VARIABLES = ["x", "y", "z", "w"]
+
+
+def _oracle_event(rand, phi, binding):
+    fv = sorted(free_vars(phi))
+    return frozenset(
+        w for w in rand.base.points
+        if _tree_walk_eval_formula(rand.family[w], phi, {v: binding[v](w) for v in fv})
+    )
+
+
+def _oracle_witness(rand, phi, var, binding):
+    fv = sorted(free_vars(phi) - {var})
+    values = {}
+    for w in rand.base.points:
+        m = rand.family[w]
+        val = {v: binding[v](w) for v in fv}
+        values[w] = next(
+            (a for a in m.elements if _tree_walk_eval_formula(m, phi, {**val, var: a})), 0
+        )
+    return RandomElement(rand.base, values)
+
+
+def _outcome(call):
+    try:
+        return ("value", call())
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+
+
+@hst.composite
+def bound_formulas(draw):
+    """A constant or distinct-fibre digraph family on 1-4 points (universes
+    of 2-4 elements, so `#k` literals fall out of range at some points), a
+    formula, and random elements bound to x, y, z and w."""
+    n = draw(hst.integers(1, 4))
+    base = FinProbSpace.uniform(n)
+    if draw(hst.booleans()):
+        rand = Randomization.constant(draw(digraphs()), base)
+    else:
+        fibres = draw(hst.lists(digraphs(), min_size=n, max_size=n, unique=True))
+        rand = Randomization(base, dict(zip(base.points, fibres)))
+    phi = draw(hst.one_of(hst.sampled_from(C3_CORPUS), DIGRAPH_FORMULAS))
+    binding = {
+        v: RandomElement(
+            base, {w: draw(hst.integers(0, m.size - 1)) for w, m in rand.family.items()}
+        )
+        for v in VARIABLES
+    }
+    return rand, phi, binding, draw(hst.sampled_from(VARIABLES))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(bound_formulas())
+def test_event_of_and_fullness_witness_match_the_tree_walk(case):
+    rand, phi, binding, var = case
+    assert _outcome(lambda: event_of(rand, phi, binding)) == _outcome(
+        lambda: _oracle_event(rand, phi, binding)
+    )
+    rest = {v: f for v, f in binding.items() if v != var}
+    got = _outcome(lambda: fullness_witness(rand, phi, var, rest))
+    want = _outcome(lambda: _oracle_witness(rand, phi, var, rest))
+    assert got == want
+    if got[0] == "value":
+        assert got[1].values == want[1].values

@@ -8,12 +8,16 @@ from hypothesis import HealthCheck, given, settings, strategies as hst
 
 from randlab import (
     BudgetError,
+    FinProbSpace,
     FinStructure,
+    Randomization,
     Signature,
     ValidationError,
     automorphisms,
     directed_cycle,
     eval_formula,
+    event_of,
+    fullness_witness,
     isolating_formula,
     linear_order,
     parse_formula,
@@ -381,10 +385,10 @@ def test_orbit_table_matches_scan(st):
 
 # --- Oracle: the evaluator as an isinstance chain -----------------------------------
 #
-# `eval_formula` dispatches on the node's class through one table of
-# handlers.  The oracle is the chain of isinstance tests it replaced,
-# kept verbatim; the two must agree on every value and on every error,
-# type and message alike.
+# `eval_formula` compiles each node once, through one table of compile
+# functions keyed by the node's class.  The oracle is the chain of
+# isinstance tests the first evaluator was, kept verbatim; the two must
+# agree on every value and on every error, type and message alike.
 
 def _tree_walk_eval_term(m, t, val):
     if isinstance(t, Var):
@@ -547,6 +551,66 @@ def test_a_non_node_raises_type_error(c3):
     for bad in (Not(Eq(Var("x"), Var("x"))), "x", None):
         with pytest.raises(TypeError, match="^not a term: "):
             eval_formula(c3, Eq(bad, Var("x")), {"x": 0})
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """The nodes compiled from here on, in the order they were compiled."""
+    nodes = []
+    for table in (semantics._FORMULAS, semantics._TERMS):
+        for cls, compile_node in list(table.items()):
+            def counted(node, compile_node=compile_node):
+                nodes.append(node)
+                return compile_node(node)
+
+            monkeypatch.setitem(table, cls, counted)
+    return nodes
+
+
+def test_a_node_is_compiled_once(c3, compiled):
+    phi = parse_formula("exists z (E(x, z) & !z = #1) -> forall z (E(z, y) | z = x)", c3.signature)
+    rand = Randomization.constant(c3, FinProbSpace.dyadic(2))
+    f, g = rand.element([0, 1, 2, 0]), rand.element([1, 1, 0, 2])
+    event = frozenset(
+        w for w in rand.base.points if _tree_walk_eval_formula(c3, phi, {"x": f(w), "y": g(w)})
+    )
+    assert event not in (frozenset(), rand.full_event())
+    assert eval_formula(c3, phi, {"x": 0, "y": 1}) is _tree_walk_eval_formula(c3, phi, {"x": 0, "y": 1})
+    assert any(node is phi for node in compiled) and len(compiled) == len(set(map(id, compiled)))
+    compiled.clear()
+    eval_formula(c3, phi, {"x": 1, "y": 2})
+    assert event_of(rand, phi, {"x": f, "y": g}) == event
+    fullness_witness(rand, phi, "x", {"y": g})
+    assert compiled == []
+    negated = Not(phi)
+    assert event_of(rand, negated, {"x": f, "y": g}) == rand.full_event() - event
+    assert len(compiled) == 1 and compiled[0] is negated
+
+
+def test_compiling_nests_no_deeper_than_evaluating():
+    # evaluating nests one call per connective and three per application,
+    # so these depths stay inside the default recursion limit
+    sig = Signature(relations={"E": 2}, functions={"f": 1})
+    m = FinStructure(sig, 2, {"E": set()}, {"f": {(0,): 1, (1,): 0}})
+    atom, term = Eq(Var("x"), Var("x")), Var("x")
+    negated, chain = atom, atom
+    for _ in range(800):
+        negated, chain = Not(negated), And(chain, atom)
+    for _ in range(280):
+        term = App("f", (term,))
+    assert eval_formula(m, negated, {"x": 0}) is True
+    assert eval_formula(m, chain, {"x": 0}) is True
+    assert eval_formula(m, Eq(term, Var("x")), {"x": 0}) is True
+
+
+def test_a_compiled_node_keeps_its_equality_hash_and_repr(c3):
+    text = "exists z (E(x, z) & !z = #1)"
+    phi, twin = parse_formula(text, c3.signature), parse_formula(text, c3.signature)
+    eval_formula(c3, phi, {"x": 0})
+    assert "_holds" in vars(phi) and "_holds" not in vars(twin)
+    assert phi == twin and twin == phi and not phi != twin
+    assert hash(phi) == hash(twin) and repr(phi) == repr(twin)
+    assert phi.body != twin and {phi, twin} == {twin}
 
 
 @hst.composite
