@@ -8,7 +8,12 @@ column for each `<=` row only; by Farkas' lemma its duals give the
 infeasibility certificate.  Either a witness measure (zero weights
 allowed: a simplex point, not a sample space) or an integer-coefficient
 infeasibility certificate is returned; both re-verify against the
-problem data by exact arithmetic.
+problem data by exact arithmetic.  Both kinds of infeasibility
+certificate go through one separation test, `_separates`: integer
+multipliers m_i and a constant c with sum m_i * fn_i + c >= 0 at every
+point while sum m_i * bound_i + c < 0 (an inequality certificate has
+m_i >= 0 and c = -n).  The duals are cleared to those integers in one
+step, `_cleared`, for both problems.
 
 The pivot engine is a dictionary-free phase-one simplex with Bland's
 rule, so runs are deterministic and never cycle.  Each tableau row is a
@@ -89,20 +94,9 @@ class InfeasibleIneqCertificate(Record):
     feasible = False
 
     def verify(self, prob: LinFeasProblem) -> bool:
-        if any(m < 0 for m in self.multipliers) or len(self.multipliers) != len(
-            prob.constraints
-        ):
-            return False
-        for p in prob.ground:
-            total = sum(
-                m * c.fn(p) for m, c in zip(self.multipliers, prob.constraints)
-            )
-            if not total >= self.n:
-                return False
-        bound_total = sum(
-            m * c.bound for m, c in zip(self.multipliers, prob.constraints)
+        return all(m >= 0 for m in self.multipliers) and _separates(
+            prob, self.multipliers, -self.n
         )
-        return bound_total < self.n
 
 
 class InfeasibleEqCertificate(Record):
@@ -116,21 +110,28 @@ class InfeasibleEqCertificate(Record):
     feasible = False
 
     def verify(self, prob: LinFeasProblem) -> bool:
-        if len(self.multipliers) != len(prob.constraints):
-            return False
-        for p in prob.ground:
-            total = self.constant + sum(
-                m * c.fn(p) for m, c in zip(self.multipliers, prob.constraints)
-            )
-            if not total >= 0:
-                return False
-        bound_total = self.constant + sum(
-            m * c.bound for m, c in zip(self.multipliers, prob.constraints)
-        )
-        return bound_total < 0
+        return _separates(prob, self.multipliers, self.constant)
 
 
 Certificate = FeasibleCertificate | InfeasibleIneqCertificate | InfeasibleEqCertificate
+
+
+def _combined(prob: LinFeasProblem, multipliers: list[int]) -> tuple[Fraction, Fraction] | None:
+    """The least value over the ground set of sum m_i * fn_i, and
+    sum m_i * bound_i; None unless there is one multiplier per constraint."""
+    if len(multipliers) != len(prob.constraints):
+        return None
+    pairs = list(zip(multipliers, prob.constraints))
+    lhs_min = min(sum((m * c.fn(p) for m, c in pairs), Fraction(0)) for p in prob.ground)
+    return lhs_min, sum((m * c.bound for m, c in pairs), Fraction(0))
+
+
+def _separates(prob: LinFeasProblem, multipliers: list[int], constant: int) -> bool:
+    """Farkas' test: sum m_i * fn_i + constant >= 0 at every point while
+    sum m_i * bound_i + constant < 0.  Integrating the first against a
+    measure that met the constraints would give the second, so none does."""
+    sums = _combined(prob, multipliers)
+    return sums is not None and sums[0] + constant >= 0 and sums[1] + constant < 0
 
 
 # --- Phase-one simplex ---------------------------------------------------------
@@ -262,19 +263,15 @@ def _solve_feasibility(prob: LinFeasProblem) -> FeasibleCertificate | list[Fract
     return cert
 
 
-def _integerize_certificate(
-    prob: LinFeasProblem, u: list[Fraction], y0: Fraction
-) -> InfeasibleIneqCertificate:
-    """Clear denominators and pick an integer threshold n that still works."""
-    den = math.lcm(*[f.denominator for f in u + [y0]]) if u else y0.denominator
-    m = [int(ui * den) for ui in u]
-    lhs_min = min(
-        sum((mi * c.fn(p) for mi, c in zip(m, prob.constraints)), Fraction(0))
-        for p in prob.ground
-    )
-    bound_total = sum(
-        (mi * c.bound for mi, c in zip(m, prob.constraints)), Fraction(0)
-    )
+def _cleared(duals: list[Fraction]) -> list[int]:
+    """The negated duals times the lcm of all their denominators."""
+    den = math.lcm(*(y.denominator for y in duals))
+    return [int(-y * den) for y in duals]
+
+
+def _integerize_certificate(prob: LinFeasProblem, m: list[int]) -> InfeasibleIneqCertificate:
+    """Scale the cleared multipliers and pick an integer threshold n."""
+    lhs_min, bound_total = _combined(prob, m)
     gap = lhs_min - bound_total
     if gap <= 0:
         raise AssertionError("dual certificate does not separate")
@@ -304,14 +301,13 @@ def extend_measure_ineq(prob: LinFeasProblem) -> Certificate:
     if isinstance(res, FeasibleCertificate):
         return res
     # With u_i = -y_i >= 0:  sum u_i fn_i >= y_0 pointwise  and
-    # sum u_i bound_i < y_0.
-    y0 = res[0]
-    u = [-d for d in res[1:]]
-    for i, ui in enumerate(u):
-        if ui < 0:
+    # sum u_i bound_i < y_0; the cleared mass-row dual is not needed.
+    _, *m = _cleared(res)
+    for i, mi in enumerate(m):
+        if mi < 0:
             # numeric impossibility for exact arithmetic; guard anyway
-            raise AssertionError(f"negative dual multiplier u[{i}] = {ui}")
-    return _integerize_certificate(prob, u, y0)
+            raise AssertionError(f"negative dual multiplier u[{i}] = {-res[i + 1]}")
+    return _integerize_certificate(prob, m)
 
 
 def extend_measure_eq(prob: LinFeasProblem) -> Certificate:
@@ -333,8 +329,7 @@ def extend_measure_eq(prob: LinFeasProblem) -> Certificate:
     res = _solve_feasibility(prob)
     if isinstance(res, FeasibleCertificate):
         return res
-    den = math.lcm(*(y.denominator for y in res))
-    constant, *multipliers = (int(-y * den) for y in res)
+    constant, *multipliers = _cleared(res)
     if ones:
         multipliers[ones[0]] += constant
         constant = 0

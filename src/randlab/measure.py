@@ -98,7 +98,10 @@ class MeasurableMap:
 
 
 class RationalFn:
-    """Total rational-valued function on a finite ground set."""
+    """Total rational-valued function on a finite ground set.
+
+    Equal to a function with the same values on the same points, in any
+    domain order; unhashable, as a `Record` holding a list is."""
 
     def __init__(self, domain: tuple[Point, ...], values: Mapping[Point, Fraction]):
         self.domain = tuple(domain)
@@ -131,9 +134,6 @@ class RationalFn:
             and set(self.domain) == set(other.domain)
             and self.values == other.values
         )
-
-    def __hash__(self):
-        return hash((self.domain, tuple(sorted((repr(p), v) for p, v in self.values.items()))))
 
 
 class FiberSpace:

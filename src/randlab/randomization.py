@@ -17,13 +17,14 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ValidationError
 from .formulas import Formula, free_vars
 from .measure import FinProbSpace, Point, frac
+from .record import Keyed
 from .semantics import _holds
 from .structures import FinStructure
 
 Event = frozenset
 
 
-class RandomElement:
+class RandomElement(Keyed):
     """A map from sample points to elements of the per-point structures."""
 
     def __init__(self, base: FinProbSpace, values: Mapping[Point, int]):
@@ -51,14 +52,10 @@ class RandomElement:
     def constant(cls, base: FinProbSpace, a: int) -> "RandomElement":
         return cls(base, {w: a for w in base.points})
 
-    def _key(self):
+    @cached_property
+    def _key_cache(self):
+        # built on the first comparison or hash: most elements meet neither
         return (self.base._key_cache, tuple(self.values[p] for p in self.base.points))
-
-    def __eq__(self, other):
-        return isinstance(other, RandomElement) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         vals = ", ".join(str(self.values[p]) for p in self.base.points)

@@ -22,9 +22,11 @@ at the end of `__init__`.  Assigning or deleting an attribute raises
 The methods are generated source, not loops over the fields, so they cost
 what the dataclass ones do, without importing `dataclasses` and `inspect`.
 
-A `Keyed` subclass sets the tuple `_key_cache` in its constructor, from
-values that never change; its `__eq__` tests identity first and then
-compares keys with instances of its own class.
+A `Keyed` subclass sets the tuple `_key_cache` in its constructor, or
+builds it lazily on first use (a `cached_property`, as `RandomElement`
+does), from values that must not change after construction; its `__eq__`
+tests identity first and then compares keys with instances of its own
+class.
 
 The first `__hash__` of a Record or a Keyed value keeps its value on the
 instance as `_hash`, outside the fields, as `formulas.free_vars` keeps

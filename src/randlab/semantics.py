@@ -47,17 +47,6 @@ from .record import Keyed, Record
 from .structures import FinStructure
 
 
-class _Dispatch(dict):
-    """Compile functions keyed by node class; a class without one gets `reject`."""
-
-    def __init__(self, compilers, reject):
-        super().__init__(compilers)
-        self.reject = reject
-
-    def __missing__(self, cls):
-        return self.reject
-
-
 def _not_a_term(t):
     def value(m, val):
         raise TypeError(f"not a term: {t!r}")
@@ -79,7 +68,7 @@ def _value(t):
         return t._value
     except AttributeError:
         pass
-    compile_term = _TERMS[type(t)]
+    compile_term = _TERMS.get(type(t), _not_a_term)
     if compile_term is _not_a_term:
         return compile_term(t)
     if type(t) is App:  # the arguments first, as `_holds` does subformulas
@@ -100,7 +89,7 @@ def _holds(phi):
         return phi._holds
     except AttributeError:
         pass
-    compile_formula = _FORMULAS[type(phi)]
+    compile_formula = _FORMULAS.get(type(phi), _not_a_formula)
     if compile_formula is _not_a_formula:
         return compile_formula(phi)
     for name in phi._fields:
@@ -251,21 +240,18 @@ def _type_is(phi):
     return holds
 
 
-_TERMS = _Dispatch({Var: _var, Elem: _elem, Const: _const, App: _app}, _not_a_term)
-_FORMULAS = _Dispatch(
-    {
-        Eq: _eq,
-        Rel: _rel,
-        Not: _not,
-        And: _and,
-        Or: _or,
-        Implies: _implies,
-        Exists: _exists,
-        Forall: _forall,
-        TypeIs: _type_is,
-    },
-    _not_a_formula,
-)
+_TERMS = {Var: _var, Elem: _elem, Const: _const, App: _app}
+_FORMULAS = {
+    Eq: _eq,
+    Rel: _rel,
+    Not: _not,
+    And: _and,
+    Or: _or,
+    Implies: _implies,
+    Exists: _exists,
+    Forall: _forall,
+    TypeIs: _type_is,
+}
 
 
 def eval_formula(m: FinStructure, phi: Formula, val: dict[str, int]) -> bool:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -554,3 +555,154 @@ def test_problem_text_numbers():
     for bad in ("= 1/0 : 1\n", "= 0.5 : 1\n", "<= 1 : 1,,0\n", "< 1 : 1\n", "= 1 1\n"):
         with pytest.raises(ParseError):
             parse_problem(bad)
+
+
+# --- The three hand-written Farkas sums, kept as oracles ----------------------------
+# Verbatim copies of the two infeasibility `verify` methods, of
+# `_integerize_certificate` and of the duals' clearing in `extend_measure_ineq`
+# and `extend_measure_eq`, from before they shared one separation test and one
+# clearing step; the certificates and verdicts must be the same.
+
+def _oracle_ineq_verify(self, prob: LinFeasProblem) -> bool:
+    if any(m < 0 for m in self.multipliers) or len(self.multipliers) != len(
+        prob.constraints
+    ):
+        return False
+    for p in prob.ground:
+        total = sum(
+            m * c.fn(p) for m, c in zip(self.multipliers, prob.constraints)
+        )
+        if not total >= self.n:
+            return False
+    bound_total = sum(
+        m * c.bound for m, c in zip(self.multipliers, prob.constraints)
+    )
+    return bound_total < self.n
+
+
+def _oracle_eq_verify(self, prob: LinFeasProblem) -> bool:
+    if len(self.multipliers) != len(prob.constraints):
+        return False
+    for p in prob.ground:
+        total = self.constant + sum(
+            m * c.fn(p) for m, c in zip(self.multipliers, prob.constraints)
+        )
+        if not total >= 0:
+            return False
+    bound_total = self.constant + sum(
+        m * c.bound for m, c in zip(self.multipliers, prob.constraints)
+    )
+    return bound_total < 0
+
+
+def _oracle_integerize_certificate(
+    prob: LinFeasProblem, u: list[Fraction], y0: Fraction
+) -> InfeasibleIneqCertificate:
+    """Clear denominators and pick an integer threshold n that still works."""
+    den = math.lcm(*[f.denominator for f in u + [y0]]) if u else y0.denominator
+    m = [int(ui * den) for ui in u]
+    lhs_min = min(
+        sum((mi * c.fn(p) for mi, c in zip(m, prob.constraints)), Fraction(0))
+        for p in prob.ground
+    )
+    bound_total = sum(
+        (mi * c.bound for mi, c in zip(m, prob.constraints)), Fraction(0)
+    )
+    gap = lhs_min - bound_total
+    if gap <= 0:
+        raise AssertionError("dual certificate does not separate")
+    scale = 1
+    while scale * gap < 1:
+        scale *= 2
+    m = [mi * scale for mi in m]
+    lhs_min *= scale
+    bound_total *= scale
+    # the interval (bound_total, lhs_min] now has length >= 1, so the
+    # floor of its right end is a valid integer threshold
+    n = math.floor(lhs_min)
+    assert n > bound_total
+    cert = InfeasibleIneqCertificate(m, n)
+    if not cert.verify(prob):
+        raise AssertionError("integerised certificate failed to verify")
+    return cert
+
+
+def _oracle_ineq_certificate(prob: LinFeasProblem, res: list[Fraction]) -> InfeasibleIneqCertificate:
+    # With u_i = -y_i >= 0:  sum u_i fn_i >= y_0 pointwise  and
+    # sum u_i bound_i < y_0.
+    y0 = res[0]
+    u = [-d for d in res[1:]]
+    for i, ui in enumerate(u):
+        if ui < 0:
+            # numeric impossibility for exact arithmetic; guard anyway
+            raise AssertionError(f"negative dual multiplier u[{i}] = {ui}")
+    return _oracle_integerize_certificate(prob, u, y0)
+
+
+def _oracle_eq_certificate(prob: LinFeasProblem, res: list[Fraction]) -> InfeasibleEqCertificate:
+    one = RationalFn.constant(prob.ground, 1)
+    ones = [i for i, c in enumerate(prob.constraints) if c.fn == one]
+    den = math.lcm(*(y.denominator for y in res))
+    constant, *multipliers = (int(-y * den) for y in res)
+    if ones:
+        multipliers[ones[0]] += constant
+        constant = 0
+    cert = InfeasibleEqCertificate(multipliers, constant)
+    if not cert.verify(prob):
+        raise AssertionError("equality certificate failed to verify")
+    return cert
+
+
+@st.composite
+def farkas_cases(draw):
+    """A problem of either relation, as `_random_problem` makes them, or an
+    equality problem with constant-one rows, which the certificate folds in;
+    and free multipliers and a constant, for problems of either verdict."""
+    rel = draw(st.sampled_from(["<=", "="]))
+    if rel == "=" and draw(st.booleans()):
+        prob = draw(eq_problems())
+    else:
+        prob = _random_problem(draw(st.randoms(use_true_random=False)), rel)
+    k = len(prob.constraints)
+    free = draw(st.lists(st.integers(-3, 3), min_size=max(k - 1, 0), max_size=k + 1))
+    return rel, prob, free, draw(st.integers(-4, 4))
+
+
+def _perturbed(multipliers: list[int], threshold: int):
+    """The certificate's numbers with one thing off: a multiplier +-1 or
+    negated, the threshold +-1, one multiplier too many or too few."""
+    yield multipliers, threshold
+    for i in range(len(multipliers)):
+        for changed in (multipliers[i] + 1, multipliers[i] - 1, -multipliers[i] - 1):
+            yield multipliers[:i] + [changed] + multipliers[i + 1:], threshold
+    yield multipliers, threshold + 1
+    yield multipliers, threshold - 1
+    yield multipliers + [0], threshold
+    yield multipliers + [1], threshold
+    yield multipliers[:-1], threshold
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(farkas_cases())
+def test_farkas_certificates_and_verdicts_match_the_hand_written_sums(case):
+    rel, prob, free, threshold = case
+    res = randlab.extension._solve_feasibility(prob)
+    candidates = [(free, threshold)]
+    if not isinstance(res, FeasibleCertificate):
+        if rel == "<=":
+            cert, want = extend_measure_ineq(prob), _oracle_ineq_certificate(prob, res)
+            candidates += _perturbed(cert.multipliers, cert.n)
+            # n is the floor of the least pointwise sum, so n + 1 exceeds it
+            assert not InfeasibleIneqCertificate(cert.multipliers, cert.n + 1).verify(prob)
+        else:
+            cert, want = extend_measure_eq(prob), _oracle_eq_certificate(prob, res)
+            candidates += _perturbed(cert.multipliers, cert.constant)
+        assert repr(cert) == repr(want)
+    for multipliers, t in candidates:
+        ineq, eq = InfeasibleIneqCertificate(multipliers, t), InfeasibleEqCertificate(multipliers, t)
+        assert ineq.verify(prob) is _oracle_ineq_verify(ineq, prob), (multipliers, t)
+        assert eq.verify(prob) is _oracle_eq_verify(eq, prob), (multipliers, t)
+        if len(multipliers) != len(prob.constraints):
+            assert not ineq.verify(prob) and not eq.verify(prob)
+        if any(m < 0 for m in multipliers):
+            assert not ineq.verify(prob)

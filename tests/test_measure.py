@@ -336,3 +336,14 @@ def test_mass_refuses_a_foreign_point_and_leaves_identity_alone():
     # only `space` has computed a mass
     assert space == twin and twin == space and hash(space) == hash(twin)
     assert repr(space) == repr(twin)
+
+
+def test_rational_functions_compare_across_domain_orders_and_are_unhashable():
+    f = RationalFn((0, 1), {0: 1, 1: 2})
+    g = RationalFn((1, 0), {0: 1, 1: 2})
+    assert f == g and f != RationalFn((1, 0), {0: 2, 1: 1})
+    for h in (f, g):
+        with pytest.raises(TypeError):
+            hash(h)
+        with pytest.raises(TypeError):
+            {h}

@@ -435,3 +435,24 @@ def test_event_of_and_fullness_witness_match_the_tree_walk(case):
     assert got == want
     if got[0] == "value":
         assert got[1].values == want[1].values
+
+
+def test_random_elements_are_equal_exactly_when_base_and_values_are(coin_rand):
+    base = FinProbSpace.dyadic(1)
+    f = RandomElement(base, {0: 1, 1: 0})
+    twin = RandomElement(FinProbSpace.dyadic(1), {1: 0, 0: 1})
+    assert twin is not f and twin.base is not base
+    # the key waits for the first comparison or hash
+    assert "_key_cache" not in vars(f) and "_key_cache" not in vars(twin)
+    assert f == twin and not f != twin and hash(f) == hash(twin) and {f, twin} == {f}
+    others = [
+        RandomElement(base, {0: 1, 1: 1}),
+        RandomElement(FinProbSpace([(1, F(1, 2)), (0, F(1, 2))]), {0: 1, 1: 0}),
+        RandomElement(FinProbSpace([(0, F(1, 3)), (1, F(2, 3))]), {0: 1, 1: 0}),
+    ]
+    for other in others:
+        assert f != other and not f == other
+    assert len({f, twin, *others}) == 4
+    assert f != [1, 0] and f != "[1, 0]"
+    assert repr(f) == repr(twin) == "[1, 0]"
+    assert coin_rand.element([1, 0]) == f and repr(coin_rand.element([0, 1])) == "[0, 1]"
