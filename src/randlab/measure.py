@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
 
 from .errors import ValidationError
@@ -24,7 +25,10 @@ def frac(x) -> Fraction:
 
 
 class FinProbSpace(Keyed):
-    """Finite sample space with positive rational weights summing to one."""
+    """Finite sample space with positive rational weights summing to one.
+
+    `weight` is a read-only view: the key, the kept hash and `mass`'s
+    integer table are all made from the weights once."""
 
     _numerators: dict[Point, int] | None = None  # set with _denominator by `mass`
 
@@ -36,7 +40,7 @@ class FinProbSpace(Keyed):
             raise ValidationError("duplicate sample points")
         if not self.points:
             raise ValidationError("empty sample space")
-        self.weight: dict[Point, Fraction] = {p: frac(w) for p, w in items}
+        self.weight: Mapping[Point, Fraction] = MappingProxyType({p: frac(w) for p, w in items})
         for p, w in self.weight.items():
             if w <= 0:
                 raise ValidationError(f"weight of {p!r} must be positive, got {w}")

@@ -11,16 +11,25 @@ defaults as class attributes:
         ...
         w_vars: tuple[str, ...] = ()
 
-`__init_subclass__` generates `__init__`, `__eq__`, `__hash__` and
-`__repr__` once per class, in the form `@dataclass(frozen=True)` gives
-them: positional or keyword arguments with defaults, `==` only between
-instances of the same class, comparing and hashing the tuple of fields,
-and `Name(field=value, ...)` as the repr.  A `__post_init__` method runs
-at the end of `__init__`.  Assigning or deleting an attribute raises
-`AttributeError`.
+A Record class has `__init__`, `__eq__`, `__hash__` and `__repr__` in the
+form `@dataclass(frozen=True)` gives them: positional or keyword arguments
+with defaults, `==` only between instances of the same class, comparing
+and hashing the tuple of fields, and `Name(field=value, ...)` as the repr.
+A `__post_init__` method runs at the end of `__init__`.  Assigning or
+deleting an attribute raises `AttributeError`.
 
-The methods are generated source, not loops over the fields, so they cost
-what the dataclass ones do, without importing `dataclasses` and `inspect`.
+`__init_subclass__` only checks the fields and keeps them as `_fields`,
+with the defaults.  `__init__`, `__eq__` and `__hash__` are generated
+source, not loops over the fields, so they cost what the dataclass ones
+do, without importing `dataclasses` and `inspect`.  They are made on a
+class's first use: `Record`'s own three methods are stubs that install the
+generated ones on the instance's class and then forward the call, so every
+later call goes straight to the generated method.  The source is compiled
+once per distinct field list, and only for the field lists a process uses,
+so importing randlab compiles nothing.  A Record class derives from
+`Record` directly: a class below another would inherit its base's
+methods once they were installed.  `__repr__` is one plain method on
+`Record`; a repr is never hot.
 
 A `Keyed` subclass sets the tuple `_key_cache` in its constructor, or
 builds it lazily on first use (a `cached_property`, as `RandomElement`
@@ -52,14 +61,13 @@ def _tuple(obj: str, names: tuple[str, ...]) -> str:
 
 
 def _maker(names: tuple[str, ...], post_init: bool):
-    """A function returning fresh `__init__`, `__eq__`, `__hash__` and
-    `__repr__` for these fields; compiled once per distinct field list."""
+    """A function returning fresh `__init__`, `__eq__` and `__hash__` for
+    these fields; compiled once per distinct field list."""
     key = (names, post_init)
     if key not in _makers:
         sets = "".join(f"  _set(self, {n!r}, {n})\n" for n in names)
         if post_init:
             sets += "  self.__post_init__()\n"
-        shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
         mine, theirs = _tuple("self", names), _tuple("other", names)
         src = (
             "def make(_set):\n"
@@ -74,14 +82,20 @@ def _maker(names: tuple[str, ...], post_init: bool):
             f"   h = hash({mine})\n"
             "   _set(self, '_hash', h)\n"
             "  return h\n"
-            " def __repr__(self):\n"
-            f"  return self.__class__.__qualname__ + f'({shown})'\n"
-            " return __init__, __eq__, __hash__, __repr__\n"
+            " return __init__, __eq__, __hash__\n"
         )
         namespace: dict = {}
         exec(src, namespace)
         _makers[key] = namespace["make"]
     return _makers[key]
+
+
+def _install(cls):
+    """Put cls's generated `__init__`, `__eq__` and `__hash__` on cls."""
+    init, eq, hash_ = _maker(cls._fields, hasattr(cls, "__post_init__"))(_set)
+    init.__defaults__ = cls._defaults
+    cls.__init__, cls.__eq__, cls.__hash__ = init, eq, hash_
+    return cls
 
 
 class Record:
@@ -94,9 +108,24 @@ class Record:
         defaults = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
         if any(n not in cls.__dict__ for n in names[len(names) - len(defaults):]):
             raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
-        init, eq, hash_, repr_ = _maker(names, hasattr(cls, "__post_init__"))(_set)
-        init.__defaults__ = defaults or None
-        cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = init, eq, hash_, repr_
+        cls._defaults = defaults or None
+
+    # The stubs run once per class: each installs the generated methods and forwards.
+    def __init__(self, *args, **kwargs):
+        _install(self.__class__).__init__(self, *args, **kwargs)
+
+    def __eq__(self, other):
+        return _install(self.__class__).__eq__(self, other)
+
+    def __hash__(self):
+        return _install(self.__class__).__hash__(self)
+
+    def __repr__(self):
+        # a loop: a comprehension's own frame would cut the depth a tree may print to by a third
+        shown = []
+        for n in self._fields:
+            shown.append(f"{n}={getattr(self, n)!r}")
+        return f"{self.__class__.__qualname__}({', '.join(shown)})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -108,9 +137,10 @@ class Record:
 class Keyed:
     """Equal to a value of its own class with an equal `_key_cache`.
 
-    Each subclass gets the two methods in its own namespace, as a Record
-    does, so wrapping one in place (as `bench/tracer.py` wraps
-    `FinProbSpace.__eq__`) leaves the other classes alone."""
+    Each subclass gets the two methods in its own namespace when it is
+    defined, not on first use as a Record class does, so wrapping one in
+    place (as `bench/tracer.py` wraps `FinProbSpace.__eq__`) leaves the
+    other classes alone."""
 
     _key_cache: tuple
     _hash = None  # kept on the instance by its first __hash__

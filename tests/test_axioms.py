@@ -118,9 +118,14 @@ def test_atomless_defect_on_a_large_non_uniform_base(m2):
 
 
 def test_corrupted_measure_detected(m2):
-    rand = Randomization.constant(m2, FinProbSpace.uniform(4))
     # bypass construction-time validation to hand the checker a broken measure
-    rand.base.weight[0] = F(24, 100)
+    weight = {0: F(24, 100), 1: F(1, 4), 2: F(1, 4), 3: F(1, 4)}
+    broken = object.__new__(FinProbSpace)
+    broken.points = tuple(weight)
+    broken.point_set = frozenset(weight)
+    broken.weight = weight
+    broken._key_cache = tuple(weight.items())
+    rand = Randomization.constant(m2, broken)
     report = check_axioms(rand)
     assert not report.by_group("measure").passed
 

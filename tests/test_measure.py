@@ -347,3 +347,14 @@ def test_rational_functions_compare_across_domain_orders_and_are_unhashable():
             hash(h)
         with pytest.raises(TypeError):
             {h}
+
+
+def test_weights_are_read_only():
+    space = FinProbSpace([(0, F(1, 3)), (1, F(2, 3))])
+    key, h, third = space._key_cache, hash(space), space.mass([0])
+    with pytest.raises(TypeError):
+        space.weight[0] = F(1, 2)
+    with pytest.raises(TypeError):
+        del space.weight[1]
+    assert space.weight == {0: F(1, 3), 1: F(2, 3)}
+    assert (space._key_cache, hash(space), space.mass([0])) == (key, h, third)

@@ -8,6 +8,7 @@ dataclasses.  The runs are derandomized.
 """
 
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -195,15 +196,19 @@ def test_fields_cannot_be_assigned_or_deleted():
     assert var.name == "x" and report.atomless_defect == 0
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+def _run(code: str) -> str:
+    """stdout of code run in a fresh interpreter that imports this randlab."""
     src = str(Path(randlab.__file__).resolve().parents[1])
-    code = "import sys, randlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-S", "-c", code],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, check=True,
-    )
-    assert out.stdout == "[]\n"
+    ).stdout
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = "import sys, randlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert _run(code) == "[]\n"
 
 
 def _fields(node):
@@ -271,3 +276,110 @@ def test_a_keyed_value_keeps_the_hash_of_its_key():
     # each class holds its own methods, so wrapping one in place leaves the others alone
     for cls in (_Left, _Right, randlab.FinProbSpace):
         assert {"__eq__", "__hash__"} <= set(vars(cls))
+
+
+# --- Methods made on a class's first use -------------------------------------------
+
+def test_importing_the_cli_generates_no_method():
+    """A Record instance made at import would compile its field list for
+    every command; each class gets its methods only when it is used."""
+    code = """
+import randlab.cli
+from randlab import axioms, cformulas, extension, formulas, record, rtypes, semantics, stability
+records = {
+    c
+    for m in (formulas, cformulas, semantics, stability, rtypes, extension, axioms)
+    for c in vars(m).values()
+    if isinstance(c, type) and issubclass(c, record.Record) and c is not record.Record
+}
+def installed():
+    return sorted(
+        c.__name__ for c in records if {'__init__', '__eq__', '__hash__'} & set(vars(c))
+    )
+print(len(records), len(record._makers), installed())
+x = formulas.Var('x')
+print(len(record._makers), installed())
+formulas.And(x, x), formulas.Or(x, x)
+print(len(record._makers), installed())
+"""
+    assert _run(code).splitlines() == ["45 0 []", "1 ['Var']", "2 ['And', 'Or', 'Var']"]
+
+
+def _fresh(**methods):
+    """A Record class no one has used yet; its qualname is its name, as a twin's is."""
+    annotations = {"x": "object", "y": "object", "tag": "str"}
+    return type("Point", (Record,), {"__annotations__": annotations, "y": 0, "tag": "p", **methods})
+
+
+def _unused(cls) -> bool:
+    return not {"__init__", "__eq__", "__hash__"} & set(vars(cls))
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [((1, 2, "q"), {}), ((), {"tag": "q", "x": 1, "y": 2}), ((1,), {}), ((), {"x": 1}), ((1, 2), {"tag": "q"})],
+)
+def test_a_first_construction_takes_positions_keywords_and_defaults(args, kwargs):
+    cls = _fresh()
+    assert _unused(cls)
+    got, want = cls(*args, **kwargs), _twin_class(cls)(*args, **kwargs)
+    assert not _unused(cls)
+    assert [getattr(got, n) for n in cls._fields] == [getattr(want, n) for n in cls._fields]
+    assert repr(got) == repr(want) and hash(got) == hash(want)
+    assert got == cls(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [((), {}), ((1, 2, "q", 4), {}), ((1,), {"z": 2}), ((1,), {"x": 1}), ((), {"y": 2})],
+)
+def test_a_first_construction_refuses_what_a_dataclass_refuses(args, kwargs):
+    cls = _fresh()
+    with pytest.raises(TypeError):
+        _twin_class(cls)(*args, **kwargs)
+    for _ in range(2):  # the first call installs the methods, the second uses them
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+def test_post_init_runs_on_the_first_construction():
+    seen = []
+    cls = _fresh(__post_init__=lambda self: seen.append(self.x))
+    cls(1), cls(x=2)
+    assert seen == [1, 2]
+    refusing = _fresh(__post_init__=lambda self: 1 / self.x)
+    with pytest.raises(ZeroDivisionError):
+        refusing(0)
+
+
+def _bare(cls, *values):
+    """An instance whose fields are set without any `__init__`."""
+    node = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        object.__setattr__(node, name, value)
+    return node
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(["eq", "hash", "repr", "init"])))
+def test_an_instance_first_used_in_any_order_matches_its_twin(order):
+    cls = _fresh()
+    twin_cls = _twin_class(cls)
+    a, b, c = _bare(cls, 1, (2,), "q"), _bare(cls, 1, (2,), "q"), _bare(cls, 1, (3,), "q")
+    ta, tc = twin_cls(1, (2,), "q"), twin_cls(1, (3,), "q")
+    checks = {
+        "eq": lambda: (a == b, a != b, a == c, a != c) == (ta == ta, ta != ta, ta == tc, ta != tc),
+        "hash": lambda: hash(a) == hash(ta) == hash(b) and hash(c) == hash(tc),
+        "repr": lambda: repr(a) == repr(ta) and repr(c) == repr(tc),
+        "init": lambda: cls(1, (2,), "q") == a and repr(cls(x=1)) == repr(twin_cls(x=1)),
+    }
+    for step in order:
+        assert checks[step](), step
+    assert a.__eq__(ta) is NotImplemented and a != ta
+
+
+def test_a_deep_tree_prints():
+    node = formulas.Var("x")
+    depth = sys.getrecursionlimit() * 2 // 5
+    for _ in range(depth):
+        node = formulas.Not(node)
+    assert repr(node) == "Not(body=" * depth + "Var(name='x')" + ")" * depth
