@@ -164,11 +164,6 @@ def tautology_corpus(sig: Signature) -> list[Formula]:
     return out
 
 
-def sentence_corpus(sig: Signature) -> list[Formula]:
-    """Sentences (universal closures of corpus formulas) for transfer checks."""
-    return _closures(default_formula_corpus(sig))
-
-
 def _closures(corpus: list[Formula]) -> list[Formula]:
     """The universal and the existential closure of each of the first
     twelve formulas of `corpus`."""

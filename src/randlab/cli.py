@@ -1,21 +1,29 @@
 """Batch command-line front end.
 
-Exit codes: 0 success, 1 check failure, 2 unresolved name or file, or
-input that fails validation (weights that do not sum to 1, an element
-value outside its universe), 3 parse error, 4 budget exceeded, 5 internal
-error (a bug in randlab: one `internal error: <type>: <message>` line on
-stderr instead of a traceback).  All numeric output is exact `p/q`;
-`--decimal N` adds a rounded rendering with N >= 0 digits for humans
-without affecting exit codes (a negative N is a parse error).
+Exit codes: 0 success, 1 check failure, 2 unresolved name or file, input
+that fails validation (weights that do not sum to 1, an element value
+outside its universe), or a usage error (below), 3 parse error, 4 budget
+exceeded, 5 internal error (a bug in randlab: one `internal error: <type>:
+<message>` line on stderr instead of a traceback).  All numeric output is
+exact `p/q`; `--decimal N` adds a rounded rendering with N >= 0 digits
+for humans without affecting exit codes (a negative N is a parse error).
 `--budget N` (N >= 1) bounds every enumeration of the command, the
 workspace load included: `main` runs both inside `errors.budget(N)`.
+
+A usage error is found before anything runs: an unknown or ambiguous
+option, a missing option that `COMMANDS` marks required, or a bad int or
+choice.  It prints a usage line and `randlab[ <cmd>]: error: <message>`
+(argparse's wording) on stderr and raises SystemExit(2).  An option only
+some `check` suites or `rho` modes need is checked by the command, and its
+absence is a parse error (3).
 """
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .axioms import check_axioms, covering_failures, default_formula_corpus
 from .cformulas import eval_cformula, parse_cformula
@@ -434,97 +442,271 @@ def cmd_types(args, ws: Workspace) -> int:
 
 
 # --- Entry point -------------------------------------------------------------------
+#
+# One table holds every command and its options, and a small parser reads
+# argv from it the way argparse would, without the cost of importing and
+# building argparse parsers on every cold start.  An option is a tuple
+# (dest, type, default, required, help): type is str, int, or bool for a flag
+# that stores True; its option string is "--" + dest with "-" for "_".
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="randlab",
-        description="compute with randomizations of finite first-order structures",
-    )
-    ap.add_argument("--workspace", help="workspace file to load")
-    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    ap.add_argument("--decimal", type=int, default=None)
-    sub = ap.add_subparsers(dest="command", required=True)
+def _opt(dest, type=str, default=None, required=False, help=""):
+    return dest, type, default, required, help
 
-    p = sub.add_parser("eval", help="evaluate a continuous formula")
-    p.add_argument("--rand", required=True)
-    p.add_argument("--cformula", required=True)
-    p.add_argument("--bind", help="var=element[,var=event,...]")
-    p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("check", help="run a verification suite")
-    p.add_argument(
-        "what",
-        choices=["axioms", "types", "categoricity", "stability", "independence"],
-    )
-    p.add_argument("--rand")
-    p.add_argument("--structure")
-    p.add_argument("--nmax", type=int, default=2)
-    p.add_argument("--phi")
-    p.add_argument("--c")
-    p.add_argument("--b")
-    p.add_argument("--A", default="")
-    p.set_defaults(fn=cmd_check)
+GLOBAL_OPTIONS = (
+    _opt("workspace", help="workspace file to load"),
+    _opt("budget", int, DEFAULT_BUDGET),
+    _opt("decimal", int),
+)
 
-    p = sub.add_parser("rho", help="nonforking instance probabilities")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--p", help="type: qN or comma tuple")
-    p.add_argument("--b", help="element tuple")
-    p.add_argument("--A", default="")
-    p.add_argument("--x")
-    p.add_argument("--y")
-    p.add_argument("--w")
-    p.add_argument("--w-values", dest="w_values")
-    p.add_argument("--rho-hat", dest="rho_hat", action="store_true")
-    p.add_argument("--certify", action="store_true")
-    p.add_argument("--p-measure", dest="p_measure")
-    p.add_argument("--q-measure", dest="q_measure")
-    p.set_defaults(fn=cmd_rho)
+# name: (help, positional (dest, {choice: help}) or None, options); the command
+# runs as cmd_<name>, with "_" for "-", looked up when argv names it
+COMMANDS = {
+    "eval": ("evaluate a continuous formula", None, (
+        _opt("rand", required=True),
+        _opt("cformula", required=True),
+        _opt("bind", help="var=element[,var=event,...]"),
+    )),
+    "check": ("run a verification suite", ("what", dict.fromkeys(_CHECK_NEEDS, "")), (
+        _opt("rand"),
+        _opt("structure"),
+        _opt("nmax", int, 2),
+        _opt("phi"),
+        _opt("c"),
+        _opt("b"),
+        _opt("A", default=""),
+    )),
+    "rho": ("nonforking instance probabilities", None, (
+        _opt("structure", required=True),
+        _opt("phi", required=True),
+        _opt("p", help="type: qN or comma tuple"),
+        _opt("b", help="element tuple"),
+        _opt("A", default=""),
+        _opt("x"),
+        _opt("y"),
+        _opt("w"),
+        _opt("w_values"),
+        _opt("rho_hat", bool, False),
+        _opt("certify", bool, False),
+        _opt("p_measure"),
+        _opt("q_measure"),
+    )),
+    "realize": ("realize a type measure", None, (
+        _opt("rmeasure", required=True),
+        _opt("rand"),
+    )),
+    "dmetric": ("distance between type measures", None, (
+        _opt("m1", required=True),
+        _opt("m2", required=True),
+    )),
+    "fiber": ("fiber product of two spaces", None, (
+        _opt("mu", required=True),
+        _opt("nu", required=True),
+        _opt("pix", required=True, help="base index per mu point"),
+        _opt("piy", required=True, help="base index per nu point"),
+    )),
+    "extend": ("measure extension with certificates", None, (
+        _opt("problem", required=True, help="constraint file"),
+    )),
+    "convex": ("convex combination of randomizations", None, (
+        _opt("parts", required=True, help="w1:r1,w2:r2,..."),
+    )),
+    "approx-simple": ("simple approximation of an element", None, (
+        _opt("rand", required=True),
+        _opt("f", required=True),
+        _opt("algebra", required=True, help="event names joined by ;"),
+        _opt("eps", required=True),
+    )),
+    "types": ("list a classical type space", None, (
+        _opt("structure", required=True),
+        _opt("arity", int, 1),
+        _opt("params", default=""),
+    )),
+}
+ABOUT = "compute with randomizations of finite first-order structures"
+_HELP = ("help", bool, False, False, "show this help message and exit")
+_MARK = ("--",)  # the first "--" of a level: every later token is a value
 
-    p = sub.add_parser("realize", help="realize a type measure")
-    p.add_argument("--rmeasure", required=True)
-    p.add_argument("--rand")
-    p.set_defaults(fn=cmd_realize)
 
-    p = sub.add_parser("dmetric", help="distance between type measures")
-    p.add_argument("--m1", required=True)
-    p.add_argument("--m2", required=True)
-    p.set_defaults(fn=cmd_dmetric)
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
-    p = sub.add_parser("fiber", help="fiber product of two spaces")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--nu", required=True)
-    p.add_argument("--pix", required=True, help="base index per mu point")
-    p.add_argument("--piy", required=True, help="base index per nu point")
-    p.set_defaults(fn=cmd_fiber)
 
-    p = sub.add_parser("extend", help="measure extension with certificates")
-    p.add_argument("--problem", required=True, help="constraint file")
-    p.set_defaults(fn=cmd_extend)
+class _Level:
+    """One level of the command line, read as argparse reads it: the top
+    level (global options, then the command) or one command's own.
 
-    p = sub.add_parser("convex", help="convex combination of randomizations")
-    p.add_argument("--parts", required=True, help="w1:r1,w2:r2,...")
-    p.set_defaults(fn=cmd_convex)
+    `positional` is (dest, {choice: help}) or None.  A usage error prints
+    the usage and `<prog>: error: <message>` to stderr and raises
+    SystemExit(2); -h or --help prints the help to stdout and raises
+    SystemExit(0).
+    """
 
-    p = sub.add_parser("approx-simple", help="simple approximation of an element")
-    p.add_argument("--rand", required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--algebra", required=True, help="event names joined by ;")
-    p.add_argument("--eps", required=True)
-    p.set_defaults(fn=cmd_approx_simple)
+    def __init__(self, prog: str, about: str, options, positional):
+        self.prog, self.about, self.options, self.positional = prog, about, options, positional
+        self.table = {"-h": _HELP, "--help": _HELP}
+        for spec in options:
+            self.table[_flag(spec[0])] = spec
+        self.top = positional is not None and positional[0] == "command"
 
-    p = sub.add_parser("types", help="list a classical type space")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--arity", type=int, default=1)
-    p.add_argument("--params", default="")
-    p.set_defaults(fn=cmd_types)
+    def fail(self, message: str):
+        sys.stderr.write(f"{self.usage()}\n{self.prog}: error: {message}\n")
+        raise SystemExit(2)
 
-    return ap
+    def read(self, tok: str):
+        """(spec, explicit value) for tok on its own: the spec of the option
+        it names by option string or unique prefix, either with `=value`;
+        tok itself for an unknown option; None for a value."""
+        if not tok or tok[0] != "-" or tok in self.table:
+            return self.table.get(tok), None
+        if len(tok) == 1:
+            return None, None
+        name, eq, value = tok.partition("=")
+        if eq and name in self.table:
+            return self.table[name], value
+        if tok[1] == "-":
+            matches = [o for o in self.table if o.startswith(name)]
+            if len(matches) > 1:
+                self.fail(f"ambiguous option: {tok} could match {', '.join(matches)}")
+            if matches:
+                return self.table[matches[0]], value if eq else None
+        elif tok[1] == "h":  # a short option runs into its value
+            return _HELP, tok[2:]
+        if re.match(r"^-\d+$|^-\d*\.\d+$", tok) or " " in tok:
+            return None, None
+        return tok, None
+
+    def parse(self, argv: list[str], ns) -> list[str]:
+        """Read argv into ns and return the tokens no level recognizes.
+
+        Every token is read before any is consumed, so an ambiguous prefix
+        fails even after -h.  Then the tokens are consumed in order: an
+        option takes the next token, which must be a value, the first value
+        that is no option's fills the positional, and a later one or an
+        unknown option is unrecognized.  The command takes every token after
+        it.  A "--" is skipped, except where the command belongs.
+        """
+        reads = []
+        for tok in argv:
+            if tok == "--":
+                reads.append((_MARK, None))
+                reads += [(None, None)] * (len(argv) - len(reads))
+                break
+            reads.append(self.read(tok))
+        for spec in self.options:
+            setattr(ns, spec[0], spec[2])
+        seen = set()
+        extras = []
+        i = 0
+        while i < len(argv):
+            spec, explicit = reads[i]
+            tok = argv[i]
+            i += 1
+            if spec is _MARK and not self.top:
+                continue
+            if spec is None or spec is _MARK:  # a value, not an option's
+                if self.positional is None or self.positional[0] in seen:
+                    extras.append(tok)
+                    continue
+                dest, choices = self.positional
+                if tok not in choices:
+                    shown = ", ".join(map(repr, choices))
+                    self.fail(f"argument {dest}: invalid choice: {tok!r} (choose from {shown})")
+                seen.add(dest)
+                setattr(ns, dest, tok)
+                if self.top:
+                    about, positional, options = COMMANDS[tok]
+                    ns.fn = globals()["cmd_" + tok.replace("-", "_")]
+                    command = _Level(f"{self.prog} {tok}", about, options, positional)
+                    extras += command.parse(argv[i:], ns)
+                    break
+                continue
+            if isinstance(spec, str):
+                extras.append(tok)
+                continue
+            dest, kind = spec[0], spec[1]
+            name = "-h/--help" if spec is _HELP else _flag(dest)
+            if kind is bool:
+                if spec is _HELP and explicit and tok[1] == "h":
+                    explicit = explicit.lstrip("h") or None  # -hh is -h -h
+                if explicit is not None:
+                    self.fail(f"argument {name}: ignored explicit argument {explicit!r}")
+                if spec is _HELP:
+                    sys.stdout.write(self.help())
+                    raise SystemExit(0)
+                value = True
+            elif explicit is not None:
+                value = explicit
+            else:
+                if i == len(argv) or reads[i][0] is not None:
+                    self.fail(f"argument {name}: expected one argument")
+                value = argv[i]
+                i += 1
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    self.fail(f"argument {name}: invalid int value: {value!r}")
+            seen.add(dest)
+            setattr(ns, dest, value)
+        missing = [_flag(spec[0]) for spec in self.options if spec[3] and spec[0] not in seen]
+        if self.positional and self.positional[0] not in seen:
+            missing.insert(0, self.positional[0])
+        if missing:
+            self.fail(f"the following arguments are required: {', '.join(missing)}")
+        return extras
+
+    def _shown(self, spec) -> str:
+        return _flag(spec[0]) if spec[1] is bool else f"{_flag(spec[0])} {spec[0].upper()}"
+
+    def usage(self) -> str:
+        words = ["usage:", self.prog, "[-h]"]
+        for spec in self.options:
+            words.append(self._shown(spec) if spec[3] else f"[{self._shown(spec)}]")
+        if self.positional:
+            words.append("{" + ",".join(self.positional[1]) + "}")
+        if self.top:
+            words.append("...")
+        return " ".join(words)
+
+    def help(self) -> str:
+        """Usage, what the level does, the positional's choices and the options."""
+        sections = []
+        if self.positional:
+            dest, choices = self.positional
+            sections.append((dest, list(choices.items())))
+        rows = [("-h, --help", _HELP[4])]
+        for spec in self.options:
+            _, _, default, required, about = spec
+            if required:
+                about += " (required)"
+            elif default not in (None, "", False):
+                about += f" (default: {default})"
+            rows.append((self._shown(spec), about.strip()))
+        sections.append(("options", rows))
+        width = max(len(left) for _, rows in sections for left, _ in rows) + 2
+        out = [self.usage(), "", self.about]
+        for title, rows in sections:
+            out += ["", f"{title}:"]
+            out += [f"  {left:<{width}}{right}".rstrip() for left, right in rows]
+        return "\n".join(out) + "\n"
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """argv read from the command table as argparse would read it, into a
+    namespace with the dests of the global options, `command`, `fn` and
+    the dests of the command's options and positional."""
+    args = SimpleNamespace()
+    commands = {name: entry[0] for name, entry in COMMANDS.items()}
+    top = _Level("randlab", ABOUT, GLOBAL_OPTIONS, ("command", commands))
+    extras = top.parse(argv, args)
+    if extras:
+        top.fail(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if args.decimal is not None and args.decimal < 0:
             raise ParseError(f"--decimal must be at least 0, got {args.decimal}")

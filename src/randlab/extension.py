@@ -373,11 +373,3 @@ def parse_problem(text: str) -> LinFeasProblem:
         for rel, bound, values in rows
     ]
     return LinFeasProblem(pts, constraints)
-
-
-def format_problem(prob: LinFeasProblem) -> str:
-    out = []
-    for c in prob.constraints:
-        vals = ",".join(str(c.fn(p)) for p in prob.ground)
-        out.append(f"{c.relation} {c.bound} : {vals}")
-    return "\n".join(out) + "\n"

@@ -219,20 +219,6 @@ def d_k(rand: Randomization, f: RandomElement, g: RandomElement) -> Fraction:
     return 1 - rand.base.mass(agree)
 
 
-def d_k_tuple(
-    rand: Randomization, fs: Sequence[RandomElement], gs: Sequence[RandomElement]
-) -> Fraction:
-    """Measure of the event that the two tuples differ in some coordinate."""
-    if len(fs) != len(gs):
-        raise ValidationError("tuples of different lengths")
-    differ = frozenset(
-        w
-        for w in rand.base.points
-        if any(f(w) != g(w) for f, g in zip(fs, gs))
-    )
-    return rand.base.mass(differ)
-
-
 def fullness_witness(
     rand: Randomization, phi: Formula, var: str, binding
 ) -> RandomElement:
@@ -301,20 +287,6 @@ def convex_combination(
             family[label] = rand.family[p]
     base = FinProbSpace(base_weights)
     return Randomization(base, family)
-
-
-def inject_element(
-    combined: Randomization, part_index: int, f: RandomElement
-) -> RandomElement:
-    """Lift a part's random element into a convex combination's base.
-
-    Points of other parts get the element 0.
-    """
-    values = {}
-    for label in combined.base.points:
-        i, p = label
-        values[label] = f(p) if i == part_index else 0
-    return RandomElement(combined.base, values)
 
 
 # --- Event algebras and simple approximation -----------------------------------

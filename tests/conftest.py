@@ -1,18 +1,40 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import randlab
 from randlab import (
     FinProbSpace,
     RandomElement,
     Randomization,
     RMeasure,
+    default_formula_corpus,
     directed_cycle,
     linear_order,
     pure_set,
 )
+from randlab.axioms import _closures
+
+
+def run_fresh(code: str) -> str:
+    """stdout of code run in a fresh interpreter that imports this randlab."""
+    src = str(Path(randlab.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    ).stdout
+
+
+def sentence_corpus(sig) -> list:
+    """Sentences (universal closures of corpus formulas) for transfer checks."""
+    return _closures(default_formula_corpus(sig))
 
 
 def sample_elements(

@@ -17,7 +17,8 @@ from randlab import (
     default_formula_corpus,
     directed_cycle,
 )
-from randlab.axioms import EXACT_GROUPS, sentence_corpus, tautology_corpus
+from conftest import sentence_corpus
+from randlab.axioms import EXACT_GROUPS, tautology_corpus
 from randlab.axioms import _base_atoms, _covering_bindings
 from randlab.cformulas import CInf, CMu, CSup, EvFormula, eval_cformula
 from randlab.formulas import And, Eq, Implies, Not, Or, Var

@@ -28,9 +28,18 @@ from randlab import (
     pure_set,
     rtype_of,
 )
-from randlab.extension import _phase_one, format_problem, parse_problem
+from randlab.extension import _phase_one, parse_problem
 
 F = Fraction
+
+
+def format_problem(prob) -> str:
+    """The text `parse_problem` reads back as prob."""
+    out = []
+    for c in prob.constraints:
+        vals = ",".join(str(c.fn(p)) for p in prob.ground)
+        out.append(f"{c.relation} {c.bound} : {vals}")
+    return "\n".join(out) + "\n"
 
 
 def fn(ground, values):

@@ -28,10 +28,16 @@ from randlab import (
 )
 from randlab.axioms import default_formula_corpus
 from randlab.formulas import Exists, free_vars
-from randlab.randomization import inject_element
 from test_semantics import DIGRAPH, DIGRAPH_FORMULAS, _tree_walk_eval_formula, digraphs
 
 F = Fraction
+
+
+def inject_element(combined, part_index, f) -> RandomElement:
+    """Lift a part's random element into a convex combination's base; points
+    of other parts get the element 0."""
+    values = {label: f(label[1]) if label[0] == part_index else 0 for label in combined.base.points}
+    return RandomElement(combined.base, values)
 
 
 def test_make_randomization_counts(m2, c3, skewed_base):

@@ -9,17 +9,15 @@ dataclasses.  The runs are derandomized.
 
 import dataclasses
 import itertools
-import os
-import subprocess
 import sys
 import typing
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import randlab
+from conftest import run_fresh
 from randlab import axioms, cformulas, extension, formulas, rtypes, semantics, stability
 from randlab.record import Keyed, Record
 from randlab.structures import pure_set
@@ -196,19 +194,9 @@ def test_fields_cannot_be_assigned_or_deleted():
     assert var.name == "x" and report.atomless_defect == 0
 
 
-def _run(code: str) -> str:
-    """stdout of code run in a fresh interpreter that imports this randlab."""
-    src = str(Path(randlab.__file__).resolve().parents[1])
-    return subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, check=True,
-    ).stdout
-
-
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     code = "import sys, randlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    assert _run(code) == "[]\n"
+    assert run_fresh(code) == "[]\n"
 
 
 def _fields(node):
@@ -302,7 +290,7 @@ print(len(record._makers), installed())
 formulas.And(x, x), formulas.Or(x, x)
 print(len(record._makers), installed())
 """
-    assert _run(code).splitlines() == ["45 0 []", "1 ['Var']", "2 ['And', 'Or', 'Var']"]
+    assert run_fresh(code).splitlines() == ["45 0 []", "1 ['Var']", "2 ['And', 'Or', 'Var']"]
 
 
 def _fresh(**methods):

@@ -24,12 +24,20 @@ from randlab import (
     type_of_tuple,
     type_space,
 )
-from randlab.randomization import d_k_tuple, event_of, mu
+from randlab.randomization import event_of, mu
 from conftest import simplex_measures
 from randlab.rtypes import _split_base, cells_of, format_rmeasure
 from randlab.semantics import TypeSpace
 
 F = Fraction
+
+
+def d_k_tuple(rand, fs, gs) -> Fraction:
+    """Measure of the event that the two tuples differ in some coordinate."""
+    assert len(fs) == len(gs)
+    return rand.base.mass(frozenset(
+        w for w in rand.base.points if any(f(w) != g(w) for f, g in zip(fs, gs))
+    ))
 
 
 def test_rtype_examples(m2, c3, l3):

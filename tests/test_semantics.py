@@ -28,7 +28,8 @@ from randlab import (
 from randlab import formulas, semantics
 from randlab.errors import DEFAULT_BUDGET, budget
 from randlab.structures import format_structure, parse_structure
-from randlab.axioms import default_formula_corpus, sentence_corpus, tautology_corpus
+from conftest import sentence_corpus
+from randlab.axioms import default_formula_corpus, tautology_corpus
 from randlab.formulas import (
     And,
     App,
