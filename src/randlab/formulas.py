@@ -128,11 +128,11 @@ def term_vars(t: Term) -> Iterator[str]:
 
 def free_vars(phi: Formula) -> frozenset[str]:
     """The free variables of phi.  Computed once per node and kept on the
-    node, outside its fields, so equality, hashing and repr ignore it."""
-    try:
-        return phi._free_vars
-    except AttributeError:
-        pass
+    node, outside its fields, so equality, hashing and repr ignore it, and
+    read with a default, so the first call on a node raises nothing."""
+    out = getattr(phi, "_free_vars", None)
+    if out is not None:
+        return out
     out = _free_vars(phi)
     object.__setattr__(phi, "_free_vars", out)
     return out

@@ -181,26 +181,43 @@ def _check_binding(
     return {v: bound[v] for v in fv}
 
 
+def _columns(rand: Randomization, fv: list[str], binding) -> list[tuple[str, dict]]:
+    """(variable, values by point) for each of the variables `fv`, from a
+    binding checked as `_check_binding` does."""
+    return [(v, f.values) for v, f in _check_binding(rand, fv, binding).items()]
+
+
+def _events_of(rand: Randomization, phis: Sequence[Formula], binding) -> list[Event]:
+    """The event of each formula of `phis` under one binding, in one pass.
+
+    The binding is checked once, against the sorted free variables of all
+    of `phis`, as `event_of` checks it against one formula's; at each
+    point one valuation is set and every formula's closure is called.
+    """
+    fv = sorted(frozenset().union(*[free_vars(phi) for phi in phis]))
+    columns = _columns(rand, fv, binding)
+    family = rand.family
+    tests = [(_holds(phi), []) for phi in phis]
+    val: dict[str, int] = {}
+    for w in rand.base.points:
+        for v, values in columns:
+            val[v] = values[w]
+        m = family[w]
+        for holds, out in tests:
+            if holds(m, val):
+                out.append(w)
+    return [frozenset(out) for _, out in tests]
+
+
 def event_of(rand: Randomization, phi: Formula, binding) -> Event:
     """The set of sample points where the bound tuple satisfies phi.
 
     `binding` is either a dict from variable names to random elements, or
     a tuple matched against the sorted free variables of phi.  phi's
     compiled form is fetched once, and one valuation is rebound at each
-    point.
+    point (this is `_events_of` on phi alone).
     """
-    bound = _check_binding(rand, sorted(free_vars(phi)), binding)
-    columns = [(v, f.values) for v, f in bound.items()]
-    family = rand.family
-    holds = _holds(phi)
-    val: dict[str, int] = {}
-    out = []
-    for w in rand.base.points:
-        for v, values in columns:
-            val[v] = values[w]
-        if holds(family[w], val):
-            out.append(w)
-    return frozenset(out)
+    return _events_of(rand, (phi,), binding)[0]
 
 
 def mu(rand: Randomization, e: Event) -> Fraction:
@@ -228,8 +245,7 @@ def fullness_witness(
     exists, otherwise the least element.  `binding` covers the free
     variables of phi other than `var`, as for `event_of`.
     """
-    bound = _check_binding(rand, sorted(free_vars(phi) - {var}), binding)
-    columns = [(v, f.values) for v, f in bound.items()]
+    columns = _columns(rand, sorted(free_vars(phi) - {var}), binding)
     holds = _holds(phi)
     val: dict[str, int] = {}
     values = {}

@@ -6,7 +6,9 @@ into one closure `(m, val) -> value` over its children's closures.  The
 closure is built the first time the node is evaluated and kept on the
 node as `_holds` (terms: `_value`), outside its fields, as
 `formulas.free_vars` keeps `_free_vars`, so equality, hashing and repr
-ignore it.  Errors wait for the call: an unassigned variable, a literal
+ignore it.  All three are read with `getattr(node, name, None)`, so the
+first compile of a fresh node raises and catches no `AttributeError`.
+Errors wait for the call: an unassigned variable, a literal
 out of range, a foreign `TypeIs` or a value that is not a node raises
 only when evaluation reaches it, as a walk of the tree would.
 
@@ -64,10 +66,9 @@ def _not_a_formula(phi):
 def _value(t):
     """The closure `(m, val) -> element` of term t, compiled on first use
     and kept on the node as `_value`."""
-    try:
-        return t._value
-    except AttributeError:
-        pass
+    value = getattr(t, "_value", None)
+    if value is not None:
+        return value
     compile_term = _TERMS.get(type(t), _not_a_term)
     if compile_term is _not_a_term:
         return compile_term(t)
@@ -81,14 +82,14 @@ def _value(t):
 
 def _holds(phi):
     """The closure `(m, val) -> bool` of formula phi, compiled on first use
-    and kept on the node as `_holds`.
+    and kept on the node as `_holds`.  It is read with a default, so a
+    node's first compile raises and catches nothing.
 
     The subformulas are compiled first, from here, so compiling nests one
     call per level of phi, as evaluating does, and reaches as deep."""
-    try:
-        return phi._holds
-    except AttributeError:
-        pass
+    holds = getattr(phi, "_holds", None)
+    if holds is not None:
+        return holds
     compile_formula = _FORMULAS.get(type(phi), _not_a_formula)
     if compile_formula is _not_a_formula:
         return compile_formula(phi)
@@ -137,8 +138,10 @@ def _const(t):
 
 def _arguments(args):
     """The closure `(m, val) -> tuple` of an argument list, left to right;
-    a list of variables alone is read straight off the valuation."""
-    if args and all(type(a) is Var for a in args):
+    a list of variables alone is read straight off the valuation.  (A set
+    of the argument types, not `all` over a generator: one stopped early is
+    closed by raising `GeneratorExit` in it.)"""
+    if {type(a) for a in args} == {Var}:
         names = tuple(a.name for a in args)
         get = itemgetter(*names)
         single = len(names) == 1

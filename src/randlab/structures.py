@@ -81,12 +81,12 @@ class FinStructure(Keyed):
             raise ValidationError("universe must have at least two elements")
         self.signature = signature
         self.size = size
+        self.elements = rng = range(size)  # the universe, built once
         self.name = name
         self.rel_tables: dict[str, frozenset[tuple[int, ...]]] = {}
         self.fn_tables: dict[str, dict[tuple[int, ...], int]] = {}
         self.const_values: dict[str, int] = {}
 
-        rng = range(size)
         relations = dict(relations or {})
         functions = dict(functions or {})
         constants = dict(constants or {})
@@ -120,10 +120,6 @@ class FinStructure(Keyed):
             tuple(sorted((s, tuple(sorted(t.items()))) for s, t in self.fn_tables.items())),
             tuple(sorted(self.const_values.items())),
         )
-
-    @property
-    def elements(self) -> range:
-        return range(self.size)
 
     def holds(self, sym: str, args: tuple[int, ...]) -> bool:
         return args in self.rel_tables[sym]

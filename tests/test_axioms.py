@@ -220,6 +220,28 @@ def test_check_axioms_builds_the_corpus_once(c3, monkeypatch):
     assert built == [c3.signature]
 
 
+def test_each_group_sizes_one_covering_per_variable_set(c3, monkeypatch):
+    sized = []
+    covering = randlab.axioms._covering_bindings
+
+    def counted(rand, variables):
+        sized.append(frozenset(variables))
+        return covering(rand, variables)
+
+    monkeypatch.setattr(randlab.axioms, "_covering_bindings", counted)
+    rand = Randomization.constant(c3, FinProbSpace.dyadic(1))
+    assert check_axioms(rand).exact_groups_pass()
+    corpus = default_formula_corpus(c3.signature)
+    pairs = zip(corpus, corpus[1:] + corpus[:1])
+    validity = list(dict.fromkeys(free_vars(phi) for phi in tautology_corpus(c3.signature)))
+    boolean = list(dict.fromkeys(free_vars(phi) | free_vars(psi) for phi, psi in pairs))
+    fullness = list(
+        dict.fromkeys(free_vars(phi) - {"x"} for phi in corpus if "x" in free_vars(phi))
+    )
+    assert sized == validity + boolean + fullness
+    assert len(boolean) < len(corpus)
+
+
 # --- The event group against the brute-force enumeration ---------------------------
 
 EQ_XY = Eq(Var("x"), Var("y"))
@@ -666,6 +688,38 @@ def test_fullness_group_fails_on_every_wrong_witness_of_e_x_y(monkeypatch):
             verdict = check_axioms(rand).by_group("fullness")
             assert (verdict.passed, verdict.detail) == (False, "witness inexact for E(x, y)")
     assert faults == 15
+
+
+def test_boolean_group_fails_on_an_or_event_missing_one_point(monkeypatch):
+    rand = _digraph_family(FinProbSpace.dyadic(2), DISTINCT_DIGRAPHS[:4])
+    clean = check_axioms(rand)
+    assert clean.by_group("boolean").passed
+    others = [v for v in clean.verdicts if v.group != "boolean"]
+    corpus = default_formula_corpus(DIGRAPH)
+    events_of = randlab.axioms._events_of
+    faults = 0
+    for phi, psi in zip(corpus, corpus[1:] + corpus[:1]):
+        dropped = []
+
+        def faulty(rand, phis, binding, target=(phi, psi, Not(phi), Or(phi, psi), And(phi, psi))):
+            events = events_of(rand, phis, binding)
+            if tuple(phis) == target and events[3]:
+                w = next(p for p in rand.base.points if p in events[3])
+                dropped.append(w)
+                events[3] = events[3] - {w}
+            return events
+
+        monkeypatch.setattr(randlab.axioms, "_events_of", faulty)
+        report = check_axioms(rand)
+        if not dropped:
+            continue  # the Or event is empty at this pair's binding: nothing to drop
+        faults += 1
+        assert len(dropped) == 1
+        assert f"FAIL axiom-boolean connective identity failed for {format_formula(phi)}" in (
+            report.lines()
+        )
+        assert [v for v in report.verdicts if v.group != "boolean"] == others
+    assert (faults, len(corpus)) == (75, 81)
 
 
 def _digraph_family(base, digraphs):

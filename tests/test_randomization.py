@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,10 @@ from randlab import (
     type_space,
 )
 from randlab.axioms import default_formula_corpus
-from randlab.formulas import Exists, free_vars
+from randlab.formulas import And, App, Eq, Exists, Forall, Implies, Not, Or, Rel, Var, free_vars
+from randlab.randomization import _events_of
+from randlab.semantics import eval_formula
+from randlab.structures import FinStructure, Signature
 from test_semantics import DIGRAPH, DIGRAPH_FORMULAS, _tree_walk_eval_formula, digraphs
 
 F = Fraction
@@ -441,6 +445,119 @@ def test_event_of_and_fullness_witness_match_the_tree_walk(case):
     assert got == want
     if got[0] == "value":
         assert got[1].values == want[1].values
+
+
+# --- One pass per binding: _events_of against event_of and the per-point walk -----------
+
+def _one_pass_oracle(rand, phis, binding):
+    """Each formula's event, point by point in base order and formula by
+    formula at each point, through eval_formula."""
+    events = [set() for _ in phis]
+    for w in rand.base.points:
+        val = {v: f(w) for v, f in binding.items()}
+        for phi, event in zip(phis, events):
+            if eval_formula(rand.family[w], phi, val):
+                event.add(w)
+    return [frozenset(event) for event in events]
+
+
+@hst.composite
+def bound_formula_lists(draw):
+    """A family and binding as `bound_formulas` draws them, with 1-5
+    formulas; the binding holds x, y, z and w, so most formulas leave
+    some of its variables unread."""
+    rand, phi, binding, _ = draw(bound_formulas())
+    more = draw(hst.lists(hst.one_of(hst.sampled_from(C3_CORPUS), DIGRAPH_FORMULAS), max_size=4))
+    return rand, [phi, *more], binding
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(bound_formula_lists())
+def test_events_of_is_event_of_per_formula_in_one_pass(case):
+    rand, phis, binding = case
+    got = _outcome(lambda: _events_of(rand, phis, binding))
+    assert got == _outcome(lambda: _one_pass_oracle(rand, phis, binding))
+    alone = [_outcome(lambda phi=phi: event_of(rand, phi, binding)) for phi in phis]
+    if all(outcome[0] == "value" for outcome in alone):
+        assert got == ("value", [outcome[1] for outcome in alone])
+    else:
+        # the error of the formula that fails first, as it fails alone
+        assert got[0] == "raised" and got in alone
+    # a sequence binds the sorted free variables of all the formulas
+    fv = sorted(frozenset().union(*[free_vars(phi) for phi in phis]))
+    assert _outcome(lambda: _events_of(rand, phis, [binding[v] for v in fv])) == got
+
+
+def test_event_of_keeps_its_errors(m2, coin_rand):
+    phi = Eq(Var("x"), Var("y"))
+    f = coin_rand.element([0, 1])
+    foreign = Randomization.constant(m2, FinProbSpace.uniform(4)).element([0] * 4)
+    cases = [
+        ({"x": f}, "free variable 'y' not bound"),
+        ({"x": f, "y": foreign}, "element bound to 'y' lives on a different base"),
+        ((f,), "formula has free variables ['x', 'y'], got 1 elements"),
+        ((f, f, f), "formula has free variables ['x', 'y'], got 3 elements"),
+    ]
+    for binding, message in cases:
+        for call in (event_of, lambda r, p, b: _events_of(r, [p], b)[0]):
+            with pytest.raises(ValidationError) as info:
+                call(coin_rand, phi, binding)
+            assert str(info.value) == message
+    for bad in (42, Not(42)):
+        with pytest.raises(TypeError) as info:
+            event_of(coin_rand, bad, {})
+        assert str(info.value) == "not a formula: 42"
+
+
+def _randlab_exceptions(call):
+    """The (function, exception type) of every `exception` trace event in a
+    randlab frame while `call` runs, and its outcome."""
+    seen = []
+
+    def local(frame, event, arg):
+        if event == "exception":
+            seen.append((frame.f_code.co_name, arg[0].__name__))
+        return local
+
+    def global_trace(frame, event, arg):
+        if frame.f_globals.get("__name__", "").startswith("randlab"):
+            return local
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(global_trace)
+    try:
+        outcome = _outcome(call)
+    finally:
+        sys.settrace(previous)
+    return seen, outcome
+
+
+def test_first_compile_of_a_fresh_node_raises_nothing():
+    sig = Signature(relations={"E": 2}, functions={"f": 1})
+    m = FinStructure(sig, 3, relations={"E": {(0, 1), (1, 2)}}, functions={"f": {(0,): 1, (1,): 2, (2,): 0}})
+    rand = Randomization(FinProbSpace.dyadic(1), {0: m, 1: m})
+    binding = {"x": rand.element([0, 1]), "y": rand.element([2, 1])}
+
+    def fresh():
+        fx = App("f", (Var("x"),))
+        return Or(
+            Exists("z", And(Rel("E", (fx, Var("z"))), Not(Eq(Var("z"), Var("y"))))),
+            Forall("z", Implies(Rel("E", (Var("z"), Var("y"))), Eq(App("f", (Var("z"),)), fx))),
+        )
+
+    phi = fresh()
+    assert "_holds" not in vars(phi) and "_free_vars" not in vars(phi)
+    seen, outcome = _randlab_exceptions(lambda: event_of(rand, phi, binding))
+    assert seen == [] and outcome == ("value", event_of(rand, fresh(), binding))
+    assert "_holds" in vars(phi) and "_free_vars" in vars(phi)
+    seen, outcome = _randlab_exceptions(lambda: free_vars(fresh()))
+    assert seen == [] and outcome == ("value", frozenset({"x", "y"}))
+    # the tracer does see an exception raised in a randlab frame
+    seen, outcome = _randlab_exceptions(lambda: event_of(rand, fresh(), {"x": binding["x"]}))
+    assert outcome[:2] == ("raised", ValidationError)
+    assert ("_check_binding", "ValidationError") in seen
 
 
 def test_random_elements_are_equal_exactly_when_base_and_values_are(coin_rand):
