@@ -20,6 +20,9 @@ from .record import Keyed
 Point = Hashable
 
 
+_ONE, _ZERO = Fraction(1), Fraction(0)  # shared by every indicator's values
+
+
 def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -126,7 +129,7 @@ class RationalFn:
     @classmethod
     def indicator(cls, domain: tuple[Point, ...], subset: Iterable[Point]) -> "RationalFn":
         s = set(subset)
-        return cls(domain, {p: Fraction(1 if p in s else 0) for p in domain})
+        return cls(domain, {p: _ONE if p in s else _ZERO for p in domain})
 
     @classmethod
     def constant(cls, domain: tuple[Point, ...], c) -> "RationalFn":

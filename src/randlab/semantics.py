@@ -15,13 +15,21 @@ only when evaluation reaches it, as a walk of the tree would.
 Types of tuples are represented semantically as orbits of the
 automorphism group fixing the parameters pointwise: over a finite
 structure, two tuples satisfy the same formulas with parameters in A
-exactly when some automorphism over A maps one to the other.  Isolating
-formulas are synthesised on demand and are not stored on the type.
+exactly when some automorphism over A maps one to the other.  The group
+is never listed on the way to a type space.  Backtracks, one for each
+image of a base point that the generators found so far do not reach,
+find a strong generating set along the stabiliser chain of 0, 1, ...
+(Sims 1970; McKay and Piperno 2014); each generator is checked as a full
+automorphism before it is used, and a type space closes each tuple under
+the generators.  `automorphisms` lists the group from them only when
+asked.  Isolating formulas are synthesised on demand and are not stored
+on the type.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from operator import itemgetter
 
@@ -341,51 +349,118 @@ def _is_partial_ok(m: FinStructure, img: list[int | None], a: int) -> bool:
     return True
 
 
+def _check_automorphism(m: FinStructure, fix: frozenset[int], sigma: tuple[int, ...]) -> None:
+    """Raise AssertionError unless sigma is an automorphism of m that fixes
+    `fix` and the constants: one pass over the relation tuples and the
+    function entries, as `FeasibleCertificate.verify` checks a witness."""
+    image = sigma.__getitem__
+    if sorted(sigma) != list(m.elements):
+        raise AssertionError(f"generator {sigma} is not a permutation")
+    for sym, table in m.rel_tables.items():
+        for t in table:
+            if tuple(map(image, t)) not in table:
+                raise AssertionError(f"generator {sigma} sends {sym}{t} outside {sym}")
+    for sym, table in m.fn_tables.items():
+        for args, v in table.items():
+            if table[tuple(map(image, args))] != sigma[v]:
+                raise AssertionError(f"generator {sigma} does not commute with {sym} at {args}")
+    for a in (*fix, *m.const_values.values()):
+        if sigma[a] != a:
+            raise AssertionError(f"generator {sigma} moves the fixed element {a}")
+
+
+def _transversal(point: int, gens, size: int) -> dict[int, tuple[int, ...]]:
+    """The orbit of `point` under the group that `gens` generate, each
+    member with one element of that group that sends `point` to it."""
+    reps = {point: tuple(range(size))}
+    frontier = [point]
+    for p in frontier:
+        for g in gens:
+            q = g[p]
+            if q not in reps:
+                reps[q] = tuple(map(g.__getitem__, reps[p]))
+                frontier.append(q)
+    return reps
+
+
 @lru_cache(maxsize=None)
 def _automorphisms_cached(
     m: FinStructure, fix: frozenset[int]
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The group, sorted, and the number of candidate images its search tried."""
+    """A strong generating set of Aut(m/fix) along the base 0, 1, ..., and
+    the number of candidate images its searches tried.
+
+    The levels are taken deepest first.  At level i the generators found
+    so far fix 0..i-1; each b > i in i's refinement class that their
+    group does not already send i to gets one backtrack, under the
+    identity on 0..i-1, for an automorphism that sends i to b.  The first
+    one found becomes a generator once `_check_automorphism` passes it.
+    So the generators fixing 0..i-1 reach every image of i that the
+    stabiliser of 0..i-1 reaches, and by induction from the deepest level
+    they generate that stabiliser.  Each backtrack walks a subtree of the
+    search over the whole group, and none walks another's.
+    """
     for a in fix:
         if a not in m.elements:
             raise ValidationError(f"fixed element {a} not in universe")
     colours = _refine_classes(m, fix)
-    out: list[tuple[int, ...]] = []
-    img: list[int | None] = [None] * m.size
+    n = m.size
+    img: list[int | None] = [None] * n
+    gens: list[tuple[int, ...]] = []
     tried = 0
     cap = limit()
 
-    def backtrack(a: int) -> None:
+    def extends(a: int, b: int) -> bool:
+        """Whether img, with a sent to b, extends to an automorphism; on
+        success img holds the first one the backtrack meets."""
         nonlocal tried
-        if a == m.size:
-            out.append(tuple(img))  # type: ignore[arg-type]
-            return
-        used = {b for b in img if b is not None}
-        candidates = [b for b in m.elements if colours[b] == colours[a] and b not in used]
-        for b in candidates:
-            tried += 1
-            if tried > cap:
-                charge("automorphism search", tried)
-            img[a] = b
-            if _is_partial_ok(m, img, a):
-                backtrack(a + 1)
-            img[a] = None
+        tried += 1
+        if tried > cap:
+            charge("automorphism search", tried)
+        img[a] = b
+        if _is_partial_ok(m, img, a):
+            if a + 1 == n:
+                return True
+            used = set(img[: a + 1])
+            for c in m.elements:
+                if colours[c] == colours[a + 1] and c not in used and extends(a + 1, c):
+                    return True
+        img[a] = None
+        return False
 
-    backtrack(0)
-    return tuple(sorted(out)), tried
+    for i in reversed(m.elements):
+        img[:] = [*range(i), *[None] * (n - i)]
+        orbit = {i}  # the generators found so far fix i
+        for b in m.elements[i + 1 :]:
+            if colours[b] == colours[i] and b not in orbit and extends(i, b):
+                sigma = tuple(img)  # type: ignore[arg-type]
+                _check_automorphism(m, fix, sigma)
+                gens.append(sigma)
+                orbit = _transversal(i, gens, n).keys()
+                img[i:] = [None] * (n - i)
+    return tuple(gens), tried
 
 
 def _refuse_past_limit(tried: int) -> None:
-    """Refuse a kept group whose search tried more candidates than the
+    """Refuse a kept result whose search tried more candidates than the
     limit allows, with the error that search raises."""
     if tried > limit():
         charge("automorphism search", limit() + 1)
 
 
+def _generators(m: FinStructure, fix: frozenset[int]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """`_automorphisms_cached`, refused where its search would be: a kept
+    set runs no search, but is refused when that search tried more than
+    `limit()` candidates."""
+    gens, tried = _automorphisms_cached(m, fix)
+    _refuse_past_limit(tried)
+    return gens, tried
+
+
 class _Group(list):
     """A sorted group, with the number of candidate images its search tried."""
 
-    def __init__(self, perms: tuple[tuple[int, ...], ...], tried: int):
+    def __init__(self, perms: list[tuple[int, ...]], tried: int):
         super().__init__(perms)
         self.tried = tried
 
@@ -393,13 +468,26 @@ class _Group(list):
 def automorphisms(m: FinStructure, fix: frozenset[int] | set[int] = frozenset()) -> _Group:
     """All automorphisms of `m` fixing `fix` pointwise, sorted.
 
-    The backtrack tries at most `limit()` candidate images, each within
-    its class of the partition refinement; one more raises BudgetError.
-    A cached group runs no search, but it is refused exactly where its
-    search would be: when that search tried more than `limit()`."""
-    perms, tried = _automorphisms_cached(m, frozenset(fix))
-    _refuse_past_limit(tried)
-    return _Group(perms, tried)
+    They are listed from the strong generating set of `_automorphisms_cached`:
+    the stabiliser of 0..i-1 is the product of a transversal of i's orbit
+    under it with the stabiliser of 0..i, so the group's order is the
+    product of those orbit lengths, which is charged to the budget as
+    "automorphism group" before any element is formed.  The searches for
+    the generators try at most `limit()` candidate images; one more raises
+    BudgetError, and kept generators are refused where their search would
+    be."""
+    gens, tried = _generators(m, frozenset(fix))
+    n = m.size
+    moved = [next(a for a in m.elements if g[a] != a) for g in gens]
+    transversals = [
+        _transversal(i, [g for g, a in zip(gens, moved) if a >= i], n).values()
+        for i in m.elements
+    ]
+    charge("automorphism group", math.prod(map(len, transversals)))
+    group = [tuple(m.elements)]
+    for reps in reversed(transversals):
+        group = [tuple(map(u.__getitem__, h)) for u in reps for h in group]
+    return _Group(sorted(group), tried)
 
 
 # --- Type spaces --------------------------------------------------------------
@@ -417,8 +505,11 @@ class TypeId(Record):
 class TypeSpace(Keyed):
     """The orbits of Aut(M/A) acting on M^n, in canonical order.
 
-    Build it with `type_space`, which caches it and checks the budget;
-    `tried` counts the candidate images the search for Aut(M/A) tried.
+    Build it with `type_space`, which caches it and checks the budget.
+    Each orbit is the closure of its least member under the strong
+    generating set of Aut(M/A), so the work is |M|^n times the number of
+    generators, not times the group's order; `tried` counts the candidate
+    images the searches for those generators tried.
 
     Canonical order sorts orbits by their lexicographically least member,
     so output is deterministic across runs.
@@ -429,18 +520,24 @@ class TypeSpace(Keyed):
         self.arity = arity
         self.params = params
         self._key_cache = (structure, arity, params)
-        group = automorphisms(structure, frozenset(params))
-        self.tried = group.tried
+        gens, self.tried = _generators(structure, frozenset(params))
+        images = [g.__getitem__ for g in gens]
         orbits: list[tuple[tuple[int, ...], ...]] = []
         seen: set[tuple[int, ...]] = set()
+        # product() meets each orbit first at its least member, so the
+        # orbits come out in canonical order
         for tup in itertools.product(structure.elements, repeat=arity):
             if tup in seen:
                 continue
-            orbit = tuple(sorted({tuple(sigma[e] for e in tup) for sigma in group}))
-            seen.update(orbit)
-            orbits.append(orbit)
-        # canonical order: by least member, which sorted() put first
-        orbits.sort()
+            seen.add(tup)
+            orbit = [tup]
+            for t in orbit:  # grows while it is read: the closure under gens
+                for image in images:
+                    u = tuple(map(image, t))
+                    if u not in seen:
+                        seen.add(u)
+                        orbit.append(u)
+            orbits.append(tuple(sorted(orbit)))
         self.types: tuple[TypeId, ...] = tuple(
             TypeId(orbit[0], i) for i, orbit in enumerate(orbits)
         )
@@ -493,7 +590,7 @@ def type_space(
 
     Building the space enumerates all |M|**n tuples, which every call
     charges to the budget before any work, cached or not.  A cached space
-    is then refused where the automorphism search it ran would be.
+    is then refused where the generator search it ran would be.
     """
     ptup = tuple(params)
     for a in ptup:

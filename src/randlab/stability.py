@@ -42,7 +42,7 @@ from .randomization import Randomization, RandomElement
 from .record import Record
 from .rtypes import RMeasure, rtype_of
 from .semantics import TypeId, TypeSpace, eval_formula, isolating_formula, type_space
-from .semantics import _extension
+from .semantics import _extension, _holds
 from .structures import FinStructure
 
 
@@ -139,12 +139,19 @@ class PhiType(Record):
 
 
 def _trace(ctx: PhiContext, a: tuple[int, ...], w: tuple[int, ...]) -> frozenset:
+    """{b : phi(a, b, w)}: phi's closure is fetched once and one valuation,
+    with the names `instance_holds` binds, is rebound for each b."""
     m = ctx.structure
-    return frozenset(
-        b
-        for b in itertools.product(m.elements, repeat=len(ctx.y_vars))
-        if ctx.instance_holds(a, b, w)
-    )
+    holds = _holds(ctx.phi)
+    val = dict(zip(ctx.x_vars, a))
+    val.update(zip(ctx.w_vars, w))
+    y_vars = ctx.y_vars
+    out = []
+    for b in itertools.product(m.elements, repeat=len(y_vars)):
+        val.update(zip(y_vars, b))
+        if holds(m, val):
+            out.append(b)
+    return frozenset(out)
 
 
 def phi_type_space(ctx: PhiContext) -> list[PhiType]:
@@ -417,20 +424,19 @@ def stationarity_problem(ctx: PhiContext, p: RMeasure, q: RMeasure) -> LinFeasPr
     target = type_space(m, nx + total_y + nw, ())
     block = type_space(m, ny + nw, ())
 
-    def indicator(holds) -> RationalFn:
-        return RationalFn.indicator(target.types, filter(holds, target.types))
-
     constraints: list[tuple[RationalFn, Fraction, str]] = []
-    restrict_x = restriction_map(
-        target, list(range(nx)) + list(range(nx + total_y, target.arity)), p.space
-    )
-    for s in p.space.types:
-        constraints.append((indicator(lambda t: restrict_x(t) == s), p.weights[s], "="))
-    restrict_y = restriction_map(
-        target, list(range(nx, target.arity)), q.space
-    )
-    for s in q.space.types:
-        constraints.append((indicator(lambda t: restrict_y(t) == s), q.weights[s], "="))
+    # each marginal's rows: the target types grouped by their restriction
+    for nu, indices in (
+        (p, list(range(nx)) + list(range(nx + total_y, target.arity))),
+        (q, list(range(nx, target.arity))),
+    ):
+        restrict = restriction_map(target, indices, nu.space)
+        fibres: dict[TypeId, list[TypeId]] = {}
+        for t in target.types:
+            fibres.setdefault(restrict(t), []).append(t)
+        for s in nu.space.types:
+            row = RationalFn.indicator(target.types, fibres.get(s, ()))
+            constraints.append((row, nu.weights[s], "="))
     for i in range(copies):
         q_i = image_measure(
             _measure_space(q),
@@ -449,7 +455,8 @@ def stationarity_problem(ctx: PhiContext, p: RMeasure, q: RMeasure) -> LinFeasPr
             w = rep[nx + total_y : nx + total_y + len(ctx.w_vars)]
             return ctx.instance_holds(a, b, w)
 
-        constraints.append((indicator(holds), value, "="))
+        row = RationalFn.indicator(target.types, filter(holds, target.types))
+        constraints.append((row, value, "="))
     return LinFeasProblem(target.types, constraints)
 
 

@@ -170,8 +170,11 @@ def test_budget_reaches_the_automorphism_search(tmp_path):
     path.write_text("structure p8 { universe = 8; }\nstructure p9 { universe = 9; }\n")
     try:
         for n in (8, 9):
-            # a pure set of n tries n!/(n-1)! + n!/(n-2)! + ... + n!/0! images
-            tries = sum(math.perm(n, k) for k in range(1, n + 1))
+            # the generator search on a pure set of n looks, at each level
+            # i < n-1, for the swap of i and i+1 under the identity on
+            # 0..i-1, trying the n - i images i+1, i, i+2, ..., n-1:
+            # 2 + 3 + ... + n = n(n+1)/2 - 1 candidates
+            tries = n * (n + 1) // 2 - 1
             _forget_groups()
             argv = ["types", "--structure", f"p{n}"]
             code, out, err = run("--workspace", str(path), "--budget", str(tries - 1), *argv)
@@ -180,27 +183,47 @@ def test_budget_reaches_the_automorphism_search(tmp_path):
             code, out, _ = run("--workspace", str(path), "--budget", str(tries), *argv)
             assert (code, out) == (0, f"q0 rep (0,) orbit-size {n} isolated-by x0 = x0\n")
     finally:
-        _forget_groups()  # p9 is refused under the default budget again
+        _forget_groups()
 
 
 def test_a_cached_group_is_refused_where_its_search_would_be(tmp_path):
     path = tmp_path / "p9.rl"
     path.write_text("structure p9 { universe = 9; }\n")
-    tries = sum(math.perm(9, k) for k in range(1, 10))
+    tries = 9 * 10 // 2 - 1  # as in test_budget_reaches_the_automorphism_search
     types = ("--workspace", str(path), "types", "--structure", "p9")
-    refused = (4, "", f"error: automorphism search over budget (required count {DEFAULT_BUDGET + 1})\n")
+    refused = (4, "", f"error: automorphism search over budget (required count {tries})\n")
     passed = (0, "q0 rep (0,) orbit-size 9 isolated-by x0 = x0\n", "")
     _forget_groups()
     try:
-        # the default budget before and after a run that built the group
-        assert run(*types) == refused
+        # one candidate short before and after a run that built the group
+        assert run("--budget", str(tries - 1), *types) == refused
         assert run("--budget", str(tries), *types) == passed
-        assert run(*types) == refused
+        assert run("--budget", str(tries - 1), *types) == refused
         with pytest.raises(randlab.BudgetError) as err:
-            randlab.automorphisms(randlab.pure_set(9))
-        assert err.value.required == DEFAULT_BUDGET + 1
+            with randlab.errors.budget(tries - 1):
+                randlab.automorphisms(randlab.pure_set(9))
+        assert err.value.required == tries
     finally:
         _forget_groups()
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_pure_sets_of_nine_and_more_build_under_the_default_budget(tmp_path, n):
+    # their generator searches try n(n+1)/2 - 1 candidates, where the
+    # backtrack over the whole group was refused at 200001
+    path = tmp_path / "p.rl"
+    path.write_text(f"structure p{n} {{ universe = {n}; }}\n")
+    ws = ("--workspace", str(path))
+    assert run(*ws, "types", "--structure", f"p{n}", "--arity", "2") == (0, (
+        f"q0 rep (0, 0) orbit-size {n} isolated-by x0 = x1\n"
+        f"q1 rep (0, 1) orbit-size {n * (n - 1)} isolated-by !x0 = x1\n"
+    ), "")
+    assert run(*ws, "check", "categoricity", "--structure", f"p{n}") == (0, (
+        "PASS type-space-size n=1 |S_1|=1 (finite)\n"
+        "PASS realize-battery n=1 count=1\n"
+        "PASS type-space-size n=2 |S_2|=2 (finite)\n"
+        "PASS realize-battery n=2 count=7\n"
+    ), "")
 
 
 def test_budget_reaches_the_axiom_covering(tmp_path):
@@ -754,11 +777,10 @@ def test_a_name_from_another_randomization_or_none_is_refused(ws_file, argv, mes
 def test_automorphism_search_over_budget_exits_4(tmp_path):
     path = tmp_path / "p9.rl"
     path.write_text("structure p9 { universe = 9; }\nstructure p8 { universe = 8; }\n")
-    code, out, err = run("--workspace", str(path), "types", "--structure", "p9")
+    # p9's generator search tries 44 candidates (see
+    # test_budget_reaches_the_automorphism_search); 43 refuses it
+    code, out, err = run("--workspace", str(path), "--budget", "43", "types", "--structure", "p9")
     assert (code, out) == (4, "")
-    assert err == (
-        "error: automorphism search over budget "
-        f"(required count {DEFAULT_BUDGET + 1})\n"
-    )
+    assert err == "error: automorphism search over budget (required count 44)\n"
     code, out, _ = run("--workspace", str(path), "types", "--structure", "p8")
     assert (code, out) == (0, "q0 rep (0,) orbit-size 8 isolated-by x0 = x0\n")

@@ -117,17 +117,27 @@ def test_automorphisms_form_a_group(c3, m4):
 
 
 def test_automorphism_search_is_budgeted():
-    # the backtrack tries at most DEFAULT_BUDGET candidate images
+    # a pure set of n searches once per level i < n-1, for the swap of i
+    # and i+1, under the identity on 0..i-1, and tries the n - i images
+    # i+1, i, i+2, ..., n-1: 2 + 3 + ... + n = n(n+1)/2 - 1 candidates
+    tries = 9 * 10 // 2 - 1
+    # refused one candidate short, at the count the search reaches (a
+    # fresh search and a kept one alike)
+    with budget(tries - 1):
+        with pytest.raises(BudgetError) as err:
+            type_space(pure_set(9), 1)
+    assert err.value.required == tries
+    with budget(tries):
+        assert len(type_space(pure_set(9), 1)) == 1
+    assert semantics._automorphisms_cached(pure_set(9), frozenset())[1] == tries
+    # listing the group charges its order, the product of the orbit lengths
     for n in (9, 59):
         start = time.perf_counter()
         with pytest.raises(BudgetError) as err:
             automorphisms(pure_set(n))
         assert time.perf_counter() - start < 5
-        assert err.value.required == DEFAULT_BUDGET + 1
-    with pytest.raises(BudgetError):
-        type_space(pure_set(9), 1)
-    # a pure set of 8 tries 8!/7! + 8!/6! + ... + 8!/0! images
-    assert sum(math.perm(8, k) for k in range(1, 9)) <= DEFAULT_BUDGET
+        assert err.value.required == math.factorial(n)
+    assert math.factorial(8) <= DEFAULT_BUDGET
     assert len(automorphisms(pure_set(8))) == math.factorial(8)
     # a fixed element is a class of its own
     assert len(automorphisms(pure_set(9), {0})) == math.factorial(8)
@@ -669,6 +679,103 @@ def test_automorphisms_with_functions_and_constants_match_brute_force(st):
         colours = semantics._refine_classes(st, fix)
         for sigma in group:
             assert all(colours[sigma[a]] == colours[a] for a in st.elements)
+
+
+
+# --- Oracle: the backtrack over the whole group ----------------------------------
+#
+# `_automorphisms_cached` searches for a strong generating set.  The oracle
+# is the search it replaced, kept without its budget: a backtrack that
+# lists every automorphism, with the number of candidate images it tried.
+
+
+def _backtrack_automorphisms(m, fix=frozenset()):
+    colours = semantics._refine_classes(m, fix)
+    out = []
+    img = [None] * m.size
+    tried = 0
+
+    def backtrack(a):
+        nonlocal tried
+        if a == m.size:
+            out.append(tuple(img))
+            return
+        used = {b for b in img if b is not None}
+        candidates = [b for b in m.elements if colours[b] == colours[a] and b not in used]
+        for b in candidates:
+            tried += 1
+            img[a] = b
+            if semantics._is_partial_ok(m, img, a):
+                backtrack(a + 1)
+            img[a] = None
+
+    backtrack(0)
+    return sorted(out), tried
+
+
+def _closure(gens, size):
+    """The group that gens generate, by closing the identity under them."""
+    group = {tuple(range(size))}
+    frontier = list(group)
+    for h in frontier:
+        for g in gens:
+            gh = tuple(g[x] for x in h)
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    return group
+
+
+def _orbits_under(group, size, arity):
+    """The orbits of M^arity under every element of the group, sorted."""
+    return sorted(
+        {tuple(sorted({tuple(sigma[e] for e in tup) for sigma in group}))
+         for tup in itertools.product(range(size), repeat=arity)}
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(structures_with_functions(), hst.randoms(use_true_random=False))
+def test_generators_match_the_whole_group_backtrack(st, rng):
+    params = tuple(rng.sample(range(st.size), rng.randint(0, 2)))
+    fix = frozenset(params)
+    group, old_tried = _backtrack_automorphisms(st, fix)
+    assert group == _brute_force_automorphisms(st, fix)
+    gens, tried = semantics._automorphisms_cached(st, fix)
+    # each search walks a subtree of the backtrack's tree, none twice
+    assert tried <= old_tried
+    assert sorted(_closure(gens, st.size)) == group
+    listed = automorphisms(st, fix)
+    assert listed == group and listed.tried == tried
+    for arity in (1, 2, 3):
+        space = type_space(st, arity, params)
+        assert [tuple(space.orbit(q)) for q in space.types] == _orbits_under(group, st.size, arity)
+        assert [q.rep for q in space.types] == [o[0] for o in _orbits_under(group, st.size, arity)]
+
+
+def test_generator_search_counts_on_pure_sets_and_a_cycle():
+    # a pure set of n: n(n+1)/2 - 1 (see test_automorphism_search_is_budgeted),
+    # where the backtrack over the whole group tries n!/(n-1)! + ... + n!/0!.
+    # C30: each level i > 0 refutes its 29 - i images at the first edge
+    # (406 in all); level 0 tries 1 image, 2 for each of 1..28 and 1 for
+    # 29 to find the rotation by one, whose orbit is everything: 464
+    for st, tries in ((pure_set(5), 14), (pure_set(8), 35), (directed_cycle(30), 464)):
+        gens, tried = semantics._automorphisms_cached(st, frozenset())
+        assert tried == tries
+        assert len(_closure(gens, st.size)) == len(automorphisms(st))
+    assert _backtrack_automorphisms(pure_set(5))[1] == sum(math.perm(5, k) for k in range(1, 6))
+
+
+def test_a_corrupted_generator_is_caught_by_the_self_check(monkeypatch, c3):
+    # a partial check that passes everything lets the search return the
+    # first permutation it meets, (0, 2, 1), which reverses C3's edges
+    monkeypatch.setattr(semantics, "_is_partial_ok", lambda m, img, a: True)
+    semantics._automorphisms_cached.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=r"generator \(0, 2, 1\) sends E"):
+            semantics._automorphisms_cached(c3, frozenset())
+    finally:
+        semantics._automorphisms_cached.cache_clear()
 
 
 def _whole_partial_check(m, img):
