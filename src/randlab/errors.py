@@ -8,9 +8,10 @@ refuses it with BudgetError before any item is formed.  The limit is
 scoped like a `decimal.localcontext` precision: `with budget(n):` sets it
 for the code inside and restores the old one on exit, and `limit()`
 reads it.  A cached result is refused exactly where a fresh call would
-be: `type_space` charges its tuple count on every call, and a cached
-generating set of an automorphism group, or a type space built from one,
-is refused when its search tried more candidates than the limit.
+be: `type_space` charges its tuple count on every call, and every reader
+of a kept automorphism search, a cached type space included, goes through
+`semantics._generators`, which refuses it when that search tried more
+candidates than the limit.
 """
 
 from contextlib import contextmanager

@@ -31,6 +31,9 @@ class RMeasure(Keyed):
         self.weights: dict[TypeId, Fraction] = {
             q: frac(weights.get(q, Fraction(0))) for q in space.types
         }
+        for q in weights:
+            if q not in self.weights:
+                raise ValidationError(f"{q!r} is not a type of {space!r}")
         for q, w in self.weights.items():
             if w < 0:
                 raise ValidationError(f"negative weight {w} at {q}")

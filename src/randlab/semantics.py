@@ -21,9 +21,12 @@ image of a base point that the generators found so far do not reach,
 find a strong generating set along the stabiliser chain of 0, 1, ...
 (Sims 1970; McKay and Piperno 2014); each generator is checked as a full
 automorphism before it is used, and a type space closes each tuple under
-the generators.  `automorphisms` lists the group from them only when
-asked.  Isolating formulas are synthesised on demand and are not stored
-on the type.
+the generators.  Refinement and the backtrack read the incidence lists
+`FinStructure.through`, not whole tables.  `automorphisms` lists the
+group only when asked.  Every reader of a kept generating set goes
+through `_generators`, the one place that refuses it past the budget.
+Isolating formulas are synthesised on demand and are not stored on the
+type.
 """
 
 from __future__ import annotations
@@ -284,67 +287,49 @@ def _refine_classes(m: FinStructure, fix: frozenset[int]) -> list[int]:
 
     Fixed elements and constant values start as singleton classes, every
     other element in one class.  Each round splits a class by the relation
-    tuples and function entries through its elements: their colours, and
-    the positions the element itself holds in them.
+    tuples and function entries through its elements (`m.through`): their
+    symbols, their colours, and the positions the element itself holds in
+    them, marked -1.
     """
     pinned = fix | set(m.const_values.values())
-    colour = {a: a + 1 if a in pinned else 0 for a in m.elements}
+    colour = [a + 1 if a in pinned else 0 for a in m.elements]
+    # a function entry (sym, args, v) reads as sym over the tuple (*args, v)
+    rows = [[(e[0], e[1] + e[2:]) for e in entries] for entries in m.through]
     while True:
-        sigs = {}
-        for a in m.elements:
-            rel_sig = tuple(
-                tuple(sorted(
-                    tuple((colour[e], e == a) for e in t) for t in m.rel_tables[sym] if a in t
-                ))
-                for sym in sorted(m.rel_tables)
-            )
-            fn_sig = tuple(
-                tuple(sorted(
-                    (tuple((colour[e], e == a) for e in args), colour[v], v == a)
-                    for args, v in m.fn_tables[sym].items()
-                    if a in args or v == a
-                ))
-                for sym in sorted(m.fn_tables)
-            )
-            sigs[a] = (colour[a], rel_sig, fn_sig)
         fresh: dict[tuple, int] = {}
-        new_colour = {a: fresh.setdefault(sigs[a], len(fresh)) for a in m.elements}
-        if len(fresh) == len(set(colour.values())):
-            return [colour[a] for a in m.elements]
+        new_colour = []
+        for a, row in enumerate(rows):
+            sig = sorted((sym, tuple([-1 if e == a else colour[e] for e in t])) for sym, t in row)
+            new_colour.append(fresh.setdefault((colour[a], tuple(sig)), len(fresh)))
+        if len(fresh) == len(set(colour)):
+            return colour
         colour = new_colour
-
-
-def _tuples_through(assigned: list[int], a: int, k: int):
-    """Every k-tuple over `assigned` that contains a, each once: by the
-    position i of its first a."""
-    others = [b for b in assigned if b != a]
-    for i in range(k):
-        for head in itertools.product(others, repeat=i):
-            for tail in itertools.product(assigned, repeat=k - 1 - i):
-                yield (*head, a, *tail)
 
 
 def _is_partial_ok(m: FinStructure, img: list[int | None], a: int) -> bool:
     """Whether img still preserves m now that a is assigned.
 
-    The parent node passed this check, so only the relation tuples through
-    a and the function entries whose arguments or value involve a are new.
+    The parent node passed this check, so only the relation tuples and
+    function entries through a are new.  Forward, each of `m.through[a]`
+    over assigned elements maps to a tuple or an entry of m; backward, each
+    relation tuple through img[a] inside the image comes from one.
     """
-    assigned = [b for b in m.elements if img[b] is not None]
-    image = img.__getitem__
-    for sym, table in m.rel_tables.items():
-        for t in _tuples_through(assigned, a, m.signature.relations[sym]):
-            if (t in table) != (tuple(map(image, t)) in table):
+    rel, fn = m.rel_tables, m.fn_tables
+    for entry in m.through[a]:
+        mapped = tuple([img[e] for e in entry[1]])
+        if None in mapped:
+            continue
+        if len(entry) == 2:
+            if mapped not in rel[entry[0]]:
                 return False
-    for sym, table in m.fn_tables.items():
-        k = m.signature.functions[sym]
-        others = [b for b in assigned if b != a]
-        for args in _tuples_through(assigned, a, k):
-            v = table[args]
-            if img[v] is not None and table[tuple(map(image, args))] != img[v]:
+        else:
+            v = img[entry[2]]
+            if v is not None and fn[entry[0]][mapped] != v:
                 return False
-        for args in itertools.product(others, repeat=k):
-            if table[args] == a and table[tuple(map(image, args))] != img[a]:
+    preimage = {b: c for c, b in enumerate(img) if b is not None}
+    for entry in m.through[img[a]]:
+        if len(entry) == 2 and all(e in preimage for e in entry[1]):
+            if tuple([preimage[e] for e in entry[1]]) not in rel[entry[0]]:
                 return False
     return True
 
@@ -352,7 +337,8 @@ def _is_partial_ok(m: FinStructure, img: list[int | None], a: int) -> bool:
 def _check_automorphism(m: FinStructure, fix: frozenset[int], sigma: tuple[int, ...]) -> None:
     """Raise AssertionError unless sigma is an automorphism of m that fixes
     `fix` and the constants: one pass over the relation tuples and the
-    function entries, as `FeasibleCertificate.verify` checks a witness."""
+    function entries (not `m.through`, which the search reads), as
+    `FeasibleCertificate.verify` checks a witness."""
     image = sigma.__getitem__
     if sorted(sigma) != list(m.elements):
         raise AssertionError(f"generator {sigma} is not a permutation")
@@ -398,7 +384,8 @@ def _automorphisms_cached(
     So the generators fixing 0..i-1 reach every image of i that the
     stabiliser of 0..i-1 reaches, and by induction from the deepest level
     they generate that stabiliser.  Each backtrack walks a subtree of the
-    search over the whole group, and none walks another's.
+    search over the whole group, and none walks another's.  A kept result
+    is read only through `_generators`, which refuses it past the limit.
     """
     for a in fix:
         if a not in m.elements:
@@ -441,42 +428,26 @@ def _automorphisms_cached(
     return tuple(gens), tried
 
 
-def _refuse_past_limit(tried: int) -> None:
-    """Refuse a kept result whose search tried more candidates than the
-    limit allows, with the error that search raises."""
+def _generators(m: FinStructure, fix: frozenset[int]) -> tuple[tuple[int, ...], ...]:
+    """The generators of `_automorphisms_cached`, refused where their search
+    would be.  Every reader of a kept search goes through here: a kept set
+    runs no search, but one whose search tried more than `limit()`
+    candidates raises the error that search raises."""
+    gens, tried = _automorphisms_cached(m, fix)
     if tried > limit():
         charge("automorphism search", limit() + 1)
+    return gens
 
 
-def _generators(m: FinStructure, fix: frozenset[int]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """`_automorphisms_cached`, refused where its search would be: a kept
-    set runs no search, but is refused when that search tried more than
-    `limit()` candidates."""
-    gens, tried = _automorphisms_cached(m, fix)
-    _refuse_past_limit(tried)
-    return gens, tried
-
-
-class _Group(list):
-    """A sorted group, with the number of candidate images its search tried."""
-
-    def __init__(self, perms: list[tuple[int, ...]], tried: int):
-        super().__init__(perms)
-        self.tried = tried
-
-
-def automorphisms(m: FinStructure, fix: frozenset[int] | set[int] = frozenset()) -> _Group:
+def automorphisms(m: FinStructure, fix: frozenset[int] | set[int] = frozenset()) -> list[tuple[int, ...]]:
     """All automorphisms of `m` fixing `fix` pointwise, sorted.
 
-    They are listed from the strong generating set of `_automorphisms_cached`:
-    the stabiliser of 0..i-1 is the product of a transversal of i's orbit
-    under it with the stabiliser of 0..i, so the group's order is the
-    product of those orbit lengths, which is charged to the budget as
-    "automorphism group" before any element is formed.  The searches for
-    the generators try at most `limit()` candidate images; one more raises
-    BudgetError, and kept generators are refused where their search would
-    be."""
-    gens, tried = _generators(m, frozenset(fix))
+    They are listed from the strong generating set that `_generators`
+    returns: the stabiliser of 0..i-1 is the product of a transversal of
+    i's orbit under it with the stabiliser of 0..i, so the group's order is
+    the product of those orbit lengths, which is charged to the budget as
+    "automorphism group" before any element is formed."""
+    gens = _generators(m, frozenset(fix))
     n = m.size
     moved = [next(a for a in m.elements if g[a] != a) for g in gens]
     transversals = [
@@ -487,7 +458,7 @@ def automorphisms(m: FinStructure, fix: frozenset[int] | set[int] = frozenset())
     group = [tuple(m.elements)]
     for reps in reversed(transversals):
         group = [tuple(map(u.__getitem__, h)) for u in reps for h in group]
-    return _Group(sorted(group), tried)
+    return sorted(group)
 
 
 # --- Type spaces --------------------------------------------------------------
@@ -507,9 +478,8 @@ class TypeSpace(Keyed):
 
     Build it with `type_space`, which caches it and checks the budget.
     Each orbit is the closure of its least member under the strong
-    generating set of Aut(M/A), so the work is |M|^n times the number of
-    generators, not times the group's order; `tried` counts the candidate
-    images the searches for those generators tried.
+    generating set of Aut(M/A) from `_generators`, so the work is |M|^n
+    times the number of generators, not times the group's order.
 
     Canonical order sorts orbits by their lexicographically least member,
     so output is deterministic across runs.
@@ -520,7 +490,7 @@ class TypeSpace(Keyed):
         self.arity = arity
         self.params = params
         self._key_cache = (structure, arity, params)
-        gens, self.tried = _generators(structure, frozenset(params))
+        gens = _generators(structure, frozenset(params))
         images = [g.__getitem__ for g in gens]
         orbits: list[tuple[tuple[int, ...], ...]] = []
         seen: set[tuple[int, ...]] = set()
@@ -566,7 +536,9 @@ class TypeSpace(Keyed):
         return self.types[self.index_of(tup)]
 
     def orbit(self, q: TypeId) -> list[tuple[int, ...]]:
-        """The members of q's orbit, sorted."""
+        """The members of q's orbit, sorted; q must be a type of this space."""
+        if not (0 <= q.index < len(self.types) and self.types[q.index] == q):
+            raise ValidationError(f"{q!r} is not a type of {self!r}")
         return list(self._orbits[q.index])
 
     def __repr__(self):
@@ -589,8 +561,9 @@ def type_space(
     """S_n over the parameter tuple `params` (types = Aut(M/A)-orbits).
 
     Building the space enumerates all |M|**n tuples, which every call
-    charges to the budget before any work, cached or not.  A cached space
-    is then refused where the generator search it ran would be.
+    charges to the budget before any work, cached or not.  Every call then
+    asks `_generators`, so a cached space is refused where the generator
+    search it ran would be, and that search reruns if it was forgotten.
     """
     ptup = tuple(params)
     for a in ptup:
@@ -599,9 +572,8 @@ def type_space(
     if n < 0:
         raise ValidationError(f"negative arity {n}")
     charge("type space enumeration", m.size, n)
-    space = _type_space_cached(m, n, ptup)
-    _refuse_past_limit(space.tried)
-    return space
+    _generators(m, frozenset(ptup))
+    return _type_space_cached(m, n, ptup)
 
 
 def type_of_tuple(m: FinStructure, tup: tuple[int, ...], params: tuple[int, ...] | list[int] = ()) -> TypeId:

@@ -8,6 +8,7 @@ sets).  All values are immutable after construction.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import ParseError, ValidationError
@@ -120,6 +121,23 @@ class FinStructure(Keyed):
             tuple(sorted((s, tuple(sorted(t.items()))) for s, t in self.fn_tables.items())),
             tuple(sorted(self.const_values.items())),
         )
+
+    @cached_property
+    def through(self) -> tuple[tuple[tuple, ...], ...]:
+        """For each element a, the relation tuples `(sym, t)` with a in t and
+        the function entries `(sym, args, v)` with a in args or v == a, each
+        listed once under each distinct element in it; a 0-ary relation's
+        `()` is in no list.  Built on first use, for the automorphism search."""
+        lists: list[list[tuple]] = [[] for _ in self.elements]
+        for sym, table in self.rel_tables.items():
+            for t in table:
+                for a in set(t):
+                    lists[a].append((sym, t))
+        for sym, fn in self.fn_tables.items():
+            for args, v in fn.items():
+                for a in {*args, v}:
+                    lists[a].append((sym, args, v))
+        return tuple(map(tuple, lists))
 
     def holds(self, sym: str, args: tuple[int, ...]) -> bool:
         return args in self.rel_tables[sym]

@@ -394,3 +394,13 @@ def test_rmeasure_serialization(l3):
     space = type_space(l3, 1, ())
     nu = RMeasure(space, {space.types[0]: F(1, 3), space.types[2]: F(2, 3)})
     assert format_rmeasure(nu) == "rtype { q0: 1/3, q2: 2/3 }"
+
+
+def test_a_measure_refuses_a_type_from_another_space(c3):
+    # s1's third type has no place in s0, which has one type; it was
+    # dropped, or counted in the sum that the error reported
+    s0, s1 = type_space(c3, 1), type_space(c3, 1, (0,))
+    foreign = r"TypeId\(rep=\(2,\), index=2\) is not a type of TypeSpace"
+    for weights in ({s0.types[0]: 1, s1.types[2]: 0}, {s0.types[0]: F(1, 2), s1.types[2]: F(1, 2)}):
+        with pytest.raises(ValidationError, match=foreign):
+            RMeasure(s0, weights)

@@ -626,10 +626,10 @@ def test_a_compiled_node_keeps_its_equality_hash_and_repr(c3):
 
 @hst.composite
 def structures_with_functions(draw):
-    """2-5 elements, a random subset of the symbols U/1, E/2, T/3, f/1, g/2
-    and c.  The tables are closed under a random permutation sigma, so
-    sigma is an automorphism when it also fixes c, and groups are often
-    larger than the identity."""
+    """2-5 elements, a random subset of the symbols U/1, E/2, T/3, the
+    proposition P/0, f/1, g/2 and c.  The tables are closed under a random
+    permutation sigma, so sigma is an automorphism when it also fixes c,
+    and groups are often larger than the identity."""
     rng = draw(hst.randoms(use_true_random=False))
     n = rng.randint(2, 5)
     sigma = list(range(n))
@@ -641,7 +641,9 @@ def structures_with_functions(draw):
             out.append(t)
         return out
 
-    relations = {s: k for s, k in (("U", 1), ("E", 2), ("T", 3)) if rng.random() < 0.6}
+    relations = {
+        s: k for s, k in (("U", 1), ("E", 2), ("T", 3), ("P", 0)) if rng.random() < 0.6
+    }
     functions = {s: k for s, k in (("f", 1), ("g", 2)) if rng.random() < 0.5}
     constants = ["c"] if rng.random() < 0.5 else []
     rel_tables = {}
@@ -680,6 +682,72 @@ def test_automorphisms_with_functions_and_constants_match_brute_force(st):
         for sigma in group:
             assert all(colours[sigma[a]] == colours[a] for a in st.elements)
 
+
+# --- Oracle: refinement by rescanning every table --------------------------------
+#
+# `_refine_classes` reads the incidence lists of `FinStructure.through`.  The
+# oracle is the refinement it replaced, which rescans every relation table
+# and function table for every element in every round.
+
+
+def _rescanning_refine_classes(m, fix):
+    pinned = fix | set(m.const_values.values())
+    colour = {a: a + 1 if a in pinned else 0 for a in m.elements}
+    while True:
+        sigs = {}
+        for a in m.elements:
+            rel_sig = tuple(
+                tuple(sorted(
+                    tuple((colour[e], e == a) for e in t) for t in m.rel_tables[sym] if a in t
+                ))
+                for sym in sorted(m.rel_tables)
+            )
+            fn_sig = tuple(
+                tuple(sorted(
+                    (tuple((colour[e], e == a) for e in args), colour[v], v == a)
+                    for args, v in m.fn_tables[sym].items()
+                    if a in args or v == a
+                ))
+                for sym in sorted(m.fn_tables)
+            )
+            sigs[a] = (colour[a], rel_sig, fn_sig)
+        fresh = {}
+        new_colour = {a: fresh.setdefault(sigs[a], len(fresh)) for a in m.elements}
+        if len(fresh) == len(set(colour.values())):
+            return [colour[a] for a in m.elements]
+        colour = new_colour
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(structures_with_functions(), hst.randoms(use_true_random=False))
+def test_refinement_from_incidence_lists_matches_the_rescanning_oracle(st, rng):
+    fix = frozenset(rng.sample(range(st.size), rng.randint(0, 2)))
+    assert semantics._refine_classes(st, fix) == _rescanning_refine_classes(st, fix)
+
+
+def test_refinement_reads_symbols_and_positions_as_the_oracle_does():
+    # a linear order splits only by the positions an element holds, and R
+    # and S only by their symbols; random structures seldom need either
+    two = FinStructure(Signature(relations={"R": 2, "S": 2}), 4, {"R": {(0, 1)}, "S": {(2, 3)}})
+    for st in (linear_order(5), directed_cycle(6), pure_set(4), two):
+        for fix in (frozenset(), frozenset({0}), frozenset({0, 2})):
+            assert semantics._refine_classes(st, fix) == _rescanning_refine_classes(st, fix)
+    assert len(set(semantics._refine_classes(linear_order(5), frozenset()))) == 5
+    assert len(set(semantics._refine_classes(two, frozenset()))) == 4
+
+
+def test_through_lists_each_tuple_and_entry_once_per_element():
+    sig = Signature(relations={"E": 2, "P": 0}, functions={"f": 1})
+    m = FinStructure(
+        sig, 3, {"E": {(0, 0), (0, 1)}, "P": {()}}, {"f": {(0,): 2, (1,): 1, (2,): 2}}
+    )
+    # (0, 0) once under 0; f(1) = 1 once under 1; values are listed
+    assert sorted(m.through[0]) == [("E", (0, 0)), ("E", (0, 1)), ("f", (0,), 2)]
+    assert sorted(m.through[1]) == [("E", (0, 1)), ("f", (1,), 1)]
+    assert sorted(m.through[2]) == [("f", (0,), 2), ("f", (2,), 2)]
+    # the proposition's () lies in no list
+    assert not any(entry[0] == "P" for entries in m.through for entry in entries)
+    assert m.through is m.through
 
 
 # --- Oracle: the backtrack over the whole group ----------------------------------
@@ -746,7 +814,7 @@ def test_generators_match_the_whole_group_backtrack(st, rng):
     assert tried <= old_tried
     assert sorted(_closure(gens, st.size)) == group
     listed = automorphisms(st, fix)
-    assert listed == group and listed.tried == tried
+    assert listed == group
     for arity in (1, 2, 3):
         space = type_space(st, arity, params)
         assert [tuple(space.orbit(q)) for q in space.types] == _orbits_under(group, st.size, arity)
@@ -776,6 +844,27 @@ def test_a_corrupted_generator_is_caught_by_the_self_check(monkeypatch, c3):
             semantics._automorphisms_cached(c3, frozenset())
     finally:
         semantics._automorphisms_cached.cache_clear()
+
+
+def test_a_type_space_built_under_a_large_budget_is_refused_under_a_small_one():
+    # a pure set of 10 tries 10 * 11 / 2 - 1 candidates (see
+    # test_automorphism_search_is_budgeted)
+    st, tries = pure_set(10), 10 * 11 // 2 - 1
+    with budget(tries):
+        space = type_space(st, 1)
+    # as it stands: the kept generators are refused by their kept count
+    with budget(tries - 1), pytest.raises(BudgetError) as err:
+        type_space(st, 1)
+    assert err.value.required == tries
+    # with the generators forgotten and the space kept, the search reruns
+    # and raises, and nothing is kept from it
+    semantics._automorphisms_cached.cache_clear()
+    with budget(tries - 1), pytest.raises(BudgetError) as err:
+        type_space(st, 1)
+    assert err.value.required == tries
+    assert semantics._automorphisms_cached.cache_info().currsize == 0
+    with budget(tries):
+        assert type_space(st, 1) is space
 
 
 def _whole_partial_check(m, img):

@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import re
 import time
 import typing
 from contextlib import redirect_stdout
@@ -41,7 +42,7 @@ from randlab.cli import main
 from randlab.errors import DEFAULT_BUDGET, budget
 from randlab.formulas import Eq, Not, Var, format_formula, substitute
 from randlab.formulas import Formula, Term, TypeIs, disj
-from randlab.semantics import _extension, automorphisms, isolating_formula
+from randlab.semantics import TypeId, _extension, automorphisms, isolating_formula
 from randlab.stability import (
     IndependenceVerdict,
     _heads,
@@ -445,6 +446,23 @@ def test_rho_hat_rejects_mismatched_marginals(l3):
     for build in (rho_hat, nonforking_extension, certify_nonforking):
         with pytest.raises(ValidationError, match="2 w variables for 1 parameter"):
             build(wide, p, p)
+
+
+def test_a_type_from_another_space_is_refused(c3):
+    # s1's third type indexes past s0's one type; TypeId((1,), 0) has an
+    # index of s0 but not its representative
+    s0, s1 = type_space(c3, 1), type_space(c3, 1, (0,))
+    ctx = ctx_of(c3, "E(x, y)")
+    calls = (
+        lambda q: rho(ctx, s0, q, 1),
+        lambda q: rho_by_multiplicity(ctx, s0, q, 1),
+        lambda q: isolating_formula(s0, q),
+    )
+    for q in (s1.types[2], TypeId((1,), 0)):
+        for call in calls:
+            with pytest.raises(ValidationError, match=rf"{re.escape(repr(q))} is not a type of"):
+                call(q)
+    assert rho(ctx, s0, s0.types[0], 1) == F(1, 3)
 
 
 def test_measures_on_another_structure_are_refused(m2, c3):
