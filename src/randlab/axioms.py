@@ -13,8 +13,13 @@ elements with one equality pattern per point the d_K laws, and two
 witnesses the event group; the connective, lattice, d_B and modular laws
 follow from the premise and are only exercised (the connectives at one
 covering binding per corpus pair, the rest at the full and empty event).
-The boolean and fullness groups take all the events of one binding in
-one pass (`_events_of`), each the event `event_of` gives.
+Every formula that shares a binding is evaluated in one pass over the
+points: `covering_failures` hands its predicate all the payloads still
+passing at a binding, validity, boolean and transfer take the events of
+one binding from one `_events_of` call, and fullness finds every
+formula's least witness in one pass (`_fullness_witnesses`) and reads
+[[phi(f_phi)]] in another; each event and witness is the one `event_of`
+and `fullness_witness` give.
 Atomlessness cannot hold on a finite space: the checker reports the
 exact defect
   max_U min_V |mu(U /\\ V) - mu(U)/2|,
@@ -49,16 +54,17 @@ from .formulas import (
 from .randomization import (
     Randomization,
     RandomElement,
+    _columns,
     _events_of,
+    _fullness_witnesses,
     d_b,
     d_k,
     event_of,
     event_witness,
-    fullness_witness,
     mu,
 )
 from .record import Record
-from .semantics import eval_formula
+from .semantics import _holds, eval_formula
 from .structures import FinStructure, Signature
 
 EXACT_GROUPS = (
@@ -266,11 +272,15 @@ def _covering_bindings(rand: Randomization, variables: Iterable[str]) -> _Coveri
 
 
 def covering_failures(rand: Randomization, items: Iterable, holds: Callable) -> list:
-    """The payloads of the (payload, variables) items for which
-    holds(payload, binding) is false at some covering binding of the
-    variables, in input order.  Items with the same variables share one
-    walk of the covering, so each binding is built once; every covering is
-    sized, and refused past the budget, before any binding is checked.
+    """The payloads of the (payload, variables) items that fail at some
+    covering binding of their variables, in input order.
+
+    Items with the same variables share one walk of the covering: at each
+    binding, holds(payloads, binding) gets the payloads still passing and
+    returns one bool per payload, so each binding is built once, one is
+    held at a time, and a payload that fails is not checked again.  Every
+    covering is sized, and refused past the budget, before any binding is
+    checked.
     """
     items = list(items)
     groups: dict[frozenset[str], list[int]] = {}
@@ -280,11 +290,38 @@ def covering_failures(rand: Randomization, items: Iterable, holds: Callable) -> 
     passing: set[int] = set()
     for cover, members in coverings:
         for binding in cover:
-            members = [i for i in members if holds(items[i][0], binding)]
+            verdicts = holds([items[i][0] for i in members], binding)
+            members = [i for i, ok in zip(members, verdicts) if ok]
             if not members:
                 break
         passing.update(members)
     return [payload for i, (payload, _) in enumerate(items) if i not in passing]
+
+
+def _witnessed_events(
+    rand: Randomization,
+    phis: Sequence[Formula],
+    var: str,
+    witnesses: Sequence[RandomElement],
+    binding: dict[str, RandomElement],
+) -> list[frozenset]:
+    """[[phi(f)]] for each formula phi of `phis` with its own witness f
+    bound to `var`, in one pass: at each point the binding's valuation is
+    set once, and each formula reads its witness's value there."""
+    fv = sorted(frozenset().union(*[free_vars(phi) for phi in phis]) - {var})
+    columns = _columns(rand, fv, binding)
+    family = rand.family
+    tests = [(_holds(phi), f.values, []) for phi, f in zip(phis, witnesses)]
+    val: dict[str, int] = {}
+    for w in rand.base.points:
+        m = family[w]
+        for v, column in columns:
+            val[v] = column[w]
+        for holds, witness, out in tests:
+            val[var] = witness[w]
+            if holds(m, val):
+                out.append(w)
+    return [frozenset(out) for _, _, out in tests]
 
 
 # --- Atomless defect --------------------------------------------------------------
@@ -315,28 +352,38 @@ def check_axioms(rand: Randomization) -> AxiomReport:
     failures = covering_failures(
         rand,
         ((phi, free_vars(phi)) for phi in tautology_corpus(sig)),
-        lambda phi, binding: event_of(rand, phi, binding) == top,
+        lambda phis, binding: [e == top for e in _events_of(rand, phis, binding)],
     )
     detail = format_formula(failures[0]) if failures else "tautology corpus, per-point evaluation"
     verdicts.append(AxiomVerdict("validity", not failures, detail))
 
     # Boolean: connectives on events, plus lattice laws for the event sort.
-    ok = True
-    detail = ""
+    # Pair i is checked at binding i of its variables' covering; the pairs
+    # sharing a binding take their 5 events each from one pass.
+    pairs = list(zip(corpus, corpus[1:] + corpus[:1]))
     covers: dict[frozenset[str], _Covering] = {}
-    for i, (phi, psi) in enumerate(zip(corpus, corpus[1:] + corpus[:1])):
+    shared: dict[tuple[frozenset[str], int], list[int]] = {}
+    for i, (phi, psi) in enumerate(pairs):
         variables = free_vars(phi) | free_vars(psi)
         cover = covers.get(variables)
         if cover is None:
             cover = covers[variables] = _covering_bindings(rand, variables)
-        e_phi, e_psi, e_not, e_or, e_and = _events_of(
-            rand, (phi, psi, Not(phi), Or(phi, psi), And(phi, psi)), cover[i % len(cover)]
-        )
-        checks = [e_not == top - e_phi, e_or == e_phi | e_psi, e_and == e_phi & e_psi]
-        if not all(checks):
-            ok = False
-            detail = f"connective identity failed for {format_formula(phi)}"
-            break
+        shared.setdefault((variables, i % len(cover)), []).append(i)
+    failed = len(pairs)
+    for (variables, t), members in shared.items():
+        phis = [
+            chi
+            for phi, psi in (pairs[i] for i in members)
+            for chi in (phi, psi, Not(phi), Or(phi, psi), And(phi, psi))
+        ]
+        events = _events_of(rand, phis, covers[variables][t])
+        for i, j in zip(members, range(0, len(events), 5)):
+            e_phi, e_psi, e_not, e_or, e_and = events[j : j + 5]
+            if not (e_not == top - e_phi and e_or == e_phi | e_psi and e_and == e_phi & e_psi):
+                failed = min(failed, i)
+                break
+    ok = failed == len(pairs)
+    detail = "" if ok else f"connective identity failed for {format_formula(pairs[failed][0])}"
     if ok:
         for u, v, w in itertools.product(corners, repeat=3):
             laws = [
@@ -380,12 +427,17 @@ def check_axioms(rand: Randomization) -> AxiomReport:
             detail = "d_K triangle failed"
     verdicts.append(AxiomVerdict("distance", ok, detail))
 
-    # Fullness: exact witnesses for every corpus formula with x free.
-    def exact(pair: tuple[Formula, Formula], binding: dict[str, RandomElement]) -> bool:
-        f = fullness_witness(rand, pair[0], "x", binding)
-        # Exists("x", phi) does not read x, so one pass gives both sides
-        lhs, rhs = _events_of(rand, pair, {**binding, "x": f})
-        return lhs == rhs
+    # Fullness: exact witnesses for every corpus formula with x free.  The
+    # witnesses are found in one pass and [[phi(f_phi)]] is evaluated in
+    # another, so a wrong witness is caught.
+    def exact(
+        payloads: list[tuple[Formula, Formula]], binding: dict[str, RandomElement]
+    ) -> list[bool]:
+        phis = [phi for phi, _ in payloads]
+        witnesses = _fullness_witnesses(rand, phis, "x", binding)
+        lhs = _witnessed_events(rand, phis, "x", witnesses, binding)
+        rhs = _events_of(rand, [exists for _, exists in payloads], binding)
+        return [a == b for a, b in zip(lhs, rhs)]
 
     failures = covering_failures(
         rand,
@@ -443,9 +495,10 @@ def check_axioms(rand: Randomization) -> AxiomReport:
     # Transfer: sentences true (false) in every fiber get measure 1 (0).
     ok = True
     detail = ""
-    for sigma in _closures(corpus):
+    sentences = _closures(corpus)
+    for sigma, event in zip(sentences, _events_of(rand, sentences, {})):
         truth = [eval_formula(rand.family[w], sigma, {}) for w in rand.base.points]
-        value = mu(rand, event_of(rand, sigma, {}))
+        value = mu(rand, event)
         if all(truth) and value != 1:
             ok, detail = False, f"true sentence got measure {value}"
         elif not any(truth) and value != 0:

@@ -49,10 +49,10 @@ from .measure import FinProbSpace, FiberSpace, MeasurableMap, fiber_product, ima
 from .randomization import (
     EventAlgebra,
     Randomization,
+    _events_of,
     approximate_by_simple,
     convex_combination,
     d_k,
-    event_of,
     mu,
 )
 from .rtypes import (
@@ -235,16 +235,17 @@ def _types_identity_lines(st: FinStructure) -> list[str]:
     """The types-as-measures identity per corpus formula at every covering
     binding, on weights 1/15, 2/15, 4/15, 8/15: a point moves the sides
     apart by its weight or not, by its valuation alone, and distinct powers
-    of two with signs never sum to 0, so this decides every tuple."""
+    of two with signs never sum to 0, so this decides every tuple.  At each
+    binding, one r-type and one pass over the points serve every formula
+    still passing."""
     base = FinProbSpace([(i, Fraction(2**i, 15)) for i in range(4)])
     rand = Randomization.constant(st, base)
-    last = [None, None]  # covering_failures passes each binding to a run of formulas
 
-    def holds(phi, binding) -> bool:
+    def holds(phis, binding) -> list[bool]:
         fv = sorted(binding)
-        if binding is not last[0]:
-            last[:] = [binding, rtype_of(rand, [binding[v] for v in fv])]
-        return last[1].formula_mass(phi, fv) == mu(rand, event_of(rand, phi, binding))
+        rtype = rtype_of(rand, [binding[v] for v in fv])
+        events = _events_of(rand, phis, binding)
+        return [rtype.formula_mass(phi, fv) == mu(rand, e) for phi, e in zip(phis, events)]
 
     corpus = default_formula_corpus(st.signature)
     failing = set(covering_failures(rand, ((phi, free_vars(phi)) for phi in corpus), holds))

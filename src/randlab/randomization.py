@@ -236,6 +236,36 @@ def d_k(rand: Randomization, f: RandomElement, g: RandomElement) -> Fraction:
     return 1 - rand.base.mass(agree)
 
 
+def _fullness_witnesses(
+    rand: Randomization, phis: Sequence[Formula], var: str, binding
+) -> list[RandomElement]:
+    """An exact witness for `var` in each formula of `phis`, in one pass.
+
+    At each point the binding's valuation is set once, and every formula
+    gets its least witness there when one exists, otherwise the least
+    element.  `binding` covers the free variables of `phis` other than
+    `var`, checked once as `_events_of` checks them.
+    """
+    fv = sorted(frozenset().union(*[free_vars(phi) for phi in phis]) - {var})
+    columns = _columns(rand, fv, binding)
+    family = rand.family
+    searches = [(_holds(phi), {}) for phi in phis]
+    val: dict[str, int] = {}
+    for w in rand.base.points:
+        m = family[w]
+        for v, column in columns:
+            val[v] = column[w]
+        for holds, values in searches:
+            pick = 0
+            for a in m.elements:
+                val[var] = a
+                if holds(m, val):
+                    pick = a
+                    break
+            values[w] = pick
+    return [RandomElement._keep(rand.base, values) for _, values in searches]
+
+
 def fullness_witness(
     rand: Randomization, phi: Formula, var: str, binding
 ) -> RandomElement:
@@ -243,24 +273,10 @@ def fullness_witness(
 
     Built pointwise: at each sample point pick the least witness when one
     exists, otherwise the least element.  `binding` covers the free
-    variables of phi other than `var`, as for `event_of`.
+    variables of phi other than `var`, as for `event_of` (this is
+    `_fullness_witnesses` on phi alone).
     """
-    columns = _columns(rand, sorted(free_vars(phi) - {var}), binding)
-    holds = _holds(phi)
-    val: dict[str, int] = {}
-    values = {}
-    for w in rand.base.points:
-        m = rand.family[w]
-        for v, column in columns:
-            val[v] = column[w]
-        pick = 0
-        for a in m.elements:
-            val[var] = a
-            if holds(m, val):
-                pick = a
-                break
-        values[w] = pick
-    return RandomElement._keep(rand.base, values)
+    return _fullness_witnesses(rand, (phi,), var, binding)[0]
 
 
 def event_witness(rand: Randomization, e: Event) -> tuple[RandomElement, RandomElement]:

@@ -248,6 +248,8 @@ def _rho_inputs(
             "instantiated parameters must come from the type's parameter set"
         )
     if isinstance(b, TypeId):
+        # a type of the y variables over p's parameters; orbit refuses others
+        type_space(m, len(ctx.y_vars), p_space.params).orbit(b)
         b_tuple = b.rep
     elif isinstance(b, int):
         b_tuple = (b,)
@@ -269,9 +271,10 @@ def rho(
     """Probability that a random nonforking extension of p satisfies the
     phi-instance at b: the fraction of traces of p's orbit containing b.
 
-    `b` is an element, a tuple, or a TypeId over the same parameters.
-    `rho_by_multiplicity` computes the same value independently, without
-    the trace table.
+    `b` is an element, a tuple, or a type of
+    `type_space(ctx.structure, len(ctx.y_vars), p_space.params)`; a
+    TypeId of any other space is refused.  `rho_by_multiplicity` computes
+    the same value independently, without the trace table.
     """
     _, b_tuple = _rho_inputs(ctx, p_space, b)
     return _orbit_traces(ctx, p_space, p).get(b_tuple, _ZERO)

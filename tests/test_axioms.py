@@ -8,6 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import randlab.axioms
+import randlab.randomization
+import randlab.semantics
 from randlab import (
     FinProbSpace,
     FinStructure,
@@ -16,6 +18,8 @@ from randlab import (
     check_axioms,
     default_formula_corpus,
     directed_cycle,
+    linear_order,
+    pure_set,
 )
 from conftest import sentence_corpus
 from randlab.axioms import EXACT_GROUPS, tautology_corpus
@@ -25,6 +29,7 @@ from randlab.formulas import And, Eq, Implies, Not, Or, Var
 from randlab.formulas import Exists, Forall, Rel, format_formula, free_vars
 from randlab.randomization import RandomElement, event_of, event_witness
 from randlab.errors import BudgetError, budget
+from randlab.randomization import _events_of, _fullness_witnesses
 from randlab.randomization import d_b, d_k, fullness_witness, mu
 from randlab.semantics import eval_formula
 
@@ -550,17 +555,18 @@ def _full_product_verdicts(rand):
         for combo in itertools.product(carrier, repeat=len(variables)):
             yield dict(zip(variables, combo))
 
+    def event(phi, binding):
+        return randlab.axioms._events_of(rand, [phi], binding)[0]
+
     def exact(phi, binding):
-        f = randlab.axioms.fullness_witness(rand, phi, "x", binding)
-        lhs = randlab.axioms.event_of(rand, phi, {**binding, "x": f})
-        return lhs == randlab.axioms.event_of(rand, Exists("x", phi), binding)
+        f = randlab.axioms._fullness_witnesses(rand, [phi], "x", binding)[0]
+        lhs = event(phi, {**binding, "x": f})
+        return lhs == event(Exists("x", phi), binding)
 
     failures = [
         format_formula(phi)
         for phi in tautology_corpus(rand.signature)
-        if any(
-            randlab.axioms.event_of(rand, phi, b) != top for b in bindings(free_vars(phi))
-        )
+        if any(event(phi, b) != top for b in bindings(free_vars(phi)))
     ]
     validity = (
         not failures,
@@ -576,12 +582,11 @@ def _full_product_verdicts(rand):
     return validity, fullness
 
 
-def _event_of_wrong_at(phi0, fibre, valuation):
-    """event_of, except that phi0's event drops every point of `fibre` whose
-    sorted free variables take `valuation` there."""
+def _events_of_wrong_at(phi0, fibre, valuation):
+    """_events_of, except that phi0's event drops every point of `fibre`
+    whose sorted free variables take `valuation` there."""
 
-    def faulty(rand, phi, binding):
-        e = event_of(rand, phi, binding)
+    def wrong(rand, phi, e, binding):
         if phi != phi0:
             return e
         fv = sorted(free_vars(phi))
@@ -590,16 +595,19 @@ def _event_of_wrong_at(phi0, fibre, valuation):
             if rand.family[w] != fibre or tuple(binding[v](w) for v in fv) != valuation
         )
 
+    def faulty(rand, phis, binding):
+        events = _events_of(rand, phis, binding)
+        return [wrong(rand, phi, e, binding) for phi, e in zip(phis, events)]
+
     return faulty
 
 
 def _x_eq_y_witness_wrong_at(fibre, y_value):
-    """fullness_witness, except that the witness of x = y is wrong at every
-    point of `fibre` where y takes `y_value`."""
+    """_fullness_witnesses, except that the witness of x = y is wrong at
+    every point of `fibre` where y takes `y_value`."""
     phi0 = Eq(Var("x"), Var("y"))
 
-    def faulty(rand, phi, var, binding):
-        f = fullness_witness(rand, phi, var, binding)
+    def wrong(rand, phi, f, binding):
         if phi != phi0:
             return f
         values = dict(f.values)
@@ -607,6 +615,10 @@ def _x_eq_y_witness_wrong_at(fibre, y_value):
             if rand.family[w] == fibre and binding["y"](w) == y_value:
                 values[w] = 1 - y_value
         return RandomElement(rand.base, values)
+
+    def faulty(rand, phis, var, binding):
+        witnesses = _fullness_witnesses(rand, phis, var, binding)
+        return [wrong(rand, phi, f, binding) for phi, f in zip(phis, witnesses)]
 
     return faulty
 
@@ -631,11 +643,11 @@ def test_validity_and_fullness_match_the_full_product(monkeypatch, m2, c3, case,
     if fault == "validity":
         phi0 = tautology_corpus(rand.signature)[0]
         monkeypatch.setattr(
-            randlab.axioms, "event_of", _event_of_wrong_at(phi0, fibre, (0, 1))
+            randlab.axioms, "_events_of", _events_of_wrong_at(phi0, fibre, (0, 1))
         )
     elif fault == "fullness":
         monkeypatch.setattr(
-            randlab.axioms, "fullness_witness", _x_eq_y_witness_wrong_at(fibre, 1)
+            randlab.axioms, "_fullness_witnesses", _x_eq_y_witness_wrong_at(fibre, 1)
         )
     validity, fullness = _full_product_verdicts(rand)
     assert validity[0] == (fault != "validity")
@@ -678,13 +690,14 @@ def test_fullness_group_fails_on_every_wrong_witness_of_e_x_y(monkeypatch):
                 continue  # every pick is a witness, or none is: no fault
             faults += 1
 
-            def faulty(rand, phi, var, binding, w_bad=w_bad, b=b, a=wrong[0]):
-                f = fullness_witness(rand, phi, var, binding)
-                if phi != exy or binding["y"](w_bad) != b:
-                    return f
-                return RandomElement(rand.base, {**f.values, w_bad: a})
+            def faulty(rand, phis, var, binding, w_bad=w_bad, b=b, a=wrong[0]):
+                return [
+                    f if phi != exy or binding["y"](w_bad) != b
+                    else RandomElement(rand.base, {**f.values, w_bad: a})
+                    for phi, f in zip(phis, _fullness_witnesses(rand, phis, var, binding))
+                ]
 
-            monkeypatch.setattr(randlab.axioms, "fullness_witness", faulty)
+            monkeypatch.setattr(randlab.axioms, "_fullness_witnesses", faulty)
             verdict = check_axioms(rand).by_group("fullness")
             assert (verdict.passed, verdict.detail) == (False, "witness inexact for E(x, y)")
     assert faults == 15
@@ -702,11 +715,13 @@ def test_boolean_group_fails_on_an_or_event_missing_one_point(monkeypatch):
         dropped = []
 
         def faulty(rand, phis, binding, target=(phi, psi, Not(phi), Or(phi, psi), And(phi, psi))):
+            # the pairs sharing a binding come in one call, five formulas each
             events = events_of(rand, phis, binding)
-            if tuple(phis) == target and events[3]:
-                w = next(p for p in rand.base.points if p in events[3])
-                dropped.append(w)
-                events[3] = events[3] - {w}
+            for j in range(0, len(phis), 5):
+                if tuple(phis[j : j + 5]) == target and events[j + 3]:
+                    w = next(p for p in rand.base.points if p in events[j + 3])
+                    dropped.append(w)
+                    events[j + 3] = events[j + 3] - {w}
             return events
 
         monkeypatch.setattr(randlab.axioms, "_events_of", faulty)
@@ -720,6 +735,64 @@ def test_boolean_group_fails_on_an_or_event_missing_one_point(monkeypatch):
         )
         assert [v for v in report.verdicts if v.group != "boolean"] == others
     assert (faults, len(corpus)) == (75, 81)
+
+
+def test_boolean_group_names_the_least_failing_pair(monkeypatch):
+    # the pairs are checked a binding at a time, not in order: with pair 80
+    # failing as well, the detail still names the lesser pair
+    rand = _digraph_family(FinProbSpace.dyadic(2), DISTINCT_DIGRAPHS[:4])
+    corpus = default_formula_corpus(DIGRAPH)
+    pairs = list(zip(corpus, corpus[1:] + corpus[:1]))
+    events_of = randlab.axioms._events_of
+    for least in range(len(pairs) - 1):
+        targets = [
+            (phi, psi, Not(phi), Or(phi, psi), And(phi, psi))
+            for phi, psi in (pairs[least], pairs[-1])
+        ]
+
+        def faulty(rand, phis, binding):
+            events = events_of(rand, phis, binding)
+            for j in range(0, len(phis), 5):
+                if tuple(phis[j : j + 5]) in targets:
+                    events[j + 2] = events[j + 2] ^ {rand.base.points[0]}  # the Not event
+            return events
+
+        monkeypatch.setattr(randlab.axioms, "_events_of", faulty)
+        verdict = check_axioms(rand).by_group("boolean")
+        assert (verdict.passed, verdict.detail) == (
+            False, f"connective identity failed for {format_formula(pairs[least][0])}"
+        )
+
+
+def test_covering_failures_checks_the_payloads_still_passing_at_each_binding(c3, monkeypatch):
+    rand = Randomization.constant(c3, FinProbSpace.dyadic(1))
+    # (name, t): the payload fails at binding t of its covering, never if t is None
+    items = [
+        (("a", None), "x"), (("b", 0), "x"), (("c", 1), "xy"),
+        (("d", None), "xy"), (("e", 3), "xy"), (("f", 1), "x"),
+    ]
+    log = []
+    covering = randlab.axioms._covering_bindings
+
+    def sized(rand, variables):
+        log.append(("size", "".join(sorted(variables))))
+        return covering(rand, variables)
+
+    def holds(payloads, binding):
+        variables = "".join(sorted(binding))
+        t = list(covering(rand, variables)).index(binding)
+        log.append((variables, t, [name for name, _ in payloads]))
+        return [fails != t for _, fails in payloads]
+
+    monkeypatch.setattr(randlab.axioms, "_covering_bindings", sized)
+    failing = randlab.axioms.covering_failures(rand, items, holds)
+    assert failing == [("b", 0), ("c", 1), ("e", 3), ("f", 1)]
+    assert log == [
+        ("size", "x"), ("size", "xy"),
+        ("x", 0, ["a", "b", "f"]), ("x", 1, ["a", "f"]),
+        ("xy", 0, ["c", "d", "e"]), ("xy", 1, ["c", "d", "e"]), ("xy", 2, ["d", "e"]),
+        ("xy", 3, ["d", "e"]), ("xy", 4, ["d"]),
+    ]
 
 
 def _digraph_family(base, digraphs):
@@ -802,3 +875,160 @@ def test_report_pinned_on_distinct_fibres():
     report = check_axioms(rand)
     assert report.lines() == _pinned_lines(256, "1/16", "1/16")
     assert report.atomless_defect == F(1, 16)
+
+
+# --- The per-formula path, kept as the oracle of the batched groups ----------------
+
+BATCHED_GROUPS = ("validity", "boolean", "fullness", "transfer")
+
+
+def _per_formula_verdicts(rand):
+    """The validity, boolean, fullness and transfer verdicts with one call
+    per formula: one event_of per tautology and one fullness_witness and
+    event_of pair per corpus formula at each covering binding, one binding
+    per boolean pair, and one event_of per transfer sentence."""
+    sig = rand.signature
+    corpus = default_formula_corpus(sig)
+    top = rand.full_event()
+
+    def failing(phis, variables, holds):
+        return [
+            phi for phi in phis
+            if not all(holds(phi, b) for b in _covering_bindings(rand, variables(phi)))
+        ]
+
+    bad = failing(tautology_corpus(sig), free_vars, lambda phi, b: event_of(rand, phi, b) == top)
+    validity = (not bad, format_formula(bad[0]) if bad else "tautology corpus, per-point evaluation")
+
+    detail = ""
+    for i, (phi, psi) in enumerate(zip(corpus, corpus[1:] + corpus[:1])):
+        cover = _covering_bindings(rand, free_vars(phi) | free_vars(psi))
+        b = cover[i % len(cover)]
+        e_phi, e_psi = event_of(rand, phi, b), event_of(rand, psi, b)
+        if (
+            event_of(rand, Not(phi), b) != top - e_phi
+            or event_of(rand, Or(phi, psi), b) != e_phi | e_psi
+            or event_of(rand, And(phi, psi), b) != e_phi & e_psi
+        ):
+            detail = f"connective identity failed for {format_formula(phi)}"
+            break
+    boolean = (not detail, detail)
+
+    def exact(phi, b):
+        f = fullness_witness(rand, phi, "x", b)
+        return event_of(rand, phi, {**b, "x": f}) == event_of(rand, Exists("x", phi), b)
+
+    with_x = [phi for phi in corpus if "x" in free_vars(phi)]
+    bad = failing(with_x, lambda phi: free_vars(phi) - {"x"}, exact)
+    fullness = (not bad, f"witness inexact for {format_formula(bad[0])}" if bad else "")
+
+    transfer = (True, "")
+    for sigma in randlab.axioms._closures(corpus):
+        truth = [eval_formula(rand.family[w], sigma, {}) for w in rand.base.points]
+        value = mu(rand, event_of(rand, sigma, {}))
+        if all(truth) and value != 1:
+            transfer = (False, f"true sentence got measure {value}")
+        elif not any(truth) and value != 0:
+            transfer = (False, f"false sentence got measure {value}")
+        elif value != rand.base.mass([w for w, t in zip(rand.base.points, truth) if t]):
+            transfer = (False, "sentence event mismatch")
+    return [validity, boolean, fullness, transfer]
+
+
+def assert_batched_groups_match_the_oracle(rand):
+    report = check_axioms(rand)
+    got = [(v.passed, v.detail) for v in report.verdicts if v.group in BATCHED_GROUPS]
+    assert [v.group for v in report.verdicts if v.group in BATCHED_GROUPS] == list(BATCHED_GROUPS)
+    assert got == _per_formula_verdicts(rand)
+
+
+def _bench_families():
+    """The 14 case families of the axioms benchmark workload: its
+    distinct-fibre family at seed 15, and the weights 1/2, 1/3, 1/6 in
+    that order."""
+    bases = {f"dyadic{d}": FinProbSpace.dyadic(d) for d in (1, 2, 3)}
+    bases["thirds"] = FinProbSpace([(0, F(1, 2)), (1, F(1, 3)), (2, F(1, 6))])
+    out = {
+        f"{name}-{b}": Randomization.constant(st_, base)
+        for name, st_ in (("m2", pure_set(2)), ("c3", directed_cycle(3)), ("l3", linear_order(3)))
+        for b, base in bases.items()
+    }
+    out["digraphs-dyadic3"] = _digraph_family(FinProbSpace.dyadic(3), DISTINCT_DIGRAPHS)
+    out["c3-dyadic4"] = Randomization.constant(directed_cycle(3), FinProbSpace.dyadic(4))
+    return out
+
+
+BENCH_FAMILIES = _bench_families()
+
+
+@pytest.mark.parametrize("case", sorted(BENCH_FAMILIES))
+def test_batched_groups_match_the_per_formula_path(case):
+    assert_batched_groups_match_the_oracle(BENCH_FAMILIES[case])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(shared_fibre_randomizations())
+def test_batched_groups_match_the_per_formula_path_random(rand):
+    assert_batched_groups_match_the_oracle(rand)
+
+
+def _holds_flipped_on(target):
+    """semantics._holds, except that target's closure is wrong wherever the
+    values it reads sum to an even number (so everywhere on a sentence)."""
+    holds_of = randlab.semantics._holds
+
+    def faulty(phi):
+        holds = holds_of(phi)
+        if phi != target:
+            return holds
+        return lambda m, val: holds(m, val) != (sum(val.values()) % 2 == 0)
+
+    return faulty
+
+
+FLIPPED = {
+    "tautology": lambda sig: tautology_corpus(sig)[2],
+    "atom": lambda sig: default_formula_corpus(sig)[0],
+    "negation": lambda sig: default_formula_corpus(sig)[12],
+    "sentence": lambda sig: randlab.axioms._closures(default_formula_corpus(sig))[3],
+}
+
+
+@pytest.mark.parametrize("target", sorted(FLIPPED))
+@pytest.mark.parametrize("case", ["c3-dyadic2", "digraphs-dyadic3", "l3-thirds"])
+def test_batched_groups_fail_like_the_per_formula_path(monkeypatch, case, target):
+    # the closures both paths read, made wrong for one formula: both fail alike
+    rand = BENCH_FAMILIES[case]
+    faulty = _holds_flipped_on(FLIPPED[target](rand.signature))
+    monkeypatch.setattr(randlab.randomization, "_holds", faulty)
+    monkeypatch.setattr(randlab.axioms, "_holds", faulty)
+    report = check_axioms(rand)
+    assert not all(v.passed for v in report.verdicts if v.group in BATCHED_GROUPS)
+    assert_batched_groups_match_the_oracle(rand)
+
+
+def _least_witness(rand, phi, var, binding):
+    """The witness of fullness_witness, read off eval_formula point by point."""
+    values = {}
+    for w in rand.base.points:
+        m = rand.family[w]
+        val = {v: f(w) for v, f in binding.items()}
+        picks = [a for a in m.elements if eval_formula(m, phi, {**val, var: a})]
+        values[w] = picks[0] if picks else m.elements[0]
+    return RandomElement(rand.base, values)
+
+
+@PREMISE_SETTINGS
+@given(shared_fibre_randomizations(), st.data())
+def test_fullness_witnesses_are_the_pointwise_least_witnesses(rand, data):
+    var = data.draw(st.sampled_from("xyz"))
+    phis = data.draw(st.lists(st.sampled_from(DIGRAPH_CORPUS), min_size=1, max_size=6))
+    variables = frozenset().union(*[free_vars(phi) for phi in phis]) - {var}
+    binding = _draw_binding(data, rand, variables)
+    witnesses = _fullness_witnesses(rand, phis, var, binding)
+    assert len(witnesses) == len(phis)
+    for phi, f in zip(phis, witnesses):
+        rest = {v: binding[v] for v in free_vars(phi) - {var}}
+        assert f == _least_witness(rand, phi, var, rest)
+        assert f == fullness_witness(rand, phi, var, binding)

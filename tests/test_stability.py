@@ -465,6 +465,24 @@ def test_a_type_from_another_space_is_refused(c3):
     assert rho(ctx, s0, s0.types[0], 1) == F(1, 3)
 
 
+def test_a_b_type_from_another_space_is_refused(c3, l3):
+    # a TypeId b is read only as a type of the y variables over p's parameters
+    s0, s1 = type_space(c3, 1), type_space(c3, 1, (0,))
+    ctx = ctx_of(c3, "E(x, y)")
+    foreign = (
+        type_space(l3, 1).types[2],  # another structure
+        s1.types[2],  # other parameters
+        type_space(c3, 2).types[1],  # two coordinates for one y variable
+    )
+    for call in (rho, rho_by_multiplicity):
+        for b in foreign:
+            with pytest.raises(ValidationError, match=rf"{re.escape(repr(b))} is not a type of"):
+                call(ctx, s0, s0.types[0], b)
+        assert call(ctx, s0, s0.types[0], s0.types[0]) == call(ctx, s0, s0.types[0], 0) == F(1, 3)
+        for b in s1.types:
+            assert call(ctx, s1, s1.types[0], b) == call(ctx, s1, s1.types[0], b.rep)
+
+
 def test_measures_on_another_structure_are_refused(m2, c3):
     def measures(st):
         rand = Randomization.constant(st, FinProbSpace.dyadic(1))
