@@ -8,7 +8,10 @@ for `mu[[ phi ]]`.  The only quantifiers are `sup x (...)` and
 enumerating one random element per symmetry class of their body (equal
 point keys at each sample point, multisets over interchangeable points)
 instead of the whole sort; the budget still counts the whole sort.  A
-formula is compiled once per `eval_cformula` call, then evaluated.
+formula is compiled once per `eval_cformula` call, then evaluated in
+integers over one denominator fixed for that call: the base's common
+weight denominator and the constants' denominators, times 2 per `half`.
+Only the result is made a `Fraction`.
 
 Grammar summary:
 
@@ -21,6 +24,7 @@ Grammar summary:
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Mapping
@@ -33,10 +37,8 @@ from .randomization import (
     RandomElement,
     Randomization,
     _check_binding,
-    d_b,
     d_k,
     event_of,
-    mu,
 )
 from .record import Record
 from .semantics import eval_formula
@@ -393,11 +395,14 @@ def eval_cformula(
     """Exact value of a continuous formula in [0, 1].
 
     c is compiled once (see `_compile`), so an invalid environment raises
-    before any value is computed.  sup/inf visit one random element per
-    symmetry class of their body (see `_quantifier`), which gives the same
-    value as the full random-element sort, and read their body's atoms off
-    the point keys that class the values.  The budget still counts the
-    full sort: carrier size to the power of the quantifier nesting depth.
+    before any value is computed.  Every value is an integer over one
+    denominator D fixed for the call (see `_denominator`), and the result
+    is made a `Fraction` once, at the end.  sup/inf visit one random
+    element per symmetry class of their body (see `_quantifier`), which
+    gives the same value as the full random-element sort, and read their
+    body's atoms off the point keys that class the values.  The budget
+    still counts the full sort: carrier size to the power of the
+    quantifier nesting depth.
     """
     env = dict(env or {})
     depth = _quantifier_depth(c)
@@ -406,12 +411,34 @@ def eval_cformula(
     missing = [v for v in sorted(cformula_free_kvars(c)) if v not in env]
     if missing:
         raise ValidationError(f"unbound variables {missing}")
-    evaluate, _ = _compile(rand, c, env, set())
-    return evaluate(env, None)
+    one = _denominator(rand, c)
+    evaluate, _ = _compile(rand, one, c, env, set())
+    return Fraction(evaluate(env, None), one)
+
+
+def _denominator(rand: Randomization, c: CFormula) -> int:
+    """D: the lcm of the base's common weight denominator and the
+    denominators of c's constants, times 2 for each `half` node.
+
+    A mass, a constant and each connective other than `half` keep values
+    in (1/L)Z, L that lcm; a subterm with h `half` nodes in it has values
+    in (1/(L 2^h))Z.  D counts every `half` node, so the operand of each
+    one is an even multiple of 1/D, and `half` halves its integer exactly.
+    """
+    dens, halves, todo = [rand.base.denominator], 0, [c]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, CConst):
+            dens.append(node.value.denominator)
+        halves += isinstance(node, CHalf)
+        if not isinstance(node, (CMu, CDB)):  # events hold no values
+            todo += _parts(node)
+    return math.lcm(*dens) << halves
 
 
 def _compile(
     rand: Randomization,
+    one: int,
     c: CFormula | EventTerm,
     env: Mapping[str, RandomElement | Event],
     names: set[str],
@@ -420,18 +447,19 @@ def _compile(
     """c as (evaluate, atoms); env is checked in evaluation order, each
     quantified variable standing for a constant element on rand's base.
 
-    `evaluate(env, read)` is c's value (an event, for an event term) under
-    any env that differs only in the elements c's quantifiers bind.  `atoms`
-    are what a point key reads: first-order formulas, `dK` nodes and (var,
-    atoms) per quantifier.  The bound event names c reads are added to
-    `names`.  Outside every sup/inf `at` is None and each atom is evaluated
-    where it is reached.  In a sup/inf's body, `at` is the position of c's
-    first atom among that quantifier's atoms, and an atom at position j
-    takes its value from `read[j]`, which the quantifier fills in.
+    `evaluate(env, read)` is c's value times `one`, an integer (an event,
+    for an event term), under any env that differs only in the elements
+    c's quantifiers bind.  `atoms` are what a point key reads: first-order
+    formulas, `dK` nodes and (var, atoms) per quantifier.  The bound event
+    names c reads are added to `names`.  Outside every sup/inf `at` is
+    None and each atom is evaluated where it is reached.  In a sup/inf's
+    body, `at` is the position of c's first atom among that quantifier's
+    atoms, and an atom at position j takes its value from `read[j]`, which
+    the quantifier fills in.
     """
     if type(c) not in _COMPILERS:
         raise TypeError(f"not a continuous formula: {c!r}")
-    return _COMPILERS[type(c)](rand, c, env, names, at)
+    return _COMPILERS[type(c)](rand, one, c, env, names, at)
 
 
 def _fixed(value) -> tuple:
@@ -442,7 +470,19 @@ def _reading(at: int):
     return lambda env, read: read[at]
 
 
-def _formula_atom(rand: Randomization, c: EvFormula, env, names, at) -> tuple:
+def _mass(rand: Randomization, one: int, event) -> int:
+    """event's mass times `one`: the base's integer sum over its common
+    denominator, which divides `one`."""
+    base = rand.base
+    return one // base.denominator * base.numerator(event)
+
+
+def _constant(rand: Randomization, one: int, c: CConst, env, names, at) -> tuple:
+    value = c.value
+    return _fixed(value.numerator * (one // value.denominator))
+
+
+def _formula_atom(rand: Randomization, one: int, c: EvFormula, env, names, at) -> tuple:
     phi, binding = c.phi, _formula_binding(c.phi, env)  # in sorted order
     _check_binding(rand, list(binding), binding)
     if at is not None:
@@ -450,46 +490,56 @@ def _formula_atom(rand: Randomization, c: EvFormula, env, names, at) -> tuple:
     return (lambda env, read: event_of(rand, phi, {v: env[v] for v in binding})), (phi,)
 
 
-def _event_name(rand: Randomization, c: EvName, env, names, at) -> tuple:
+def _event_name(rand: Randomization, one: int, c: EvName, env, names, at) -> tuple:
     event = _bound_event(rand, c.name, env)
     names.add(c.name)
     return _fixed(event)
 
 
-def _dk_atom(rand: Randomization, c: CDK, env, names, at) -> tuple:
+def _dk_atom(rand: Randomization, one: int, c: CDK, env, names, at) -> tuple:
     f, g = _dk_elements(c, env)
     if f.base != rand.base or g.base != rand.base:
         d_k(rand, f, g)  # raises d_k's error for a foreign base
     if at is not None:
         return _reading(at), (c,)
-    return (lambda env, read: d_k(rand, env[c.left], env[c.right])), (c,)
+    points = rand.base.points
+
+    def evaluate(env, read) -> int:
+        left, right = env[c.left].values, env[c.right].values
+        return one - _mass(rand, one, [w for w in points if left[w] == right[w]])
+
+    return evaluate, (c,)
 
 
-# How a node combines the values of its parts.  mu and d_b are looked up
-# when called, so a wrapper installed on this module sees every call.
+# How a node combines the values of its parts, given rand and `one`: the
+# values are integers over one denominator, and `half` divides exactly
+# (see `_denominator`).  The events that mu and dB measure are subsets
+# of the base already, checked when their bound names were compiled.
 _COMBINE = {
-    CNeg: lambda rand, u: 1 - u,
-    CTruncSub: lambda rand, u, v: max(Fraction(0), u - v),
-    CHalf: lambda rand, u: u / 2,
-    CMin: lambda rand, u, v: min(u, v),
-    CMax: lambda rand, u, v: max(u, v),
-    CMu: lambda rand, e: mu(rand, e),
-    CDB: lambda rand, e1, e2: d_b(rand, e1, e2),
-    EvNot: Randomization.complement,
-    EvMeet: lambda rand, e1, e2: e1 & e2,
-    EvJoin: lambda rand, e1, e2: e1 | e2,
-    EvSymDiff: lambda rand, e1, e2: e1 ^ e2,
+    CNeg: lambda rand, one, u: one - u,
+    CTruncSub: lambda rand, one, u, v: max(0, u - v),
+    CHalf: lambda rand, one, u: u // 2,
+    CMin: lambda rand, one, u, v: min(u, v),
+    CMax: lambda rand, one, u, v: max(u, v),
+    CMu: _mass,
+    CDB: lambda rand, one, e1, e2: _mass(rand, one, e1 ^ e2),
+    EvNot: lambda rand, one, e: rand.complement(e),
+    EvMeet: lambda rand, one, e1, e2: e1 & e2,
+    EvJoin: lambda rand, one, e1, e2: e1 | e2,
+    EvSymDiff: lambda rand, one, e1, e2: e1 ^ e2,
 }
 
 
-def _connective(rand: Randomization, c, env, names, at) -> tuple:
+def _connective(rand: Randomization, one: int, c, env, names, at) -> tuple:
     combine = _COMBINE[type(c)]
     first, *rest = _parts(c)
-    f, f_atoms = _compile(rand, first, env, names, at)
+    f, f_atoms = _compile(rand, one, first, env, names, at)
     if not rest:
-        return (lambda env, read: combine(rand, f(env, read))), f_atoms
-    g, g_atoms = _compile(rand, rest[0], env, names, None if at is None else at + len(f_atoms))
-    return (lambda env, read: combine(rand, f(env, read), g(env, read))), f_atoms + g_atoms
+        return (lambda env, read: combine(rand, one, f(env, read))), f_atoms
+    g, g_atoms = _compile(
+        rand, one, rest[0], env, names, None if at is None else at + len(f_atoms)
+    )
+    return (lambda env, read: combine(rand, one, f(env, read), g(env, read))), f_atoms + g_atoms
 
 
 def _point_key(m: FinStructure, atoms: tuple, val: dict[str, int]) -> tuple:
@@ -508,7 +558,7 @@ def _point_key(m: FinStructure, atoms: tuple, val: dict[str, int]) -> tuple:
     return tuple(out)
 
 
-def _quantifier(rand: Randomization, c: CSup | CInf, env, names, at) -> tuple:
+def _quantifier(rand: Randomization, one: int, c: CSup | CInf, env, names, at) -> tuple:
     """sup/inf over the (point indices, candidate values) groups of its body.
 
     Every atom is read point by point, so the body's value depends on the
@@ -517,30 +567,35 @@ def _quantifier(rand: Randomization, c: CSup | CInf, env, names, at) -> tuple:
     - at a point w, values of h(w) with equal point keys are interchangeable
       (a nested quantifier follows by a matching bijection of its own
       values), so each class keeps its least value;
-    - points with the same weight, fibre, values of the body's bound
-      elements and membership in its bound events can be permuted, so such
-      a group takes every multiset of its candidates instead of every tuple.
+    - points with the same weight (the same numerator over the base's
+      common denominator), fibre, values of the body's bound elements and
+      membership in its bound events can be permuted, so such a group
+      takes every multiset of its candidates instead of every tuple.
 
     Both are bijections of the random-element sort that preserve every
     atom's mass, so the max/min over the groups is the exact sup/inf.  The
-    body is compiled once; each evaluation only groups and classes.  For
+    body is compiled once, and the values at a point are classed once per
+    fibre and values of the bound elements there; each evaluation only
+    groups and looks the classes up.  For
     each enumerated h the body's own atoms are read off the keys of h's
     values: a formula's event is the points whose key says true there, and
-    a dK is 1 minus the mass of the points whose key says they agree; a
-    nested sup/inf evaluates its own atoms.
+    a dK is `one` minus the mass of the points whose key says they agree;
+    a nested sup/inf evaluates its own atoms.
     """
     var, pick = c.var, max if isinstance(c, CSup) else min
     body_env = {**env, var: RandomElement.constant(rand.base, 0)}
     body_names: set[str] = set()
     try:
-        body, atoms = _compile(rand, c.body, body_env, body_names, 0)
+        body, atoms = _compile(rand, one, c.body, body_env, body_names, 0)
     finally:
         names.update(body_names)  # also the names read before an error
     elements = sorted(cformula_free_kvars(c.body) - {var})
     events = [env[n] for n in sorted(body_names)]
     base = rand.base
-    points, weight = base.points, base.weight
-    fixed = [(weight[w], rand.family[w], tuple(w in e for e in events)) for w in points]
+    points = base.points
+    fixed = [
+        (base.numerator((w,)), rand.family[w], tuple(w in e for e in events)) for w in points
+    ]
     # (position, is a dK) of the body's own atoms; a nested sup/inf reads its own
     own = [(j, isinstance(a, CDK)) for j, a in enumerate(atoms) if not isinstance(a, tuple)]
 
@@ -549,26 +604,37 @@ def _quantifier(rand: Randomization, c: CSup | CInf, env, names, at) -> tuple:
         read = [None] * len(atoms)
         for j, is_dk in own:
             hit = [w for w, key in zip(points, keys) if key[j]]
-            read[j] = 1 - base.mass(hit) if is_dk else frozenset(hit)
+            read[j] = one - _mass(rand, one, hit) if is_dk else frozenset(hit)
         return read
 
-    def evaluate(env: dict, read) -> Fraction:
+    # (fibre, values of the bound elements there) -> (the key of each value
+    # of var, the least value of each class).  An inner sup/inf meets the
+    # same pairs again for each element of the outer one.
+    classed: dict[tuple, tuple[dict, list]] = {}
+
+    def classify(m: FinStructure, values: tuple) -> tuple[dict, list]:
+        val = dict(zip(elements, values))
+        keys = {a: _point_key(m, atoms, {**val, var: a}) for a in m.elements}
+        classes: dict[tuple, int] = {}
+        for a, key in keys.items():
+            classes.setdefault(key, a)
+        out = classed[m, values] = keys, list(classes.values())
+        return out
+
+    def evaluate(env: dict, read) -> int:
         columns = [env[v].values for v in elements]
         groups: dict[tuple, list[int]] = {}
         for i, w in enumerate(points):
             groups.setdefault((fixed[i], tuple(col[w] for col in columns)), []).append(i)
         out, key_of = [], [None] * len(points)  # point index -> {value: key}
         for ((_, m, _), values), indices in groups.items():
-            val = dict(zip(elements, values))
-            keys = {a: _point_key(m, atoms, {**val, var: a}) for a in m.elements}
-            classes: dict[tuple, int] = {}
-            for a, key in keys.items():
-                classes.setdefault(key, a)
+            keys, least = classed.get((m, values)) or classify(m, values)
             for i in indices:
                 key_of[i] = keys
-            out.append((indices, list(classes.values())))
+            out.append((indices, least))
+        # an enumerated element's values are in base order, as key_of is
         return pick(
-            body({**env, var: h}, read_off([k[h.values[w]] for k, w in zip(key_of, points)]))
+            body({**env, var: h}, read_off([k[a] for k, a in zip(key_of, h.values.values())]))
             for h in rand.all_elements(out)
         )
 
@@ -576,9 +642,9 @@ def _quantifier(rand: Randomization, c: CSup | CInf, env, names, at) -> tuple:
 
 
 _COMPILERS = {
-    CConst: lambda rand, c, env, names, at: _fixed(c.value),
-    EvTop: lambda rand, c, env, names, at: _fixed(rand.full_event()),
-    EvBot: lambda rand, c, env, names, at: _fixed(frozenset()),
+    CConst: _constant,
+    EvTop: lambda rand, one, c, env, names, at: _fixed(rand.full_event()),
+    EvBot: lambda rand, one, c, env, names, at: _fixed(frozenset()),
     EvFormula: _formula_atom,
     EvName: _event_name,
     CDK: _dk_atom,

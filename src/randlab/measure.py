@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
 
@@ -30,10 +31,8 @@ def frac(x) -> Fraction:
 class FinProbSpace(Keyed):
     """Finite sample space with positive rational weights summing to one.
 
-    `weight` is a read-only view: the key, the kept hash and `mass`'s
+    `weight` is a read-only view: the key, the kept hash and `numerator`'s
     integer table are all made from the weights once."""
-
-    _numerators: dict[Point, int] | None = None  # set with _denominator by `mass`
 
     def __init__(self, weights: Mapping[Point, Fraction] | Iterable[tuple[Point, Fraction]]):
         items = list(weights.items()) if isinstance(weights, Mapping) else list(weights)
@@ -61,17 +60,26 @@ class FinProbSpace(Keyed):
     def dyadic(cls, depth: int) -> "FinProbSpace":
         return cls.uniform(2**depth)
 
+    @cached_property
+    def denominator(self) -> int:
+        """The common denominator of the weights (their least one)."""
+        return math.lcm(*(w.denominator for w in self.weight.values()))
+
+    @cached_property
+    def _numerators(self) -> dict[Point, int]:
+        den = self.denominator
+        return {p: w.numerator * (den // w.denominator) for p, w in self.weight.items()}
+
+    def numerator(self, event: Iterable[Point]) -> int:
+        """The total weight of event's points over `denominator`, a repeated
+        point counted each time: a sum over one table of the weights'
+        numerators, made on the first call."""
+        return sum(map(self._numerators.__getitem__, event))
+
     def mass(self, event: Iterable[Point]) -> Fraction:
         """The total weight of event's points, a repeated point counted each
-        time: an integer sum of numerators over the common denominator of
-        the weights (found on the first call), made a `Fraction` once."""
-        numerators = self._numerators
-        if numerators is None:
-            den = self._denominator = math.lcm(*(w.denominator for w in self.weight.values()))
-            numerators = self._numerators = {
-                p: w.numerator * (den // w.denominator) for p, w in self.weight.items()
-            }
-        return Fraction(sum(numerators[p] for p in event), self._denominator)
+        time: `numerator(event)` over `denominator`."""
+        return Fraction(self.numerator(event), self.denominator)
 
     def index(self, p: Point) -> int:
         return self.points.index(p)

@@ -10,6 +10,7 @@ range).  Events are plain subsets of the base.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -114,11 +115,13 @@ class Randomization:
         if groups is None:
             groups = [((i,), range(self.family[w].size)) for i, w in enumerate(points)]
         picks = [itertools.combinations_with_replacement(vals, len(idx)) for idx, vals in groups]
-        values = [0] * len(points)
+        # a combo holds the values part by part; this takes them back to
+        # point order (the extra index keeps a one-point result a tuple, and
+        # zip drops it)
+        order = [i for indices, _ in groups for i in indices]
+        in_point_order = operator.itemgetter(*sorted(range(len(order)), key=order.__getitem__), 0)
         for combo in itertools.product(*picks):
-            for (indices, _), chosen in zip(groups, combo):
-                for i, a in zip(indices, chosen):
-                    values[i] = a
+            values = in_point_order(tuple(itertools.chain.from_iterable(combo)))
             yield RandomElement._keep(self.base, dict(zip(points, values)))
 
     def element(self, values: Sequence[int]) -> RandomElement:

@@ -375,6 +375,12 @@ QUANTIFIER_SHAPES = [
     "inf x (sup y (min(mu[[E(x, y)]], mu[[E(y, x)]])))",
     "inf x (sup y (mu[ e & [[E(x, y)]] ]))",
     "sup x (inf z (max(dK(x, z), mu[ e ^ [[E(z, y)]] ])))",
+    # `half` nested over constants of odd denominator: `half` halves an
+    # integer over the call's one denominator, which must stay exact
+    "sup x (half(half(min(mu[[E(x, y)]], 1/3))))",
+    "inf x (~(half(mu[[x = y]] -. 1/7)))",
+    "sup x (half(dK(x, y)) -. half(half(half(3/5))))",
+    "inf x (sup z (half(max(min(mu[[E(x, z)]], 2/9), half(dB(e, [[z = y]]))))))",
 ]
 
 
@@ -392,6 +398,22 @@ def test_points_of_different_weight_are_not_interchangeable():
     rand = Randomization.constant(directed_cycle(3), FinProbSpace([(0, F(2, 3)), (1, F(1, 3))]))
     c = parse_cformula("inf x (max(mu[[x = #0]] -. 1/3, 1/3 -. mu[[x = #0]]))", rand.signature)
     assert eval_cformula(rand, c, {}) == full_product_eval(rand, c, {}) == 0
+
+
+@pytest.mark.parametrize("text, value", [
+    # the nearest mass to 1/3 is 2/7, at the point of weight 2/7
+    ("inf x (half(half(max(mu[[x = #0]] -. 1/3, 1/3 -. mu[[x = #0]]))))", F(1, 84)),
+    # x = y - 1 everywhere: dK = 1 and E(x, y) holds on all of e
+    ("inf x (~half(half(min(dK(x, y), 5/11))) -. half(mu[ e & [[E(x, y)]] ]))", F(163, 308)),
+])
+def test_half_over_a_non_dyadic_base_is_exact(text, value):
+    # weights over 7 and constants over 3 and 11: every `half` must divide
+    # an even integer over the call's one denominator
+    base = FinProbSpace([(0, F(1, 7)), (1, F(2, 7)), (2, F(4, 7))])
+    rand = Randomization.constant(directed_cycle(3), base)
+    env = {"y": rand.element([1, 0, 2]), "e": frozenset({0, 2})}
+    c = parse_cformula(text, rand.signature)
+    assert eval_cformula(rand, c, env) == full_product_eval(rand, c, env) == value
 
 
 def _visited(monkeypatch, rand, text):
@@ -425,6 +447,29 @@ def test_nested_quantifier_visits_few_elements(monkeypatch):
     assert visited < 81 * 81 // 100
 
 
+def test_an_inner_quantifier_classes_each_fibre_and_value_once(monkeypatch):
+    # the inner sup meets each (fibre, value of x) pair again for every x
+    # the outer inf visits, and computes its point keys only the first time:
+    # each (fibre, x, y) is evaluated at most once per level and atom
+    g0 = FinStructure(DIGRAPH, 3, relations={"E": {(0, 1), (1, 1)}}, name="g0")
+    g1 = FinStructure(DIGRAPH, 3, relations={"E": {(2, 0)}}, name="g1")
+    base = FinProbSpace.dyadic(2)
+    rand = Randomization(base, dict(zip(base.points, [g0, g1, g0, g1])))
+    c = parse_cformula("inf x (sup y (min(mu[[E(x, y)]], mu[[E(y, x)]])))", DIGRAPH)
+    calls = [0]
+    original = cf.eval_formula
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(cf, "eval_formula", counting)
+    value = eval_cformula(rand, c, {})
+    assert calls[0] <= 2 * (2 * 3 * 3) * 2
+    monkeypatch.undo()
+    assert value == full_product_eval(rand, c, {})
+
+
 @pytest.mark.parametrize("depth", [1, 2])
 def test_each_quantifier_body_is_compiled_once(monkeypatch, depth):
     # compiling a body binds its variable to one constant element; an inner
@@ -454,6 +499,17 @@ def test_default_enumeration_is_the_full_product():
     assert [h.values for h in rand.all_elements()] == [
         {0: a, 1: b} for a in range(3) for b in range(2)
     ]
+
+
+def test_grouped_enumeration_puts_each_value_at_its_point():
+    # parts that interleave the points, and a one-point base
+    rand = Randomization.constant(directed_cycle(3), FinProbSpace.uniform(3))
+    out = [list(h.values.items()) for h in rand.all_elements([((0, 2), (0, 1)), ((1,), (2, 0))])]
+    assert out == [
+        [(0, a), (1, b), (2, c)] for a, c in [(0, 0), (0, 1), (1, 1)] for b in (2, 0)
+    ]
+    alone = Randomization.constant(directed_cycle(3), FinProbSpace.uniform(1))
+    assert [h.values for h in alone.all_elements([((0,), (1, 2))])] == [{0: 1}, {0: 2}]
 
 
 # --- invalid environments inside a quantifier body --------------------------------
@@ -622,7 +678,7 @@ def _outcome(walk, *args):
 
 
 def _compiled_atoms(rand, term, env, names):
-    return cf._compile(rand, term, env, names)[1]
+    return cf._compile(rand, rand.base.denominator, term, env, names)[1]  # atoms ignore `one`
 
 
 def _key_outcome(walk, rand, term, env):

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -321,6 +322,18 @@ def test_mass_is_the_fraction_sum_of_weights(space, data):
     assert space.mass(frozenset(event)) == fraction_sum(space, frozenset(event))
     assert space.mass(()) == space.mass(frozenset()) == 0
     assert space.mass(space.points) == 1
+    # the integer form: numerators over the least common denominator
+    den = space.denominator
+    assert den == math.lcm(*(w.denominator for w in space.weight.values()))
+    for e in (event, iter(event), frozenset(event), (), space.points):
+        n = space.numerator(e)
+        assert type(n) is int and n >= 0
+    assert space.numerator(event) == fraction_sum(space, event) * den
+    assert space.numerator(iter(event)) == space.numerator(event)
+    assert space.numerator(frozenset(event)) == fraction_sum(space, frozenset(event)) * den
+    assert space.numerator(()) == space.numerator(frozenset()) == 0
+    assert space.numerator(space.points) == den
+    assert all(space.numerator((p, p)) == 2 * space.weight[p] * den for p in space.points)
 
 
 def test_mass_refuses_a_foreign_point_and_leaves_identity_alone():
@@ -333,6 +346,11 @@ def test_mass_refuses_a_foreign_point_and_leaves_identity_alone():
         space.mass([0, 9])
     assert err.value.args == want.value.args == (9,)
     assert space.mass([3, 3]) == F(2, MERSENNE_61)
+    with pytest.raises(KeyError) as err:
+        space.numerator([0, 9])
+    assert err.value.args == (9,)
+    assert space.numerator([3, 3]) == 2 * 2 * 3 * 7
+    assert space.denominator == 2 * 3 * 7 * MERSENNE_61
     # only `space` has computed a mass
     assert space == twin and twin == space and hash(space) == hash(twin)
     assert repr(space) == repr(twin)
