@@ -54,9 +54,9 @@ from .formulas import (
 from .randomization import (
     Randomization,
     RandomElement,
-    _columns,
     _events_of,
     _fullness_witnesses,
+    _valuations,
     d_b,
     d_k,
     event_of,
@@ -306,17 +306,11 @@ def _witnessed_events(
     binding: dict[str, RandomElement],
 ) -> list[frozenset]:
     """[[phi(f)]] for each formula phi of `phis` with its own witness f
-    bound to `var`, in one pass: at each point the binding's valuation is
-    set once, and each formula reads its witness's value there."""
+    bound to `var`, in one pass of `_valuations`: at each point each
+    formula reads its witness's value there."""
     fv = sorted(frozenset().union(*[free_vars(phi) for phi in phis]) - {var})
-    columns = _columns(rand, fv, binding)
-    family = rand.family
     tests = [(_holds(phi), f.values, []) for phi, f in zip(phis, witnesses)]
-    val: dict[str, int] = {}
-    for w in rand.base.points:
-        m = family[w]
-        for v, column in columns:
-            val[v] = column[w]
+    for w, m, val in _valuations(rand, fv, binding):
         for holds, witness, out in tests:
             val[var] = witness[w]
             if holds(m, val):

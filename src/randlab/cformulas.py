@@ -533,13 +533,18 @@ _COMBINE = {
 def _connective(rand: Randomization, one: int, c, env, names, at) -> tuple:
     combine = _COMBINE[type(c)]
     first, *rest = _parts(c)
-    f, f_atoms = _compile(rand, one, first, env, names, at)
-    if not rest:
-        return (lambda env, read: combine(rand, one, f(env, read))), f_atoms
-    g, g_atoms = _compile(
-        rand, one, rest[0], env, names, None if at is None else at + len(f_atoms)
-    )
-    return (lambda env, read: combine(rand, one, f(env, read), g(env, read))), f_atoms + g_atoms
+    f, atoms = _compile(rand, one, first, env, names, at)
+    if rest:
+        g, g_atoms = _compile(rand, one, rest[0], env, names, None if at is None else at + len(atoms))
+        atoms += g_atoms
+        evaluate = lambda env, read: combine(rand, one, f(env, read), g(env, read))
+    else:
+        evaluate = lambda env, read: combine(rand, one, f(env, read))
+    if not atoms:
+        # only constants and bound events: the value is the same under
+        # every element a quantifier binds, so it is computed once, here
+        return _fixed(evaluate(env, None))
+    return evaluate, atoms
 
 
 def _point_key(m: FinStructure, atoms: tuple, val: dict[str, int]) -> tuple:

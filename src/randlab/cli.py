@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 check failure, 2 unresolved name or file, input
 that fails validation (weights that do not sum to 1, an element value
-outside its universe), or a usage error (below), 3 parse error, 4 budget
+outside its universe), or a usage error (below), 3 parse error (a formula
+that parses but is nested too deeply to evaluate among them), 4 budget
 exceeded, 5 internal error (a bug in randlab: one `internal error: <type>:
 <message>` line on stderr instead of a traceback).  All numeric output is
 exact `p/q`; `--decimal N` adds a rounded rendering with N >= 0 digits
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -92,7 +94,8 @@ def fmt_rat(x: Fraction, decimal: int | None) -> str:
 def _rounded(x: Fraction, k: int) -> str:
     """x rounded half to even to k decimals, with every digit exact; a
     negative x keeps its sign when it rounds to zero, as `format` does."""
-    digits = str(round(abs(x) * 10**k)).rjust(k + 1, "0")
+    # `format` of a Decimal has no digit limit, unlike str of an int
+    digits = format(Decimal(round(abs(x) * 10**k)), "f").rjust(k + 1, "0")
     sign = "-" if x < 0 else ""
     return f"{sign}{digits[:-k]}.{digits[-k:]}" if k else sign + digits
 
@@ -725,6 +728,9 @@ def main(argv: list[str] | None = None) -> int:
     except RandlabError as exc:  # resolution and validation
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOLVE
+    except RecursionError:  # parsed, but too deep for the evaluator's recursion
+        print("error: formula nested too deeply to evaluate", file=sys.stderr)
+        return EXIT_PARSE
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

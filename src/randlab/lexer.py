@@ -20,6 +20,15 @@ NUMBER_TOKENS = re.compile(r"\s*(?:(?P<int>\d+)|(?P<punct><=|[-/,:=]))")
 """Rationals, integer lists and the extension-problem lines."""
 
 
+def _integer(digits: str, pos: int) -> int:
+    """int(digits), or a ParseError at `pos` when the interpreter refuses
+    to convert that many digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer with {len(digits)} digits is too long", pos) from None
+
+
 class Lexer:
     def __init__(self, tokens: re.Pattern, text: str):
         self.tokens = tokens
@@ -70,11 +79,7 @@ class Lexer:
         return m[kind]
 
     def integer(self) -> int:
-        digits = self.expect_kind("int")
-        try:
-            return int(digits)
-        except ValueError:  # longer than the interpreter converts
-            raise ParseError(f"integer with {len(digits)} digits is too long", self.pos) from None
+        return _integer(self.expect_kind("int"), self.pos)
 
     def rational(self) -> Fraction:
         """`n` or `n/d`, with an optional `-` where the grammar has that token."""

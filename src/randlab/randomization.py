@@ -184,10 +184,21 @@ def _check_binding(
     return {v: bound[v] for v in fv}
 
 
-def _columns(rand: Randomization, fv: list[str], binding) -> list[tuple[str, dict]]:
-    """(variable, values by point) for each of the variables `fv`, from a
-    binding checked as `_check_binding` does."""
-    return [(v, f.values) for v, f in _check_binding(rand, fv, binding).items()]
+def _valuations(rand: Randomization, fv: list[str], binding):
+    """(point, fibre, valuation) at each point of rand's base, in base order.
+
+    `binding` is checked once, as `_check_binding` checks it, before the
+    first point.  The valuation is one dict, rebound in place at each
+    point to the values the variables `fv` take there; a caller may bind
+    other names in it as well.
+    """
+    columns = [(v, f.values) for v, f in _check_binding(rand, fv, binding).items()]
+    family = rand.family
+    val: dict[str, int] = {}
+    for w in rand.base.points:
+        for v, values in columns:
+            val[v] = values[w]
+        yield w, family[w], val
 
 
 def _events_of(rand: Randomization, phis: Sequence[Formula], binding) -> list[Event]:
@@ -195,17 +206,11 @@ def _events_of(rand: Randomization, phis: Sequence[Formula], binding) -> list[Ev
 
     The binding is checked once, against the sorted free variables of all
     of `phis`, as `event_of` checks it against one formula's; at each
-    point one valuation is set and every formula's closure is called.
+    point of `_valuations` every formula's closure is called.
     """
     fv = sorted(frozenset().union(*[free_vars(phi) for phi in phis]))
-    columns = _columns(rand, fv, binding)
-    family = rand.family
     tests = [(_holds(phi), []) for phi in phis]
-    val: dict[str, int] = {}
-    for w in rand.base.points:
-        for v, values in columns:
-            val[v] = values[w]
-        m = family[w]
+    for w, m, val in _valuations(rand, fv, binding):
         for holds, out in tests:
             if holds(m, val):
                 out.append(w)
@@ -250,14 +255,8 @@ def _fullness_witnesses(
     `var`, checked once as `_events_of` checks them.
     """
     fv = sorted(frozenset().union(*[free_vars(phi) for phi in phis]) - {var})
-    columns = _columns(rand, fv, binding)
-    family = rand.family
     searches = [(_holds(phi), {}) for phi in phis]
-    val: dict[str, int] = {}
-    for w in rand.base.points:
-        m = family[w]
-        for v, column in columns:
-            val[v] = column[w]
+    for w, m, val in _valuations(rand, fv, binding):
         for holds, values in searches:
             pick = 0
             for a in m.elements:
@@ -336,10 +335,8 @@ class EventAlgebra:
         for w in rand.base.points:
             sig = tuple(w in g for g in gens)
             cells.setdefault(sig, set()).add(w)
-        order = {w: i for i, w in enumerate(rand.base.points)}
-        self.atoms: tuple[Event, ...] = tuple(
-            sorted((frozenset(c) for c in cells.values()), key=lambda c: min(order[w] for w in c))
-        )
+        # filled in base order, so the atoms come by their first point
+        self.atoms: tuple[Event, ...] = tuple(frozenset(c) for c in cells.values())
 
     def best_approximation(self, target: Event) -> Event:
         """The algebra member minimising the measure of the symmetric

@@ -247,15 +247,10 @@ def cells_of(
     rand: Randomization, params: Sequence[RandomElement]
 ) -> list[tuple[tuple[int, ...], Event]]:
     """Level sets of the parameter tuple, in order of first appearance."""
-    order: list[tuple[int, ...]] = []
     cells: dict[tuple[int, ...], set] = {}
     for w in rand.base.points:
-        value = tuple(g(w) for g in params)
-        if value not in cells:
-            cells[value] = set()
-            order.append(value)
-        cells[value].add(w)
-    return [(v, frozenset(cells[v])) for v in order]
+        cells.setdefault(tuple(g(w) for g in params), set()).add(w)
+    return [(v, frozenset(c)) for v, c in cells.items()]
 
 
 def realize_conditional(

@@ -603,11 +603,20 @@ def _literal_pool(m: FinStructure, variables: tuple[str, ...], params: tuple[int
     return atoms
 
 
-def _extension(m: FinStructure, phi: Formula, variables: tuple[str, ...]) -> frozenset[tuple[int, ...]]:
-    out = set()
+def _extension(
+    m: FinStructure, phi: Formula, variables: tuple[str, ...], val=()
+) -> frozenset[tuple[int, ...]]:
+    """The tuples over `variables` that satisfy phi in m, with the other
+    names bound by `val` (a dict or (name, element) pairs): phi's closure
+    is fetched once and one valuation, seeded from `val`, is rebound for
+    each tuple."""
+    holds = _holds(phi)
+    val = dict(val)
+    out = []
     for tup in itertools.product(m.elements, repeat=len(variables)):
-        if eval_formula(m, phi, dict(zip(variables, tup))):
-            out.add(tup)
+        val.update(zip(variables, tup))
+        if holds(m, val):
+            out.append(tup)
     return frozenset(out)
 
 

@@ -42,7 +42,7 @@ from .randomization import Randomization, RandomElement
 from .record import Record
 from .rtypes import RMeasure, rtype_of
 from .semantics import TypeId, TypeSpace, eval_formula, isolating_formula, type_space
-from .semantics import _extension, _holds
+from .semantics import _extension
 from .structures import FinStructure
 
 
@@ -139,19 +139,10 @@ class PhiType(Record):
 
 
 def _trace(ctx: PhiContext, a: tuple[int, ...], w: tuple[int, ...]) -> frozenset:
-    """{b : phi(a, b, w)}: phi's closure is fetched once and one valuation,
-    with the names `instance_holds` binds, is rebound for each b."""
-    m = ctx.structure
-    holds = _holds(ctx.phi)
-    val = dict(zip(ctx.x_vars, a))
-    val.update(zip(ctx.w_vars, w))
-    y_vars = ctx.y_vars
-    out = []
-    for b in itertools.product(m.elements, repeat=len(y_vars)):
-        val.update(zip(y_vars, b))
-        if holds(m, val):
-            out.append(b)
-    return frozenset(out)
+    """{b : phi(a, b, w)}: the extension of phi over the y names, with the
+    x and w names bound as `instance_holds` binds them."""
+    bound = [*zip(ctx.x_vars, a), *zip(ctx.w_vars, w)]
+    return _extension(ctx.structure, ctx.phi, ctx.y_vars, bound)
 
 
 def phi_type_space(ctx: PhiContext) -> list[PhiType]:

@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError, ResolutionError, ValidationError
-from .lexer import Lexer
+from .lexer import Lexer, _integer
 from .measure import FinProbSpace
 from .randomization import Event, RandomElement, Randomization
 from .rtypes import RMeasure
@@ -152,19 +152,20 @@ def _event(ws: Workspace, tk: Lexer, name: str) -> None:
     ws.events[name] = (rand_name, frozenset(pts[i] for i in indices))
 
 
-def _rtype_entry(tk: Lexer) -> tuple[str, Fraction]:
+def _rtype_entry(tk: Lexer) -> tuple[str, int, Fraction]:
     qname = tk.expect_kind("name")
     if not re.fullmatch(r"q\d+", qname):
         raise ParseError(f"expected qN, got {qname!r}", tk.pos)
+    index = _integer(qname[1:], tk.pos)
     tk.expect(":")
-    return qname, tk.rational()
+    return qname, index, tk.rational()
 
 
 def _rmeasure(ws: Workspace, tk: Lexer, name: str) -> None:
     st_name = None
     arity = None
     params: tuple[int, ...] = ()
-    entries: list[tuple[str, Fraction]] = []
+    entries: list[tuple[str, int, Fraction]] = []
     for key in tk.block():
         if key == "rtype":
             entries = tk.items("{", "}", lambda: _rtype_entry(tk))
@@ -182,8 +183,7 @@ def _rmeasure(ws: Workspace, tk: Lexer, name: str) -> None:
         raise ParseError(f"rmeasure {name} needs structure and arity", tk.pos)
     space = type_space(ws.structure(st_name), arity, params)
     weights = {}
-    for qname, w in entries:
-        i = int(qname[1:])
+    for qname, i, w in entries:
         if i >= len(space.types):
             raise ValidationError(
                 f"rmeasure {name}: entry {qname} names no type; "

@@ -28,7 +28,7 @@ from randlab.cformulas import CInf, CMu, CSup, EvFormula, eval_cformula
 from randlab.formulas import And, Eq, Implies, Not, Or, Var
 from randlab.formulas import Exists, Forall, Rel, format_formula, free_vars
 from randlab.randomization import RandomElement, event_of, event_witness
-from randlab.errors import BudgetError, budget
+from randlab.errors import BudgetError, ValidationError, budget
 from randlab.randomization import _events_of, _fullness_witnesses
 from randlab.randomization import d_b, d_k, fullness_witness, mu
 from randlab.semantics import eval_formula
@@ -1032,3 +1032,34 @@ def test_fullness_witnesses_are_the_pointwise_least_witnesses(rand, data):
         rest = {v: binding[v] for v in free_vars(phi) - {var}}
         assert f == _least_witness(rand, phi, var, rest)
         assert f == fullness_witness(rand, phi, var, binding)
+
+
+@pytest.mark.parametrize("case", sorted(BENCH_FAMILIES))
+def test_each_one_pass_call_checks_its_binding_once(monkeypatch, case):
+    """_events_of, _fullness_witnesses and _witnessed_events check their
+    binding once per call, whatever the number of formulas and points, and
+    a bad binding raises that check's error."""
+    rand = BENCH_FAMILIES[case]
+    phis = [phi for phi in default_formula_corpus(rand.signature) if "x" in free_vars(phi)]
+    binding = _covering_bindings(rand, "xyz")[0]
+    witnesses = _fullness_witnesses(rand, phis, "x", binding)
+    checks = []
+    real = randlab.randomization._check_binding
+    monkeypatch.setattr(
+        randlab.randomization, "_check_binding", lambda *args: checks.append(args) or real(*args)
+    )
+    calls = {
+        "_events_of": lambda binding: _events_of(rand, phis, binding),
+        "_fullness_witnesses": lambda binding: _fullness_witnesses(rand, phis, "x", binding),
+        "_witnessed_events": lambda binding: randlab.axioms._witnessed_events(
+            rand, phis, "x", witnesses, binding
+        ),
+    }
+    for name, call in calls.items():
+        checks.clear()
+        call(binding)
+        assert len(checks) == 1, name
+        checks.clear()
+        with pytest.raises(ValidationError, match="free variable 'y' not bound"):
+            call({v: f for v, f in binding.items() if v != "y"})
+        assert len(checks) == 1, name

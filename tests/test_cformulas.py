@@ -470,6 +470,36 @@ def test_an_inner_quantifier_classes_each_fibre_and_value_once(monkeypatch):
     assert value == full_product_eval(rand, c, {})
 
 
+def test_a_subterm_without_atoms_is_evaluated_once(monkeypatch):
+    # mu[ e ] reads no atom, so its mass is summed once, when the body is
+    # compiled, and not again for each element the sup enumerates
+    c3 = directed_cycle(3)
+    rand = Randomization.constant(c3, FinProbSpace.dyadic(2))
+    env = {"y": rand.element([2, 0, 1, 1]), "e": frozenset(rand.base.points[1:3])}
+    c = parse_cformula("sup x (mu[[x = y]] -. mu[ e ])", c3.signature)
+    masses = [0]
+    mass = cf._COMBINE[CMu]
+
+    def counting_mass(*args):
+        masses[0] += 1
+        return mass(*args)
+
+    enumerated = [0]
+    all_elements = Randomization.all_elements
+
+    def counting_elements(self, groups=None):
+        for h in all_elements(self, groups):
+            enumerated[0] += 1
+            yield h
+
+    monkeypatch.setitem(cf._COMBINE, CMu, counting_mass)
+    monkeypatch.setattr(Randomization, "all_elements", counting_elements)
+    value = eval_cformula(rand, c, env)
+    monkeypatch.undo()
+    assert enumerated[0] > 1 and masses[0] == enumerated[0] + 1
+    assert value == full_product_eval(rand, c, env)
+
+
 @pytest.mark.parametrize("depth", [1, 2])
 def test_each_quantifier_body_is_compiled_once(monkeypatch, depth):
     # compiling a body binds its variable to one constant element; an inner

@@ -16,7 +16,7 @@ import randlab.semantics
 from conftest import sample_elements
 from randlab import FinProbSpace, Randomization, default_formula_corpus, rtype_of, type_space
 from randlab.axioms import _covering_bindings
-from randlab.cli import _types_identity_lines, fmt_rat, main
+from randlab.cli import _rounded, _types_identity_lines, fmt_rat, main
 from randlab.errors import DEFAULT_BUDGET, SHOWN_BITS, show_count
 from randlab.formulas import format_formula, free_vars, parse_formula
 from randlab.randomization import event_of, mu
@@ -506,6 +506,72 @@ def _decimal_oracle(x, k):
 )
 def test_decimal_matches_decimal_quantization(x, k):
     assert fmt_rat(x, k) == f"{x.numerator}/{x.denominator} ({_decimal_oracle(x, k)})"
+
+
+def _long_division(x, k):
+    """x to k places by long division, rounded half to even on the
+    remainder; a negative x keeps its sign, as `fmt_rat` does."""
+    q, r = divmod(abs(x.numerator), x.denominator)
+    digits = []
+    for _ in range(k):
+        d, r = divmod(10 * r, x.denominator)
+        digits.append(d)
+    last = digits[-1] if digits else q
+    if 2 * r > x.denominator or (2 * r == x.denominator and last % 2):
+        i = len(digits) - 1
+        while i >= 0 and digits[i] == 9:
+            digits[i] = 0
+            i -= 1
+        if i >= 0:
+            digits[i] += 1
+        else:
+            q += 1
+    return f"{'-' if x < 0 else ''}{q}." + "".join(map(str, digits))
+
+
+def test_decimal_of_more_digits_than_str_converts(ws_file):
+    # 5000 digits: past the interpreter's 4300-digit limit on str(int)
+    code, out, err = run(
+        "--workspace", ws_file, "--decimal", "5000", "eval", "--rand", "r1", "--cformula", "2/7"
+    )
+    assert (code, err) == (0, "") and out == f"2/7 ({_long_division(Fraction(2, 7), 5000)})\n"
+    tiny = Fraction(1, 2 * 10**5000)
+    for x in (
+        Fraction(-2, 7),
+        Fraction(10**5001 - 1, 10**5001),  # carries into the units
+        tiny, 3 * tiny, -tiny,  # ties go to the even digit
+    ):
+        assert _rounded(x, 5000) == _long_division(x, 5000)
+    assert _long_division(Fraction(10**5001 - 1, 10**5001), 5000) == "1." + "0" * 5000
+    assert _long_division(3 * tiny, 5000).endswith("02")
+
+
+def test_an_rtype_index_of_more_digits_than_int_converts_exits_parse(ws_file, tmp_path):
+    path = tmp_path / "long.rl"
+    for digits, code_want, message in (
+        ("1" * 5000, 3, "error: integer with 5000 digits is too long"),
+        ("9" * 4300, 2, "error: rmeasure nu3: entry q9999"),
+    ):
+        path.write_text(
+            WS + f"rmeasure nu3 {{ structure = l3; arity = 1; rtype {{ q{digits}: 1 }}; }}\n"
+        )
+        code, out, err = run("--workspace", str(path), "types", "--structure", "c3")
+        assert (code, out) == (code_want, "")
+        assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--rand", "r1", "--cformula", "~" * 600 + "1/3"],
+        ["eval", "--rand", "r1", "--cformula", "mu[[ " + "!" * 600 + " #0 = #0 ]]"],
+        ["check", "stability", "--structure", "l3", "--phi", "!" * 600 + " Lt(x, y)"],
+    ],
+    ids=["cformula", "event-formula", "stability-phi"],
+)
+def test_a_formula_that_parses_but_is_too_deep_to_evaluate_exits_parse(ws_file, argv):
+    code, out, err = run("--workspace", ws_file, *argv)
+    assert (code, out, err) == (3, "", "error: formula nested too deeply to evaluate\n")
 
 
 def test_zero_denominator_exits_parse(ws_file, tmp_path):

@@ -519,6 +519,44 @@ def test_eval_formula_matches_tree_walk_oracle_on_the_corpora(st):
             _assert_agrees(st, phi, dict(zip(fv, tup)))
 
 
+@hst.composite
+def extension_cases(draw):
+    """A digraph, a formula, 0-2 names to enumerate, and values for some
+    names (those enumerated among them, to be overridden), so that some
+    free variables are left unassigned."""
+    m = draw(digraphs())
+    phi = draw(hst.one_of(DIGRAPH_FORMULAS, hst.sampled_from(DIGRAPH_CORPUS)))
+    names = VALUATION_NAMES[:4]
+    variables = tuple(draw(hst.lists(hst.sampled_from(names), max_size=2, unique=True)))
+    val = {v: draw(hst.integers(0, m.size - 1)) for v in names}
+    for v in draw(hst.sets(hst.sampled_from(names), max_size=2)):
+        del val[v]
+    return m, phi, variables, val
+
+
+def _brute_force_extension(m, phi, variables, val):
+    return frozenset(
+        tup
+        for tup in itertools.product(m.elements, repeat=len(variables))
+        if eval_formula(m, phi, {**val, **dict(zip(variables, tup))})
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(extension_cases())
+def test_extension_is_the_filter_of_all_tuples_through_eval_formula(case):
+    m, phi, variables, val = case
+    before = dict(val)
+    want = _outcome(lambda m, phi, val: _brute_force_extension(m, phi, variables, val), m, phi, val)
+    # the seed may be a dict or (name, element) pairs, and is left as it was
+    for seed in (val, list(val.items())):
+        assert _outcome(lambda m, phi, seed: _extension(m, phi, variables, seed), m, phi, seed) == want
+    assert val == before
+    if not val:
+        assert _outcome(lambda m, phi, _: _extension(m, phi, variables), m, phi, None) == want
+
+
 _FOREIGN = type_space(pure_set(2), 1)
 INVALID_INPUTS = {
     "unassigned": Eq(Var("x"), Var("u")),

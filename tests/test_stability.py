@@ -48,6 +48,7 @@ from randlab.stability import (
     _heads,
     _isolated_solutions,
     _orbit_traces,
+    _trace,
     _trace_fraction,
     restriction_map,
     rho_fn,
@@ -300,6 +301,33 @@ def test_isolated_solutions_are_the_extension(name, request):
                 want = _extension(st, iso, x_vars)
                 got = _isolated_solutions(space, p, x_vars)
                 assert frozenset(got) == want and len(got) == len(want)
+
+
+@pytest.mark.parametrize("st", [directed_cycle(4), linear_order(3), pure_set(3)], ids=repr)
+def test_trace_is_the_set_of_b_that_instance_holds_accepts(st):
+    """_trace, one extension over the y names, against instance_holds for
+    every a: with |x| = 1 and 2, |y| = 0, 1 and 2, one or two w names, and
+    a quantifier that rebinds a y name."""
+    sig = st.signature
+    rel = next(iter(sig.relations), None)
+    edge = f"{rel}(x, y)" if rel else "x = y"
+    contexts = [ctx for ctx, _ in _table_contexts(st)] + [
+        PhiContext(st, parse_formula(f"exists y ({edge}) & x = w", sig), ("x",), (), ("w",), (1,)),
+        PhiContext(
+            st, parse_formula(f"({edge} | y = w) & !(x = v) & exists y ({edge})", sig),
+            ("x",), ("y",), ("w", "v"), (0, 2),
+        ),
+        _c6_pairs_ctx(),  # two x and two y names
+    ]
+    for ctx in contexts:
+        m, w = ctx.structure, ctx._w_or_raise()
+        for a in itertools.product(m.elements, repeat=len(ctx.x_vars)):
+            want = frozenset(
+                b
+                for b in itertools.product(m.elements, repeat=len(ctx.y_vars))
+                if ctx.instance_holds(a, b, w)
+            )
+            assert _trace(ctx, a, w) == want
 
 
 @pytest.fixture()
