@@ -85,17 +85,22 @@ EXIT_INTERNAL = 5
 
 
 def fmt_rat(x: Fraction, decimal: int | None) -> str:
-    base = f"{x.numerator}/{x.denominator}"
+    base = f"{_digits(x.numerator)}/{_digits(x.denominator)}"
     if decimal is not None:
         return f"{base} ({_rounded(x, decimal)})"
     return base
 
 
+def _digits(n: int) -> str:
+    """The decimal digits of n: `format` of a Decimal has no digit limit,
+    unlike str of an int."""
+    return format(Decimal(n), "f")
+
+
 def _rounded(x: Fraction, k: int) -> str:
     """x rounded half to even to k decimals, with every digit exact; a
     negative x keeps its sign when it rounds to zero, as `format` does."""
-    # `format` of a Decimal has no digit limit, unlike str of an int
-    digits = format(Decimal(round(abs(x) * 10**k)), "f").rjust(k + 1, "0")
+    digits = _digits(round(abs(x) * 10**k)).rjust(k + 1, "0")
     sign = "-" if x < 0 else ""
     return f"{sign}{digits[:-k]}.{digits[-k:]}" if k else sign + digits
 

@@ -12,8 +12,10 @@ problem data by exact arithmetic.  Both kinds of infeasibility
 certificate go through one separation test, `_separates`: integer
 multipliers m_i and a constant c with sum m_i * fn_i + c >= 0 at every
 point while sum m_i * bound_i + c < 0 (an inequality certificate has
-m_i >= 0 and c = -n).  The duals are cleared to those integers in one
-step, `_cleared`, for both problems.
+m_i >= 0 and c = -n; an equality certificate has m_i >= 0 on its `<=`
+rows, if it is checked against a problem with any).  The duals are
+cleared to those integers in one step, `_cleared`, for both problems.
+A witness puts weight on ground-set points only, and is checked in ints.
 
 The pivot engine is a dictionary-free phase-one simplex with Bland's
 rule, so runs are deterministic and never cycle.  Each tableau row is a
@@ -47,13 +49,14 @@ class LinFeasProblem:
         self.ground: tuple[Point, ...] = tuple(ground)
         if not self.ground:
             raise ValidationError("empty ground set")
-        if len(set(self.ground)) != len(self.ground):
+        self.ground_set = frozenset(self.ground)
+        if len(self.ground_set) != len(self.ground):
             raise ValidationError("duplicate ground-set points")
         self.constraints: list[Constraint] = []
         for fn, bound, rel in constraints:
             if rel not in ("<=", "="):
                 raise ValidationError(f"bad relation {rel!r}")
-            if set(fn.domain) != set(self.ground):
+            if fn.values.keys() != self.ground_set:
                 raise ValidationError("constraint function domain mismatch")
             self.constraints.append(Constraint(fn, frac(bound), rel))  # type: ignore[arg-type]
 
@@ -62,24 +65,34 @@ class LinFeasProblem:
 
 
 class FeasibleCertificate(Record):
-    """A sub-simplex point satisfying every constraint exactly."""
+    """A sub-simplex point satisfying every constraint exactly: weights on
+    ground-set points only, none negative, summing to one."""
 
     weights: dict[Point, Fraction]
 
     feasible = True
 
     def verify(self, prob: LinFeasProblem) -> bool:
-        if any(w < 0 for w in self.weights.values()):
+        """Checked in ints: the weights over their common denominator d, each
+        constraint's values over theirs, e, and the sum of the products, which
+        is d * e times the integral, cross-multiplied with the bound."""
+        weights = self.weights
+        if not weights.keys() <= prob.ground_set:
             return False
-        if sum(self.weights.values(), Fraction(0)) != 1:
-            return False
+        d = math.lcm(*(w.denominator for w in weights.values()))
         # zero weights add nothing: sum over the support, in ground order
-        support = [(p, w) for p in prob.ground if (w := self.weights.get(p))]
+        support = [
+            (p, w.numerator * (d // w.denominator)) for p in prob.ground if (w := weights.get(p))
+        ]
+        if any(n < 0 for _, n in support) or sum(n for _, n in support) != d:
+            return False
         for c in prob.constraints:
-            val = sum((c.fn(p) * w for p, w in support), Fraction(0))
-            if c.relation == "<=" and not val <= c.bound:
-                return False
-            if c.relation == "=" and val != c.bound:
+            values = c.fn.values
+            terms = [(values[p], n) for p, n in support]
+            e = math.lcm(*(v.denominator for v, _ in terms))
+            total = sum(v.numerator * (e // v.denominator) * n for v, n in terms)
+            lhs, rhs = total * c.bound.denominator, c.bound.numerator * d * e
+            if not (lhs <= rhs if c.relation == "<=" else lhs == rhs):
                 return False
         return True
 
@@ -100,9 +113,9 @@ class InfeasibleIneqCertificate(Record):
 
 
 class InfeasibleEqCertificate(Record):
-    """Signed integers m_i (plus a coefficient on the constant-one
-    function) with  sum m_i * fn_i + constant >= 0  pointwise while
-    sum m_i * bound_i + constant < 0."""
+    """Integers m_i (plus a coefficient on the constant-one function), at
+    least 0 on `<=` rows, with  sum m_i * fn_i + constant >= 0  pointwise
+    while  sum m_i * bound_i + constant < 0."""
 
     multipliers: list[int]
     constant: int = 0
@@ -110,7 +123,11 @@ class InfeasibleEqCertificate(Record):
     feasible = False
 
     def verify(self, prob: LinFeasProblem) -> bool:
-        return _separates(prob, self.multipliers, self.constant)
+        # a negative multiplier would turn a `<=` row's bound the wrong way
+        signs_ok = all(
+            m >= 0 for m, c in zip(self.multipliers, prob.constraints) if c.relation == "<="
+        )
+        return signs_ok and _separates(prob, self.multipliers, self.constant)
 
 
 Certificate = FeasibleCertificate | InfeasibleIneqCertificate | InfeasibleEqCertificate
@@ -251,7 +268,8 @@ def _solve_feasibility(prob: LinFeasProblem) -> FeasibleCertificate | list[Fract
     rows = [[Fraction(1)] * len(ground) + [Fraction(0)] * len(slacks)]
     rhs = [Fraction(1)]
     for i, c in enumerate(prob.constraints):
-        rows.append([c.fn(p) for p in ground] + [Fraction(1 if j == i else 0) for j in slacks])
+        values = c.fn.values
+        rows.append([values[p] for p in ground] + [Fraction(1 if j == i else 0) for j in slacks])
         rhs.append(c.bound)
     x, duals = _phase_one(rows, rhs)
     if duals is not None:
@@ -321,8 +339,9 @@ def extend_measure_eq(prob: LinFeasProblem) -> Certificate:
     """
     if prob.relations() - {"="}:
         raise ValidationError("extend_measure_eq accepts only = constraints")
-    one = RationalFn.constant(prob.ground, 1)
-    ones = [i for i, c in enumerate(prob.constraints) if c.fn == one]
+    ones = [
+        i for i, c in enumerate(prob.constraints) if all(v == 1 for v in c.fn.values.values())
+    ]
     for c in (prob.constraints[i] for i in ones):
         if c.bound != 1:
             raise ValidationError(f"constant-one constraint bound {c.bound} != 1")

@@ -304,6 +304,13 @@ def restriction_map(space: TypeSpace, indices: Sequence[int], target: TypeSpace)
     return MeasurableMap(space.types, target.types, mapping)
 
 
+@lru_cache(maxsize=None)
+def _restriction(space: TypeSpace, indices: tuple[int, ...], target: TypeSpace) -> MeasurableMap:
+    """`restriction_map`, one per (space, indices, target), for
+    `stationarity_problem`.  Callers must not change the map."""
+    return restriction_map(space, indices, target)
+
+
 def _measure_space(nu: RMeasure) -> FinProbSpace:
     support = [(q, nu.weights[q]) for q in nu.space.types if nu.weights[q] > 0]
     return FinProbSpace(support)
@@ -333,6 +340,7 @@ def _widths(ctx: PhiContext, p: RMeasure, q: RMeasure) -> tuple[int, int, int]:
     return nx, ny, nw
 
 
+@lru_cache(maxsize=None)
 def _fibre(p: RMeasure, q: RMeasure, nx: int) -> tuple[FinProbSpace, dict]:
     """The fibre product of p and q over their shared trailing W block, and
     for each pair (p0, q0) of it: p0's realizations over p0's own W part w,
@@ -340,7 +348,9 @@ def _fibre(p: RMeasure, q: RMeasure, nx: int) -> tuple[FinProbSpace, dict]:
 
     q0's orbit meets that w because the pair lies in the fibre product,
     and rho is automorphism invariant, so any w of the fibre gives the
-    same values.  Each p0's realizations are read once.
+    same values.  Each p0's realizations are read once.  One fibre per
+    (p, q, nx) serves `rho_fn`, `nonforking_extension` and, through
+    `rho_hat`, `stationarity_problem`.  Callers must not change the cells.
     """
     nw = p.space.arity - nx
     ny = q.space.arity - nw
@@ -366,13 +376,16 @@ def _fibre(p: RMeasure, q: RMeasure, nx: int) -> tuple[FinProbSpace, dict]:
 def rho_fn(ctx: PhiContext, p: RMeasure, q: RMeasure) -> tuple[RationalFn, FinProbSpace]:
     """rho materialised on the fiber product of the two measures; the w
     variables name w's leading coordinates."""
-    nx, ny, _ = _widths(ctx, p, q)
+    nx, ny, nw = _widths(ctx, p, q)
     if ny != len(ctx.y_vars):
         raise ValidationError("measures do not share a parameter block")
+    # charged on every call, as a fresh `_fibre` charges its base space first;
+    # the other callers charge a larger space before theirs
+    type_space(ctx.structure, nw, ())
     joint, cells = _fibre(p, q, nx)
-    nw = len(ctx.w_vars)
+    named = len(ctx.w_vars)
     return RationalFn(joint.points, {
-        pt: _trace_fraction(ctx, realizations, b, w[:nw])
+        pt: _trace_fraction(ctx, realizations, b, w[:named])
         for pt, (realizations, b, w) in cells.items()
     }), joint
 
@@ -421,10 +434,10 @@ def stationarity_problem(ctx: PhiContext, p: RMeasure, q: RMeasure) -> LinFeasPr
     constraints: list[tuple[RationalFn, Fraction, str]] = []
     # each marginal's rows: the target types grouped by their restriction
     for nu, indices in (
-        (p, list(range(nx)) + list(range(nx + total_y, target.arity))),
-        (q, list(range(nx, target.arity))),
+        (p, (*range(nx), *range(nx + total_y, target.arity))),
+        (q, tuple(range(nx, target.arity))),
     ):
-        restrict = restriction_map(target, indices, nu.space)
+        restrict = _restriction(target, indices, nu.space)
         fibres: dict[TypeId, list[TypeId]] = {}
         for t in target.types:
             fibres.setdefault(restrict(t), []).append(t)
@@ -434,9 +447,9 @@ def stationarity_problem(ctx: PhiContext, p: RMeasure, q: RMeasure) -> LinFeasPr
     for i in range(copies):
         q_i = image_measure(
             _measure_space(q),
-            restriction_map(
+            _restriction(
                 q.space,
-                list(range(i * ny, (i + 1) * ny)) + list(range(total_y, q.space.arity)),
+                (*range(i * ny, (i + 1) * ny), *range(total_y, q.space.arity)),
                 block,
             ),
         )

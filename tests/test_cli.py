@@ -3,6 +3,7 @@ import io
 import math
 import pathlib
 import random
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -544,6 +545,24 @@ def test_decimal_of_more_digits_than_str_converts(ws_file):
         assert _rounded(x, 5000) == _long_division(x, 5000)
     assert _long_division(Fraction(10**5001 - 1, 10**5001), 5000) == "1." + "0" * 5000
     assert _long_division(3 * tiny, 5000).endswith("02")
+
+
+def test_a_value_of_more_digits_than_str_converts_prints(ws_file):
+    # each constant is under the interpreter's 4300-digit limit on str(int),
+    # and the difference's denominator (about 7700 digits) is past it
+    a, c = 3**8000, 2**13000
+    code, out, err = run(
+        "--workspace", ws_file, "eval", "--rand", "r1", "--cformula", f"{a}/{a + 1} -. 1/{c}"
+    )
+    assert (code, err) == (0, "")
+    x = Fraction(a, a + 1) - Fraction(1, c)
+    assert x.denominator > 10**4300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"{x.numerator}/{x.denominator}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_an_rtype_index_of_more_digits_than_int_converts_exits_parse(ws_file, tmp_path):

@@ -313,8 +313,10 @@ def test_phase_one_gets_one_row_per_constraint_and_slacks_for_le_rows(monkeypatc
 
 # --- The Fraction simplex and the whole-ground check, kept as oracles ---------------
 # Verbatim copies of the Fraction-tableau `_phase_one` and of
-# `FeasibleCertificate.verify` summing over the whole ground set, which the
-# integer-row pivots and the support-only sums must reproduce exactly.
+# `FeasibleCertificate.verify` summing Fractions over the whole ground set,
+# which the integer-row pivots and the integer support-only sums must
+# reproduce exactly.  The whole-ground check has one rule added since: a
+# weight on a point outside the ground set refuses the witness.
 
 def _oracle_phase_one(
     rows: list[list[Fraction]], rhs: list[Fraction]
@@ -397,6 +399,8 @@ def _oracle_phase_one(
 
 
 def _oracle_verify(self, prob: LinFeasProblem) -> bool:
+    if not set(self.weights) <= set(prob.ground):
+        return False
     if any(w < 0 for w in self.weights.values()):
         return False
     if sum(self.weights.values(), Fraction(0)) != 1:
@@ -570,7 +574,8 @@ def test_problem_text_numbers():
 # Verbatim copies of the two infeasibility `verify` methods, of
 # `_integerize_certificate` and of the duals' clearing in `extend_measure_ineq`
 # and `extend_measure_eq`, from before they shared one separation test and one
-# clearing step; the certificates and verdicts must be the same.
+# clearing step; the certificates and verdicts must be the same.  The equality
+# check has one rule added since: a multiplier on a `<=` row is at least 0.
 
 def _oracle_ineq_verify(self, prob: LinFeasProblem) -> bool:
     if any(m < 0 for m in self.multipliers) or len(self.multipliers) != len(
@@ -592,6 +597,9 @@ def _oracle_ineq_verify(self, prob: LinFeasProblem) -> bool:
 def _oracle_eq_verify(self, prob: LinFeasProblem) -> bool:
     if len(self.multipliers) != len(prob.constraints):
         return False
+    for m, c in zip(self.multipliers, prob.constraints):
+        if c.relation == "<=" and m < 0:
+            return False
     for p in prob.ground:
         total = self.constant + sum(
             m * c.fn(p) for m, c in zip(self.multipliers, prob.constraints)
@@ -715,3 +723,72 @@ def test_farkas_certificates_and_verdicts_match_the_hand_written_sums(case):
             assert not ineq.verify(prob) and not eq.verify(prob)
         if any(m < 0 for m in multipliers):
             assert not ineq.verify(prob)
+
+
+# --- Integer witness checks against the Fraction sums, and the two refusals ---------
+
+def test_a_witness_with_weight_off_the_ground_set_is_refused():
+    prob = parse_problem("= 1/2 : 1,0\n")
+    assert FeasibleCertificate({0: F(1, 2), 1: F(1, 2)}).verify(prob)
+    for weights in ({0: F(1, 2), "ghost": F(1, 2)}, {0: F(1, 2), 1: F(1, 2), "ghost": F(0)}):
+        cert = FeasibleCertificate(weights)
+        assert not cert.verify(prob) and not _oracle_verify(cert, prob)
+
+
+def test_an_equality_certificate_takes_no_negative_multiplier_on_a_le_row():
+    le = parse_problem("<= 1 : 0,0\n")
+    assert extend_measure_ineq(le).feasible
+    cert = InfeasibleEqCertificate([-1], 0)
+    assert not cert.verify(le) and not _oracle_eq_verify(cert, le)
+    # the same numbers do prove `<0, mu> = 1` infeasible
+    eq = parse_problem("= 1 : 0,0\n")
+    assert cert.verify(eq) and _oracle_eq_verify(cert, eq)
+
+
+@st.composite
+def farkas_witnesses(draw):
+    """A `farkas_cases` problem with its witness, the witness with a third or
+    a seventh moved from one point to another, or weights in 21sts summing
+    to one, negatives included."""
+    _, prob, _, _ = draw(farkas_cases())
+    ground = prob.ground
+    res = randlab.extension._solve_feasibility(prob)
+    if isinstance(res, FeasibleCertificate) and draw(st.booleans()):
+        weights = dict(res.weights)
+        if draw(st.booleans()):
+            src, dst, *_ = draw(st.permutations(ground))
+            shift = draw(st.sampled_from([F(1, 3), F(1, 7), F(2, 21)]))
+            weights[src] -= shift
+            weights[dst] += shift
+        return prob, weights
+    k = len(ground) - 1
+    parts = draw(st.lists(st.builds(F, st.integers(-7, 21), st.just(21)), min_size=k, max_size=k))
+    return prob, dict(zip(ground, parts + [1 - sum(parts)]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(weighted_problems(), farkas_witnesses()))
+def test_integer_verify_matches_the_fraction_sums(case):
+    prob, weights = case
+    cert = FeasibleCertificate(weights)
+    assert cert.verify(prob) is _oracle_verify(cert, prob)
+
+
+def test_integer_verify_on_thirds_and_sevenths():
+    ground = (0, 1, 2)
+    weights = {0: F(1, 3), 1: F(2, 7), 2: F(8, 21)}
+    values = (F(1, 7), F(2, 3), F(-1, 2))
+    exact = F(1, 21) + F(4, 21) - F(4, 21)
+    off = F(1, 2 * 21 * 21)
+    for relation, bound, want in (
+        ("=", exact, True), ("=", exact + off, False), ("=", exact - off, False),
+        ("<=", exact, True), ("<=", exact + off, True), ("<=", exact - off, False),
+    ):
+        prob = LinFeasProblem(ground, [(fn(ground, values), bound, relation)])
+        for w, ok in (
+            (weights, want),
+            ({0: F(1, 3), 1: F(2, 7), 2: F(7, 21)}, False),  # mass 20/21
+            ({0: F(-1, 7), 1: F(16, 21), 2: F(8, 21)}, False),  # mass 1, one weight negative
+        ):
+            cert = FeasibleCertificate(w)
+            assert cert.verify(prob) is _oracle_verify(cert, prob) is ok, (relation, bound, w)

@@ -45,13 +45,16 @@ from randlab.formulas import Formula, Term, TypeIs, disj
 from randlab.semantics import TypeId, _extension, automorphisms, isolating_formula
 from randlab.stability import (
     IndependenceVerdict,
+    _fibre,
     _heads,
     _isolated_solutions,
     _orbit_traces,
+    _restriction,
     _trace,
     _trace_fraction,
     restriction_map,
     rho_fn,
+    stationarity_problem,
 )
 
 F = Fraction
@@ -813,6 +816,65 @@ def test_fibre_pairs_match_the_old_constructions_random(data):
     c_vals, b_vals = data.draw(values), data.draw(values)
     w_vals = [data.draw(values) for _ in range(nw)]
     _check_against_oracles(name, nw, c_vals, b_vals, w_vals)
+
+
+def _problem_rows(prob):
+    return prob.ground, [
+        (list(c.fn.values.items()), c.bound, c.relation) for c in prob.constraints
+    ]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(hst.data())
+def test_a_kept_fibre_gives_what_a_fresh_one_does(data):
+    name = data.draw(hst.sampled_from(sorted(ORACLE_STRUCTURES)))
+    nw = data.draw(hst.sampled_from([1, 2]))
+    points = data.draw(hst.integers(1, 4))
+    st = ORACLE_STRUCTURES[name]
+    values = hst.lists(hst.integers(0, st.size - 1), min_size=points, max_size=points)
+    rand = Randomization.constant(st, FinProbSpace.uniform(points))
+    params = [rand.element(data.draw(values)) for _ in range(nw)]
+    p = rtype_of(rand, [rand.element(data.draw(values))], params)
+    q = rtype_of(rand, [rand.element(data.draw(values))], params)
+    ctx = PhiContext(st, parse_formula(ORACLE_PHI[(name[0], nw)], st.signature), ("x",), ("y",), W_VARS[nw])
+    calls = (rho_hat, nonforking_extension, stationarity_problem)
+
+    def results(clear):
+        out = []
+        for call in calls:
+            if clear:
+                _fibre.cache_clear()
+            out.append(call(ctx, p, q))
+        return out
+
+    cold = results(clear=True)
+    hits = _fibre.cache_info().hits
+    warm = results(clear=False)
+    assert _fibre.cache_info().hits >= hits + len(calls)
+    assert warm[:2] == cold[:2] and repr(warm[:2]) == repr(cold[:2])
+    assert _problem_rows(warm[2]) == _problem_rows(cold[2])
+
+    target = nonforking_extension(ctx, p, q).space
+    xw = (0, *range(2, target.arity))
+    assert restriction_map(target, xw, p.space) is not restriction_map(target, xw, p.space)
+    assert _restriction(target, xw, p.space) is _restriction(target, xw, p.space)
+
+
+def test_a_kept_fibre_is_refused_where_a_fresh_one_is(c3):
+    # rho_hat's first charge is the fibre's base space, 3^1 tuples
+    rand = Randomization.constant(c3, FinProbSpace.uniform(3))
+    g = rand.element([0, 1, 2])
+    p, q = (rtype_of(rand, [rand.element(vals)], [g]) for vals in ([1, 2, 0], [2, 2, 1]))
+    ctx = ctx_of(c3, "E(x, y) | E(w, x)", ("w",))
+    errors = []
+    for warm in (False, True):
+        _fibre.cache_clear()
+        if warm:
+            rho_hat(ctx, p, q)
+        with budget(2), pytest.raises(BudgetError) as err:
+            rho_hat(ctx, p, q)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] and "required count 3" in errors[0]
 
 
 # --- Oracle: independence over every orbit union, as decided before single orbits ----
