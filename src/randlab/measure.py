@@ -126,9 +126,6 @@ class RationalFn:
             raise ValidationError(
                 f"function not total on its domain: missing {missing.args[0]!r}"
             ) from None
-        self._check_domain()
-
-    def _check_domain(self) -> None:
         if len(self.values) != len(self.domain):
             seen: set[Point] = set()
             repeated = next(p for p in self.domain if p in seen or seen.add(p))
@@ -139,14 +136,8 @@ class RationalFn:
 
     @classmethod
     def indicator(cls, domain: tuple[Point, ...], subset: Iterable[Point]) -> "RationalFn":
-        """1 on subset's points of the domain and 0 elsewhere; its values are
-        Fractions already, so none goes through `frac`."""
         s = set(subset)
-        fn = cls.__new__(cls)
-        fn.domain = tuple(domain)
-        fn.values = {p: _ONE if p in s else _ZERO for p in fn.domain}
-        fn._check_domain()
-        return fn
+        return cls(domain, {p: _ONE if p in s else _ZERO for p in domain})
 
     @classmethod
     def constant(cls, domain: tuple[Point, ...], c) -> "RationalFn":

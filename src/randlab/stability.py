@@ -304,13 +304,6 @@ def restriction_map(space: TypeSpace, indices: Sequence[int], target: TypeSpace)
     return MeasurableMap(space.types, target.types, mapping)
 
 
-@lru_cache(maxsize=None)
-def _restriction(space: TypeSpace, indices: tuple[int, ...], target: TypeSpace) -> MeasurableMap:
-    """`restriction_map`, one per (space, indices, target), for
-    `stationarity_problem`.  Callers must not change the map."""
-    return restriction_map(space, indices, target)
-
-
 def _measure_space(nu: RMeasure) -> FinProbSpace:
     support = [(q, nu.weights[q]) for q in nu.space.types if nu.weights[q] > 0]
     return FinProbSpace(support)
@@ -434,10 +427,10 @@ def stationarity_problem(ctx: PhiContext, p: RMeasure, q: RMeasure) -> LinFeasPr
     constraints: list[tuple[RationalFn, Fraction, str]] = []
     # each marginal's rows: the target types grouped by their restriction
     for nu, indices in (
-        (p, (*range(nx), *range(nx + total_y, target.arity))),
-        (q, tuple(range(nx, target.arity))),
+        (p, list(range(nx)) + list(range(nx + total_y, target.arity))),
+        (q, list(range(nx, target.arity))),
     ):
-        restrict = _restriction(target, indices, nu.space)
+        restrict = restriction_map(target, indices, nu.space)
         fibres: dict[TypeId, list[TypeId]] = {}
         for t in target.types:
             fibres.setdefault(restrict(t), []).append(t)
@@ -447,9 +440,9 @@ def stationarity_problem(ctx: PhiContext, p: RMeasure, q: RMeasure) -> LinFeasPr
     for i in range(copies):
         q_i = image_measure(
             _measure_space(q),
-            _restriction(
+            restriction_map(
                 q.space,
-                (*range(i * ny, (i + 1) * ny), *range(total_y, q.space.arity)),
+                list(range(i * ny, (i + 1) * ny)) + list(range(total_y, q.space.arity)),
                 block,
             ),
         )

@@ -49,7 +49,6 @@ from randlab.stability import (
     _heads,
     _isolated_solutions,
     _orbit_traces,
-    _restriction,
     _trace,
     _trace_fraction,
     restriction_map,
@@ -853,11 +852,6 @@ def test_a_kept_fibre_gives_what_a_fresh_one_does(data):
     assert _fibre.cache_info().hits >= hits + len(calls)
     assert warm[:2] == cold[:2] and repr(warm[:2]) == repr(cold[:2])
     assert _problem_rows(warm[2]) == _problem_rows(cold[2])
-
-    target = nonforking_extension(ctx, p, q).space
-    xw = (0, *range(2, target.arity))
-    assert restriction_map(target, xw, p.space) is not restriction_map(target, xw, p.space)
-    assert _restriction(target, xw, p.space) is _restriction(target, xw, p.space)
 
 
 def test_a_kept_fibre_is_refused_where_a_fresh_one_is(c3):
