@@ -31,8 +31,9 @@ def frac(x) -> Fraction:
 class FinProbSpace(Keyed):
     """Finite sample space with positive rational weights summing to one.
 
-    `weight` is a read-only view: the key, the kept hash and `numerator`'s
-    integer table are all made from the weights once."""
+    `weight` is a read-only view: the key, the kept hash, `denominator` and
+    `numerator`'s integer table are all made from the weights once; the
+    weights are checked in those integers."""
 
     def __init__(self, weights: Mapping[Point, Fraction] | Iterable[tuple[Point, Fraction]]):
         items = list(weights.items()) if isinstance(weights, Mapping) else list(weights)
@@ -44,12 +45,11 @@ class FinProbSpace(Keyed):
             raise ValidationError("empty sample space")
         self.weight: Mapping[Point, Fraction] = MappingProxyType({p: frac(w) for p, w in items})
         for p, w in self.weight.items():
-            if w <= 0:
+            if w.numerator <= 0:
                 raise ValidationError(f"weight of {p!r} must be positive, got {w}")
-        if sum(self.weight.values()) != 1:
-            raise ValidationError(
-                f"weights sum to {sum(self.weight.values())}, not 1"
-            )
+        total, den = sum(self._numerators.values()), self.denominator
+        if total != den:
+            raise ValidationError(f"weights sum to {Fraction(total, den)}, not 1")
         self._key_cache = tuple((p, self.weight[p]) for p in self.points)
 
     @classmethod
@@ -73,7 +73,7 @@ class FinProbSpace(Keyed):
     def numerator(self, event: Iterable[Point]) -> int:
         """The total weight of event's points over `denominator`, a repeated
         point counted each time: a sum over one table of the weights'
-        numerators, made on the first call."""
+        numerators."""
         return sum(map(self._numerators.__getitem__, event))
 
     def mass(self, event: Iterable[Point]) -> Fraction:
@@ -176,16 +176,17 @@ class FiberSpace:
 # --- Operations ---------------------------------------------------------------
 
 def image_measure(mu: FinProbSpace, pi: MeasurableMap) -> FinProbSpace:
-    """Pushforward of mu along pi; zero-weight codomain points are dropped."""
+    """Pushforward of mu along pi; zero-weight codomain points are dropped.
+    Masses are summed as ints over mu's denominator."""
     for p in mu.points:
         if p not in pi.mapping:
             raise ValidationError(f"map not defined on support point {p!r}")
-    acc: dict[Point, Fraction] = {}
-    for p in mu.points:
+    acc: dict[Point, int] = {}
+    for p, n in mu._numerators.items():
         q = pi(p)
-        acc[q] = acc.get(q, Fraction(0)) + mu.weight[p]
-    ordered = [(q, acc[q]) for q in pi.codomain if q in acc]
-    return FinProbSpace(ordered)
+        acc[q] = acc.get(q, 0) + n
+    den = mu.denominator
+    return FinProbSpace([(q, Fraction(acc[q], den)) for q in pi.codomain if q in acc])
 
 
 def cond_exp(mu: FinProbSpace, f: RationalFn, pi: MeasurableMap) -> RationalFn:
@@ -206,10 +207,17 @@ def cond_exp(mu: FinProbSpace, f: RationalFn, pi: MeasurableMap) -> RationalFn:
 
 
 def pair(phi: RationalFn, mu: FinProbSpace) -> Fraction:
-    """The integral of phi against mu."""
+    """The integral of phi against mu, summed as ints over mu's denominator
+    times the lcm of phi's."""
     if set(phi.domain) != set(mu.points):
         raise ValidationError("pairing requires matching ground sets")
-    return sum((phi(p) * mu.weight[p] for p in mu.points), Fraction(0))
+    values = phi.values
+    scale = math.lcm(*(v.denominator for v in values.values()))
+    total = 0
+    for p, n in mu._numerators.items():
+        v = values[p]
+        total += v.numerator * (scale // v.denominator) * n
+    return Fraction(total, scale * mu.denominator)
 
 
 def fiber_product(mu: FinProbSpace, nu: FinProbSpace, fib: FiberSpace) -> FinProbSpace:

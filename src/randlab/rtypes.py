@@ -12,7 +12,7 @@ construction used for saturation-style arguments.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Mapping, Sequence
 
 from .errors import ValidationError
@@ -35,12 +35,13 @@ class RMeasure(Keyed):
             if q not in self.weights:
                 raise ValidationError(f"{q!r} is not a type of {space!r}")
         for q, w in self.weights.items():
-            if w < 0:
+            if w.numerator < 0:
                 raise ValidationError(f"negative weight {w} at {q}")
-        if sum(self.weights.values()) != 1:
-            raise ValidationError(
-                f"type weights sum to {sum(self.weights.values())}, not 1"
-            )
+        # the sum as ints over the weights' least common denominator
+        den = lcm(*(w.denominator for w in self.weights.values()))
+        total = sum(w.numerator * (den // w.denominator) for w in self.weights.values())
+        if total != den:
+            raise ValidationError(f"type weights sum to {Fraction(total, den)}, not 1")
         self._key_cache = (space, tuple(self.weights.values()))
 
     def __getitem__(self, q: TypeId) -> Fraction:
@@ -105,11 +106,12 @@ def rtype_of_over(
     if len(elements) != space.arity:
         raise ValidationError("tuple length must match the space arity")
     elements = [rand.check_element(f) for f in elements]
-    acc: dict[TypeId, Fraction] = {}
-    for w in rand.base.points:
+    acc: dict[TypeId, int] = {}
+    for w, n in rand.base._numerators.items():
         q = space.type_of(tuple(f(w) for f in elements))
-        acc[q] = acc.get(q, Fraction(0)) + rand.base.weight[w]
-    return RMeasure(space, acc)
+        acc[q] = acc.get(q, 0) + n
+    den = rand.base.denominator
+    return RMeasure(space, {q: Fraction(n, den) for q, n in acc.items()})
 
 
 # --- Base refinement ----------------------------------------------------------------

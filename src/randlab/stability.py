@@ -12,11 +12,19 @@ The randomized counterpart evaluates that probability in expectation
 over a fiber product of type measures, yielding the definability
 predicate of a randomized type and the canonical (stationary) extension
 construction, certified independently by linear feasibility.
+
+Two tables are kept, module-level functools caches that are emptied with
+the others: `_trace`, one trace {b : phi(a, b, w)} per (context, a, w),
+which every reader of phi inside one structure reads (ladders, trace
+spaces, ranks, rho's tables, both rho routes and the phi-instance rows of
+the stationarity system), and `_fibre`, one fibre product per (p, q, nx)
+for the measure-level operations.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -96,7 +104,7 @@ def ladder_length(ctx: PhiContext, bound: int) -> int:
     holds exactly when i < j.  Always finite over a finite structure.
 
     The search tries at most `limit()` (a, b) pairs; one more raises
-    BudgetError."""
+    BudgetError.  Each test of phi(a, b) reads a's kept trace."""
     if bound < 1:
         raise ValidationError("bound must be at least 1")
     m = ctx.structure
@@ -114,15 +122,16 @@ def ladder_length(ctx: PhiContext, bound: int) -> int:
         if k >= bound:
             return
         for a in xs:
-            if any(ctx.instance_holds(a, b, w) for b in b_list):
+            trace = _trace(ctx, a, w)
+            if any(b in trace for b in b_list):
                 continue
             for b in ys:
                 tried += 1
                 if tried > cap:
                     charge("ladder search", tried)
-                if ctx.instance_holds(a, b, w):
+                if b in trace:
                     continue
-                if all(ctx.instance_holds(ai, b, w) for ai in a_list):
+                if all(b in _trace(ctx, ai, w) for ai in a_list):
                     extend(a_list + [a], b_list + [b])
                     if best >= bound:
                         return
@@ -138,9 +147,12 @@ class PhiType(Record):
     witness: tuple[int, ...]
 
 
+@lru_cache(maxsize=None)
 def _trace(ctx: PhiContext, a: tuple[int, ...], w: tuple[int, ...]) -> frozenset:
     """{b : phi(a, b, w)}: the extension of phi over the y names, with the
-    x and w names bound as `instance_holds` binds them."""
+    x and w names bound as `instance_holds` binds them.  Kept per
+    (ctx, a, w): every reader of phi inside one structure reads this one
+    set, so phi is evaluated once per instance."""
     bound = [*zip(ctx.x_vars, a), *zip(ctx.w_vars, w)]
     return _extension(ctx.structure, ctx.phi, ctx.y_vars, bound)
 
@@ -403,13 +415,17 @@ def nonforking_extension(ctx: PhiContext, p: RMeasure, q: RMeasure) -> RMeasure:
     nx, totaly, nw = _widths(ctx, p, q)
     target = type_space(ctx.structure, nx + totaly + nw, ())
     joint, cells = _fibre(p, q, nx)
-    acc: dict[TypeId, Fraction] = {}
+    # masses as ints over the joint's denominator times the lcm of the counts
+    scale = math.lcm(*(len(realizations) for realizations, _, _ in cells.values()))
+    numerators = joint._numerators
+    acc: dict[TypeId, int] = {}
     for pt, (realizations, b, w) in cells.items():
-        share = joint.weight[pt] / len(realizations)
+        share = numerators[pt] * (scale // len(realizations))
         for a in realizations:
             r0 = target.type_of(a + b + w)
-            acc[r0] = acc.get(r0, Fraction(0)) + share
-    return RMeasure(target, acc)
+            acc[r0] = acc.get(r0, 0) + share
+    den = joint.denominator * scale
+    return RMeasure(target, {r0: Fraction(n, den) for r0, n in acc.items()})
 
 
 def stationarity_problem(ctx: PhiContext, p: RMeasure, q: RMeasure) -> LinFeasProblem:
@@ -453,7 +469,7 @@ def stationarity_problem(ctx: PhiContext, p: RMeasure, q: RMeasure) -> LinFeasPr
             a = rep[:nx]
             b = rep[nx + i * ny : nx + (i + 1) * ny]
             w = rep[nx + total_y : nx + total_y + len(ctx.w_vars)]
-            return ctx.instance_holds(a, b, w)
+            return b in _trace(ctx, a, w)
 
         row = RationalFn.indicator(target.types, filter(holds, target.types))
         constraints.append((row, value, "="))

@@ -67,14 +67,16 @@ def test_every_functools_cache_is_a_module_attribute_that_clear_caches_empties()
             value = getattr(module, owner)
             assert callable(value.cache_clear) and callable(value.cache_info), f"{path.name}: {owner}"
             found.append(f"{path.stem}.{owner}")
-    assert "stability._fibre" in found and "semantics._type_space_cached" in found
+    assert {"stability._fibre", "stability._trace", "semantics._type_space_cached"} <= set(found)
 
     rand = Randomization.constant(pure_set(2), FinProbSpace.uniform(2))
     b = RandomElement.constant(rand.base, 0)
     ctx = PhiContext(rand.structure, parse_formula("x = y", rand.structure.signature), ("x",), ("y",), ("w",))
     stability._fibre.cache_clear()
+    stability._trace.cache_clear()
     stability.rho_hat(ctx, rtype_of(rand, [rand.element([0, 1])], [b]), rtype_of(rand, [b], [b]))
     assert stability._fibre.cache_info().currsize == 1
+    assert stability._trace.cache_info().currsize > 0
 
     sys.path.insert(0, str(BENCH))
     try:

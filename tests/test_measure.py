@@ -376,3 +376,73 @@ def test_weights_are_read_only():
         del space.weight[1]
     assert space.weight == {0: F(1, 3), 1: F(2, 3)}
     assert (space._key_cache, hash(space), space.mass([0])) == (key, h, third)
+
+
+# --- Integer mass paths against plain Fraction sums ---------------------------
+
+POWERS_OF_TWO = FinProbSpace([(i, F(2**i, 15)) for i in range(4)])  # 1/15, 2/15, 4/15, 8/15
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.just(POWERS_OF_TWO), weighted_spaces()), st.data())
+def test_image_measure_and_pair_are_the_fraction_sums(space, data):
+    # a codomain of 1-4 points, some of them never hit
+    target = tuple(f"t{i}" for i in range(data.draw(st.integers(1, 4))))
+    image = {p: data.draw(st.sampled_from(target)) for p in space.points}
+    acc = {}
+    for p in space.points:
+        acc[image[p]] = acc.get(image[p], F(0)) + space.weight[p]
+    want = FinProbSpace([(q, acc[q]) for q in target if q in acc])
+    got = image_measure(space, collapse_map(space.points, target, image))
+    assert got == want and got.points == want.points and repr(got) == repr(want)
+
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
+    fn = RationalFn(space.points, {p: data.draw(values) for p in space.points})
+    want_pair = sum((fn(p) * space.weight[p] for p in space.points), F(0))
+    got_pair = pair(fn, space)
+    assert type(got_pair) is Fraction
+    assert got_pair == want_pair and repr(got_pair) == repr(want_pair)
+
+
+def _fraction_weight_error(weights):
+    """The error text of the weight checks as Fraction comparisons and a
+    Fraction sum, or None."""
+    for p, w in weights:
+        if w <= 0:
+            return f"weight of {p!r} must be positive, got {w}"
+    total = sum((w for _, w in weights), F(0))
+    return None if total == 1 else f"weights sum to {total}, not 1"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(
+    st.one_of(
+        st.sampled_from([F(1, 15), F(2, 15), F(4, 15), F(8, 15), F(0), F(-1, 15)]),
+        st.fractions(min_value=-1, max_value=1, max_denominator=60),
+    ),
+    min_size=1, max_size=5,
+))
+def test_weight_checks_raise_what_fraction_checks_raise(raw):
+    weights = list(enumerate(raw))
+    want = _fraction_weight_error(weights)
+    if want is None:
+        assert FinProbSpace(weights).weight == dict(weights)
+    else:
+        with pytest.raises(ValidationError) as err:
+            FinProbSpace(weights)
+        assert str(err.value) == want
+
+
+def test_weight_checks_name_the_first_bad_weight_and_the_sum():
+    for weights, text in (
+        ([(0, F(1, 2)), (1, F(0)), (2, F(1, 2))], "weight of 1 must be positive, got 0"),
+        ([(0, F(3, 2)), (1, F(-1, 2))], "weight of 1 must be positive, got -1/2"),
+        ([("a", F(-1)), ("b", F(0)), ("c", F(2))], "weight of 'a' must be positive, got -1"),
+        ([(0, F(1, 3)), (1, F(1, 3))], "weights sum to 2/3, not 1"),
+        ([(i, F(2**i, 15)) for i in range(3)] + [(3, F(9, 15))], "weights sum to 16/15, not 1"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            FinProbSpace(weights)
+        assert str(err.value) == text == _fraction_weight_error(weights)
+    assert POWERS_OF_TWO.denominator == 15
+    assert [POWERS_OF_TWO.numerator((p,)) for p in POWERS_OF_TWO.points] == [1, 2, 4, 8]

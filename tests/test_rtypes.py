@@ -404,3 +404,82 @@ def test_a_measure_refuses_a_type_from_another_space(c3):
     for weights in ({s0.types[0]: 1, s1.types[2]: 0}, {s0.types[0]: F(1, 2), s1.types[2]: F(1, 2)}):
         with pytest.raises(ValidationError, match=foreign):
             RMeasure(s0, weights)
+
+
+# --- Integer mass paths against plain Fraction sums ------------------------------
+
+def _weighted_base(draw):
+    """1/15, 2/15, 4/15, 8/15, or 1-6 points of random positive weight."""
+    if draw(hst.booleans()):
+        return FinProbSpace([(i, F(2**i, 15)) for i in range(4)])
+    raw = draw(hst.lists(hst.integers(1, 50), min_size=1, max_size=6))
+    return FinProbSpace([(i, F(n, sum(raw))) for i, n in enumerate(raw)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(hst.sampled_from([pure_set(2), directed_cycle(3), linear_order(3)]), hst.data())
+def test_rtype_of_over_is_the_fraction_sum(st, data):
+    base = _weighted_base(data.draw)
+    rand = Randomization.constant(st, base)
+    width = data.draw(hst.integers(1, 2))
+    value = hst.integers(0, st.size - 1)
+    elements = [rand.element([data.draw(value) for _ in base.points]) for _ in range(width)]
+    space = type_space(st, width, ())
+    acc = {}
+    for w in base.points:
+        q = space.type_of(tuple(f(w) for f in elements))
+        acc[q] = acc.get(q, F(0)) + base.weight[w]
+    want = RMeasure(space, acc)
+    got = rtype_of_over(rand, elements, space)
+    assert got == want and repr(got) == repr(want)
+    assert list(got.weights.items()) == list(want.weights.items())
+    # types no point reaches keep a zero weight
+    assert all(got.weights[q] == 0 for q in space.types if q not in acc)
+
+
+def _fraction_rmeasure_error(space, weights):
+    """The error text of RMeasure's weight checks as Fraction comparisons
+    and a Fraction sum, or None."""
+    full = {q: F(weights.get(q, 0)) for q in space.types}
+    for q, w in full.items():
+        if w < 0:
+            return f"negative weight {w} at {q}"
+    total = sum(full.values(), F(0))
+    return None if total == 1 else f"type weights sum to {total}, not 1"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hst.data())
+def test_rmeasure_weight_checks_raise_what_fraction_checks_raise(data):
+    space = type_space(linear_order(3), 1, ())
+    weight = hst.one_of(
+        hst.sampled_from([F(0), F(1, 15), F(2, 15), F(4, 15), F(8, 15), F(-1, 15)]),
+        hst.fractions(min_value=-1, max_value=1, max_denominator=30),
+    )
+    chosen = data.draw(hst.lists(hst.sampled_from(space.types), unique=True))
+    weights = {q: data.draw(weight) for q in chosen}
+    want = _fraction_rmeasure_error(space, weights)
+    if want is None:
+        nu = RMeasure(space, weights)
+        assert nu.weights == {q: weights.get(q, F(0)) for q in space.types}
+    else:
+        with pytest.raises(ValidationError) as err:
+            RMeasure(space, weights)
+        assert str(err.value) == want
+
+
+def test_rmeasure_weight_checks_with_zero_weights():
+    space = type_space(linear_order(3), 1, ())
+    q0, q1, q2 = space.types
+    nu = RMeasure(space, {q0: F(1, 15), q1: F(0), q2: F(14, 15)})
+    assert nu.weights == {q0: F(1, 15), q1: F(0), q2: F(14, 15)}
+    assert RMeasure(space, {q2: 1}).weights == {q0: 0, q1: 0, q2: 1}
+    for weights, text in (
+        ({q0: F(1, 2), q1: F(-1, 2), q2: F(-1, 3)}, f"negative weight -1/2 at {q1}"),
+        ({q0: F(1, 15), q1: F(0), q2: F(4, 15)}, "type weights sum to 1/3, not 1"),
+        ({q1: F(8, 15), q2: F(8, 15)}, "type weights sum to 16/15, not 1"),
+        ({}, "type weights sum to 0, not 1"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            RMeasure(space, weights)
+        assert str(err.value) == text == _fraction_rmeasure_error(space, weights)

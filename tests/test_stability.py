@@ -1,11 +1,16 @@
+import hashlib
+import importlib
 import io
 import itertools
 import random
+import sys
 import re
 import time
 import typing
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -39,15 +44,17 @@ from randlab import (
 )
 import randlab.stability
 from randlab.cli import main
-from randlab.errors import DEFAULT_BUDGET, budget
-from randlab.formulas import Eq, Not, Var, format_formula, substitute
+from randlab.errors import DEFAULT_BUDGET, budget, charge, limit
+from randlab.formulas import And, Eq, Exists, Forall, Not, Or, Rel, Var, format_formula, free_vars, substitute
 from randlab.formulas import Formula, Term, TypeIs, disj
 from randlab.semantics import TypeId, _extension, automorphisms, isolating_formula
+from randlab.measure import RationalFn, image_measure
 from randlab.stability import (
     IndependenceVerdict,
     _fibre,
     _heads,
     _isolated_solutions,
+    _measure_space,
     _orbit_traces,
     _trace,
     _trace_fraction,
@@ -1057,3 +1064,273 @@ def test_nonforking_extension_rejects_mismatched_marginals():
     for build in (rho_hat, nonforking_extension):
         with pytest.raises(ValidationError, match="image measures differ"):
             build(ctx, p, q)
+
+
+# --- The kept trace table against instance_holds ------------------------------------
+
+TRACE_NAMES = ("x", "u", "y", "v", "w", "z")
+TRACE_TERMS = hst.builds(Var, hst.sampled_from(TRACE_NAMES))
+TRACE_FORMULAS = hst.recursive(
+    hst.one_of(
+        hst.builds(Eq, TRACE_TERMS, TRACE_TERMS),
+        hst.builds(lambda a, b: Rel("E", (a, b)), TRACE_TERMS, TRACE_TERMS),
+    ),
+    lambda sub: hst.one_of(
+        hst.builds(Not, sub),
+        hst.builds(And, sub, sub),
+        hst.builds(Or, sub, sub),
+        *(hst.builds(c, hst.sampled_from(TRACE_NAMES), sub) for c in (Exists, Forall)),
+    ),
+    max_leaves=6,
+)
+
+
+@hst.composite
+def trace_contexts(draw):
+    """A digraph on 2-4 points, 1-2 x names, 0-2 y names, 0-1 w names with
+    values, and a random formula; a name outside the groups is bound by an
+    outer `exists`."""
+    size = draw(hst.integers(2, 4))
+    pairs = [(a, b) for a in range(size) for b in range(size)]
+    edges = draw(hst.sets(hst.sampled_from(pairs)))
+    m = FinStructure(Signature(relations={"E": 2}), size, relations={"E": edges}, name="g")
+    x_vars = ("x", "u")[: draw(hst.integers(1, 2))]
+    y_vars = ("y", "v")[: draw(hst.integers(0, 2))]
+    w_vars = ("w",)[: draw(hst.integers(0, 1))]
+    phi = draw(TRACE_FORMULAS)
+    for v in sorted(free_vars(phi) - {*x_vars, *y_vars, *w_vars}):
+        phi = Exists(v, phi)
+    w_values = tuple(draw(hst.integers(0, size - 1)) for _ in w_vars)
+    return PhiContext(m, phi, x_vars, y_vars, w_vars, w_values)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(trace_contexts(), hst.data())
+def test_a_kept_trace_is_the_set_instance_holds_accepts(ctx, data):
+    m = ctx.structure
+    ys = list(itertools.product(m.elements, repeat=len(ctx.y_vars)))
+    w = tuple(data.draw(hst.integers(0, m.size - 1)) for _ in ctx.w_vars)
+    for a in itertools.product(m.elements, repeat=len(ctx.x_vars)):
+        want = frozenset(b for b in ys if ctx.instance_holds(a, b, w))
+        first = _trace(ctx, a, w)
+        hits = _trace.cache_info().hits
+        assert _trace(ctx, a, w) is first
+        assert _trace.cache_info().hits == hits + 1
+        assert first == want
+
+
+def _ladder_by_instance_holds(ctx, bound):
+    """ladder_length as it read phi before traces were kept, one
+    `instance_holds` call per test: the length and the (a, b) pairs tried.
+    Past `limit()` pairs it raises BudgetError."""
+    m = ctx.structure
+    w = ctx._w_or_raise()
+    xs = list(itertools.product(m.elements, repeat=len(ctx.x_vars)))
+    ys = list(itertools.product(m.elements, repeat=len(ctx.y_vars)))
+    best = tried = 0
+    cap = limit()
+
+    def extend(a_list, b_list):
+        nonlocal best, tried
+        k = len(a_list)
+        best = max(best, k)
+        if k >= bound:
+            return
+        for a in xs:
+            if any(ctx.instance_holds(a, b, w) for b in b_list):
+                continue
+            for b in ys:
+                tried += 1
+                if tried > cap:
+                    charge("ladder search", tried)
+                if ctx.instance_holds(a, b, w):
+                    continue
+                if all(ctx.instance_holds(ai, b, w) for ai in a_list):
+                    extend(a_list + [a], b_list + [b])
+                    if best >= bound:
+                        return
+
+    extend([], [])
+    return best, tried
+
+
+def _ladder_and_tried(ctx, bound):
+    """ladder_length and the (a, b) pairs it tried, counted by a `charge`
+    that sees every pair and refuses past the same budget."""
+    cap, tried = limit(), []
+
+    def counted(what, n):
+        tried.append(n)
+        if n > cap:
+            charge(what, n)
+
+    with mock.patch.object(randlab.stability, "limit", lambda: 0), \
+            mock.patch.object(randlab.stability, "charge", counted):
+        return ladder_length(ctx, bound), len(tried)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except BudgetError as err:
+        return str(err), err.required
+
+
+def _assert_ladders_agree(ctx, bound, cap):
+    _trace.cache_clear()
+    with budget(cap):
+        want = _outcome(lambda: _ladder_by_instance_holds(ctx, bound))
+        assert _outcome(lambda: _ladder_and_tried(ctx, bound)) == want
+        assert _outcome(lambda: ladder_length(ctx, bound)) == _outcome(
+            lambda: _ladder_by_instance_holds(ctx, bound)[0]
+        )
+    return want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(trace_contexts(), hst.integers(1, 4), hst.sampled_from([3, 40, 400, 4000]))
+def test_ladder_reads_the_kept_traces_as_instance_holds_did(ctx, bound, cap):
+    _assert_ladders_agree(ctx, bound, cap)
+
+
+def test_ladder_budget_error_is_the_one_instance_holds_gave():
+    # the search runs past any budget here, so every cap ends in the same error
+    for cap in (1, 7, 20_000):
+        message, required = _assert_ladders_agree(_c6_pairs_ctx(), 6, cap)
+        assert required == cap + 1 and "ladder search over budget" in message
+    l3 = linear_order(3)
+    assert _assert_ladders_agree(ctx_of(l3, "Lt(x, y)"), 6, 1000) == (3, 75)
+
+
+def _stationarity_by_instance_holds(ctx, p, q):
+    """stationarity_problem's rows as built before traces were kept: each
+    phi-instance row from `instance_holds`, each value from a rho_hat
+    computed with every cache of this module emptied first."""
+    m = ctx.structure
+    nx = len(ctx.x_vars)
+    nw = p.space.arity - nx
+    total_y = q.space.arity - nw
+    ny = len(ctx.y_vars)
+    target = type_space(m, nx + total_y + nw, ())
+    block = type_space(m, ny + nw, ())
+    rows = []
+    for nu, indices in (
+        (p, list(range(nx)) + list(range(nx + total_y, target.arity))),
+        (q, list(range(nx, target.arity))),
+    ):
+        restrict = restriction_map(target, indices, nu.space)
+        for s in nu.space.types:
+            fn = RationalFn.indicator(target.types, [t for t in target.types if restrict(t) == s])
+            rows.append((fn, nu.weights[s], "="))
+    for i in range(total_y // ny):
+        q_i = image_measure(
+            _measure_space(q),
+            restriction_map(
+                q.space, list(range(i * ny, (i + 1) * ny)) + list(range(total_y, q.space.arity)), block
+            ),
+        )
+        for cache in (_trace, _orbit_traces, _fibre):
+            cache.cache_clear()
+        value = rho_hat(ctx, p, RMeasure(block, q_i.weight))
+        holding = [
+            t for t in target.types
+            if ctx.instance_holds(
+                t.rep[:nx], t.rep[nx + i * ny : nx + (i + 1) * ny],
+                t.rep[nx + total_y : nx + total_y + len(ctx.w_vars)],
+            )
+        ]
+        rows.append((RationalFn.indicator(target.types, holding), value, "="))
+    return rows
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(hst.data())
+def test_stationarity_rows_are_the_ones_instance_holds_gives(data):
+    name = data.draw(hst.sampled_from(sorted(ORACLE_STRUCTURES)))
+    nw = data.draw(hst.sampled_from([1, 2]))
+    copies = data.draw(hst.sampled_from([1, 2]))
+    points = data.draw(hst.integers(1, 4))
+    st = ORACLE_STRUCTURES[name]
+    values = hst.lists(hst.integers(0, st.size - 1), min_size=points, max_size=points)
+    weights = data.draw(hst.lists(hst.integers(1, 8), min_size=points, max_size=points))
+    base = FinProbSpace([(i, F(k, sum(weights))) for i, k in enumerate(weights)])
+    rand = Randomization.constant(st, base)
+    params = [rand.element(data.draw(values)) for _ in range(nw)]
+    p = rtype_of(rand, [rand.element(data.draw(values))], params)
+    q = rtype_of(rand, [rand.element(data.draw(values)) for _ in range(copies)], params)
+    ctx = PhiContext(st, parse_formula(ORACLE_PHI[(name[0], nw)], st.signature), ("x",), ("y",), W_VARS[nw])
+    prob = stationarity_problem(ctx, p, q)
+    got = [(c.fn, c.bound, c.relation) for c in prob.constraints]
+    want = _stationarity_by_instance_holds(ctx, p, q)
+    assert len(got) == len(want)
+    for (fn, bound, relation), (fn0, bound0, relation0) in zip(got, want):
+        assert fn == fn0 and bound == bound0 and relation == relation0
+
+
+def _nonforking_by_fraction_sums(ctx, p, q):
+    """nonforking_extension with each cell's share a Fraction, added up as
+    Fractions."""
+    nx = len(ctx.x_vars)
+    target = type_space(ctx.structure, nx + q.space.arity, ())
+    joint, cells = _fibre(p, q, nx)
+    acc = {}
+    for pt, (realizations, b, w) in cells.items():
+        share = joint.weight[pt] / len(realizations)
+        for a in realizations:
+            r0 = target.type_of(a + b + w)
+            acc[r0] = acc.get(r0, F(0)) + share
+    return RMeasure(target, acc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(hst.data())
+def test_nonforking_extension_is_the_fraction_sum_on_weighted_bases(data):
+    name = data.draw(hst.sampled_from(sorted(ORACLE_STRUCTURES)))
+    nw = data.draw(hst.sampled_from([1, 2]))
+    st = ORACLE_STRUCTURES[name]
+    if data.draw(hst.booleans()):
+        base = FinProbSpace([(i, F(2**i, 15)) for i in range(4)])  # 1/15, 2/15, 4/15, 8/15
+    else:
+        raw = data.draw(hst.lists(hst.integers(1, 30), min_size=1, max_size=5))
+        base = FinProbSpace([(i, F(k, sum(raw))) for i, k in enumerate(raw)])
+    values = hst.lists(hst.integers(0, st.size - 1), min_size=len(base.points), max_size=len(base.points))
+    rand = Randomization.constant(st, base)
+    params = [rand.element(data.draw(values)) for _ in range(nw)]
+    p = rtype_of(rand, [rand.element(data.draw(values))], params)
+    q = rtype_of(rand, [rand.element(data.draw(values))], params)
+    ctx = PhiContext(st, parse_formula(ORACLE_PHI[(name[0], nw)], st.signature), ("x",), ("y",), W_VARS[nw])
+    got = nonforking_extension(ctx, p, q)
+    want = _nonforking_by_fraction_sums(ctx, p, q)
+    assert got == want and repr(got) == repr(want) == repr(_old_nonforking_extension(ctx, p, q))
+    assert got.weights == want.weights
+
+
+BENCH = Path(randlab.stability.__file__).resolve().parents[2] / "bench"
+# sha256 of the reprs of every rtype_of, rho_hat, nonforking_extension and
+# certify_nonforking certificate of one `stability` bench round, one per
+# line, recorded before traces were kept and masses summed as ints
+BENCH_REPRS = {
+    1: "270ac866e387a84cd4051c690af0555b13cec686687a6fae4693d4e180d27e85",
+    2: "e0093919f846a714f6ad7a9d6f2377bc273d127fc548247ab4ac72b8dee007c7",
+    3: "b3a8a6afdc8152a94c54f99a82d69583284b0300db3e3d78eb7ab5d4d510def5",
+    4: "9eb76157e14c97c2621fbb76c817e8bc92c49cc120130c0f03db32a72d53c68b",
+}
+
+
+def test_bench_certificates_keep_their_reprs():
+    sys.path.insert(0, str(BENCH))
+    try:
+        workload = importlib.import_module("wl_stability")
+    finally:
+        sys.path.remove(str(BENCH))
+    names = {"rtypes.rtype_of", "stability.rho_hat", "stability.nonforking_extension"}
+    for seed, digest in BENCH_REPRS.items():
+        out = []
+        for query in workload.StabilityWorkload(seed, BENCH.parent).queries():
+            result = query.call()
+            assert query.check(result), query.name
+            if query.name == "stability.certify_nonforking":
+                out.append(repr(result[1]))
+            elif query.name in names:
+                out.append(repr(result))
+        assert hashlib.sha256("\n".join(out).encode()).hexdigest() == digest, seed
