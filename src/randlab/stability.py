@@ -15,10 +15,12 @@ construction, certified independently by linear feasibility.
 
 Two tables are kept, module-level functools caches that are emptied with
 the others: `_trace`, one trace {b : phi(a, b, w)} per (context, a, w),
-which every reader of phi inside one structure reads (ladders, trace
-spaces, ranks, rho's tables, both rho routes and the phi-instance rows of
-the stationarity system), and `_fibre`, one fibre product per (p, q, nx)
-for the measure-level operations.
+which rho's tables, both rho routes and the phi-instance rows of the
+stationarity system read, and `_fibre`, one fibre product per (p, q, nx)
+for the measure-level operations.  `phi_type_space` and `cb_rank_mult`
+visit each a once and evaluate the same trace without keeping it;
+`ladder_length` tests single instances, so that its budget bounds the
+formula evaluations.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def ladder_length(ctx: PhiContext, bound: int) -> int:
     holds exactly when i < j.  Always finite over a finite structure.
 
     The search tries at most `limit()` (a, b) pairs; one more raises
-    BudgetError.  Each test of phi(a, b) reads a's kept trace."""
+    BudgetError."""
     if bound < 1:
         raise ValidationError("bound must be at least 1")
     m = ctx.structure
@@ -122,16 +124,15 @@ def ladder_length(ctx: PhiContext, bound: int) -> int:
         if k >= bound:
             return
         for a in xs:
-            trace = _trace(ctx, a, w)
-            if any(b in trace for b in b_list):
+            if any(ctx.instance_holds(a, b, w) for b in b_list):
                 continue
             for b in ys:
                 tried += 1
                 if tried > cap:
                     charge("ladder search", tried)
-                if b in trace:
+                if ctx.instance_holds(a, b, w):
                     continue
-                if all(b in _trace(ctx, ai, w) for ai in a_list):
+                if all(ctx.instance_holds(ai, b, w) for ai in a_list):
                     extend(a_list + [a], b_list + [b])
                     if best >= bound:
                         return
@@ -151,8 +152,9 @@ class PhiType(Record):
 def _trace(ctx: PhiContext, a: tuple[int, ...], w: tuple[int, ...]) -> frozenset:
     """{b : phi(a, b, w)}: the extension of phi over the y names, with the
     x and w names bound as `instance_holds` binds them.  Kept per
-    (ctx, a, w): every reader of phi inside one structure reads this one
-    set, so phi is evaluated once per instance."""
+    (ctx, a, w), so rho's tables, `rho_hat` and the stationarity rows
+    evaluate each instance once; the table holds up to |M|**(|x| + |y|)
+    tuples per context until `_trace.cache_clear()`."""
     bound = [*zip(ctx.x_vars, a), *zip(ctx.w_vars, w)]
     return _extension(ctx.structure, ctx.phi, ctx.y_vars, bound)
 
@@ -166,7 +168,7 @@ def phi_type_space(ctx: PhiContext) -> list[PhiType]:
     charge("phi type space", m.size, len(ctx.x_vars) + len(ctx.y_vars))
     seen: dict[frozenset, tuple[int, ...]] = {}
     for a in itertools.product(m.elements, repeat=len(ctx.x_vars)):
-        t = _trace(ctx, a, w)
+        t = _trace.__wrapped__(ctx, a, w)
         if t not in seen:
             seen[t] = a
     ordered = sorted(seen.items(), key=lambda kv: kv[1])
@@ -193,7 +195,7 @@ def cb_rank_mult(ctx: PhiContext, pi: Formula) -> tuple[int | None, int]:
             f"partial type may only use the x variables, got {sorted(fv)}"
         )
     solutions = _extension(ctx.structure, pi, ctx.x_vars)
-    mult = len({_trace(ctx, a, w) for a in solutions})
+    mult = len({_trace.__wrapped__(ctx, a, w) for a in solutions})
     if not mult:
         return (None, 0)
     return (0, mult)

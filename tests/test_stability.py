@@ -10,7 +10,6 @@ import typing
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -44,7 +43,7 @@ from randlab import (
 )
 import randlab.stability
 from randlab.cli import main
-from randlab.errors import DEFAULT_BUDGET, budget, charge, limit
+from randlab.errors import DEFAULT_BUDGET, budget
 from randlab.formulas import And, Eq, Exists, Forall, Not, Or, Rel, Var, format_formula, free_vars, substitute
 from randlab.formulas import Formula, Term, TypeIs, disj
 from randlab.semantics import TypeId, _extension, automorphisms, isolating_formula
@@ -1117,89 +1116,6 @@ def test_a_kept_trace_is_the_set_instance_holds_accepts(ctx, data):
         assert _trace(ctx, a, w) is first
         assert _trace.cache_info().hits == hits + 1
         assert first == want
-
-
-def _ladder_by_instance_holds(ctx, bound):
-    """ladder_length as it read phi before traces were kept, one
-    `instance_holds` call per test: the length and the (a, b) pairs tried.
-    Past `limit()` pairs it raises BudgetError."""
-    m = ctx.structure
-    w = ctx._w_or_raise()
-    xs = list(itertools.product(m.elements, repeat=len(ctx.x_vars)))
-    ys = list(itertools.product(m.elements, repeat=len(ctx.y_vars)))
-    best = tried = 0
-    cap = limit()
-
-    def extend(a_list, b_list):
-        nonlocal best, tried
-        k = len(a_list)
-        best = max(best, k)
-        if k >= bound:
-            return
-        for a in xs:
-            if any(ctx.instance_holds(a, b, w) for b in b_list):
-                continue
-            for b in ys:
-                tried += 1
-                if tried > cap:
-                    charge("ladder search", tried)
-                if ctx.instance_holds(a, b, w):
-                    continue
-                if all(ctx.instance_holds(ai, b, w) for ai in a_list):
-                    extend(a_list + [a], b_list + [b])
-                    if best >= bound:
-                        return
-
-    extend([], [])
-    return best, tried
-
-
-def _ladder_and_tried(ctx, bound):
-    """ladder_length and the (a, b) pairs it tried, counted by a `charge`
-    that sees every pair and refuses past the same budget."""
-    cap, tried = limit(), []
-
-    def counted(what, n):
-        tried.append(n)
-        if n > cap:
-            charge(what, n)
-
-    with mock.patch.object(randlab.stability, "limit", lambda: 0), \
-            mock.patch.object(randlab.stability, "charge", counted):
-        return ladder_length(ctx, bound), len(tried)
-
-
-def _outcome(run):
-    try:
-        return run()
-    except BudgetError as err:
-        return str(err), err.required
-
-
-def _assert_ladders_agree(ctx, bound, cap):
-    _trace.cache_clear()
-    with budget(cap):
-        want = _outcome(lambda: _ladder_by_instance_holds(ctx, bound))
-        assert _outcome(lambda: _ladder_and_tried(ctx, bound)) == want
-        assert _outcome(lambda: ladder_length(ctx, bound)) == _outcome(
-            lambda: _ladder_by_instance_holds(ctx, bound)[0]
-        )
-    return want
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(trace_contexts(), hst.integers(1, 4), hst.sampled_from([3, 40, 400, 4000]))
-def test_ladder_reads_the_kept_traces_as_instance_holds_did(ctx, bound, cap):
-    _assert_ladders_agree(ctx, bound, cap)
-
-
-def test_ladder_budget_error_is_the_one_instance_holds_gave():
-    # the search runs past any budget here, so every cap ends in the same error
-    for cap in (1, 7, 20_000):
-        message, required = _assert_ladders_agree(_c6_pairs_ctx(), 6, cap)
-        assert required == cap + 1 and "ladder search over budget" in message
-    l3 = linear_order(3)
-    assert _assert_ladders_agree(ctx_of(l3, "Lt(x, y)"), 6, 1000) == (3, 75)
 
 
 def _stationarity_by_instance_holds(ctx, p, q):
