@@ -8,10 +8,10 @@ refuses it with BudgetError before any item is formed.  The limit is
 scoped like a `decimal.localcontext` precision: `with budget(n):` sets it
 for the code inside and restores the old one on exit, and `limit()`
 reads it.  A cached result is refused exactly where a fresh call would
-be: `type_space` charges its tuple count on every call, and every reader
-of a kept automorphism search, a cached type space included, goes through
-`semantics._generators`, which refuses it when that search tried more
-candidates than the limit.
+be: `type_space` and every reader of a kept trace table charge their
+counts on every call, and every reader of a kept automorphism search, a
+cached type space included, goes through `semantics._generators`, which
+refuses it when that search tried more candidates than the limit.
 """
 
 from contextlib import contextmanager
@@ -88,7 +88,7 @@ def charge(what: str, base: int, exponent: int = 1) -> None:
     """
     cap = _LIMIT.get()
     bits = exponent * (base.bit_length() - 1)  # base**exponent >= 2**bits
-    if bits > max(cap, SHOWN_BITS):
+    if bits > cap and bits > SHOWN_BITS:
         raise BudgetError(f"{what} over budget", None, bits + 1)
     required = base**exponent
     if required > cap:

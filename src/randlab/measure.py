@@ -81,9 +81,6 @@ class FinProbSpace(Keyed):
         time: `numerator(event)` over `denominator`."""
         return Fraction(self.numerator(event), self.denominator)
 
-    def index(self, p: Point) -> int:
-        return self.points.index(p)
-
     def __repr__(self):
         inner = ", ".join(f"{p!r}: {w}" for p, w in self.weight.items())
         return f"FinProbSpace({{{inner}}})"

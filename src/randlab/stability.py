@@ -15,12 +15,13 @@ construction, certified independently by linear feasibility.
 
 Two tables are kept, module-level functools caches that are emptied with
 the others: `_trace`, one trace {b : phi(a, b, w)} per (context, a, w),
-which rho's tables, both rho routes and the phi-instance rows of the
-stationarity system read, and `_fibre`, one fibre product per (p, q, nx)
-for the measure-level operations.  `phi_type_space` and `cb_rank_mult`
-visit each a once and evaluate the same trace without keeping it;
-`ladder_length` tests single instances, so that its budget bounds the
-formula evaluations.
+whose (a, b) pairs each reader charges on every call, kept or fresh, and
+`_fibre`, one fibre product per (p, q, nx) for the measure level.  One
+share count, `_trace_shares`, serves `rho` over p's orbit (kept),
+`rho_by_multiplicity` over the solutions of p's isolating formula and
+`rho_fn` over each fibre cell: the two rho routes differ only in where
+their tuples come from.  `ladder_length` tests single instances, so that
+its budget bounds the formula evaluations.
 """
 
 from __future__ import annotations
@@ -152,11 +153,19 @@ class PhiType(Record):
 def _trace(ctx: PhiContext, a: tuple[int, ...], w: tuple[int, ...]) -> frozenset:
     """{b : phi(a, b, w)}: the extension of phi over the y names, with the
     x and w names bound as `instance_holds` binds them.  Kept per
-    (ctx, a, w), so rho's tables, `rho_hat` and the stationarity rows
-    evaluate each instance once; the table holds up to |M|**(|x| + |y|)
-    tuples per context until `_trace.cache_clear()`."""
+    (ctx, a, w), so every reader evaluates each instance once; the table
+    holds up to |M|**(|x| + |y|) tuples per context until
+    `_trace.cache_clear()`, and each reader charges that count."""
     bound = [*zip(ctx.x_vars, a), *zip(ctx.w_vars, w)]
     return _extension(ctx.structure, ctx.phi, ctx.y_vars, bound)
+
+
+def _trace_shares(ctx: PhiContext, tuples, w: tuple) -> dict[tuple[int, ...], Fraction]:
+    """For each b in some distinct trace of the x tuples, the share of those
+    traces that contain b; a b in no trace is absent and has share 0."""
+    traces = {_trace(ctx, a, w) for a in tuples}
+    counts = Counter(b for t in traces for b in t)
+    return {b: Fraction(k, len(traces)) for b, k in counts.items()}
 
 
 def phi_type_space(ctx: PhiContext) -> list[PhiType]:
@@ -168,17 +177,11 @@ def phi_type_space(ctx: PhiContext) -> list[PhiType]:
     charge("phi type space", m.size, len(ctx.x_vars) + len(ctx.y_vars))
     seen: dict[frozenset, tuple[int, ...]] = {}
     for a in itertools.product(m.elements, repeat=len(ctx.x_vars)):
-        t = _trace.__wrapped__(ctx, a, w)
+        t = _trace(ctx, a, w)
         if t not in seen:
             seen[t] = a
     ordered = sorted(seen.items(), key=lambda kv: kv[1])
     return [PhiType(t, a) for t, a in ordered]
-
-
-def _trace_fraction(ctx: PhiContext, tuples, b: tuple, w: tuple) -> Fraction:
-    """The fraction of the distinct traces of the given x tuples that contain b."""
-    traces = {_trace(ctx, a, w) for a in tuples}
-    return Fraction(sum(1 for t in traces if b in t), len(traces))
 
 
 def cb_rank_mult(ctx: PhiContext, pi: Formula) -> tuple[int | None, int]:
@@ -194,8 +197,9 @@ def cb_rank_mult(ctx: PhiContext, pi: Formula) -> tuple[int | None, int]:
         raise ValidationError(
             f"partial type may only use the x variables, got {sorted(fv)}"
         )
+    charge("trace table", ctx.structure.size, len(ctx.x_vars) + len(ctx.y_vars))
     solutions = _extension(ctx.structure, pi, ctx.x_vars)
-    mult = len({_trace.__wrapped__(ctx, a, w) for a in solutions})
+    mult = len({_trace(ctx, a, w) for a in solutions})
     if not mult:
         return (None, 0)
     return (0, mult)
@@ -223,27 +227,9 @@ def _isolated_solutions(
     return _extension(p_space.structure, iso, x_vars)
 
 
-@lru_cache(maxsize=None)
-def _orbit_traces(
-    ctx: PhiContext, p_space: TypeSpace, p: TypeId
-) -> dict[tuple[int, ...], Fraction]:
-    """rho's values for p under ctx's w, one table per orbit: for each b in
-    some distinct trace of p's orbit, the fraction of those traces that
-    contain b.  `rho` reads one entry per call; a b in no trace is absent
-    and has rho 0.  Callers must not change the table."""
-    w = ctx._w_or_raise()
-    traces = {_trace(ctx, a, w) for a in p_space.orbit(p)}
-    counts = Counter(b for t in traces for b in t)
-    return {b: Fraction(k, len(traces)) for b, k in counts.items()}
-
-
-def _rho_inputs(
-    ctx: PhiContext, p_space: TypeSpace, b
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The instantiated parameters w and the tuple b of a rho instance,
-    validated against the context and the type space."""
-    m = ctx.structure
-    if p_space.structure != m:
+def _space_w(ctx: PhiContext, p_space: TypeSpace) -> tuple[int, ...]:
+    """ctx's parameters w, validated against a type space of the x variables."""
+    if p_space.structure != ctx.structure:
         raise ValidationError("type space belongs to a different structure")
     if p_space.arity != len(ctx.x_vars):
         raise ValidationError("p must be a type in the x variables")
@@ -252,19 +238,32 @@ def _rho_inputs(
         raise ValidationError(
             "instantiated parameters must come from the type's parameter set"
         )
+    return w
+
+
+@lru_cache(maxsize=None)
+def _orbit_traces(
+    ctx: PhiContext, p_space: TypeSpace, p: TypeId
+) -> dict[tuple[int, ...], Fraction]:
+    """rho's values for p: the trace shares of p's orbit, checked and built
+    once per (context, space, type).  Callers must not change the table."""
+    w = _space_w(ctx, p_space)
+    return _trace_shares(ctx, p_space.orbit(p), w)
+
+
+def _b_tuple(ctx: PhiContext, p_space: TypeSpace, b) -> tuple[int, ...]:
+    """The tuple b of a rho instance, validated against the y variables."""
+    m = ctx.structure
     if isinstance(b, TypeId):
         # a type of the y variables over p's parameters; orbit refuses others
         type_space(m, len(ctx.y_vars), p_space.params).orbit(b)
-        b_tuple = b.rep
-    elif isinstance(b, int):
-        b_tuple = (b,)
-    else:
-        b_tuple = tuple(b)
-    if len(b_tuple) != len(ctx.y_vars):
+        b = b.rep
+    b = (b,) if isinstance(b, int) else tuple(b)
+    if len(b) != len(ctx.y_vars):
         raise ValidationError("b must match the y variable group")
-    if not all(e in m.elements for e in b_tuple):
-        raise ValidationError(f"b {b_tuple} outside the universe of size {m.size}")
-    return w, b_tuple
+    if not all(e in m.elements for e in b):
+        raise ValidationError(f"b {b} outside the universe of size {m.size}")
+    return b
 
 
 def rho(
@@ -279,10 +278,10 @@ def rho(
     `b` is an element, a tuple, or a type of
     `type_space(ctx.structure, len(ctx.y_vars), p_space.params)`; a
     TypeId of any other space is refused.  `rho_by_multiplicity` computes
-    the same value independently, without the trace table.
+    the same value from other tuples, without the kept table.
     """
-    _, b_tuple = _rho_inputs(ctx, p_space, b)
-    return _orbit_traces(ctx, p_space, p).get(b_tuple, _ZERO)
+    charge("trace table", ctx.structure.size, len(ctx.x_vars) + len(ctx.y_vars))
+    return _orbit_traces(ctx, p_space, p).get(_b_tuple(ctx, p_space, b), _ZERO)
 
 
 def rho_by_multiplicity(
@@ -299,9 +298,11 @@ def rho_by_multiplicity(
     never from the orbit table.  Those satisfying phi(x, b) are exactly
     those whose trace contains b.
     """
-    w, b_tuple = _rho_inputs(ctx, p_space, b)
+    w = _space_w(ctx, p_space)
+    b_tuple = _b_tuple(ctx, p_space, b)
+    charge("trace table", ctx.structure.size, len(ctx.x_vars) + len(ctx.y_vars))
     solutions = _isolated_solutions(p_space, p, ctx.x_vars)
-    return _trace_fraction(ctx, solutions, b_tuple, w)
+    return _trace_shares(ctx, solutions, w).get(b_tuple, _ZERO)
 
 
 # --- Type-space plumbing for the measure level --------------------------------------
@@ -389,10 +390,11 @@ def rho_fn(ctx: PhiContext, p: RMeasure, q: RMeasure) -> tuple[RationalFn, FinPr
     # charged on every call, as a fresh `_fibre` charges its base space first;
     # the other callers charge a larger space before theirs
     type_space(ctx.structure, nw, ())
+    charge("trace table", ctx.structure.size, len(ctx.x_vars) + len(ctx.y_vars))
     joint, cells = _fibre(p, q, nx)
     named = len(ctx.w_vars)
     return RationalFn(joint.points, {
-        pt: _trace_fraction(ctx, realizations, b, w[:named])
+        pt: _trace_shares(ctx, realizations, w[:named]).get(b, _ZERO)
         for pt, (realizations, b, w) in cells.items()
     }), joint
 

@@ -87,3 +87,17 @@ def test_every_functools_cache_is_a_module_attribute_that_clear_caches_empties()
     for name in found:
         module, attr = name.split(".")
         assert getattr(importlib.import_module(f"randlab.{module}"), attr).cache_info().currsize == 0, name
+
+
+def test_no_module_reads_past_a_cache_through_wrapped():
+    """Each kept table has one read path: no module of randlab calls the
+    function under a cache through `__wrapped__`."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads = [
+            node.lineno
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "__wrapped__")
+            or (isinstance(node, ast.Constant) and node.value == "__wrapped__")
+        ]
+        assert reads == [], f"{path.name} reads __wrapped__ at lines {reads}"

@@ -252,6 +252,21 @@ def test_budget_reaches_rho(ws_file):
     assert (code, out) == (4, "") and "required count 3" in err
 
 
+def test_budget_reaches_the_trace_table(tmp_path):
+    # one x and three y names: the trace table holds |M|^4 (a, b) pairs,
+    # charged before any of them is evaluated
+    path = tmp_path / "m.rl"
+    path.write_text("structure m3 { universe = 3; }\nstructure m30 { universe = 30; }\n")
+    argv = ["rho", "--phi", "x = y | y = z | z = u", "--y", "y,z,u", "--p", "q0", "--b", "0,1,2"]
+    refused = "error: trace table over budget (required count {})\n"
+    code, out, err = run("--workspace", str(path), "--budget", "500", *argv, "--structure", "m30")
+    assert (code, out, err) == (4, "", refused.format(810000))
+    code, out, err = run("--workspace", str(path), "--budget", "80", *argv, "--structure", "m3")
+    assert (code, out, err) == (4, "", refused.format(81))
+    code, out, _ = run("--workspace", str(path), "--budget", "81", *argv, "--structure", "m3")
+    assert (code, out) == (0, "1/3\n")
+
+
 def test_over_budget_commands_exit_4(tmp_path):
     path = tmp_path / "big.rl"
     path.write_text(

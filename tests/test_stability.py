@@ -56,7 +56,6 @@ from randlab.stability import (
     _measure_space,
     _orbit_traces,
     _trace,
-    _trace_fraction,
     restriction_map,
     rho_fn,
     stationarity_problem,
@@ -122,6 +121,38 @@ def test_phi_type_space_is_budgeted():
         assert len(phi_type_space(ctx)) == 6**2
 
 
+def test_a_kept_trace_table_is_refused_where_a_fresh_one_is(c3):
+    """Every trace reader charges |M|**(|x| + |y|) pairs on each call: one
+    pair under that count, a call on warm tables raises what a cold one
+    does, and at the count both run."""
+    ctx = ctx_of(c3, "E(x, y) | y = w", ("w",), (0,))
+    pairs = 3 ** 2
+    space = type_space(c3, 1, (0,))
+    rand = Randomization.constant(c3, FinProbSpace.uniform(3))
+    g = rand.element([0, 1, 2])
+    p, q = (rtype_of(rand, [rand.element(vals)], [g]) for vals in ([1, 2, 0], [2, 2, 1]))
+    calls = {
+        "rho": lambda: rho(ctx, space, space.types[1], 2),
+        "rho_by_multiplicity": lambda: rho_by_multiplicity(ctx, space, space.types[1], 2),
+        "cb_rank_mult": lambda: cb_rank_mult(ctx, parse_formula("x = x", c3.signature)),
+        "rho_fn": lambda: rho_fn(ctx, p, q),
+    }
+    for name, call in calls.items():
+        errors = []
+        for warm in (False, True):
+            for cache in (_trace, _orbit_traces, _isolated_solutions, _fibre):
+                cache.cache_clear()
+            if warm:
+                call()
+                assert _trace.cache_info().currsize > 0
+            with budget(pairs - 1), pytest.raises(BudgetError) as err:
+                call()
+            errors.append(str(err.value))
+            with budget(pairs):
+                call()
+        assert errors == [f"trace table over budget (required count {pairs})"] * 2, name
+
+
 def test_cb_rank_mult_examples(m2):
     ctx = ctx_of(m2, "x = y")
     assert cb_rank_mult(ctx, parse_formula("x = x", m2.signature)) == (0, 2)
@@ -181,6 +212,14 @@ def test_rho_two_routes_agree_everywhere(name, request):
                     value = rho(ctx, space, p, b)
                     assert value == rho_by_multiplicity(ctx, space, p, b)
                     assert 0 <= value <= 1
+
+
+def _trace_fraction(ctx, tuples, b, w):
+    """The oracle for every rho route: the share of the given x tuples'
+    distinct traces that contain b, each trace found by `instance_holds`."""
+    ys = list(itertools.product(ctx.structure.elements, repeat=len(ctx.y_vars)))
+    traces = {frozenset(y for y in ys if ctx.instance_holds(a, y, w)) for a in tuples}
+    return F(sum(b in t for t in traces), len(traces))
 
 
 def test_rho_reads_one_trace_table_per_orbit_context_and_space(m4):
@@ -1116,6 +1155,40 @@ def test_a_kept_trace_is_the_set_instance_holds_accepts(ctx, data):
         assert _trace(ctx, a, w) is first
         assert _trace.cache_info().hits == hits + 1
         assert first == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(trace_contexts(), hst.data())
+def test_every_rho_route_is_the_share_instance_holds_gives(ctx, data):
+    """rho and rho_by_multiplicity for every type over ctx's w and every b,
+    and rho_fn at every fibre pair of a weighted base, against the
+    `instance_holds` oracle."""
+    m = ctx.structure
+    ys = list(itertools.product(m.elements, repeat=len(ctx.y_vars)))
+    space = type_space(m, len(ctx.x_vars), ctx.w_values)
+    for p in space.types:
+        for b in ys:
+            want = _trace_fraction(ctx, space.orbit(p), b, ctx.w_values)
+            assert rho(ctx, space, p, b) == want == rho_by_multiplicity(ctx, space, p, b)
+
+    points = data.draw(hst.integers(1, 4))
+    weights = data.draw(hst.lists(hst.integers(1, 8), min_size=points, max_size=points))
+    rand = Randomization.constant(m, FinProbSpace([(i, F(k, sum(weights))) for i, k in enumerate(weights)]))
+    values = hst.lists(hst.integers(0, m.size - 1), min_size=points, max_size=points)
+
+    def elements(count):
+        return [rand.element(data.draw(values)) for _ in range(count)]
+
+    params = elements(len(ctx.w_vars) + data.draw(hst.integers(0, 1)))
+    p = rtype_of(rand, elements(len(ctx.x_vars)), params)
+    q = rtype_of(rand, elements(len(ctx.y_vars)), params)
+    nx, ny = len(ctx.x_vars), len(ctx.y_vars)
+    fn, joint = rho_fn(ctx, p, q)
+    for p0, q0 in joint.points:
+        w = p0.rep[nx:]
+        realizations = [a for a in itertools.product(m.elements, repeat=nx) if p.space.type_of(a + w) == p0]
+        b = next(b for b in ys if q.space.type_of(b + w) == q0)
+        assert fn((p0, q0)) == _trace_fraction(ctx, realizations, b, w[: len(ctx.w_vars)])
 
 
 def _stationarity_by_instance_holds(ctx, p, q):
