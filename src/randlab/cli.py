@@ -13,15 +13,19 @@ workspace load included: `main` runs both inside `errors.budget(N)`.
 
 A usage error is found before anything runs: an unknown or ambiguous
 option, a missing option that `COMMANDS` marks required, or a bad int or
-choice.  It prints a usage line and `randlab[ <cmd>]: error: <message>`
-(argparse's wording) on stderr and raises SystemExit(2).  An option only
-some `check` suites or `rho` modes need is checked by the command, and its
-absence is a parse error (3).
+choice.  argparse, built from `COMMANDS`, reads every argv but the plain
+ones (full option names, values that do not start with "-", one command),
+which `_plain` reads the same way without importing argparse; so usage
+errors and help are argparse's on the running Python.  A usage error prints
+a usage line and `randlab[ <cmd>]: error: <message>` on stderr and raises
+SystemExit(2).  One departure from argparse before 3.13: `--name=--`, the
+name abbreviated or not, gives the value "--", not [], and is an invalid
+int for an int option.  An option only some `check` suites or `rho` modes
+need is checked by the command, and its absence is a parse error (3).
 """
 
 from __future__ import annotations
 
-import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -452,11 +456,12 @@ def cmd_types(args, ws: Workspace) -> int:
 
 # --- Entry point -------------------------------------------------------------------
 #
-# One table holds every command and its options, and a small parser reads
-# argv from it the way argparse would, without the cost of importing and
-# building argparse parsers on every cold start.  An option is a tuple
-# (dest, type, default, required, help): type is str, int, or bool for a flag
-# that stores True; its option string is "--" + dest with "-" for "_".
+# One table holds every command and its options, and argparse, built from it
+# by `_argparser`, is the grammar.  `_plain` reads on its own only the argv
+# that argparse would read the same way, so a cold command with plain argv
+# never imports argparse; argparse reads every other argv.  An option is a
+# tuple (dest, type, default, required, help): type is str, int, or bool for
+# a flag that stores True; its option string is "--" + dest with "-" for "_".
 
 def _opt(dest, type=str, default=None, required=False, help=""):
     return dest, type, default, required, help
@@ -533,184 +538,110 @@ COMMANDS = {
     )),
 }
 ABOUT = "compute with randomizations of finite first-order structures"
-_HELP = ("help", bool, False, False, "show this help message and exit")
-_MARK = ("--",)  # the first "--" of a level: every later token is a value
 
 
 def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
-class _Level:
-    """One level of the command line, read as argparse reads it: the top
-    level (global options, then the command) or one command's own.
+def _fn(command: str):
+    return globals()["cmd_" + command.replace("-", "_")]
 
-    `positional` is (dest, {choice: help}) or None.  A usage error prints
-    the usage and `<prog>: error: <message>` to stderr and raises
-    SystemExit(2); -h or --help prints the help to stdout and raises
-    SystemExit(0).
-    """
 
-    def __init__(self, prog: str, about: str, options, positional):
-        self.prog, self.about, self.options, self.positional = prog, about, options, positional
-        self.table = {"-h": _HELP, "--help": _HELP}
-        for spec in options:
-            self.table[_flag(spec[0])] = spec
-        self.top = positional is not None and positional[0] == "command"
+def _argparser():
+    """The argparse parser of the table.  `--name=--` gives "--" on every
+    Python, as argparse itself does from 3.13 on; before, it gives []."""
+    import argparse
 
-    def fail(self, message: str):
-        sys.stderr.write(f"{self.usage()}\n{self.prog}: error: {message}\n")
-        raise SystemExit(2)
+    class Store(argparse.Action):
+        def __call__(self, parser, namespace, value, option_string=None):
+            if value == []:  # the "--" of `--name=--`, dropped by argparse
+                if self.type is int:
+                    raise argparse.ArgumentError(self, "invalid int value: '--'")
+                value = "--"
+            setattr(namespace, self.dest, value)
 
-    def read(self, tok: str):
-        """(spec, explicit value) for tok on its own: the spec of the option
-        it names by option string or unique prefix, either with `=value`;
-        tok itself for an unknown option; None for a value."""
-        if not tok or tok[0] != "-" or tok in self.table:
-            return self.table.get(tok), None
-        if len(tok) == 1:
-            return None, None
-        name, eq, value = tok.partition("=")
-        if eq and name in self.table:
-            return self.table[name], value
-        if tok[1] == "-":
-            matches = [o for o in self.table if o.startswith(name)]
-            if len(matches) > 1:
-                self.fail(f"ambiguous option: {tok} could match {', '.join(matches)}")
-            if matches:
-                return self.table[matches[0]], value if eq else None
-        elif tok[1] == "h":  # a short option runs into its value
-            return _HELP, tok[2:]
-        if re.match(r"^-\d+$|^-\d*\.\d+$", tok) or " " in tok:
-            return None, None
-        return tok, None
-
-    def parse(self, argv: list[str], ns) -> list[str]:
-        """Read argv into ns and return the tokens no level recognizes.
-
-        Every token is read before any is consumed, so an ambiguous prefix
-        fails even after -h.  Then the tokens are consumed in order: an
-        option takes the next token, which must be a value, the first value
-        that is no option's fills the positional, and a later one or an
-        unknown option is unrecognized.  The command takes every token after
-        it.  A "--" is skipped, except where the command belongs.
-        """
-        reads = []
-        for tok in argv:
-            if tok == "--":
-                reads.append((_MARK, None))
-                reads += [(None, None)] * (len(argv) - len(reads))
-                break
-            reads.append(self.read(tok))
-        for spec in self.options:
-            setattr(ns, spec[0], spec[2])
-        seen = set()
-        extras = []
-        i = 0
-        while i < len(argv):
-            spec, explicit = reads[i]
-            tok = argv[i]
-            i += 1
-            if spec is _MARK and not self.top:
-                continue
-            if spec is None or spec is _MARK:  # a value, not an option's
-                if self.positional is None or self.positional[0] in seen:
-                    extras.append(tok)
-                    continue
-                dest, choices = self.positional
-                if tok not in choices:
-                    shown = ", ".join(map(repr, choices))
-                    self.fail(f"argument {dest}: invalid choice: {tok!r} (choose from {shown})")
-                seen.add(dest)
-                setattr(ns, dest, tok)
-                if self.top:
-                    about, positional, options = COMMANDS[tok]
-                    ns.fn = globals()["cmd_" + tok.replace("-", "_")]
-                    command = _Level(f"{self.prog} {tok}", about, options, positional)
-                    extras += command.parse(argv[i:], ns)
-                    break
-                continue
-            if isinstance(spec, str):
-                extras.append(tok)
-                continue
-            dest, kind = spec[0], spec[1]
-            name = "-h/--help" if spec is _HELP else _flag(dest)
-            if kind is bool:
-                if spec is _HELP and explicit and tok[1] == "h":
-                    explicit = explicit.lstrip("h") or None  # -hh is -h -h
-                if explicit is not None:
-                    self.fail(f"argument {name}: ignored explicit argument {explicit!r}")
-                if spec is _HELP:
-                    sys.stdout.write(self.help())
-                    raise SystemExit(0)
-                value = True
-            elif explicit is not None:
-                value = explicit
-            else:
-                if i == len(argv) or reads[i][0] is not None:
-                    self.fail(f"argument {name}: expected one argument")
-                value = argv[i]
-                i += 1
-            if kind is int:
-                try:
-                    value = int(value)
-                except ValueError:
-                    self.fail(f"argument {name}: invalid int value: {value!r}")
-            seen.add(dest)
-            setattr(ns, dest, value)
-        missing = [_flag(spec[0]) for spec in self.options if spec[3] and spec[0] not in seen]
-        if self.positional and self.positional[0] not in seen:
-            missing.insert(0, self.positional[0])
-        if missing:
-            self.fail(f"the following arguments are required: {', '.join(missing)}")
-        return extras
-
-    def _shown(self, spec) -> str:
-        return _flag(spec[0]) if spec[1] is bool else f"{_flag(spec[0])} {spec[0].upper()}"
-
-    def usage(self) -> str:
-        words = ["usage:", self.prog, "[-h]"]
-        for spec in self.options:
-            words.append(self._shown(spec) if spec[3] else f"[{self._shown(spec)}]")
-        if self.positional:
-            words.append("{" + ",".join(self.positional[1]) + "}")
-        if self.top:
-            words.append("...")
-        return " ".join(words)
-
-    def help(self) -> str:
-        """Usage, what the level does, the positional's choices and the options."""
-        sections = []
-        if self.positional:
-            dest, choices = self.positional
-            sections.append((dest, list(choices.items())))
-        rows = [("-h, --help", _HELP[4])]
-        for spec in self.options:
-            _, _, default, required, about = spec
+    def add(parser, options):
+        for dest, kind, default, required, about in options:
             if required:
                 about += " (required)"
             elif default not in (None, "", False):
                 about += f" (default: {default})"
-            rows.append((self._shown(spec), about.strip()))
-        sections.append(("options", rows))
-        width = max(len(left) for _, rows in sections for left, _ in rows) + 2
-        out = [self.usage(), "", self.about]
-        for title, rows in sections:
-            out += ["", f"{title}:"]
-            out += [f"  {left:<{width}}{right}".rstrip() for left, right in rows]
-        return "\n".join(out) + "\n"
+            how = {"action": "store_true"} if kind is bool else {"action": Store, "type": kind}
+            parser.add_argument(
+                _flag(dest), dest=dest, default=default, required=required, help=about.strip(), **how
+            )
+        return parser
+
+    top = add(argparse.ArgumentParser(prog="randlab", description=ABOUT), GLOBAL_OPTIONS)
+    commands = top.add_subparsers(dest="command", required=True)
+    for name, (about, positional, options) in COMMANDS.items():
+        parser = commands.add_parser(name, help=about, description=about)
+        if positional:
+            parser.add_argument(positional[0], choices=list(positional[1]))
+        add(parser, options)
+    return top
 
 
-def parse_args(argv: list[str]) -> SimpleNamespace:
-    """argv read from the command table as argparse would read it, into a
-    namespace with the dests of the global options, `command`, `fn` and
-    the dests of the command's options and positional."""
+def _plain(argv: list[str]) -> SimpleNamespace | None:
+    """argv read without argparse, or None unless every token is one of: a
+    full option name of its level, with `=value` or a next token that does
+    not start with "-" (a flag with neither); the command; the `check`
+    suite.  The command and the suite come once, every required option
+    comes, and every int converts.  argparse reads such argv the same way."""
     args = SimpleNamespace()
-    commands = {name: entry[0] for name, entry in COMMANDS.items()}
-    top = _Level("randlab", ABOUT, GLOBAL_OPTIONS, ("command", commands))
-    extras = top.parse(argv, args)
-    if extras:
-        top.fail(f"unrecognized arguments: {' '.join(extras)}")
+    table, missing = {}, set()
+
+    def level(options) -> None:
+        for spec in options:
+            setattr(args, spec[0], spec[2])
+            table[_flag(spec[0])] = spec
+            if spec[3]:
+                missing.add(spec[0])
+
+    level(GLOBAL_OPTIONS)
+    positional = ("command", COMMANDS)
+    tokens = iter(argv)
+    for tok in tokens:
+        if not tok.startswith("-"):
+            if positional is None or tok not in positional[1]:
+                return None
+            dest, positional = positional[0], None
+            setattr(args, dest, tok)
+            if dest == "command":
+                _, positional, options = COMMANDS[tok]
+                args.fn = _fn(tok)
+                table.clear()
+                level(options)
+            continue
+        name, eq, value = tok.partition("=")
+        spec = table.get(name)
+        if spec is None or (eq and spec[1] is bool):
+            return None
+        if spec[1] is bool:
+            value = True
+        elif not eq:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        if spec[1] is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        setattr(args, spec[0], value)
+        missing.discard(spec[0])
+    return None if positional or missing else args
+
+
+def parse_args(argv: list[str]):
+    """argv read into a namespace with the dests of the global options,
+    `command`, `fn` and the dests of the command's options and positional.
+    A usage error, or -h, ends in argparse's SystemExit(2) or (0)."""
+    args = _plain(argv)
+    if args is None:
+        args = _argparser().parse_args(argv)
+        args.fn = _fn(args.command)
     return args
 
 

@@ -160,12 +160,21 @@ def _trace(ctx: PhiContext, a: tuple[int, ...], w: tuple[int, ...]) -> frozenset
     return _extension(ctx.structure, ctx.phi, ctx.y_vars, bound)
 
 
-def _trace_shares(ctx: PhiContext, tuples, w: tuple) -> dict[tuple[int, ...], Fraction]:
-    """For each b in some distinct trace of the x tuples, the share of those
-    traces that contain b; a b in no trace is absent and has share 0."""
+_ZERO = Fraction(0)
+
+
+def _trace_shares(ctx: PhiContext, tuples, w: tuple) -> tuple[Counter, int]:
+    """How many distinct traces of the x tuples contain each b, a b in none
+    being absent, and how many distinct traces there are: b's share of
+    them is the ratio."""
     traces = {_trace(ctx, a, w) for a in tuples}
-    counts = Counter(b for t in traces for b in t)
-    return {b: Fraction(k, len(traces)) for b, k in counts.items()}
+    return Counter(b for t in traces for b in t), len(traces)
+
+
+def _share(ctx: PhiContext, tuples, w: tuple, b: tuple[int, ...]) -> Fraction:
+    """The share of the distinct traces of the x tuples that contain b."""
+    counts, n = _trace_shares(ctx, tuples, w)
+    return Fraction(counts[b], n) if b in counts else _ZERO
 
 
 def phi_type_space(ctx: PhiContext) -> list[PhiType]:
@@ -207,9 +216,6 @@ def cb_rank_mult(ctx: PhiContext, pi: Formula) -> tuple[int | None, int]:
 
 # --- rho ---------------------------------------------------------------------------
 
-_ZERO = Fraction(0)
-
-
 @lru_cache(maxsize=None)
 def _isolated_solutions(
     p_space: TypeSpace, p: TypeId, x_vars: tuple[str, ...]
@@ -247,8 +253,8 @@ def _orbit_traces(
 ) -> dict[tuple[int, ...], Fraction]:
     """rho's values for p: the trace shares of p's orbit, checked and built
     once per (context, space, type).  Callers must not change the table."""
-    w = _space_w(ctx, p_space)
-    return _trace_shares(ctx, p_space.orbit(p), w)
+    counts, n = _trace_shares(ctx, p_space.orbit(p), _space_w(ctx, p_space))
+    return {b: Fraction(k, n) for b, k in counts.items()}
 
 
 def _b_tuple(ctx: PhiContext, p_space: TypeSpace, b) -> tuple[int, ...]:
@@ -302,7 +308,7 @@ def rho_by_multiplicity(
     b_tuple = _b_tuple(ctx, p_space, b)
     charge("trace table", ctx.structure.size, len(ctx.x_vars) + len(ctx.y_vars))
     solutions = _isolated_solutions(p_space, p, ctx.x_vars)
-    return _trace_shares(ctx, solutions, w).get(b_tuple, _ZERO)
+    return _share(ctx, solutions, w, b_tuple)
 
 
 # --- Type-space plumbing for the measure level --------------------------------------
@@ -394,7 +400,7 @@ def rho_fn(ctx: PhiContext, p: RMeasure, q: RMeasure) -> tuple[RationalFn, FinPr
     joint, cells = _fibre(p, q, nx)
     named = len(ctx.w_vars)
     return RationalFn(joint.points, {
-        pt: _trace_shares(ctx, realizations, w[:named]).get(b, _ZERO)
+        pt: _share(ctx, realizations, w[:named], b)
         for pt, (realizations, b, w) in cells.items()
     }), joint
 
