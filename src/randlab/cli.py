@@ -13,15 +13,14 @@ workspace load included: `main` runs both inside `errors.budget(N)`.
 
 A usage error is found before anything runs: an unknown or ambiguous
 option, a missing option that `COMMANDS` marks required, or a bad int or
-choice.  argparse, built from `COMMANDS`, reads every argv but the plain
-ones (full option names, values that do not start with "-", one command),
-which `_plain` reads the same way without importing argparse; so usage
-errors and help are argparse's on the running Python.  A usage error prints
-a usage line and `randlab[ <cmd>]: error: <message>` on stderr and raises
-SystemExit(2).  One departure from argparse before 3.13: `--name=--`, the
-name abbreviated or not, gives the value "--", not [], and is an invalid
-int for an int option.  An option only some `check` suites or `rho` modes
-need is checked by the command, and its absence is a parse error (3).
+choice.  argparse, built from `COMMANDS` and imported only when argv is
+read, reads every argv, so usage errors and help are argparse's on the
+running Python.  A usage error prints a usage line and `randlab[ <cmd>]:
+error: <message>` on stderr and raises SystemExit(2).  One departure from
+argparse before 3.13: `--name=--`, the name abbreviated or not, gives the
+value "--", not [], and is an invalid int for an int option.  An option
+only some `check` suites or `rho` modes need is checked by the command,
+and its absence is a parse error (3).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from __future__ import annotations
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from types import SimpleNamespace
 
 from .axioms import check_axioms, covering_failures, default_formula_corpus
 from .cformulas import eval_cformula, parse_cformula
@@ -457,11 +455,10 @@ def cmd_types(args, ws: Workspace) -> int:
 # --- Entry point -------------------------------------------------------------------
 #
 # One table holds every command and its options, and argparse, built from it
-# by `_argparser`, is the grammar.  `_plain` reads on its own only the argv
-# that argparse would read the same way, so a cold command with plain argv
-# never imports argparse; argparse reads every other argv.  An option is a
-# tuple (dest, type, default, required, help): type is str, int, or bool for
-# a flag that stores True; its option string is "--" + dest with "-" for "_".
+# by `_argparser` when argv is read, is the grammar; importing this module
+# does not import argparse.  An option is a tuple (dest, type, default,
+# required, help): type is str, int, or bool for a flag that stores True;
+# its option string is "--" + dest with "-" for "_".
 
 def _opt(dest, type=str, default=None, required=False, help=""):
     return dest, type, default, required, help
@@ -583,65 +580,12 @@ def _argparser():
     return top
 
 
-def _plain(argv: list[str]) -> SimpleNamespace | None:
-    """argv read without argparse, or None unless every token is one of: a
-    full option name of its level, with `=value` or a next token that does
-    not start with "-" (a flag with neither); the command; the `check`
-    suite.  The command and the suite come once, every required option
-    comes, and every int converts.  argparse reads such argv the same way."""
-    args = SimpleNamespace()
-    table, missing = {}, set()
-
-    def level(options) -> None:
-        for spec in options:
-            setattr(args, spec[0], spec[2])
-            table[_flag(spec[0])] = spec
-            if spec[3]:
-                missing.add(spec[0])
-
-    level(GLOBAL_OPTIONS)
-    positional = ("command", COMMANDS)
-    tokens = iter(argv)
-    for tok in tokens:
-        if not tok.startswith("-"):
-            if positional is None or tok not in positional[1]:
-                return None
-            dest, positional = positional[0], None
-            setattr(args, dest, tok)
-            if dest == "command":
-                _, positional, options = COMMANDS[tok]
-                args.fn = _fn(tok)
-                table.clear()
-                level(options)
-            continue
-        name, eq, value = tok.partition("=")
-        spec = table.get(name)
-        if spec is None or (eq and spec[1] is bool):
-            return None
-        if spec[1] is bool:
-            value = True
-        elif not eq:
-            value = next(tokens, "-")
-            if value.startswith("-"):
-                return None
-        if spec[1] is int:
-            try:
-                value = int(value)
-            except ValueError:
-                return None
-        setattr(args, spec[0], value)
-        missing.discard(spec[0])
-    return None if positional or missing else args
-
-
 def parse_args(argv: list[str]):
     """argv read into a namespace with the dests of the global options,
     `command`, `fn` and the dests of the command's options and positional.
     A usage error, or -h, ends in argparse's SystemExit(2) or (0)."""
-    args = _plain(argv)
-    if args is None:
-        args = _argparser().parse_args(argv)
-        args.fn = _fn(args.command)
+    args = _argparser().parse_args(argv)
+    args.fn = _fn(args.command)
     return args
 
 
