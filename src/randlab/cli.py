@@ -291,8 +291,8 @@ def _stability_lines(st: FinStructure, phi_text: str | None) -> list[str]:
 def cmd_rho(args, ws: Workspace) -> int:
     st = ws.structure(args.structure)
     phi = parse_formula(args.phi, st.signature)
-    x_vars = _var_names(args.x) if args.x else ("x",)
-    y_vars = _var_names(args.y) if args.y else ("y",)
+    x_vars = _var_names(args.x) if args.x is not None else ("x",)
+    y_vars = _var_names(args.y) if args.y is not None else ("y",)
     w_vars = _var_names(args.w) if args.w else ()
     if args.rho_hat or args.certify:
         mode = "--certify" if args.certify else "--rho-hat"
@@ -387,10 +387,7 @@ def cmd_extend(args, ws: Workspace) -> int:
             prob = parse_problem(fh.read())
     except OSError as exc:
         raise ResolutionError(f"cannot read problem {args.problem!r}: {exc}") from exc
-    rels = prob.relations()
-    if len(rels) > 1:
-        raise ValidationError("problem mixes <= and = constraints")
-    cert = extend_measure_eq(prob) if rels == {"="} else extend_measure_ineq(prob)
+    cert = extend_measure_ineq(prob) if prob.relations() == {"<="} else extend_measure_eq(prob)
     if isinstance(cert, FeasibleCertificate):
         print("FEASIBLE")
         print(

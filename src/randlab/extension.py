@@ -1,20 +1,21 @@
 """Measure-extension problems as exact linear feasibility with certificates.
 
-`extend_measure_ineq` decides whether a probability measure exists meeting
-a family of one-sided integral bounds; `extend_measure_eq` decides exact
-prescribed integrals.  Both go to one phase-one simplex in standard form
-`A x = b, x >= 0`: the mass row, one row per constraint, and a slack
-column for each `<=` row only; by Farkas' lemma its duals give the
-infeasibility certificate.  Either a witness measure (zero weights
-allowed: a simplex point, not a sample space) or an integer-coefficient
-infeasibility certificate is returned; both re-verify against the
-problem data by exact arithmetic.  Both kinds of infeasibility
-certificate go through one separation test, `_separates`: integer
-multipliers m_i and a constant c with sum m_i * fn_i + c >= 0 at every
-point while sum m_i * bound_i + c < 0 (an inequality certificate has
-m_i >= 0 and c = -n; an equality certificate has m_i >= 0 on its `<=`
-rows, if it is checked against a problem with any).  The duals are
-cleared to those integers in one step, `_cleared`, for both problems.
+`extend_measure_eq` decides whether a probability measure exists meeting
+a family of integral constraints, each `<=` or `=`; `extend_measure_ineq`
+is the same decision on a family of `<=` rows alone, its infeasibility
+certificate printed as multiplicities and an integer threshold.  The
+decision is one phase-one simplex in standard form `A x = b, x >= 0`: the
+mass row, one row per constraint, and a slack column for each `<=` row
+only; by Farkas' lemma its duals, cleared to integers in one step
+(`_cleared`), give the infeasibility certificate.  Either a witness
+measure (zero weights allowed: a simplex point, not a sample space) or an
+integer-coefficient infeasibility certificate is returned; both re-verify
+against the problem data by exact arithmetic.  Both kinds of
+infeasibility certificate go through one separation test, `_separates`:
+integer multipliers m_i and a constant c with sum m_i * fn_i + c >= 0 at
+every point while sum m_i * bound_i + c < 0 (an inequality certificate
+has m_i >= 0 and c = -n; an equality certificate has m_i >= 0 on its
+`<=` rows).
 A witness puts weight on ground-set points only, and is checked in ints.
 
 The pivot engine is a dictionary-free phase-one simplex with Bland's
@@ -312,35 +313,32 @@ def _integerize_certificate(prob: LinFeasProblem, m: list[int]) -> InfeasibleIne
 # --- Public operations ----------------------------------------------------------
 
 def extend_measure_ineq(prob: LinFeasProblem) -> Certificate:
-    """Decide `exists mu: <fn_i, mu> <= bound_i for all i` with certificates."""
+    """Decide `exists mu: <fn_i, mu> <= bound_i for all i` with certificates.
+
+    The decision is `extend_measure_eq`'s; an infeasible verdict is printed
+    as multiplicities m_i >= 0 and an integer threshold n."""
     if prob.relations() - {"<="}:
         raise ValidationError("extend_measure_ineq accepts only <= constraints")
-    res = _solve_feasibility(prob)
-    if isinstance(res, FeasibleCertificate):
-        return res
-    # With u_i = -y_i >= 0:  sum u_i fn_i >= y_0 pointwise  and
-    # sum u_i bound_i < y_0; the cleared mass-row dual is not needed.
-    _, *m = _cleared(res)
-    for i, mi in enumerate(m):
-        if mi < 0:
-            # numeric impossibility for exact arithmetic; guard anyway
-            raise AssertionError(f"negative dual multiplier u[{i}] = {-res[i + 1]}")
-    return _integerize_certificate(prob, m)
+    cert = extend_measure_eq(prob)
+    if isinstance(cert, FeasibleCertificate):
+        return cert
+    return _integerize_certificate(prob, cert.multipliers)
 
 
 def extend_measure_eq(prob: LinFeasProblem) -> Certificate:
-    """Decide `exists mu: <fn_i, mu> = bound_i for all i` with certificates.
+    """Decide `exists mu: <fn_i, mu> REL_i bound_i for all i`, each REL_i
+    `<=` or `=`, with certificates.
 
     The constant-one constraint `<1, mu> = 1` is the solver's mass row; a
-    constant-one constraint with a different bound is rejected.  The
-    negated duals, cleared of denominators, are the certificate: the mass
-    row's coefficient folds into a constant-one constraint when there is
-    one and is the certificate's `constant` otherwise.
+    constant-one `=` constraint with a different bound is rejected (a
+    constant-one `<=` row is an ordinary row).  The negated duals, cleared
+    of denominators, are the certificate: the mass row's coefficient folds
+    into a constant-one `=` constraint when there is one and is the
+    certificate's `constant` otherwise.
     """
-    if prob.relations() - {"="}:
-        raise ValidationError("extend_measure_eq accepts only = constraints")
     ones = [
-        i for i, c in enumerate(prob.constraints) if all(v == 1 for v in c.fn.values.values())
+        i for i, c in enumerate(prob.constraints)
+        if c.relation == "=" and all(v == 1 for v in c.fn.values.values())
     ]
     for c in (prob.constraints[i] for i in ones):
         if c.bound != 1:

@@ -310,6 +310,12 @@ def test_rho_command(ws_file):
         "--phi", "x = y", "--p", "q0", "--b", "0",
     )
     assert code == 0 and out.strip() == "1/2"
+    # an empty --w names no w variables, where an empty --x or --y is refused
+    code, out, _ = run(
+        "--workspace", ws_file, "rho", "--structure", "m2",
+        "--phi", "x = y", "--p", "q0", "--b", "0", "--w", "",
+    )
+    assert code == 0 and out.strip() == "1/2"
 
 
 def test_dmetric_command(ws_file):
@@ -357,13 +363,25 @@ def test_extend_command(tmp_path, ws_file):
     code, out, _ = run("--workspace", ws_file, "extend", "--problem", str(prob2))
     assert code == 0 and "INFEASIBLE" in out and "verifies" in out
 
+    # files that mix <= and = rows are decided
+    for text, want in (
+        ("<= 1/2 : 1,0\n= 1 : 1,1\n", ["FEASIBLE", "  mu = 1/2, 1/2"]),
+        ("<= 1/2 : 1,0\n= 1/3 : 0,1\n", [
+            "INFEASIBLE",
+            "  certificate: InfeasibleEqCertificate(multipliers=[1, 1], constant=-1)",
+        ]),
+    ):
+        prob.write_text(text)
+        code, out, err = run("--workspace", ws_file, "extend", "--problem", str(prob))
+        assert (code, out.splitlines(), err) == (0, want + ["certificate verifies"], "")
+
 
 @pytest.mark.parametrize(
     "text, message",
     [
         ("= 1 : \n", "empty ground set"),
         ("<= 1 : \n", "empty ground set"),
-        ("<= 1/2 : 1,0\n= 1 : 1,1\n", "problem mixes <= and = constraints"),
+        ("<= 1/2 : 1,0\n= 1/2 : 1,1\n", "constant-one constraint bound 1/2 != 1"),
     ],
 )
 def test_extend_bad_problem_exits_validation(tmp_path, ws_file, text, message):
@@ -650,6 +668,8 @@ def test_bad_numbers_in_arguments_exit_parse(ws_file, tmp_path):
         (rho + ["--b", "0"], "needs --p and --b"),
         (rho + ["--x", "x,", "--p", "q0", "--b", "1"], "bad variable name ''"),
         (rho + ["--y", "Y", "--p", "q0", "--b", "1"], "bad variable name 'Y'"),
+        (rho + ["--y", "", "--p", "q0", "--b", "0"], "bad variable name ''"),
+        (rho + ["--x", "", "--p", "q0", "--b", "0"], "bad variable name ''"),
         (rho + ["--w", "w,,v", "--p", "q0", "--b", "1"], "bad variable name ''"),
         (["approx-simple", "--rand", "m2x8", "--f", "h", "--algebra", "e1", "--eps", "0.5"],
          "unexpected character '.'"),

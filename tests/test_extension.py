@@ -170,6 +170,8 @@ def test_relation_mixing_rejected():
 
 
 def _random_problem(rng, mode):
+    """Rows of relation `mode`, or of a relation drawn per row if it is
+    "mixed"; no row is the constant one."""
     n = rng.randint(2, 4)
     ground = tuple(range(n))
     k = rng.randint(1, 4)
@@ -179,8 +181,17 @@ def _random_problem(rng, mode):
         if all(v == 1 for v in values):
             values[0] += 1  # the constant-one row is reserved (bound 1)
         bound = F(rng.randint(-2, 4), rng.choice([1, 2, 3, 4]))
-        constraints.append((fn(ground, values), bound, mode))
+        rel = rng.choice(["<=", "="]) if mode == "mixed" else mode
+        constraints.append((fn(ground, values), bound, rel))
     return LinFeasProblem(ground, constraints)
+
+
+def _with_mass_row(prob: LinFeasProblem) -> LinFeasProblem:
+    """prob with the constant-one `=` row adjoined, as the solver's mass row."""
+    one = (RationalFn.constant(prob.ground, 1), F(1), "=")
+    return LinFeasProblem(
+        prob.ground, [(c.fn, c.bound, c.relation) for c in prob.constraints] + [one]
+    )
 
 
 @pytest.mark.parametrize("mode", ["<=", "="])
@@ -193,13 +204,36 @@ def test_random_instances_agree_with_oracle(mode):
             oracle_prob = prob
         else:
             cert = extend_measure_eq(prob)
-            ground = prob.ground
-            one = (RationalFn.constant(ground, 1), F(1), "=")
-            oracle_prob = LinFeasProblem(
-                ground, [(c.fn, c.bound, c.relation) for c in prob.constraints] + [one]
-            )
+            oracle_prob = _with_mass_row(prob)
         assert cert.verify(prob), prob
         assert cert.feasible == oracle_feasible(oracle_prob)
+
+
+def test_random_mixed_instances_agree_with_oracle():
+    """Rows of both relations in one problem are decided: the verdict is the
+    oracle's, and an infeasible certificate is the hand-written clearing's."""
+    rng = random.Random(101)
+    verdicts, mixed = set(), 0
+    for _ in range(150):
+        prob = _random_problem(rng, "mixed")
+        mixed += prob.relations() == {"<=", "="}
+        cert = extend_measure_eq(prob)
+        assert cert.verify(prob), prob
+        assert cert.feasible == oracle_feasible(_with_mass_row(prob))
+        verdicts.add(cert.feasible)
+        if not cert.feasible:
+            want = _oracle_eq_certificate(prob, randlab.extension._solve_feasibility(prob))
+            assert repr(cert) == repr(want)
+    assert verdicts == {True, False} and mixed >= 60
+
+
+def test_a_constant_one_le_row_is_an_ordinary_row():
+    """Only a constant-one `=` row takes the mass row's coefficient, and only
+    its bound must be 1."""
+    prob = parse_problem("<= 1/2 : 1,1\n= 1/2 : 1,0\n")
+    cert = extend_measure_eq(prob)
+    assert repr(cert) == "InfeasibleEqCertificate(multipliers=[2, -1], constant=-1)"
+    assert cert.verify(prob)
 
 
 def test_deterministic_certificates():
@@ -672,10 +706,11 @@ def _oracle_eq_certificate(prob: LinFeasProblem, res: list[Fraction]) -> Infeasi
 
 @st.composite
 def farkas_cases(draw):
-    """A problem of either relation, as `_random_problem` makes them, or an
-    equality problem with constant-one rows, which the certificate folds in;
-    and free multipliers and a constant, for problems of either verdict."""
-    rel = draw(st.sampled_from(["<=", "="]))
+    """A problem of either relation or of both (`mixed`, decided as an
+    equality problem), as `_random_problem` makes them, or an equality
+    problem with constant-one rows, which the certificate folds in; and free
+    multipliers and a constant, for problems of either verdict."""
+    rel = draw(st.sampled_from(["<=", "=", "mixed"]))
     if rel == "=" and draw(st.booleans()):
         prob = draw(eq_problems())
     else:
